@@ -29,20 +29,17 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         print("== synthesize from the annotated example ==")
-        query_file = tmp / "query.dl"
+        # The text report goes to stdout; the JSON report carries the rule.
+        report = tmp / "report.json"
         code = cli(["synthesize",
                     "--source", str(TASK / "example.java"),
                     "--target", "Method",
                     "--description", description,
-                    "--hmap", str(REPO / "corpus" / "hmap.json")])
+                    "--hmap", str(REPO / "corpus" / "hmap.json"),
+                    "-o", str(report)])
         if code != 0:
             return code
-        # grab the datalog rendering for the search step
-        report = tmp / "report.json"
-        cli(["synthesize", "--source", str(TASK / "example.java"),
-             "--target", "Method", "--description", description,
-             "--hmap", str(REPO / "corpus" / "hmap.json"),
-             "--emit", "json", "-o", str(report)])
+        query_file = tmp / "query.dl"
         rule = json.loads(report.read_text())["queries"][0]["datalog"]
         query_file.write_text(rule + "\n")
 

@@ -23,8 +23,7 @@ from .schema_graph import (RelationPath, SchemaGraph, activated_relation,
                            acyclic_paths, augment_with_cycles,
                            build_schema_graph)
 from .select import (ContextError, EntityContext, SynthesisResult, compare,
-                     complexity, coverage, extract_entities, make_context,
-                     synthesize)
+                     coverage, extract_entities, make_context, synthesize)
 from .strings import syn_lcs
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import minijava
 from .datalog import parse_datalog, render_datalog
 from .extract import extract
-from .query import canonical_form, to_graph
+from .query import canonical_form, max_multiplicity, to_graph
 from .reduction import reduced_subgraph_size
 from .schema_graph import build_schema_graph
 from .select import make_context, synthesize
@@ -50,13 +50,6 @@ class TaskResult:
         }
 
 
-def _graph_k(graph) -> int:
-    counts: dict[str, int] = {}
-    for rel, _ in graph.nodes:
-        counts[rel] = counts.get(rel, 0) + 1
-    return max(counts.values(), default=0)
-
-
 def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
              early_stop: bool = True, use_reduction: bool = True) -> TaskResult:
     task_dir = Path(task_dir)
@@ -74,16 +67,14 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
                             early_stop=early_stop, use_reduction=use_reduction)
         elapsed = time.monotonic() - started
 
-        golden_graphs = []
-        for golden_file in doc.get("golden", []):
-            text = (task_dir / golden_file).read_text(encoding="utf-8")
-            golden_graphs.append(to_graph(parse_datalog(text, schema), schema))
-        golden_canon = {canonical_form(g) for g in golden_graphs}
+        golden = [parse_datalog((task_dir / f).read_text(encoding="utf-8"), schema)
+                  for f in doc.get("golden", [])]
+        golden_canon = {canonical_form(to_graph(q, schema)) for q in golden}
         selected_canon = {canonical_form(s.graph) for s in result.selected}
         passed = bool(golden_canon) and golden_canon == selected_canon
 
         gq = result.selected[0].graph.size() if result.selected else None
-        k = _graph_k(result.selected[0].graph) if result.selected else None
+        k = max_multiplicity(result.selected[0].graph) if result.selected else None
         expected = doc.get("expected")
         if passed and expected:
             passed = (list(expected.get("gq", list(gq))) == list(gq)
@@ -93,9 +84,7 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
             name, category, passed, gq, k,
             reduced_subgraph_size(graph, result.reduced.kept), elapsed,
             selected=[render_datalog(s.query, schema) for s in result.selected],
-            golden=[render_datalog(q, schema)
-                    for q in (parse_datalog((task_dir / f).read_text(encoding="utf-8"),
-                                            schema) for f in doc.get("golden", []))],
+            golden=[render_datalog(q, schema) for q in golden],
             explored=result.state.generated_total(),
             terminated_early=result.terminated_early)
     except Exception as exc:  # a broken task must not abort the run

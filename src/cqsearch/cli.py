@@ -17,7 +17,7 @@ from .core import load_facts, make_partition, partition_from_doc
 from .datalog import parse_datalog, render_datalog
 from .evaluator import evaluate
 from .extract import extract, extraction_schema, facts_to_doc
-from .query import render_ra
+from .query import max_multiplicity, render_ra
 from .reduction import reduce
 from .schema_graph import build_schema_graph
 from .select import make_context, synthesize
@@ -147,8 +147,7 @@ def _report(result, schema, elapsed: float) -> dict:
             "beta": sel.beta,
             "graph_size": {"relations": rels, "eq_constraints": eq,
                            "str_constraints": strs},
-            "k": max((sum(1 for r2, _ in sel.graph.nodes if r2 == r)
-                      for r, _ in sel.graph.nodes), default=0),
+            "k": max_multiplicity(sel.graph),
         })
     return {
         "queries": queries,

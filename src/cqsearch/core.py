@@ -114,23 +114,29 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
 
     @staticmethod
     def from_doc(doc: dict) -> "Schema":
-        try:
-            entries = doc["relations"]
-        except (KeyError, TypeError):
+        entries = doc.get("relations") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
             raise SchemaError("schema document must have a 'relations' list")
         rels: dict[str, list[AttributeDecl]] = {}
         for entry in entries:
-            name = entry.get("name")
-            if not isinstance(name, str):
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
                 raise SchemaError(f"relation entry without a name: {entry!r}")
+            name = entry["name"]
             if name in rels:
                 raise SchemaError(f"duplicate relation {name!r}")
+            decls = entry.get("attributes", [])
+            if not isinstance(decls, list):
+                raise SchemaError(f"{name}: 'attributes' must be a list")
             attrs = []
-            for a in entry.get("attributes", []):
-                kind = a.get("kind")
+            for a in decls:
+                if not isinstance(a, dict) or not isinstance(a.get("name"), str):
+                    raise SchemaError(f"{name}: attribute without a name: {a!r}")
+                kind, target = a.get("kind"), a.get("target")
                 if kind not in (PK, FK, STR):
-                    raise SchemaError(f"{name}.{a.get('name')}: unknown kind {kind!r}")
-                attrs.append(AttributeDecl(a["name"], kind, a.get("target")))
+                    raise SchemaError(f"{name}.{a['name']}: unknown kind {kind!r}")
+                if target is not None and not isinstance(target, str):
+                    raise SchemaError(f"{name}.{a['name']}: target must be a relation name")
+                attrs.append(AttributeDecl(a["name"], kind, target))
             rels[name] = attrs
         return Schema(rels)
 
@@ -252,10 +258,15 @@ def load_facts(schema_doc: dict, facts_doc: dict) -> tuple[Schema, FactBase]:
         raise FactError("facts document must be an object of relation -> rows")
     relations = []
     for name, rows in facts_doc.items():
+        if not isinstance(rows, list):
+            raise FactError(f"{name}: rows must be a list, got {rows!r}")
         tuples = set()
         for row in rows:
             if not isinstance(row, list):
                 raise FactError(f"{name}: row {row!r} is not a list")
+            for v in row:
+                if not isinstance(v, str):
+                    raise FactError(f"{name}: non-string value {v!r} in row {row!r}")
             tuples.add(tuple(row))
         relations.append(Relation(name, frozenset(tuples)))
     return schema, FactBase(schema, relations)
@@ -287,4 +298,8 @@ def partition_from_doc(doc: dict, facts: FactBase) -> RelationPartition:
         positive = doc["positive"]
     except (KeyError, TypeError):
         raise PartitionError("partition document needs 'target' and 'positive'")
+    if not isinstance(target, str) or not isinstance(positive, list) \
+            or not all(isinstance(p, str) for p in positive):
+        raise PartitionError("partition 'target' must be a relation name and "
+                             "'positive' a list of primary keys")
     return make_partition(target, positive, facts)

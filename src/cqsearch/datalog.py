@@ -64,14 +64,16 @@ def render_datalog(q: ConjunctiveQuery, schema: Schema) -> str:
     return f"out({', '.join(head_args)}) :- {', '.join(body)}."
 
 
+# A comment runs from '#' to the end of the line; a '#' inside a string
+# literal is matched as part of the literal first.
 _TOKEN = re.compile(r'''\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)
                           |(?P<str>"(?:[^"\\]|\\.)*")
                           |(?P<punct>:-|[(),.])
+                          |(?P<comment>\#[^\n]*)
                           )''', re.VERBOSE)
 
 
 def _tokenize(text: str):
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     pos = 0
     out = []
     while pos < len(text):

@@ -5,12 +5,16 @@ binds the most constrained alias next and prunes through the fact base's
 per-attribute indexes; the result set is the deduplicated projection onto the
 head alias. Semantics match the naive selection over the full Cartesian
 product (the test suite certifies this against a product oracle).
+
+Evaluation works on the query graph; a conjunctive query is converted with
+``to_graph`` on entry, so a query the schema does not license is an
+``EvalError``.
 """
 from __future__ import annotations
 
-from .core import FactBase, RelationPartition, Tuple
-from .query import (ConjunctiveQuery, Equality, QueryGraph, StringAtom,
-                    pred_holds)
+from .core import FactBase, RelationPartition, SchemaError, Tuple
+from .query import (ConjunctiveQuery, GraphError, QueryGraph, pred_holds,
+                    to_graph)
 
 
 class EvalError(Exception):
@@ -20,12 +24,12 @@ class EvalError(Exception):
 class _Compiled:
     """Query normalized to positional constraints against one fact base."""
 
-    def __init__(self, facts: FactBase, nodes, eq_edges, str_edges):
+    def __init__(self, facts: FactBase, g: QueryGraph):
         schema = facts.schema
         self.facts = facts
         self.aliases = []
         self.relation = {}
-        for rel, alias in nodes:
+        for rel, alias in g.nodes:
             if rel not in schema:
                 raise EvalError(f"unknown relation {rel!r}")
             if alias in self.relation:
@@ -35,7 +39,7 @@ class _Compiled:
         # eq constraint: value at (fk_alias, fk_pos) == primary key of pk_alias
         self.eq: list[tuple[str, int, str]] = []
         self.self_eq: dict[str, list[int]] = {a: [] for a in self.aliases}
-        for fk_alias, pk_alias, attr in sorted(eq_edges):
+        for fk_alias, pk_alias, attr in sorted(g.eq_edges):
             if fk_alias not in self.relation or pk_alias not in self.relation:
                 raise EvalError(f"equality over unknown alias {fk_alias!r}/{pk_alias!r}")
             pos = self._pos(self.relation[fk_alias], attr)
@@ -44,7 +48,7 @@ class _Compiled:
             else:
                 self.eq.append((fk_alias, pos, pk_alias))
         self.strs: dict[str, list[tuple[int, str, str]]] = {a: [] for a in self.aliases}
-        for alias, attr, pred, literal in str_edges:
+        for alias, attr, pred, literal in g.str_edges:
             if alias not in self.relation:
                 raise EvalError(f"string constraint over unknown alias {alias!r}")
             pos = self._pos(self.relation[alias], attr)
@@ -54,7 +58,6 @@ class _Compiled:
         self._order_cache: dict[bool, list[str]] = {}
 
     def _pos(self, rel: str, attr: str) -> int:
-        from .core import SchemaError
         try:
             return self.facts.schema.attr_pos(rel, attr)
         except SchemaError as exc:
@@ -62,19 +65,14 @@ class _Compiled:
 
     @staticmethod
     def of(facts: FactBase, q) -> "_Compiled":
-        if isinstance(q, QueryGraph):
-            return _Compiled(facts, q.nodes, q.eq_edges, q.str_edges)
         if isinstance(q, ConjunctiveQuery):
-            nodes = tuple((r, a) for a, r in q.product)
-            eq = []
-            strs = []
-            for atom in q.conditions:
-                if isinstance(atom, Equality):
-                    eq.append((atom.fk_alias, atom.pk_alias, atom.fk_attr))
-                elif isinstance(atom, StringAtom):
-                    strs.append((atom.alias, atom.attr, atom.pred, atom.literal))
-            return _Compiled(facts, nodes, eq, strs)
-        raise EvalError(f"cannot evaluate {type(q).__name__}")
+            try:
+                q = to_graph(q, facts.schema)
+            except (GraphError, SchemaError) as exc:
+                raise EvalError(str(exc)) from exc
+        if not isinstance(q, QueryGraph):
+            raise EvalError(f"cannot evaluate {type(q).__name__}")
+        return _Compiled(facts, q)
 
     def base_tuples(self, alias: str) -> tuple[Tuple, ...]:
         """Relation tuples pre-filtered by the alias's string constraints."""

@@ -147,19 +147,19 @@ def _check_string_slot(schema: Schema, rel: str, attr: str):
 
 def to_graph(q: ConjunctiveQuery, schema: Schema) -> QueryGraph:
     nodes = tuple((r, a) for a, r in q.product)
-    rel_of = dict(q.product)
     eq = set()
     strs = []
     for atom in q.conditions:
         if isinstance(atom, Equality):
-            _check_edge(schema, rel_of[atom.fk_alias], atom.fk_attr, rel_of[atom.pk_alias])
-            if schema.pk_attr(rel_of[atom.pk_alias]).name != atom.pk_attr:
+            pk_rel = q.relation_of(atom.pk_alias)
+            _check_edge(schema, q.relation_of(atom.fk_alias), atom.fk_attr, pk_rel)
+            if schema.pk_attr(pk_rel).name != atom.pk_attr:
                 raise GraphError(
                     f"{atom.pk_alias}.{atom.pk_attr} is not the primary key of "
-                    f"{rel_of[atom.pk_alias]}")
+                    f"{pk_rel}")
             eq.add((atom.fk_alias, atom.pk_alias, atom.fk_attr))
         else:
-            _check_string_slot(schema, rel_of[atom.alias], atom.attr)
+            _check_string_slot(schema, q.relation_of(atom.alias), atom.attr)
             if atom.pred not in PREDICATES:
                 raise GraphError(f"unknown predicate {atom.pred!r}")
             strs.append((atom.alias, atom.attr, atom.pred, atom.literal))

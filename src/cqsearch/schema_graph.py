@@ -71,6 +71,7 @@ class SchemaGraph:
             sorted(edges, key=lambda e: (e.src, e.dst, e.attr)))
         self.fk_edges: tuple[SchemaEdge, ...] = tuple(
             e for e in self.edges if e.dst != STR_NODE)
+        self._fk_edge_set = frozenset(self.fk_edges)
         self._incident: dict[str, list[SchemaEdge]] = {r: [] for r in schema}
         for e in self.fk_edges:
             self._incident[e.src].append(e)
@@ -96,15 +97,8 @@ class SchemaGraph:
 
     def has_step(self, rel: str, step: PathStep) -> bool:
         if step.direction == 1:
-            return SchemaEdge(rel, step.next, step.attr) in self._edge_set()
-        return SchemaEdge(step.next, rel, step.attr) in self._edge_set()
-
-    def _edge_set(self) -> frozenset[SchemaEdge]:
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.fk_edges)
-            self._edge_set_cache = cached
-        return cached
+            return SchemaEdge(rel, step.next, step.attr) in self._fk_edge_set
+        return SchemaEdge(step.next, rel, step.attr) in self._fk_edge_set
 
     def to_dot(self) -> str:
         lines = ["digraph schema {"]

@@ -3,8 +3,10 @@
 Named-entity coverage measures how much of the description's vocabulary the
 query's selection condition touches, through a hand-written mapping from
 relation attributes to words; structural complexity is relation count plus
-atom count. Queries are ranked by coverage first (higher wins), complexity
-second (lower wins); synthesis keeps exactly the top equivalence class.
+atom count. Both are read off the query graph, where every atom is one edge.
+Queries are ranked by coverage first (higher wins), complexity second (lower
+wins); synthesis keeps exactly the top equivalence class, and only its
+graphs are rendered as conjunctive queries.
 
 The loop walks levels (m, k) in increasing order and stops early once
 coverage has hit its schema-wide upper bound and every query still derivable
@@ -20,8 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import FK, FactBase, RelationPartition, Schema
-from .query import (ConjunctiveQuery, Equality, QueryGraph, StringAtom,
-                    canonical_form, from_graph)
+from .query import ConjunctiveQuery, QueryGraph, canonical_form, from_graph
 from .reduction import ReducedRepresentation, reduce
 from .refine import RefinementEngine, RefinementState
 from .schema_graph import build_schema_graph
@@ -68,11 +69,15 @@ def load_hmap(doc: dict) -> tuple[frozenset[str], dict[tuple[str, str], frozense
         entries = doc["h"]
     except (KeyError, TypeError):
         raise ContextError("hmap document needs 'dictionary' and 'h'")
+    if not isinstance(entries, dict):
+        raise ContextError("hmap 'h' must map Relation.attribute to words")
     h = {}
     for key, words in entries.items():
         rel, _, attr = key.partition(".")
         if not rel or not attr:
             raise ContextError(f"h key {key!r} is not Relation.attribute")
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ContextError(f"h[{key!r}] must be a list of words")
         h[(rel, attr)] = frozenset(words)
     return dictionary, h
 
@@ -82,37 +87,36 @@ def make_context(hmap_doc: dict, description: str) -> EntityContext:
     return EntityContext(dictionary, h, extract_entities(description, dictionary))
 
 
-def condition_attrs(q: ConjunctiveQuery) -> frozenset[tuple[str, str]]:
-    """(relation, attribute) pairs appearing in the selection condition."""
+def condition_attrs(g: QueryGraph, schema: Schema) -> frozenset[tuple[str, str]]:
+    """(relation, attribute) pairs appearing in the selection condition.
+
+    An equality edge touches its foreign key and the referenced primary key.
+    """
     pairs = set()
-    for atom in q.conditions:
-        if isinstance(atom, Equality):
-            pairs.add((q.relation_of(atom.pk_alias), atom.pk_attr))
-            pairs.add((q.relation_of(atom.fk_alias), atom.fk_attr))
-        elif isinstance(atom, StringAtom):
-            pairs.add((q.relation_of(atom.alias), atom.attr))
+    for fk_alias, pk_alias, attr in g.eq_edges:
+        pk_rel = g.relation_of(pk_alias)
+        pairs.add((pk_rel, schema.pk_attr(pk_rel).name))
+        pairs.add((g.relation_of(fk_alias), attr))
+    for alias, attr, _, _ in g.str_edges:
+        pairs.add((g.relation_of(alias), attr))
     return frozenset(pairs)
 
 
-def coverage(q: ConjunctiveQuery, ctx: EntityContext) -> Fraction:
+def coverage(g: QueryGraph, schema: Schema, ctx: EntityContext) -> Fraction:
     """Fraction of description entities the condition's attributes reach."""
     if not ctx.entities:
         raise ContextError("no named entities in the description")
     covered = set()
-    for pair in condition_attrs(q):
+    for pair in condition_attrs(g, schema):
         covered |= ctx.h.get(pair, frozenset()) & ctx.entities
     return Fraction(len(covered), len(ctx.entities))
 
 
-def complexity(q: ConjunctiveQuery) -> int:
-    """Relation occurrences plus atomic conditions."""
-    return len(q.product) + len(q.conditions)
-
-
-def compare(q1: ConjunctiveQuery, q2: ConjunctiveQuery, ctx: EntityContext) -> int:
-    """1 if q1 ranks above q2, -1 if below, 0 on a tie."""
-    key1 = (coverage(q1, ctx), -complexity(q1))
-    key2 = (coverage(q2, ctx), -complexity(q2))
+def compare(g1: QueryGraph, g2: QueryGraph, schema: Schema,
+            ctx: EntityContext) -> int:
+    """1 if g1 ranks above g2, -1 if below, 0 on a tie."""
+    key1 = (coverage(g1, schema, ctx), -g1.complexity())
+    key2 = (coverage(g2, schema, ctx), -g2.complexity())
     return (key1 > key2) - (key1 < key2)
 
 
@@ -133,10 +137,6 @@ class SynthesisResult:
     levels_explored: tuple[tuple[int, int], ...]
     reduced: ReducedRepresentation
     state: RefinementState
-
-    @property
-    def queries(self) -> tuple[ConjunctiveQuery, ...]:
-        return tuple(s.query for s in self.selected)
 
 
 def coverage_upper_bound(schema: Schema, kept: frozenset[str],
@@ -187,7 +187,7 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
     state = RefinementState()
     alpha_max: Fraction | None = None
     beta_min: int | None = None
-    selected: dict = {}
+    selected: dict = {}  # canonical form -> graph, for the top-ranked class
     levels: list[tuple[int, int]] = []
     terminated_early = False
 
@@ -205,22 +205,20 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
             engine.refine(state, m, k)
             levels.append((m, k))
             for g in state.candidates(m, k):
-                q = from_graph(g, schema)
-                alpha = coverage(q, ctx)
-                beta = g.complexity()
+                alpha, beta = coverage(g, schema, ctx), g.complexity()
                 key = (alpha, -beta)
                 if alpha_max is None or key > (alpha_max, -beta_min):
                     alpha_max, beta_min = alpha, beta
-                    selected = {canonical_form(g): SelectedQuery(g, q, alpha, beta)}
+                    selected = {canonical_form(g): g}
                 elif key == (alpha_max, -beta_min):
-                    selected.setdefault(canonical_form(g),
-                                        SelectedQuery(g, q, alpha, beta))
+                    selected.setdefault(canonical_form(g), g)
             if early_stop and selected and alpha_max == alpha_bound:
                 frontier = _frontier_min_beta(state, m, k, k_bound)
                 if frontier is None or beta_min <= frontier:
                     terminated_early = True
                     break
 
-    chosen = tuple(selected[c] for c in sorted(selected))
+    chosen = tuple(SelectedQuery(selected[c], from_graph(selected[c], schema),
+                                 alpha_max, beta_min) for c in sorted(selected))
     return SynthesisResult(chosen, alpha_max, beta_min, terminated_early,
                            tuple(levels), reduced, state)

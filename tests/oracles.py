@@ -9,12 +9,13 @@ defines the string part of the query space and has its own oracle).
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
-from cqsearch.core import FactBase, RelationPartition
+from cqsearch.core import FactBase, RelationPartition, Schema
 from cqsearch.evaluator import evaluate, refinable_with_witnesses
 from cqsearch.query import (Equality, QueryGraph, StringAtom, canonical_form,
-                            multiplicity, pred_holds)
+                            from_graph, multiplicity, pred_holds)
 from cqsearch.schema_graph import RelationPath
 from cqsearch.strings import syn_lcs
 
@@ -59,6 +60,29 @@ def naive_evaluate(q, facts: FactBase, max_rows: int = 200_000) -> frozenset:
         if ok:
             out.add(row[0])
     return frozenset(out)
+
+
+# --- named-entity coverage on the rendered query ------------------------------
+
+def coverage_by_atoms(g: QueryGraph, schema: Schema, ctx) -> Fraction:
+    """Coverage by its definition over the conjunctive query's atoms.
+
+    Each equality atom names a foreign key and a primary key, each string atom
+    one string attribute; the words h maps them to are intersected with the
+    description's entities.
+    """
+    q = from_graph(g, schema)
+    pairs = set()
+    for atom in q.conditions:
+        if isinstance(atom, Equality):
+            pairs.add((q.relation_of(atom.fk_alias), atom.fk_attr))
+            pairs.add((q.relation_of(atom.pk_alias), atom.pk_attr))
+        else:
+            pairs.add((q.relation_of(atom.alias), atom.attr))
+    covered = set()
+    for pair in pairs:
+        covered |= ctx.h.get(pair, frozenset()) & ctx.entities
+    return Fraction(len(covered), len(ctx.entities))
 
 
 # --- longest-common-substring brute force ------------------------------------

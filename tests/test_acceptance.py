@@ -15,7 +15,7 @@ from cqsearch.core import (FK, PK, AttributeDecl, FactBase, Relation, Schema,
                            make_partition)
 from cqsearch.evaluator import evaluate, is_refinable, refinable_with_witnesses
 from cqsearch.extract import extract
-from cqsearch.query import canonical_form, from_graph, to_graph
+from cqsearch.query import canonical_form, to_graph
 from cqsearch.reduction import reduce
 from cqsearch.schema_graph import (Cycle, PathStep, RelationPath, SchemaEdge,
                                    activated_relation, acyclic_paths,
@@ -26,8 +26,8 @@ from cqsearch.bench import run_corpus
 
 from conftest import CORPUS, MOTIVATING_DESCRIPTION, fig1_facts, fig1_schema
 import gen
-from oracles import (activation_brute, brute_force_candidates, lcs_brute,
-                     naive_evaluate)
+from oracles import (activation_brute, brute_force_candidates,
+                     coverage_by_atoms, lcs_brute, naive_evaluate)
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -141,9 +141,9 @@ def test_criterion_5_optimality_suite(completeness_instances):
         for g in cands:
             if any(rel not in kept for rel, _ in g.nodes):
                 continue
-            q = from_graph(g, schema)
-            ranked.append(((coverage(q, ctx), -g.complexity()),
-                           canonical_form(g)))
+            alpha = coverage(g, schema, ctx)
+            assert alpha == coverage_by_atoms(g, schema, ctx)
+            ranked.append(((alpha, -g.complexity()), canonical_form(g)))
         assert ranked, "criterion 4 guarantees a kept-only candidate"
         best_key = max(key for key, _ in ranked)
         best_class = {canon for key, canon in ranked if key == best_key}

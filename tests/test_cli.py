@@ -1,10 +1,11 @@
+import importlib.util
 import json
 import shutil
 
 import pytest
 
 from cqsearch.cli import main
-from conftest import CORPUS
+from conftest import CORPUS, REPO
 from test_minijava import FIG1_SOURCE
 
 
@@ -111,6 +112,35 @@ class TestSynthesizeCommand:
         assert "PartitionError" in err
 
 
+# Malformed JSON shapes each loader must reject with its domain error.
+BAD_INPUTS = {
+    "rows-not-a-list": ("facts", lambda d: d.update(Method=5)),
+    "list-valued-cell": ("facts", lambda d: d["Method"][0].__setitem__(1, ["I1"])),
+    "relation-entry-not-object": ("schema", lambda d: d["relations"].append("Method")),
+    "attribute-without-name": (
+        "schema", lambda d: d["relations"][0]["attributes"][1].pop("name")),
+    "positive-key-not-string": ("partition", lambda d: d.update(positive=[["M1"]])),
+    "hmap-words-not-list": ("hmap", lambda d: d["h"].update({"Method.id": 5})),
+}
+
+
+@pytest.mark.parametrize("doc, corrupt", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt):
+    out = motivating_dir / "json"
+    run(capsys, "extract", str(motivating_dir / "example.java"),
+        "--target", "Method", "-o", str(out))
+    shutil.copy(CORPUS / "hmap.json", out / "hmap.json")
+    path = out / f"{doc}.json"
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "synthesize", "--description", "Find all the methods",
+                       *(arg for name in ("schema", "facts", "partition", "hmap")
+                         for arg in (f"--{name}", str(out / f"{name}.json"))))
+    assert code == 1
+    assert err.startswith("error: "), err
+
+
 class TestSearchCommand:
     @pytest.fixture
     def target_base(self, tmp_path):
@@ -207,3 +237,14 @@ class TestBenchCommand:
         code, stdout, _ = run(capsys, "bench", str(corpus), "--jobs", "2")
         assert code == 0
         assert "2/2 tasks passed" in stdout
+
+
+def test_run_motivating_script(capsys):
+    path = REPO / "scripts" / "run_motivating.py"
+    spec = importlib.util.spec_from_file_location("run_motivating", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    hits = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()
+            if "\t" in line]
+    assert hits == ["M1", "M4"]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cqsearch.datalog import DatalogError, parse_datalog, render_datalog
-from cqsearch.query import canonical_form, from_graph, to_graph
+from cqsearch.query import QueryGraph, canonical_form, from_graph, to_graph
 from conftest import fig1c_query
 import gen
 
@@ -18,13 +18,16 @@ class TestRender:
 
     def test_literal_escaping_round_trips(self, schema):
         q = fig1c_query()
-        tricky = q.conditions[:-1] + (
-            q.conditions[-1].__class__("A4", "name", "equal", 'say "hi"\\'),)
-        q2 = q.__class__(q.product, tricky)
-        text = render_datalog(q2, schema)
-        back = parse_datalog(text, schema)
-        assert canonical_form(to_graph(back, schema)) == \
-            canonical_form(to_graph(q2, schema))
+        for literal in ('say "hi"\\', "a#b", "#", '"#"', "\\#\\", "a # b\n# c"):
+            tricky = q.conditions[:-1] + (
+                q.conditions[-1].__class__("A4", "name", "equal", literal),)
+            q2 = q.__class__(q.product, tricky)
+            text = render_datalog(q2, schema)
+            # A comment after the rule still ends at the end of its line.
+            for source in (text, text + "  # trailing \"comment\"\n"):
+                back = parse_datalog(source, schema)
+                assert canonical_form(to_graph(back, schema)) == \
+                    canonical_form(to_graph(q2, schema))
 
 
 class TestParse:
@@ -60,15 +63,20 @@ class TestParse:
         for _ in range(200):
             g = gen.random_query_graph(rng, schema, m_max=4,
                                        allow_disconnected=False)
-            text = render_datalog(from_graph(g, schema), schema)
-            back = parse_datalog(text, schema)
-            assert evaluate(back, facts) == evaluate(g, facts)
-            normalized = render_datalog(back, schema)
-            again = parse_datalog(normalized, schema)
-            assert canonical_form(to_graph(again, schema)) == \
-                canonical_form(to_graph(back, schema))
-            if not self._has_ambiguous_class(g, schema):
-                assert canonical_form(to_graph(back, schema)) == canonical_form(g)
+            # The same graph again with '#', '"' and '\\' in every literal.
+            tricky = QueryGraph(g.nodes, g.eq_edges, tuple(
+                (alias, attr, pred, f'{literal}#"\\')
+                for alias, attr, pred, literal in g.str_edges))
+            for case in (g, tricky):
+                text = render_datalog(from_graph(case, schema), schema)
+                back = parse_datalog(text, schema)
+                assert evaluate(back, facts) == evaluate(case, facts)
+                normalized = render_datalog(back, schema)
+                again = parse_datalog(normalized, schema)
+                assert canonical_form(to_graph(again, schema)) == \
+                    canonical_form(to_graph(back, schema))
+                if not self._has_ambiguous_class(case, schema):
+                    assert canonical_form(to_graph(back, schema)) == canonical_form(case)
 
     @staticmethod
     def _has_ambiguous_class(g, schema):

@@ -6,13 +6,20 @@ import pytest
 from cqsearch.core import FactBase, Relation, make_partition
 from cqsearch.evaluator import evaluate
 from cqsearch.query import (ConjunctiveQuery, Equality, StringAtom,
-                            canonical_form)
-from cqsearch.select import (ContextError, EntityContext, compare, complexity,
-                             coverage, coverage_upper_bound, extract_entities,
+                            canonical_form, to_graph)
+from cqsearch.select import (ContextError, EntityContext, compare, coverage,
+                             coverage_upper_bound, extract_entities,
                              load_hmap, make_context, synthesize)
 from conftest import (MOTIVATING_DESCRIPTION, fig1c_graph, fig1c_query,
                       fig1_schema)
 import gen
+from oracles import coverage_by_atoms
+
+SCHEMA = fig1_schema()
+
+
+def graph(q):
+    return to_graph(q, SCHEMA)
 
 
 def foo_query():
@@ -44,64 +51,75 @@ class TestExtractEntities:
 
 class TestCoverage:
     def test_motivating_query_covers_everything(self, context):
-        assert coverage(fig1c_query(), context) == 1
+        assert coverage(graph(fig1c_query()), SCHEMA, context) == 1
 
     def test_foo_query_covers_one_quarter(self, context):
-        assert coverage(foo_query(), context) == Fraction(1, 4)
+        assert coverage(graph(foo_query()), SCHEMA, context) == Fraction(1, 4)
 
     def test_empty_condition_covers_nothing(self, context):
         q = ConjunctiveQuery((("A1", "Method"),), ())
-        assert coverage(q, context) == 0
+        assert coverage(graph(q), SCHEMA, context) == 0
 
     def test_requires_entities(self, hmap_doc):
         dictionary, h = load_hmap(hmap_doc)
         ctx = EntityContext(dictionary, h, frozenset())
         with pytest.raises(ContextError):
-            coverage(fig1c_query(), ctx)
+            coverage(graph(fig1c_query()), SCHEMA, ctx)
 
 
 class TestComplexity:
     def test_motivating_query_is_nine(self):
-        assert complexity(fig1c_query()) == 9
+        assert graph(fig1c_query()).complexity() == 9
 
     def test_four_relations_six_atoms_is_ten(self):
         q = ConjunctiveQuery(
             fig1c_query().product,
             fig1c_query().conditions + (StringAtom("A2", "name", "contain", "C"),))
-        assert complexity(q) == 10
+        assert graph(q).complexity() == 10
 
     def test_bare_query_is_one(self):
-        assert complexity(ConjunctiveQuery((("A1", "Method"),), ())) == 1
+        assert graph(ConjunctiveQuery((("A1", "Method"),), ())).complexity() == 1
 
 
 class TestCompare:
     def test_coverage_dominates(self, context):
-        assert compare(fig1c_query(), foo_query(), context) == 1
-        assert compare(foo_query(), fig1c_query(), context) == -1
+        target, foo = graph(fig1c_query()), graph(foo_query())
+        assert compare(target, foo, SCHEMA, context) == 1
+        assert compare(foo, target, SCHEMA, context) == -1
 
     def test_complexity_breaks_ties(self, context):
-        heavier = ConjunctiveQuery(
+        heavier = graph(ConjunctiveQuery(
             fig1c_query().product,
-            fig1c_query().conditions + (StringAtom("A4", "name", "contain", "L"),))
-        assert coverage(heavier, context) == coverage(fig1c_query(), context)
-        assert compare(fig1c_query(), heavier, context) == 1
+            fig1c_query().conditions + (StringAtom("A4", "name", "contain", "L"),)))
+        target = graph(fig1c_query())
+        assert coverage(heavier, SCHEMA, context) == coverage(target, SCHEMA, context)
+        assert compare(target, heavier, SCHEMA, context) == 1
 
     def test_reflexive_tie(self, context):
-        assert compare(fig1c_query(), fig1c_query(), context) == 0
+        assert compare(graph(fig1c_query()), graph(fig1c_query()), SCHEMA,
+                       context) == 0
 
     def test_total_preorder_on_random_queries(self, facts, context):
         rng = random.Random(37)
-        qs = []
-        from cqsearch.query import from_graph
-        for _ in range(12):
-            g = gen.random_query_graph(rng, facts.schema, m_max=3)
-            qs.append(from_graph(g, facts.schema))
-        for a in qs:
-            for b in qs:
-                assert compare(a, b, context) == -compare(b, a, context)
-                for c in qs:
-                    if compare(a, b, context) >= 0 and compare(b, c, context) >= 0:
-                        assert compare(a, c, context) >= 0
+        schema = facts.schema
+        gs = [gen.random_query_graph(rng, schema, m_max=3) for _ in range(12)]
+        for g in gs:
+            assert coverage(g, schema, context) == coverage_by_atoms(g, schema, context)
+        # Connected graphs under random h maps, which also map primary keys
+        # (the corpus map does not).
+        check = random.Random(38)
+        for _ in range(200):
+            g = gen.random_query_graph(check, schema, m_max=4,
+                                       allow_disconnected=False)
+            ctx = gen.random_context(check, schema)
+            assert coverage(g, schema, ctx) == coverage_by_atoms(g, schema, ctx)
+        for a in gs:
+            for b in gs:
+                assert compare(a, b, schema, context) == -compare(b, a, schema, context)
+                for c in gs:
+                    if compare(a, b, schema, context) >= 0 and \
+                            compare(b, c, schema, context) >= 0:
+                        assert compare(a, c, schema, context) >= 0
 
 
 class TestSynthesize:
