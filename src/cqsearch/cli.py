@@ -193,17 +193,30 @@ def _emit(args, result, report):
           f"wall time: {report['wall_time_s']}s")
 
 
+def _location(path: str, row_id: str, where) -> str:
+    """One positions.json entry, {"file", "line", "col"}, as file:line:col."""
+    try:
+        return f"{where['file']}:{where['line']}:{where['col']}"
+    except (TypeError, KeyError):
+        raise CliError(f"{path}: position of {row_id!r} needs file, line "
+                       f"and col") from None
+
+
 def cmd_search(args) -> int:
     schema, facts = load_facts(_read_json(args.schema), _read_json(args.facts))
     text = Path(args.query).read_text(encoding="utf-8")
     query = parse_datalog(text, schema)
     positions = _read_json(args.positions) if args.positions else {}
+    if not isinstance(positions, dict):
+        raise CliError(f"{args.positions}: positions must be an object keyed "
+                       f"by row id")
+    lines = []  # printed only once every hit has a location
     for t in sorted(evaluate(query, facts)):
         where = positions.get(t[0])
-        if where:
-            print(f"{t[0]}\t{where['file']}:{where['line']}:{where['col']}")
-        else:
-            print(t[0])
+        lines.append(t[0] if where is None
+                     else f"{t[0]}\t{_location(args.positions, t[0], where)}")
+    for line in lines:
+        print(line)
     return 0
 
 

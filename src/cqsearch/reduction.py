@@ -4,21 +4,34 @@ A relation is kept iff some undirected relation path from the target both
 (a) activates a positive and a negative tuple differently, and (b) empties no
 positive's activation. Everything else cannot help separate the partition and
 is dropped before query enumeration. The examined path set is the acyclic
-paths plus every cycle spliced in once, and this set is the contract. It does
-not cover every walk: only echo cycles (one edge out and straight back) are
-idempotent under repetition, while a one-step loop such as the one from the
-self foreign key ``Class.super_id`` can activate different tuples on a
-second lap.
+paths plus every cycle spliced in once, at the first node it shares with the
+path, and this set is the contract. It does not cover every walk: only echo
+cycles (one edge out and straight back) are idempotent under repetition,
+while a one-step loop such as the one from the self foreign key
+``Class.super_id`` can activate different tuples on a second lap.
+
+The path set is never built. ``reduce`` walks the tree of simple paths from
+the target depth first, and every tree node judges its last relation on the
+paths that end there. A node carries a *plain* vector (the activations along
+its acyclic prefix) and a set of *spliced* vectors (the same prefix with one
+cycle spliced in). A cycle's first shared node depends only on the prefix, so
+at ``nodes[i]`` the walk splices every cycle that contains ``nodes[i]`` and
+no earlier node, into the plain vector only, and carries the result down the
+subtree; a spliced vector never takes a second cycle. A vector is the pair
+``(P, N)`` of the distinct activation sets of the positives and of the
+negatives: equal sets stay equal under every step. A vector in which a
+positive's activation is empty is *dead* (it stays empty) and is discarded,
+and a subtree with no live vector is skipped. A relation no live vector
+reaches reads EmptyActivation if foreign keys join it to the target at all,
+else Unreachable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import FactBase, RelationPartition, Schema, Tuple
-from .schema_graph import (SchemaGraph, activated_relation, acyclic_paths,
-                           augment_with_cycles, build_schema_graph,
-                           compile_path, simple_cycles)
+from .core import FactBase, RelationPartition, Schema
+from .schema_graph import SchemaGraph, build_schema_graph, simple_cycles
 
 
 class DropReason(str, Enum):
@@ -41,46 +54,118 @@ class ReducedRepresentation:
         return lines
 
 
-def _activations(compiled, tuples, facts: FactBase) -> dict[Tuple, frozenset]:
-    return {t: activated_relation(t, None, facts, _compiled=compiled) for t in tuples}
+def _component(g: SchemaGraph, start: str) -> set[str]:
+    """Relations joined to ``start`` by foreign keys, in either direction."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for step in g.steps_from(todo.pop()):
+            if step.next not in seen:
+                seen.add(step.next)
+                todo.append(step.next)
+    return seen
 
 
 def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
            *, graph: SchemaGraph | None = None,
            max_cycle_len: int = 8) -> ReducedRepresentation:
     g = graph if graph is not None else build_schema_graph(schema)
-    cycles = simple_cycles(g, max_cycle_len)
+    images: dict = {}  # (activation set, compiled step) -> image
+    sides: dict = {}  # (activation sets of one side, compiled step) -> image
+
+    def compiled(cur, step):  # (direction, attribute position, next relation)
+        holder = cur if step.direction == 1 else step.next
+        return step.direction, schema.attr_pos(holder, step.attr), step.next
+
+    def image(acts, step):
+        key = (acts, step)
+        out = images.get(key)
+        if out is None:
+            direction, pos, next_rel = step
+            hits = set()
+            if direction == 1:
+                for t in acts:
+                    hit = facts.pk_lookup(next_rel, t[pos])
+                    if hit is not None:
+                        hits.add(hit)
+            else:
+                for t in acts:
+                    hits.update(facts.by_attr(next_rel, pos, t[0]))
+            out = images[key] = frozenset(hits)
+        return out
+
+    def side(acts_set, step):
+        key = (acts_set, step)
+        out = sides.get(key)
+        if out is None:
+            out = sides[key] = frozenset(image(a, step) for a in acts_set)
+        return out
+
+    def advance(vector, steps):
+        """The vector after ``steps``, or None once it is dead."""
+        pos, neg = vector
+        for step in steps:
+            pos = side(pos, step)
+            if frozenset() in pos:
+                return None
+            neg = side(neg, step)
+        return pos, neg
+
+    loops: dict[str, list] = {rel: [] for rel in schema}
+    for cyc in simple_cycles(g, max_cycle_len):
+        members = cyc.nodes()
+        for node in members:
+            cur, steps = node, []
+            for step in cyc.rotated_to(node):
+                steps.append(compiled(cur, step))
+                cur = step.next
+            loops[node].append((members, tuple(steps)))
+
+    out_steps = {rel: [(step.next, compiled(rel, step))
+                       for step in g.steps_from(rel)]
+                 for rel in schema}
+    total: set[str] = set()  # judged on some live vector
     kept: set[str] = set()
-    dropped: set[tuple[str, DropReason]] = set()
-    positives = sorted(part.positives)
-    negatives = sorted(part.negatives)
-    for rel in schema:
-        paths = augment_with_cycles(acyclic_paths(g, part.target, rel), g,
-                                    cycles=cycles)
-        if not paths:
-            dropped.add((rel, DropReason.UNREACHABLE))
-            continue
-        # Short paths first: the keep decision usually falls out of one of them.
-        paths.sort(key=lambda p: len(p.steps))
-        keep = False
-        some_path_total = False  # a path along which every positive activates
-        for path in paths:
-            compiled = compile_path(path, schema)
-            pos_acts = _activations(compiled, positives, facts)
-            if any(not act for act in pos_acts.values()):
+
+    def walk(rel, prefix, plain, spliced):
+        if plain is not None:
+            for members, loop in loops[rel]:
+                if members.isdisjoint(prefix):
+                    vector = advance(plain, loop)
+                    if vector is not None and vector != plain:
+                        spliced.add(vector)
+        vectors = list(spliced) if plain is None else [plain, *spliced]
+        if vectors:
+            total.add(rel)
+            # some positive and some negative activate differently
+            if any(pos and neg and len(pos | neg) > 1 for pos, neg in vectors):
+                kept.add(rel)
+        prefix.add(rel)
+        for next_rel, step in out_steps[rel]:
+            if next_rel in prefix:
                 continue
-            some_path_total = True
-            neg_acts = _activations(compiled, negatives, facts)
-            if any(pos_acts[tp] != neg_acts[tn]
-                   for tp in positives for tn in negatives):
-                keep = True
-                break
-        if keep:
-            kept.add(rel)
-        elif some_path_total:
+            below = advance(plain, (step,)) if plain is not None else None
+            carried = {v for v in (advance(v, (step,)) for v in spliced)
+                       if v is not None and v != below}
+            if below is not None or carried:
+                walk(next_rel, prefix, below, carried)
+        prefix.remove(rel)
+
+    root = (frozenset(frozenset({t}) for t in part.positives),
+            frozenset(frozenset({t}) for t in part.negatives))
+    walk(part.target, set(), root, set())
+
+    reached = _component(g, part.target)
+    dropped: set[tuple[str, DropReason]] = set()
+    for rel in schema:
+        if rel in kept:
+            continue
+        if rel in total:
             dropped.add((rel, DropReason.INDISTINGUISHABLE))
-        else:
+        elif rel in reached:
             dropped.add((rel, DropReason.EMPTY_ACTIVATION))
+        else:
+            dropped.add((rel, DropReason.UNREACHABLE))
     return ReducedRepresentation(frozenset(kept), frozenset(dropped))
 
 

@@ -3,8 +3,10 @@
 The schema graph has one node per relation plus the STR sink, and one labeled
 edge per foreign key / string attribute. Relation paths walk foreign-key edges
 in either direction, recording the direction; chaining key equalities along a
-path from a start tuple yields its activated tuple set, the workhorse of
-dummy-relation detection.
+path from a start tuple yields its activated tuple set. Dummy-relation
+detection (``reduction.reduce``) computes these activations over the whole
+path set in one walk without building paths; the path helpers here spell the
+set out one path at a time.
 
 Path enumeration is acyclic paths plus each cycle spliced in once, and that
 once-spliced path set is the contract. Activation is not insensitive to
@@ -77,15 +79,19 @@ class SchemaGraph:
             self._incident[e.src].append(e)
             if e.dst != e.src:
                 self._incident[e.dst].append(e)
-        self._steps: dict[str, tuple[PathStep, ...]] = {}
+        # Every legal single step out of a relation, with the edge it walks.
+        self._moves: dict[str, tuple[tuple[PathStep, SchemaEdge], ...]] = {}
         for rel in schema:
-            steps = []
+            moves = []
             for e in self._incident[rel]:
                 if e.src == rel:
-                    steps.append(PathStep(e.attr, 1, e.dst))
+                    moves.append((PathStep(e.attr, 1, e.dst), e))
                 if e.dst == rel:
-                    steps.append(PathStep(e.attr, -1, e.src))
-            self._steps[rel] = tuple(sorted(steps))
+                    moves.append((PathStep(e.attr, -1, e.src), e))
+            self._moves[rel] = tuple(sorted(moves, key=lambda m: m[0]))
+        self._steps: dict[str, tuple[PathStep, ...]] = {
+            rel: tuple(step for step, _ in moves)
+            for rel, moves in self._moves.items()}
 
     def incident(self, rel: str) -> list[SchemaEdge]:
         """Foreign-key edges touching ``rel`` (either endpoint)."""
@@ -94,6 +100,10 @@ class SchemaGraph:
     def steps_from(self, rel: str) -> tuple[PathStep, ...]:
         """Every legal single step out of ``rel``, in deterministic order."""
         return self._steps[rel]
+
+    def moves_from(self, rel: str) -> tuple[tuple[PathStep, SchemaEdge], ...]:
+        """``steps_from`` paired with the foreign-key edge each step walks."""
+        return self._moves[rel]
 
     def has_step(self, rel: str, step: PathStep) -> bool:
         if step.direction == 1:
@@ -191,9 +201,7 @@ def simple_cycles(g: SchemaGraph, max_len: int = 8) -> list[Cycle]:
              used: set[SchemaEdge], visited: set[str]):
         if len(steps) >= max_len:
             return
-        for step in g.steps_from(cur):
-            edge = (SchemaEdge(cur, step.next, step.attr) if step.direction == 1
-                    else SchemaEdge(step.next, cur, step.attr))
+        for step, edge in g.moves_from(cur):
             if edge in used:
                 continue
             if step.next == start:

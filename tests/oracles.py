@@ -4,8 +4,10 @@ Everything here trades efficiency for obviousness: full Cartesian products,
 exhaustive substring scans, unpruned breadth-first search over the query
 space. None of it shares search machinery with the package (shared primitives
 are limited to the evaluator inside the brute-force enumerator, which the
-suite certifies separately against the product oracle, and synLCS, which
-defines the string part of the query space and has its own oracle).
+suite certifies separately against the product oracle, synLCS, which
+defines the string part of the query space and has its own oracle, and the
+path helpers of ``schema_graph`` behind ``reduce_by_paths``, which the suite
+checks against ``activation_brute`` and ``cycles_brute``).
 """
 from __future__ import annotations
 
@@ -16,7 +18,11 @@ from cqsearch.core import FactBase, RelationPartition, Schema
 from cqsearch.evaluator import evaluate, refinable_with_witnesses
 from cqsearch.query import (Equality, QueryGraph, StringAtom, canonical_form,
                             from_graph, multiplicity, pred_holds)
-from cqsearch.schema_graph import RelationPath
+from cqsearch.reduction import DropReason, ReducedRepresentation
+from cqsearch.schema_graph import (RelationPath, activated_relation,
+                                   acyclic_paths, augment_with_cycles,
+                                   build_schema_graph, compile_path,
+                                   simple_cycles)
 from cqsearch.strings import syn_lcs
 
 
@@ -141,6 +147,51 @@ def activation_brute(t0, path: RelationPath, facts: FactBase,
         if ok:
             out.add(row[-1])
     return frozenset(out)
+
+
+# --- dummy-relation removal over the materialized path set -----------------
+
+def reduce_by_paths(schema: Schema, facts: FactBase, part: RelationPartition,
+                    max_cycle_len: int = 8) -> ReducedRepresentation:
+    """``reduce`` by its definition: build every once-spliced path, judge each.
+
+    For each relation, every acyclic path from the target plus every cycle
+    spliced once at its first shared node is activated from every positive
+    and negative tuple.
+    """
+    g = build_schema_graph(schema)
+    cycles = simple_cycles(g, max_cycle_len)
+    kept: set[str] = set()
+    dropped: set[tuple[str, DropReason]] = set()
+    positives = sorted(part.positives)
+    negatives = sorted(part.negatives)
+    for rel in schema:
+        paths = augment_with_cycles(acyclic_paths(g, part.target, rel), g,
+                                    cycles=cycles)
+        if not paths:
+            dropped.add((rel, DropReason.UNREACHABLE))
+            continue
+        keep = False
+        some_path_total = False  # a path along which every positive activates
+        for path in paths:
+            compiled = compile_path(path, schema)
+            pos_acts = {t: activated_relation(t, None, facts, _compiled=compiled)
+                        for t in positives}
+            if any(not act for act in pos_acts.values()):
+                continue
+            some_path_total = True
+            neg_acts = [activated_relation(t, None, facts, _compiled=compiled)
+                        for t in negatives]
+            if any(pos_acts[tp] != act for tp in positives for act in neg_acts):
+                keep = True
+                break
+        if keep:
+            kept.add(rel)
+        elif some_path_total:
+            dropped.add((rel, DropReason.INDISTINGUISHABLE))
+        else:
+            dropped.add((rel, DropReason.EMPTY_ACTIVATION))
+    return ReducedRepresentation(frozenset(kept), frozenset(dropped))
 
 
 # --- closed-walk enumeration for the cycle toy tests -------------------------

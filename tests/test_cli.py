@@ -199,6 +199,27 @@ class TestSearchCommand:
         assert code == 1
         assert "Mystery" in err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: [1, 2],
+        lambda d: {row: {k: v for k, v in where.items() if k != "col"}
+                   for row, where in d.items()},
+        lambda d: {row: "big.java" for row in d},
+    ], ids=["not-an-object", "entry-without-col", "entry-not-an-object"])
+    def test_malformed_positions_exit_one(self, capsys, target_base, corrupt):
+        out = target_base / "out4"
+        run(capsys, "extract", str(target_base / "big.java"), "-o", str(out))
+        positions = out / "positions.json"
+        positions.write_text(json.dumps(corrupt(json.loads(positions.read_text()))))
+        query = target_base / "q.dl"
+        query.write_text("out(M, MI, MR, MD) :- Method(M, MI, MR, MD).\n")
+        code, stdout, err = run(capsys, "search", str(query),
+                                "--schema", str(out / "schema.json"),
+                                "--facts", str(out / "facts.json"),
+                                "--positions", str(positions))
+        assert code == 1
+        assert err.startswith("error: ") and str(positions) in err, err
+        assert stdout == ""
+
 
 class TestGraphCommand:
     def test_schema_dot(self, capsys, motivating_dir):

@@ -1,11 +1,15 @@
+import json
 import random
 
-from cqsearch.core import (PK, STR, AttributeDecl, FactBase, Relation,
+from cqsearch import minijava
+from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, Relation,
                            Schema, make_partition)
+from cqsearch.extract import extract
 from cqsearch.reduction import DropReason, reduce, reduced_subgraph_size
 from cqsearch.schema_graph import build_schema_graph
+from conftest import CORPUS
 import gen
-from oracles import brute_force_candidates
+from oracles import brute_force_candidates, reduce_by_paths
 
 
 class TestFig1Reduction:
@@ -104,3 +108,144 @@ class TestReductionSoundness:
             kept_cands = [g for g in all_cands
                           if all(rel in kept for rel, _ in g.nodes)]
             assert bool(all_cands) == bool(kept_cands)
+
+
+def _fk(name: str, target: str) -> AttributeDecl:
+    return AttributeDecl(name, FK, target)
+
+
+class TestPathSetContract:
+    """Hand-built cases that pin the once-spliced path set exactly."""
+
+    def test_cycle_splices_at_its_first_shared_node(self):
+        # The echo over M.m (M -> A -> M) shares M and A with the path
+        # M -(n,-)-> B -(x,+)-> A -(a,-)-> T. Spliced at M, the first shared
+        # node, it activates {t0} from m1 and nothing from m2, which keeps T.
+        # Spliced at A instead it would come after B, which no positive
+        # reaches, and T would read EmptyActivation.
+        schema = Schema({
+            "M": [AttributeDecl("id", PK), _fk("m", "A")],
+            "A": [AttributeDecl("id", PK)],
+            "B": [AttributeDecl("id", PK), _fk("n", "M"), _fk("x", "A")],
+            "T": [AttributeDecl("id", PK), _fk("a", "A")],
+        })
+        facts = FactBase(schema, [
+            Relation("M", frozenset({("m0", "a1"), ("m1", "a1"), ("m2", "a0")})),
+            Relation("A", frozenset({("a0",), ("a1",)})),
+            Relation("B", frozenset({("b0", "m0", "a0")})),
+            Relation("T", frozenset({("t0", "a0")})),
+        ])
+        part = make_partition("M", ["m1"], facts)
+        # Cycles of at most two steps: with three, the triangle M-B-A-M
+        # spliced at M walks the same steps as the echo spliced at A.
+        red = reduce(schema, facts, part, max_cycle_len=2)
+        assert red.report_lines() == ["keep A", "keep B", "keep M", "keep T"]
+        assert red == reduce_by_paths(schema, facts, part, max_cycle_len=2)
+
+    def test_super_id_self_loop_takes_no_second_cycle(self):
+        # Class.super_id walked backwards is a one-step loop to the
+        # subclasses. Spliced once, on Field -(type_id,+)-> Class, it empties
+        # f2 (Sub has no subclass). Only after a second cycle at the target
+        # (fields of the same declaring class) would it separate f0 from the
+        # positives; a spliced path takes no second cycle, so Modifier, with
+        # its single row, is indistinguishable.
+        schema = Schema({
+            "Field": [AttributeDecl("id", PK), _fk("class_id", "Class"),
+                      _fk("type_id", "Class")],
+            "Class": [AttributeDecl("id", PK), _fk("mdf_id", "Modifier"),
+                      _fk("super_id", "Class")],
+            "Modifier": [AttributeDecl("id", PK)],
+        })
+        facts = FactBase(schema, [
+            Relation("Field", frozenset({("f0", "Object", "Sub"),
+                                         ("f1", "Sub", "Object"),
+                                         ("f2", "Sub", "Sub")})),
+            Relation("Class", frozenset({("Object", "public", "Object"),
+                                         ("Sub", "public", "Object")})),
+            Relation("Modifier", frozenset({("public",)})),
+        ])
+        part = make_partition("Field", ["f1", "f2"], facts)
+        red = reduce(schema, facts, part)
+        assert red.report_lines() == [
+            "keep Class", "keep Field",
+            "drop Modifier (IndistinguishableActivation)"]
+        assert red == reduce_by_paths(schema, facts, part)
+
+    def test_relation_kept_only_through_a_cycle_at_the_target(self):
+        # Every tuple of T points at g1, so T -(g,+)-> G alone cannot tell
+        # t1 from t2. The cycle T -(a,+)-> A -(b,-)-> T at the target
+        # empties t2 (no row has b = x2) and keeps t1, which keeps G.
+        schema = Schema({
+            "T": [AttributeDecl("id", PK), _fk("a", "A"), _fk("b", "A"),
+                  _fk("g", "G")],
+            "A": [AttributeDecl("id", PK)],
+            "G": [AttributeDecl("id", PK)],
+        })
+        facts = FactBase(schema, [
+            Relation("T", frozenset({("t1", "x1", "x1", "g1"),
+                                     ("t2", "x2", "x1", "g1")})),
+            Relation("A", frozenset({("x1",), ("x2",)})),
+            Relation("G", frozenset({("g1",)})),
+        ])
+        part = make_partition("T", ["t1"], facts)
+        assert reduce(schema, facts, part).report_lines() == [
+            "keep A", "keep G", "keep T"]
+        # With one-step cycles only the echo cycles remain (simple_cycles
+        # returns them at any bound); none of them separates, so G drops.
+        assert reduce(schema, facts, part, max_cycle_len=1).report_lines() == [
+            "keep A", "keep T", "drop G (IndistinguishableActivation)"]
+
+    def test_reachable_only_along_paths_that_empty_a_positive(self):
+        # No R row refers to the positive t1, so every path into R, and on
+        # into S, empties it: both read EmptyActivation, not Unreachable.
+        schema = Schema({
+            "T": [AttributeDecl("id", PK)],
+            "R": [AttributeDecl("id", PK), _fk("t", "T")],
+            "S": [AttributeDecl("id", PK), _fk("r", "R")],
+            "Island": [AttributeDecl("id", PK)],
+        })
+        facts = FactBase(schema, [
+            Relation("T", frozenset({("t1",), ("t2",)})),
+            Relation("R", frozenset({("r1", "t2")})),
+            Relation("S", frozenset({("s1", "r1")})),
+            Relation("Island", frozenset({("i1",)})),
+        ])
+        part = make_partition("T", ["t1"], facts)
+        red = reduce(schema, facts, part)
+        assert red.report_lines() == [
+            "keep T", "drop Island (Unreachable)",
+            "drop R (EmptyActivation)", "drop S (EmptyActivation)"]
+        assert red == reduce_by_paths(schema, facts, part)
+
+
+def _corpus_tasks():
+    for task_dir in sorted(CORPUS.glob("t*/")):
+        doc = json.loads((task_dir / "task.json").read_text(encoding="utf-8"))
+        prog = minijava.parse_files([task_dir / s for s in doc["source"]])
+        facts, part, _ = extract(prog, doc["target"])
+        yield task_dir.name, facts, part
+
+
+class TestOracleCrossCheck:
+    """``reduce`` against the enumerative oracle, whole report at a time."""
+
+    def test_matches_oracle_on_corpus(self):
+        tasks = list(_corpus_tasks())
+        assert len(tasks) == 14
+        for name, facts, part in tasks:
+            assert reduce(facts.schema, facts, part) == \
+                reduce_by_paths(facts.schema, facts, part), name
+
+    def test_matches_oracle_on_random_instances(self):
+        rng = random.Random(4242)
+        several_kept = 0
+        for i in range(1200):
+            schema, facts, part = gen.random_instance(
+                rng, max_relations=rng.randint(3, 6), max_fks=rng.randint(1, 3),
+                max_strs=1, allow_self=rng.random() < 0.7)
+            max_len = rng.choice((2, 3, 8))
+            red = reduce(schema, facts, part, max_cycle_len=max_len)
+            assert red == reduce_by_paths(schema, facts, part,
+                                          max_cycle_len=max_len), i
+            several_kept += len(red.kept) > 1
+        assert several_kept >= 400  # the draws must separate, not only drop
