@@ -23,6 +23,19 @@ STR_NODE = "STR"
 Tuple = tuple[str, ...]
 
 
+def pred_holds(pred: str, value: str, literal: str) -> bool:
+    """Does the string ``value`` satisfy ``pred(value, literal)``?"""
+    if pred == "equal":
+        return value == literal
+    if pred == "prefix":
+        return value.startswith(literal)
+    if pred == "suffix":
+        return value.endswith(literal)
+    if pred == "contain":
+        return literal in value
+    raise ValueError(f"unknown string predicate {pred!r}")
+
+
 class SchemaError(Exception):
     """Malformed schema document (names, keys, foreign-key targets)."""
 
@@ -194,6 +207,7 @@ class FactBase(Mapping[str, Relation]):
         self._rels = {name: rels[name] for name in schema}
         self._pk: dict[str, dict[str, Tuple]] = {}
         self._by_attr: dict[tuple[str, int], dict[str, tuple[Tuple, ...]]] = {}
+        self._selected: dict[tuple, tuple[Tuple, ...]] = {}
         self._validate()
 
     def _validate(self):
@@ -249,6 +263,20 @@ class FactBase(Mapping[str, Relation]):
             index = {v: tuple(ts) for v, ts in built.items()}
             self._by_attr[key] = index
         return index.get(value, ())
+
+    def selected(self, rel: str, strs: tuple[tuple[int, str, str], ...],
+                 self_eq: tuple[int, ...]) -> tuple[Tuple, ...]:
+        """Tuples of ``rel`` meeting every string constraint ``(pos, pred,
+        literal)`` in ``strs`` and equal to their own primary key at every
+        position in ``self_eq``, memoised per argument triple."""
+        key = (rel, strs, self_eq)
+        got = self._selected.get(key)
+        if got is None:
+            got = tuple(t for t in self._rels[rel].tuples
+                        if all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
+                        and all(t[pos] == t[0] for pos in self_eq))
+            self._selected[key] = got
+        return got
 
 
 def load_facts(schema_doc: dict, facts_doc: dict) -> tuple[Schema, FactBase]:

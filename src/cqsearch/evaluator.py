@@ -12,9 +12,8 @@ Evaluation works on the query graph; a conjunctive query is converted with
 """
 from __future__ import annotations
 
-from .core import FactBase, RelationPartition, SchemaError, Tuple
-from .query import (ConjunctiveQuery, GraphError, QueryGraph, pred_holds,
-                    to_graph)
+from .core import FactBase, RelationPartition, SchemaError, Tuple, pred_holds
+from .query import ConjunctiveQuery, GraphError, QueryGraph, to_graph
 
 
 class EvalError(Exception):
@@ -65,6 +64,8 @@ class _Compiled:
 
     @staticmethod
     def of(facts: FactBase, q) -> "_Compiled":
+        if isinstance(q, _Compiled):
+            return q
         if isinstance(q, ConjunctiveQuery):
             try:
                 q = to_graph(q, facts.schema)
@@ -78,11 +79,9 @@ class _Compiled:
         """Relation tuples pre-filtered by the alias's string constraints."""
         got = self._base.get(alias)
         if got is None:
-            rel = self.relation[alias]
-            constraints = self.strs[alias]
-            got = tuple(t for t in self.facts.tuples(rel)
-                        if all(pred_holds(p, t[pos], lit) for pos, p, lit in constraints)
-                        and all(t[pos] == t[0] for pos in self.self_eq[alias]))
+            got = self.facts.selected(self.relation[alias],
+                                      tuple(self.strs[alias]),
+                                      tuple(self.self_eq[alias]))
             self._base[alias] = got
         return got
 
@@ -197,26 +196,35 @@ def is_refinable(q, facts: FactBase, part: RelationPartition) -> bool:
     return all(c.exists(t) for t in sorted(part.positives))
 
 
+def admits_any(q, facts: FactBase, head_tuples) -> bool:
+    """Does the query admit any of ``head_tuples``, tried in the given order?"""
+    c = _Compiled.of(facts, q)
+    return any(c.exists(t) for t in head_tuples)
+
+
 def is_candidate(q, facts: FactBase, part: RelationPartition) -> bool:
     """Does the query admit exactly the positive tuples?"""
     c = _Compiled.of(facts, q)
-    return (all(c.exists(t) for t in sorted(part.positives))
-            and not any(c.exists(t) for t in sorted(part.negatives)))
+    return (is_refinable(c, facts, part)
+            and not admits_any(c, facts, sorted(part.negatives)))
 
 
 def refinable_with_witnesses(
-        g: QueryGraph, facts: FactBase, part: RelationPartition,
+        g, facts: FactBase, part: RelationPartition,
         slots: list[tuple[str, str]]) -> tuple[bool, dict[tuple[str, str], list[set[str]]]]:
     """One pass per positive: refinability plus witness values per string slot.
 
     Returns (refinable, {slot: [witness set per positive, in sorted order]}).
     Bails out as not refinable on the first positive with no assignment.
+    ``g`` is a query graph or one already compiled against ``facts``.
     """
     c = _Compiled.of(facts, g)
     schema = facts.schema
     positions = {}
     for alias, attr in slots:
-        positions[(alias, attr)] = schema.attr_pos(g.relation_of(alias), attr)
+        if alias not in c.relation:
+            raise GraphError(f"unknown alias {alias!r}")
+        positions[(alias, attr)] = schema.attr_pos(c.relation[alias], attr)
     witnesses: dict[tuple[str, str], list[set[str]]] = {s: [] for s in slots}
     for t in sorted(part.positives):
         per_slot: dict[tuple[str, str], set[str]] = {s: set() for s in slots}

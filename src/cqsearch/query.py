@@ -11,7 +11,7 @@ The projection head is always the first alias and names the partition target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .core import FK, STR, Schema
+from .core import FK, STR, Schema, pred_holds
 
 # String predicates, strongest first. equal implies prefix and suffix,
 # either of which implies contain.
@@ -20,18 +20,6 @@ PREDICATES = ("equal", "prefix", "suffix", "contain")
 
 class GraphError(Exception):
     """Query graph edge or constraint that the schema does not license."""
-
-
-def pred_holds(pred: str, value: str, literal: str) -> bool:
-    if pred == "equal":
-        return value == literal
-    if pred == "prefix":
-        return value.startswith(literal)
-    if pred == "suffix":
-        return value.endswith(literal)
-    if pred == "contain":
-        return literal in value
-    raise ValueError(f"unknown string predicate {pred!r}")
 
 
 @dataclass(frozen=True, order=True)

@@ -11,6 +11,13 @@ slot carrying that slot's synthesized strongest constraint.
 
 Graphs whose induced query already excludes a positive are never expanded
 further: strengthening a selection condition only shrinks its result.
+
+Each new graph is compiled once. The witness pass proves that it admits every
+positive, so candidacy (admitting exactly the positives) is then checked on
+the negatives only, on the same compiled graph; a string-closure graph is
+refinable by construction and gets the same negatives-only check. Duplicates
+are found by canonical form, except that a graph equal to one of the level's
+refinable graphs is recognised before its canonical form is computed.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import FactBase, RelationPartition, Schema
-from .evaluator import is_candidate, refinable_with_witnesses
+from .evaluator import _Compiled, admits_any, refinable_with_witnesses
 from .query import QueryGraph, canonical_form, multiplicity
 from .schema_graph import SchemaGraph
 from .strings import syn_lcs
@@ -59,6 +66,7 @@ class RefinementEngine:
         self.facts = facts
         self.part = part
         self.relations = sorted(relations)
+        self.negatives = sorted(part.negatives)
 
     def expand(self, g: QueryGraph, rel: str) -> list[QueryGraph]:
         """All one-node extensions of ``g`` with ``rel``, connected.
@@ -103,6 +111,31 @@ class RefinementEngine:
                 seeds += [(g, k - 1) for g in state.refinable(m - 1, k - 1)]
         stats = LevelStats(m, k, worklist=len(seeds))
         refinable: list[QueryGraph] = []
+        candidates: list[QueryGraph] = []
+        # The refinable graphs of this level. A graph derived again exactly
+        # (its string constraints added in another order, or an augmented
+        # parent expanded) has the same nodes, so it recurs only within the
+        # level, and matching it here spares its canonical form.
+        produced: set[QueryGraph] = set()
+
+        def is_new(g: QueryGraph) -> bool:
+            """Count ``g`` as generated; is it new to the whole search?"""
+            stats.generated += 1
+            if g in produced:
+                return False
+            canon = canonical_form(g)
+            if canon in state.seen:
+                return False
+            state.seen.add(canon)
+            return True
+
+        def keep(g: QueryGraph, compiled) -> None:
+            # g admits every positive; it is a candidate if no negative.
+            produced.add(g)
+            refinable.append(g)
+            if not admits_any(compiled, self.facts, self.negatives):
+                candidates.append(g)
+
         for g, source_k in seeds:
             for rel in self.relations:
                 mult = multiplicity(g, rel)
@@ -112,45 +145,39 @@ class RefinementEngine:
                 elif mult != k - 1:
                     continue
                 for v in self.expand(g, rel):
-                    stats.generated += 1
-                    canon = canonical_form(v)
-                    if canon in state.seen:
+                    if not is_new(v):
                         continue
-                    state.seen.add(canon)
+                    compiled = _Compiled(self.facts, v)
                     slots = self._string_slots(v)
                     ok, witnesses = refinable_with_witnesses(
-                        v, self.facts, self.part, slots)
+                        compiled, self.facts, self.part, slots)
                     if not ok:
                         continue
-                    refinable.append(v)
+                    keep(v, compiled)
                     # String constraints close under iteration within the
                     # level: an augmented graph re-enters with its remaining
                     # slots (witnesses recomputed in the stronger context), so
                     # graphs can carry several synthesized constraints.
-                    queue = [(v, witnesses)]
+                    queue = [(v, slots, witnesses)]
                     while queue:
-                        base, base_witnesses = queue.pop()
-                        for slot in self._string_slots(base):
+                        base, base_slots, base_witnesses = queue.pop()
+                        for slot in base_slots:
                             constraint = syn_lcs(base_witnesses[slot])
                             if constraint is None:
                                 continue
                             pred, literal = constraint
                             augmented = base.with_constraint(
                                 slot[0], slot[1], pred, literal)
-                            stats.generated += 1
-                            canon2 = canonical_form(augmented)
-                            if canon2 in state.seen:
+                            if not is_new(augmented):
                                 continue
-                            state.seen.add(canon2)
-                            refinable.append(augmented)
+                            compiled = _Compiled(self.facts, augmented)
+                            keep(augmented, compiled)
                             rest = self._string_slots(augmented)
                             if rest:
                                 ok2, w2 = refinable_with_witnesses(
-                                    augmented, self.facts, self.part, rest)
+                                    compiled, self.facts, self.part, rest)
                                 assert ok2, "string closure preserves refinability"
-                                queue.append((augmented, w2))
-        candidates = [g for g in refinable
-                      if is_candidate(g, self.facts, self.part)]
+                                queue.append((augmented, rest, w2))
         stats.refinable = len(refinable)
         stats.candidates = len(candidates)
         state.table[(m, k)] = (refinable, candidates)

@@ -184,15 +184,37 @@ class Cycle:
         return self.steps[idx:] + self.steps[:idx]
 
 
+# Cycle lists by (relation names, foreign-key edges, max_len): the cycles
+# depend on nothing else, and tasks over one extraction schema repeat them.
+_CYCLES: dict[tuple, tuple[Cycle, ...]] = {}
+_CYCLES_SIZE = 16
+
+
 def simple_cycles(g: SchemaGraph, max_len: int = 8) -> list[Cycle]:
-    """Enumerate cycles up to ``max_len`` steps, one canonical walk each."""
+    """Enumerate cycles up to ``max_len`` steps, one canonical walk each.
+
+    Memoised per schema shape in a small bounded table; every call returns a
+    fresh list.
+    """
+    key = (tuple(sorted(g.schema)), g.fk_edges, max_len)
+    cycles = _CYCLES.get(key)
+    if cycles is None:
+        cycles = tuple(_enumerate_cycles(g, max_len))
+        if len(_CYCLES) >= _CYCLES_SIZE:
+            del _CYCLES[next(iter(_CYCLES))]
+        _CYCLES[key] = cycles
+    return list(cycles)
+
+
+def _enumerate_cycles(g: SchemaGraph, max_len: int) -> list[Cycle]:
     raw: set[tuple[str, tuple[PathStep, ...]]] = set()
 
-    # Echo cycles: out and straight back over the same edge.
+    # Echo cycles: out and straight back over the same edge (two steps).
     for e in g.fk_edges:
-        raw.add((e.src, (PathStep(e.attr, 1, e.dst), PathStep(e.attr, -1, e.src))))
-        raw.add((e.dst, (PathStep(e.attr, -1, e.src), PathStep(e.attr, 1, e.dst))))
-        if e.src == e.dst:  # self-loop: single steps are closed walks too
+        if max_len >= 2:
+            raw.add((e.src, (PathStep(e.attr, 1, e.dst), PathStep(e.attr, -1, e.src))))
+            raw.add((e.dst, (PathStep(e.attr, -1, e.src), PathStep(e.attr, 1, e.dst))))
+        if e.src == e.dst and max_len >= 1:  # self-loop: single steps close too
             raw.add((e.src, (PathStep(e.attr, 1, e.dst),)))
             raw.add((e.src, (PathStep(e.attr, -1, e.src),)))
 

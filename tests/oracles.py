@@ -197,15 +197,17 @@ def reduce_by_paths(schema: Schema, facts: FactBase, part: RelationPartition,
 # --- closed-walk enumeration for the cycle toy tests -------------------------
 
 def cycles_brute(graph, max_len: int = 8) -> set:
-    """Closed walks with distinct interior nodes, up to rotation/reversal.
+    """Closed walks of at most ``max_len`` steps with distinct interior
+    nodes, up to rotation.
 
     Includes the two-step back-and-forth over one edge and one-step
     self-loops, mirroring what augmentation is allowed to splice.
     """
     raw = set()
     for e in graph.fk_edges:
-        raw.add((e.src, (("f", e.attr, e.dst), ("b", e.attr, e.src))))
-        if e.src == e.dst:
+        if max_len >= 2:
+            raw.add((e.src, (("f", e.attr, e.dst), ("b", e.attr, e.src))))
+        if e.src == e.dst and max_len >= 1:
             raw.add((e.src, (("f", e.attr, e.src),)))
             raw.add((e.src, (("b", e.attr, e.src),)))
 

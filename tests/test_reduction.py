@@ -190,8 +190,9 @@ class TestPathSetContract:
         part = make_partition("T", ["t1"], facts)
         assert reduce(schema, facts, part).report_lines() == [
             "keep A", "keep G", "keep T"]
-        # With one-step cycles only the echo cycles remain (simple_cycles
-        # returns them at any bound); none of them separates, so G drops.
+        # At max_cycle_len=1 no cycle remains (T has no self foreign key,
+        # and echo cycles take two steps), so only T -(g,+)-> G reaches G,
+        # and it cannot separate: G drops.
         assert reduce(schema, facts, part, max_cycle_len=1).report_lines() == [
             "keep A", "keep T", "drop G (IndistinguishableActivation)"]
 

@@ -1,10 +1,16 @@
+import json
 import random
 
+import pytest
+
+from cqsearch import minijava
 from cqsearch.evaluator import is_candidate, is_refinable
+from cqsearch.extract import extract
 from cqsearch.query import QueryGraph, canonical_form, max_multiplicity
 from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.schema_graph import build_schema_graph
-from conftest import fig1c_graph
+from cqsearch.select import make_context, synthesize
+from conftest import CORPUS, fig1c_graph
 import gen
 from oracles import brute_force_candidates
 
@@ -156,3 +162,81 @@ class TestAgainstBruteForce:
             assert mine == brute
             checked += 1 if brute else 0
         assert checked >= 3
+
+
+@pytest.fixture(scope="module")
+def corpus_runs():
+    """(name, facts, partition, synthesis result) for every corpus task."""
+    hmap = json.loads((CORPUS / "hmap.json").read_text(encoding="utf-8"))
+    runs = []
+    for task_dir in sorted(CORPUS.glob("t*/")):
+        doc = json.loads((task_dir / "task.json").read_text(encoding="utf-8"))
+        prog = minijava.parse_files([task_dir / s for s in doc["source"]])
+        facts, part, _ = extract(prog, doc["target"])
+        ctx = make_context(hmap, doc["description"])
+        result = synthesize(facts.schema, facts, part, ctx, k_bound=2)
+        runs.append((task_dir.name, facts, part, result))
+    assert len(runs) == 14
+    return runs
+
+
+# Per corpus task: len(state.seen), then (m, k, generated, refinable,
+# candidates) per level, recorded before refinement checked candidates on
+# the negatives only and skipped the canonical form of exact duplicates.
+PINNED_LEVELS = {
+    "t01_var_local_double": (19, [(1, 1, 1, 1, 0), (2, 1, 4, 4, 1), (2, 2, 0, 0, 0), (3, 1, 8, 4, 2), (3, 2, 16, 10, 3)]),
+    "t02_var_cash_suffix": (19, [(1, 1, 1, 1, 0), (2, 1, 4, 4, 1), (2, 2, 0, 0, 0), (3, 1, 8, 4, 2), (3, 2, 16, 10, 3)]),
+    "t03_var_public_field": (19, [(1, 1, 1, 1, 0), (2, 1, 4, 4, 1), (2, 2, 0, 0, 0), (3, 1, 10, 5, 2), (3, 2, 12, 9, 3)]),
+    "t04_expr_if_bool_literal": (8, [(1, 1, 1, 1, 0), (2, 1, 2, 2, 1), (2, 2, 0, 0, 0), (3, 1, 0, 0, 0), (3, 2, 8, 5, 3)]),
+    "t05_expr_and_condition": (8, [(1, 1, 1, 1, 0), (2, 1, 2, 2, 1), (2, 2, 0, 0, 0), (3, 1, 0, 0, 0), (3, 2, 8, 5, 3)]),
+    "t06_stmt_import_log4j": (2, [(1, 1, 2, 2, 1), (2, 1, 0, 0, 0), (2, 2, 0, 0, 0)]),
+    "t07_stmt_import_localtime": (2, [(1, 1, 2, 2, 1), (2, 1, 0, 0, 0), (2, 2, 0, 0, 0)]),
+    "t08_method_motivating": (2118, [(1, 1, 1, 1, 0), (2, 1, 5, 5, 1), (2, 2, 0, 0, 0), (3, 1, 30, 12, 3), (3, 2, 18, 12, 3), (4, 1, 68, 16, 4), (4, 2, 344, 117, 34), (5, 1, 0, 0, 0), (5, 2, 3520, 747, 243)]),
+    "t09_method_param_log4j": (414, [(1, 1, 1, 1, 0), (2, 1, 7, 7, 1), (2, 2, 0, 0, 0), (3, 1, 50, 22, 7), (3, 2, 26, 17, 3), (4, 1, 152, 40, 20), (4, 2, 554, 207, 63)]),
+    "t10_method_mutual_recursion": (845, [(1, 1, 1, 1, 0), (2, 1, 2, 2, 0), (2, 2, 0, 0, 0), (3, 1, 6, 3, 0), (3, 2, 4, 4, 0), (4, 1, 0, 0, 0), (4, 2, 67, 27, 0), (5, 2, 384, 94, 0), (6, 2, 1410, 213, 1)]),
+    "t11_class_has_subclass": (90, [(1, 1, 2, 2, 0), (2, 1, 6, 4, 0), (2, 2, 14, 8, 2), (3, 1, 5, 2, 0), (3, 2, 138, 56, 10)]),
+    "t12_class_comparable": (104, [(1, 1, 2, 2, 0), (2, 1, 3, 2, 0), (2, 2, 10, 4, 0), (3, 1, 0, 0, 0), (3, 2, 49, 18, 4), (4, 2, 130, 36, 12)]),
+    "t13_class_log4j_field": (1324, [(1, 1, 2, 2, 0), (2, 1, 12, 8, 2), (2, 2, 10, 4, 0), (3, 1, 59, 22, 8), (3, 2, 171, 58, 12), (4, 1, 181, 54, 32), (4, 2, 1966, 452, 154)]),
+    "t14_method_static": (43, [(1, 1, 1, 1, 0), (2, 1, 6, 6, 1), (2, 2, 0, 0, 0), (3, 1, 37, 16, 4), (3, 2, 20, 14, 3)]),
+}
+
+
+def _assert_candidates_are_exact(state, facts, part, label):
+    for (m, k), (refinable, candidates) in state.table.items():
+        assert len(set(candidates)) == len(candidates), (label, m, k)
+        chosen = set(candidates)
+        assert chosen <= set(refinable), (label, m, k)
+        for g in refinable:
+            assert is_refinable(g, facts, part), (label, m, k, g)
+            assert (g in chosen) == is_candidate(g, facts, part), (label, m, k, g)
+
+
+class TestCandidatePath:
+    """The inline negatives-only check against ``is_candidate``."""
+
+    def test_pinned_level_counts_on_corpus(self, corpus_runs):
+        for name, _, _, result in corpus_runs:
+            stats = [(s.m, s.k, s.generated, s.refinable, s.candidates)
+                     for s in result.state.stats]
+            assert (len(result.state.seen), stats) == PINNED_LEVELS[name], name
+
+    def test_candidates_match_is_candidate_on_corpus(self, corpus_runs):
+        for name, facts, part, result in corpus_runs:
+            _assert_candidates_are_exact(result.state, facts, part, name)
+
+    def test_candidates_match_is_candidate_on_random_instances(self):
+        rng = random.Random(5)
+        closure_non_candidates = 0
+        for i in range(150):
+            schema, facts, part = gen.random_instance(
+                rng, max_relations=4, max_fks=2, max_strs=1)
+            state = run_levels(RefinementEngine(
+                schema, build_schema_graph(schema), facts, part,
+                sorted(schema)), 3)
+            _assert_candidates_are_exact(state, facts, part, i)
+            closure_non_candidates += sum(
+                1 for refinable, candidates in state.table.values()
+                for g in refinable if g.str_edges and g not in candidates)
+        # Refinable graphs with a synthesized constraint that still admit a
+        # negative must occur, or a skipped negative check would pass.
+        assert closure_non_candidates >= 100

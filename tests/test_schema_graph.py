@@ -1,10 +1,12 @@
 import random
 
 from cqsearch.core import FK, PK, STR, STR_NODE, AttributeDecl, Schema
+from cqsearch.extract import extraction_schema
 from cqsearch.schema_graph import (PathStep, RelationPath, SchemaEdge,
-                                   activated_relation, acyclic_paths,
-                                   augment_with_cycles, build_schema_graph,
-                                   simple_cycles, validate_path)
+                                   _enumerate_cycles, activated_relation,
+                                   acyclic_paths, augment_with_cycles,
+                                   build_schema_graph, simple_cycles,
+                                   validate_path)
 import gen
 from oracles import activation_brute, cycles_brute
 
@@ -103,6 +105,43 @@ class TestAugmentWithCycles:
     def test_cycle_count_matches_brute_force(self, schema):
         g = build_schema_graph(schema)
         assert len(simple_cycles(g)) == len(cycles_brute(g))
+
+    def test_matches_brute_force_at_small_bounds(self):
+        # max_len bounds every cycle, echoes (2 steps) and self-loop steps
+        # (1 step) included.
+        def rotation_class(anchor, steps):
+            order = [anchor] + [s[2] for s in steps]
+            return min((order[i], steps[i:] + steps[:i])
+                       for i in range(len(steps)))
+
+        rng = random.Random(11)
+        for _ in range(60):
+            g = build_schema_graph(gen.random_schema(
+                rng, max_relations=4, max_fks=rng.randint(1, 3)))
+            for max_len in range(4):
+                cycles = simple_cycles(g, max_len)
+                mine = {rotation_class(c.anchor, tuple(
+                            ("f" if s.direction == 1 else "b", s.attr, s.next)
+                            for s in c.steps))
+                        for c in cycles}
+                assert len(mine) == len(cycles)
+                assert all(len(c.steps) <= max_len for c in cycles)
+                assert mine == cycles_brute(g, max_len)
+
+    def test_memoised_cycles_equal_a_fresh_enumeration(self):
+        rng = random.Random(12)
+        schemas = [extraction_schema()] + [
+            gen.random_schema(rng, max_relations=5, max_fks=2)
+            for _ in range(40)]
+        for schema in schemas:
+            for max_len in (2, 3, 8):
+                fresh = _enumerate_cycles(build_schema_graph(schema), max_len)
+                first = simple_cycles(build_schema_graph(schema), max_len)
+                assert first == fresh
+                first.clear()
+                # A second graph over the same schema reads the memo; the
+                # caller's edits to the first list must not show.
+                assert simple_cycles(build_schema_graph(schema), max_len) == fresh
 
     def test_augmented_paths_replay_against_schema(self, schema):
         g = build_schema_graph(schema)
