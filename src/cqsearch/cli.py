@@ -310,10 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Least accepted value of each integer flag, where a subcommand has it.
+_FLAG_MINIMUMS = {"max_cycle_len": 0, "k_bound": 1, "max_m": 1, "jobs": 1}
+
+
+def _check_flags(args) -> None:
+    for name, least in _FLAG_MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise CliError(f"{flag} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (CliError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

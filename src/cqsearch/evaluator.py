@@ -9,6 +9,12 @@ product (the test suite certifies this against a product oracle).
 Evaluation works on the query graph; a conjunctive query is converted with
 ``to_graph`` on entry, so a query the schema does not license is an
 ``EvalError``.
+
+``_Compiled`` serves ``evaluate``, the ``is_*`` checks and the test suite's
+oracles. Refinement does not compile its graphs: it extends each parent's
+satisfying assignments by one node (see ``refine``), and
+``refinable_with_witnesses`` and ``admits_any`` are the from-scratch
+evaluation the test suite holds it against.
 """
 from __future__ import annotations
 

@@ -12,23 +12,49 @@ slot carrying that slot's synthesized strongest constraint.
 Graphs whose induced query already excludes a positive are never expanded
 further: strengthening a selection condition only shrinks its result.
 
-Each new graph is compiled once. The witness pass proves that it admits every
-positive, so candidacy (admitting exactly the positives) is then checked on
-the negatives only, on the same compiled graph; a string-closure graph is
-refinable by construction and gets the same negatives-only check. Duplicates
-are found by canonical form, except that a graph equal to one of the level's
-refinable graphs is recognised before its canonical form is computed.
+No graph is evaluated from scratch. Each refinable graph keeps its
+satisfying assignments (its ``Rows``): per positive, and per negative it
+still admits, the tuples bound to its nodes in node order. A child of
+``expand`` is its parent plus one unconstrained node whose equality edges
+all touch that node, so its assignments are the parent's, each extended by
+the consistent tuples of the new node: one primary-key lookup when an
+existing node's foreign key points at it, else the smallest foreign-key
+index pool filtered by the other edges. A string-closure child is its base
+plus one constraint, so its assignments are the base's filtered by it. The
+witness sets synLCS reads are a slot's column of the positives' rows; a
+graph is refinable iff every positive keeps an assignment and a candidate
+iff no negative does (incremental view maintenance in its semi-naive form).
+
+Rows are kept only where a later level reads them: never at the engine's
+``m_cap``, and a level's rows are dropped once the level after the next
+starts. Duplicates are found by canonical form, except that a graph equal to
+one of the level's refinable graphs is recognised before its canonical form
+is computed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
-from .core import FactBase, RelationPartition, Schema
-from .evaluator import _Compiled, admits_any, refinable_with_witnesses
+from .core import FactBase, RelationPartition, Schema, Tuple, pred_holds
 from .query import QueryGraph, canonical_form, multiplicity
 from .schema_graph import SchemaGraph
 from .strings import syn_lcs
+
+# One satisfying assignment: the tuple bound to each node, in node order.
+Assignment = tuple[Tuple, ...]
+
+
+class Rows(NamedTuple):
+    """Satisfying assignments of one graph.
+
+    ``positives`` holds one tuple of assignments per positive, in sorted
+    order; ``negatives`` one per negative the graph still admits, so it is
+    empty exactly when the graph is a candidate.
+    """
+    positives: tuple[tuple[Assignment, ...], ...]
+    negatives: tuple[tuple[Assignment, ...], ...]
 
 
 @dataclass
@@ -47,6 +73,8 @@ class RefinementState:
         default_factory=dict)
     seen: set = field(default_factory=set)
     stats: list[LevelStats] = field(default_factory=list)
+    # Per level, the Rows of each refinable graph, aligned with the table.
+    rows: dict[tuple[int, int], list[Rows]] = field(default_factory=dict)
 
     def refinable(self, m: int, k: int) -> list[QueryGraph]:
         return self.table.get((m, k), ([], []))[0]
@@ -60,13 +88,18 @@ class RefinementState:
 
 class RefinementEngine:
     def __init__(self, schema: Schema, graph: SchemaGraph, facts: FactBase,
-                 part: RelationPartition, relations: list[str]):
+                 part: RelationPartition, relations: list[str],
+                 m_cap: int | None = None):
+        """``m_cap`` is the last level the caller refines; none keeps rows
+        at every level."""
         self.schema = schema
         self.graph = graph
         self.facts = facts
         self.part = part
         self.relations = sorted(relations)
-        self.negatives = sorted(part.negatives)
+        self.m_cap = m_cap
+        self.head_rows = Rows(tuple(((t,),) for t in sorted(part.positives)),
+                              tuple(((t,),) for t in sorted(part.negatives)))
 
     def expand(self, g: QueryGraph, rel: str) -> list[QueryGraph]:
         """All one-node extensions of ``g`` with ``rel``, connected.
@@ -101,17 +134,106 @@ class RefinementEngine:
                     slots.append((alias, attr.name))
         return sorted(slots)
 
+    def _column(self, g: QueryGraph, slot: tuple[str, str]) -> tuple[int, int]:
+        """(node index, attribute position) of a string slot of ``g``."""
+        alias, attr = slot
+        for i, (rel, a) in enumerate(g.nodes):
+            if a == alias:
+                return i, self.schema.attr_pos(rel, attr)
+        raise KeyError(alias)
+
+    def witnesses(self, g: QueryGraph, rows: Rows,
+                  slot: tuple[str, str]) -> list[set[str]]:
+        """Per positive, in sorted order, the values ``slot`` takes."""
+        i, pos = self._column(g, slot)
+        return [{a[i][pos] for a in group} for group in rows.positives]
+
+    def _extended(self, v: QueryGraph, rows: Rows) -> Rows | None:
+        """Rows of ``v``, its parent's ``rows`` extended by its last node;
+        None when some positive keeps no assignment."""
+        if len(v.nodes) == 1:
+            return self.head_rows
+        rel, alias = v.nodes[-1]
+        index = {a: i for i, (_, a) in enumerate(v.nodes)}
+        pins: list[tuple[int, int]] = []    # existing fk -> new pk: (node, pos)
+        checks: list[tuple[int, int]] = []  # new fk -> existing pk: (pos, node)
+        for fk_alias, pk_alias, attr in v.eq_edges:
+            if pk_alias == alias:
+                i = index[fk_alias]
+                pins.append((i, self.schema.attr_pos(v.nodes[i][0], attr)))
+            elif fk_alias == alias:
+                checks.append((self.schema.attr_pos(rel, attr), index[pk_alias]))
+        facts = self.facts
+
+        def extend(group: tuple[Assignment, ...]) -> tuple[Assignment, ...]:
+            out = []
+            for a in group:
+                if pins:
+                    i, pos = pins[0]
+                    value = a[i][pos]
+                    if any(a[j][p] != value for j, p in pins[1:]):
+                        continue
+                    t = facts.pk_lookup(rel, value)
+                    if t is not None and all(t[p] == a[j][0] for p, j in checks):
+                        out.append(a + (t,))
+                    continue
+                wanted = [(p, a[j][0]) for p, j in checks]
+                pool = min((facts.by_attr(rel, p, value) for p, value in wanted),
+                           key=len)
+                if len(wanted) == 1:
+                    out.extend(a + (t,) for t in pool)
+                else:
+                    out.extend(a + (t,) for t in pool
+                               if all(t[p] == value for p, value in wanted))
+            return tuple(out)
+
+        positives = []
+        for group in rows.positives:
+            got = extend(group)
+            if not got:
+                return None
+            positives.append(got)
+        negatives = tuple(got for got in map(extend, rows.negatives) if got)
+        return Rows(tuple(positives), negatives)
+
+    def _constrained(self, g: QueryGraph, rows: Rows, slot: tuple[str, str],
+                     pred: str, literal: str) -> Rows:
+        """Rows of ``g`` with ``pred(slot, literal)`` added."""
+        i, pos = self._column(g, slot)
+
+        def keep(group):
+            return tuple(a for a in group if pred_holds(pred, a[i][pos], literal))
+
+        negatives = tuple(got for got in map(keep, rows.negatives) if got)
+        return Rows(tuple(map(keep, rows.positives)), negatives)
+
+    def _parents(self, state: RefinementState, m: int,
+                 k: int) -> list[tuple[QueryGraph, Rows]]:
+        graphs = state.refinable(m, k)
+        if not graphs:
+            return []
+        rows = state.rows.get((m, k))
+        if rows is None:
+            raise ValueError(f"level {(m, k)} kept no rows to refine from "
+                             f"(m_cap {self.m_cap})")
+        return list(zip(graphs, rows))
+
     def refine(self, state: RefinementState, m: int, k: int) -> None:
         """Fill table level (m, k) from its predecessor levels."""
+        for level in [level for level in state.rows if level[0] <= m - 2]:
+            del state.rows[level]
         if m == 1 and k == 1:
-            seeds = [(QueryGraph.empty(), k)]
+            seeds = [(QueryGraph.empty(), k, self.head_rows)]
         else:
-            seeds = [(g, k) for g in state.refinable(m - 1, k)]
+            seeds = [(g, k, r) for g, r in self._parents(state, m - 1, k)]
             if k > 1:
-                seeds += [(g, k - 1) for g in state.refinable(m - 1, k - 1)]
+                seeds += [(g, k - 1, r)
+                          for g, r in self._parents(state, m - 1, k - 1)]
         stats = LevelStats(m, k, worklist=len(seeds))
         refinable: list[QueryGraph] = []
         candidates: list[QueryGraph] = []
+        level_rows: list[Rows] | None = (
+            [] if self.m_cap is None or m < self.m_cap else None)
         # The refinable graphs of this level. A graph derived again exactly
         # (its string constraints added in another order, or an augmented
         # parent expanded) has the same nodes, so it recurs only within the
@@ -129,14 +251,16 @@ class RefinementEngine:
             state.seen.add(canon)
             return True
 
-        def keep(g: QueryGraph, compiled) -> None:
+        def keep(g: QueryGraph, rows: Rows) -> None:
             # g admits every positive; it is a candidate if no negative.
             produced.add(g)
             refinable.append(g)
-            if not admits_any(compiled, self.facts, self.negatives):
+            if level_rows is not None:
+                level_rows.append(rows)
+            if not rows.negatives:
                 candidates.append(g)
 
-        for g, source_k in seeds:
+        for g, source_k, rows in seeds:
             for rel in self.relations:
                 mult = multiplicity(g, rel)
                 if source_k == k:
@@ -147,22 +271,19 @@ class RefinementEngine:
                 for v in self.expand(g, rel):
                     if not is_new(v):
                         continue
-                    compiled = _Compiled(self.facts, v)
-                    slots = self._string_slots(v)
-                    ok, witnesses = refinable_with_witnesses(
-                        compiled, self.facts, self.part, slots)
-                    if not ok:
+                    v_rows = self._extended(v, rows)
+                    if v_rows is None:
                         continue
-                    keep(v, compiled)
+                    keep(v, v_rows)
                     # String constraints close under iteration within the
                     # level: an augmented graph re-enters with its remaining
-                    # slots (witnesses recomputed in the stronger context), so
+                    # slots (witnesses read from its filtered rows), so
                     # graphs can carry several synthesized constraints.
-                    queue = [(v, slots, witnesses)]
+                    queue = [(v, self._string_slots(v), v_rows)]
                     while queue:
-                        base, base_slots, base_witnesses = queue.pop()
+                        base, base_slots, base_rows = queue.pop()
                         for slot in base_slots:
-                            constraint = syn_lcs(base_witnesses[slot])
+                            constraint = syn_lcs(self.witnesses(base, base_rows, slot))
                             if constraint is None:
                                 continue
                             pred, literal = constraint
@@ -170,15 +291,17 @@ class RefinementEngine:
                                 slot[0], slot[1], pred, literal)
                             if not is_new(augmented):
                                 continue
-                            compiled = _Compiled(self.facts, augmented)
-                            keep(augmented, compiled)
+                            aug_rows = self._constrained(base, base_rows, slot,
+                                                         pred, literal)
+                            assert all(aug_rows.positives), \
+                                "string closure preserves refinability"
+                            keep(augmented, aug_rows)
                             rest = self._string_slots(augmented)
                             if rest:
-                                ok2, w2 = refinable_with_witnesses(
-                                    compiled, self.facts, self.part, rest)
-                                assert ok2, "string closure preserves refinability"
-                                queue.append((augmented, rest, w2))
+                                queue.append((augmented, rest, aug_rows))
         stats.refinable = len(refinable)
         stats.candidates = len(candidates)
         state.table[(m, k)] = (refinable, candidates)
+        if level_rows is not None:
+            state.rows[(m, k)] = level_rows
         state.stats.append(stats)

@@ -183,17 +183,18 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
     kept = reduced.kept
     alpha_bound = coverage_upper_bound(schema, kept, ctx)
 
-    engine = RefinementEngine(schema, graph, facts, part, sorted(kept))
+    m_cap = k_bound * len(kept)
+    if max_relations is not None:
+        m_cap = min(m_cap, max_relations)
+
+    engine = RefinementEngine(schema, graph, facts, part, sorted(kept),
+                              m_cap=m_cap)
     state = RefinementState()
     alpha_max: Fraction | None = None
     beta_min: int | None = None
     selected: dict = {}  # canonical form -> graph, for the top-ranked class
     levels: list[tuple[int, int]] = []
     terminated_early = False
-
-    m_cap = k_bound * len(kept)
-    if max_relations is not None:
-        m_cap = min(m_cap, max_relations)
 
     for m in range(1, m_cap + 1):
         if terminated_early:
@@ -218,6 +219,7 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
                     terminated_early = True
                     break
 
+    state.rows.clear()  # the assignments serve only the next level
     chosen = tuple(SelectedQuery(selected[c], from_graph(selected[c], schema),
                                  alpha_max, beta_min) for c in sorted(selected))
     return SynthesisResult(chosen, alpha_max, beta_min, terminated_early,

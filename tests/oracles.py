@@ -3,11 +3,12 @@
 Everything here trades efficiency for obviousness: full Cartesian products,
 exhaustive substring scans, unpruned breadth-first search over the query
 space. None of it shares search machinery with the package (shared primitives
-are limited to the evaluator inside the brute-force enumerator, which the
-suite certifies separately against the product oracle, synLCS, which
-defines the string part of the query space and has its own oracle, and the
-path helpers of ``schema_graph`` behind ``reduce_by_paths``, which the suite
-checks against ``activation_brute`` and ``cycles_brute``).
+are limited to the evaluator inside the brute-force enumerator and inside
+``refine_by_compiling``, which the suite certifies separately against the
+product oracle, synLCS, which defines the string part of the query space and
+has its own oracle, the engine's ``expand``, which defines the graph part of
+it, and the path helpers of ``schema_graph`` behind ``reduce_by_paths``,
+which the suite checks against ``activation_brute`` and ``cycles_brute``).
 """
 from __future__ import annotations
 
@@ -15,10 +16,12 @@ from fractions import Fraction
 from itertools import product
 
 from cqsearch.core import FactBase, RelationPartition, Schema
-from cqsearch.evaluator import evaluate, refinable_with_witnesses
+from cqsearch.evaluator import (_Compiled, admits_any, evaluate,
+                                 refinable_with_witnesses)
 from cqsearch.query import (Equality, QueryGraph, StringAtom, canonical_form,
                             from_graph, multiplicity, pred_holds)
 from cqsearch.reduction import DropReason, ReducedRepresentation
+from cqsearch.refine import LevelStats, RefinementEngine, RefinementState
 from cqsearch.schema_graph import (RelationPath, activated_relation,
                                    acyclic_paths, augment_with_cycles,
                                    build_schema_graph, compile_path,
@@ -311,3 +314,87 @@ def brute_force_candidates(facts: FactBase, part: RelationPartition,
                            m_max: int, k_max: int) -> list[QueryGraph]:
     return [g for g in enumerate_query_space(facts, part, m_max, k_max)
             if evaluate(g, facts) == part.positives]
+
+
+# --- refinement level by compiling and joining every graph --------------------
+
+def refine_by_compiling(engine: RefinementEngine, state: RefinementState,
+                        m: int, k: int) -> None:
+    """``engine.refine`` with every graph evaluated from scratch.
+
+    Each new graph is compiled and joined per positive for refinability and
+    witnesses, then per negative for candidacy; a string-closure graph is
+    compiled again. Fills ``state`` exactly as ``engine.refine`` does, rows
+    apart.
+    """
+    schema, facts, part = engine.schema, engine.facts, engine.part
+    negatives = sorted(part.negatives)
+
+    def string_slots(g: QueryGraph) -> list[tuple[str, str]]:
+        constrained = g.constrained_slots()
+        return sorted((alias, a.name) for rel, alias in g.nodes
+                      for a in schema.string_attrs(rel)
+                      if (alias, a.name) not in constrained)
+
+    if m == 1 and k == 1:
+        seeds = [(QueryGraph.empty(), k)]
+    else:
+        seeds = [(g, k) for g in state.refinable(m - 1, k)]
+        if k > 1:
+            seeds += [(g, k - 1) for g in state.refinable(m - 1, k - 1)]
+    stats = LevelStats(m, k, worklist=len(seeds))
+    refinable: list[QueryGraph] = []
+    candidates: list[QueryGraph] = []
+    produced: set[QueryGraph] = set()
+
+    def is_new(g: QueryGraph) -> bool:
+        stats.generated += 1
+        if g in produced:
+            return False
+        canon = canonical_form(g)
+        if canon in state.seen:
+            return False
+        state.seen.add(canon)
+        return True
+
+    def keep(g: QueryGraph, compiled) -> None:
+        produced.add(g)
+        refinable.append(g)
+        if not admits_any(compiled, facts, negatives):
+            candidates.append(g)
+
+    for g, source_k in seeds:
+        for rel in engine.relations:
+            mult = multiplicity(g, rel)
+            if (mult >= k) if source_k == k else (mult != k - 1):
+                continue
+            for v in engine.expand(g, rel):
+                if not is_new(v):
+                    continue
+                compiled = _Compiled(facts, v)
+                slots = string_slots(v)
+                ok, witnesses = refinable_with_witnesses(compiled, facts, part, slots)
+                if not ok:
+                    continue
+                keep(v, compiled)
+                queue = [(v, slots, witnesses)]
+                while queue:
+                    base, base_slots, base_witnesses = queue.pop()
+                    for slot in base_slots:
+                        constraint = syn_lcs(base_witnesses[slot])
+                        if constraint is None:
+                            continue
+                        augmented = base.with_constraint(slot[0], slot[1], *constraint)
+                        if not is_new(augmented):
+                            continue
+                        compiled = _Compiled(facts, augmented)
+                        keep(augmented, compiled)
+                        rest = string_slots(augmented)
+                        if rest:
+                            ok, w = refinable_with_witnesses(compiled, facts, part, rest)
+                            assert ok, "string closure preserves refinability"
+                            queue.append((augmented, rest, w))
+    stats.refinable = len(refinable)
+    stats.candidates = len(candidates)
+    state.table[(m, k)] = (refinable, candidates)
+    state.stats.append(stats)

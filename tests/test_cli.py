@@ -141,6 +141,52 @@ def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt):
     assert err.startswith("error: "), err
 
 
+# Integer flags below their least meaningful value, per subcommand.
+BAD_FLAGS = {
+    "reduce-max-cycle-len": ("reduce", "--max-cycle-len", "-5"),
+    "synthesize-max-cycle-len": ("synthesize", "--max-cycle-len", "-1"),
+    "synthesize-k-bound-0": ("synthesize", "--k-bound", "0"),
+    "synthesize-k-bound-negative": ("synthesize", "--k-bound", "-1"),
+    "synthesize-max-m-0": ("synthesize", "--max-m", "0"),
+    "synthesize-max-m-negative": ("synthesize", "--max-m", "-3"),
+    "bench-k-bound": ("bench", "--k-bound", "0"),
+    "bench-jobs-0": ("bench", "--jobs", "0"),
+    "bench-jobs-negative": ("bench", "--jobs", "-2"),
+}
+
+
+def _command_line(command, motivating_dir, tmp_path):
+    source = str(motivating_dir / "example.java")
+    if command == "bench":
+        return ["bench", str(tmp_path)]
+    argv = [command, "--source", source, "--target", "Method"]
+    if command == "synthesize":
+        argv += ["--description", "Find all the methods",
+                 "--hmap", str(CORPUS / "hmap.json")]
+    return argv
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS.values(),
+                         ids=BAD_FLAGS.keys())
+def test_bad_flag_value_exits_one(capsys, motivating_dir, tmp_path, command,
+                                  flag, value):
+    code, stdout, err = run(capsys, *_command_line(command, motivating_dir, tmp_path),
+                            f"{flag}={value}")
+    assert code == 1
+    assert err.startswith(f"error: {flag} must be at least"), err
+    assert stdout == ""
+
+
+def test_least_flag_values_are_accepted(capsys, motivating_dir, tmp_path):
+    code, stdout, _ = run(capsys, *_command_line("reduce", motivating_dir, tmp_path),
+                          "--max-cycle-len=0")
+    assert code == 0
+    assert "keep Method" in stdout.splitlines()
+    code, _, err = run(capsys, *_command_line("synthesize", motivating_dir, tmp_path),
+                       "--k-bound=1", "--max-m=1")
+    assert code in (0, 2) and not err
+
+
 class TestSearchCommand:
     @pytest.fixture
     def target_base(self, tmp_path):

@@ -1,0 +1,43 @@
+"""The traced benchmark's hold on the program.
+
+``perfbench/tracer.py`` patches functions and methods of the cqsearch
+modules by name and reads the refinement state's public record. A product
+rename or move must fail here, not first in a traced benchmark run.
+"""
+import sys
+
+from cqsearch import evaluator, query, refine, select
+from conftest import REPO
+
+sys.path.insert(0, str(REPO))
+from perfbench.tracer import Tracer  # noqa: E402
+
+
+def test_tracer_installs_counts_and_uninstalls(schema, facts, partition, context):
+    before = (query.canonical_form, select.canonical_form, refine.canonical_form,
+              evaluator.refinable_with_witnesses, select.synthesize,
+              refine.RefinementEngine.refine, refine.RefinementEngine.expand)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert refine.canonical_form is not before[2]
+        result = select.synthesize(schema, facts, partition, context, k_bound=2)
+    finally:
+        tracer.uninstall()
+    after = (query.canonical_form, select.canonical_form, refine.canonical_form,
+             evaluator.refinable_with_witnesses, select.synthesize,
+             refine.RefinementEngine.refine, refine.RefinementEngine.expand)
+    assert after == before
+
+    metrics = tracer.metrics(["refine.generated", "refine.refinable",
+                              "refine.candidates", "refine.expand.calls",
+                              "query.canonical_form.calls",
+                              "select.synthesize.calls", "select.levels"], 1.0)
+    assert metrics["refine.generated"] == result.state.generated_total() > 0
+    assert metrics["refine.refinable"] == sum(
+        len(refinable) for refinable, _ in result.state.table.values())
+    assert metrics["refine.candidates"] > 0
+    assert metrics["refine.expand.calls"] > 0
+    assert metrics["query.canonical_form.calls"] > 0
+    assert metrics["select.synthesize.calls"] == 1
+    assert metrics["select.levels"] == len(result.levels_explored)

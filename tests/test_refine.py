@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cqsearch import minijava
-from cqsearch.evaluator import is_candidate, is_refinable
+from cqsearch.evaluator import (is_candidate, is_refinable,
+                                 refinable_with_witnesses)
 from cqsearch.extract import extract
 from cqsearch.query import QueryGraph, canonical_form, max_multiplicity
 from cqsearch.refine import RefinementEngine, RefinementState
@@ -12,7 +13,7 @@ from cqsearch.schema_graph import build_schema_graph
 from cqsearch.select import make_context, synthesize
 from conftest import CORPUS, fig1c_graph
 import gen
-from oracles import brute_force_candidates
+from oracles import brute_force_candidates, refine_by_compiling
 
 
 def engine_for(schema, facts, partition, relations=None):
@@ -240,3 +241,94 @@ class TestCandidatePath:
         # Refinable graphs with a synthesized constraint that still admit a
         # negative must occur, or a skipped negative check would pass.
         assert closure_non_candidates >= 100
+
+
+def _cross_check(engine, levels, label) -> int:
+    """Run ``engine.refine`` and ``refine_by_compiling`` level by level and
+    compare them; returns how many refinable graphs' rows were checked."""
+    facts, part = engine.facts, engine.part
+    mine, theirs = RefinementState(), RefinementState()
+    checked = 0
+    for m, k in levels:
+        engine.refine(mine, m, k)
+        refine_by_compiling(engine, theirs, m, k)
+        where = (label, m, k)
+        assert mine.refinable(m, k) == theirs.refinable(m, k), where
+        assert mine.candidates(m, k) == theirs.candidates(m, k), where
+        assert mine.stats[-1] == theirs.stats[-1], where
+        assert len(mine.seen) == len(theirs.seen), where
+        for g, rows in zip(mine.refinable(m, k), mine.rows[(m, k)], strict=True):
+            slots = sorted((alias, a.name) for rel, alias in g.nodes
+                           for a in facts.schema.string_attrs(rel))
+            ok, witnesses = refinable_with_witnesses(g, facts, part, slots)
+            assert ok, (where, g)
+            assert {s: engine.witnesses(g, rows, s) for s in slots} == witnesses, \
+                (where, g)
+            checked += 1
+    return checked
+
+
+class TestIncrementalRows:
+    """Rows extended from the parent against compiling every graph anew."""
+
+    def test_matches_compiling_on_corpus(self, corpus_runs):
+        for name, facts, part, result in corpus_runs:
+            schema = facts.schema
+            engine = RefinementEngine(schema, build_schema_graph(schema), facts,
+                                      part, sorted(result.reduced.kept))
+            assert _cross_check(engine, result.levels_explored, name) > 0, name
+
+    def test_matches_compiling_on_random_instances(self):
+        rng = random.Random(29)
+        joined_twice = 0
+        for i in range(150):
+            schema, facts, part = gen.random_instance(
+                rng, max_relations=4, max_fks=2, max_strs=1)
+            engine = RefinementEngine(schema, build_schema_graph(schema), facts,
+                                      part, sorted(schema))
+            levels = [(m, k) for m in range(1, 4) for k in range(1, min(2, m) + 1)]
+            _cross_check(engine, levels, i)
+            state = run_levels(engine, 3)
+            joined_twice += sum(
+                1 for refinable, _ in state.table.values() for g in refinable
+                if sum(g.nodes[-1][1] in e[:2] for e in g.eq_edges) > 1)
+        # A new node joined by several edges must occur, or extending by
+        # the first edge alone would pass.
+        assert joined_twice >= 50
+
+    def test_synthesize_leaves_no_rows(self, schema, facts, partition, context):
+        # Stopped early at m = 5 below the m cap of 8, and run to an m cap
+        # of 4.
+        for early_stop, max_m, last_m in ((True, None, 5), (False, 4, 4)):
+            result = synthesize(schema, facts, partition, context, k_bound=2,
+                                early_stop=early_stop, max_relations=max_m)
+            assert result.levels_explored[-1][0] == last_m
+            assert result.terminated_early == early_stop
+            assert result.state.rows == {}
+
+    def test_no_rows_at_the_cap(self, schema, facts, partition, context,
+                                monkeypatch):
+        kept_after: list[tuple[tuple[int, int], set]] = []
+        refine = RefinementEngine.refine
+
+        def recording(engine, state, m, k):
+            refine(engine, state, m, k)
+            kept_after.append(((m, k), set(state.rows)))
+        monkeypatch.setattr(RefinementEngine, "refine", recording)
+        result = synthesize(schema, facts, partition, context, k_bound=2,
+                            early_stop=False, max_relations=3)
+        assert max(m for m, _ in result.levels_explored) == 3
+        for (m, k), levels in kept_after:
+            # rows of this level unless it is the cap, and of the level
+            # before it; none older
+            assert all(m - 1 <= lm < 3 for lm, _ in levels), (m, k, levels)
+            assert ((m, k) in levels) == (m < 3), (m, k, levels)
+
+    def test_refining_past_the_cap_fails(self, schema, facts, partition):
+        engine = RefinementEngine(schema, build_schema_graph(schema), facts,
+                                  partition, ["Method", "Parameter", "Type"],
+                                  m_cap=2)
+        state = run_levels(engine, 2)
+        assert state.refinable(2, 1) and (2, 1) not in state.rows
+        with pytest.raises(ValueError):
+            engine.refine(state, 3, 1)
