@@ -11,7 +11,7 @@ kind carries the distinction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 PK = "pk"
 FK = "fk"
@@ -277,6 +277,28 @@ class FactBase(Mapping[str, Relation]):
                         and all(t[pos] == t[0] for pos in self_eq))
             self._selected[key] = got
         return got
+
+    def matching(self, rel: str, pk: str | None, fks: Sequence[tuple[int, str]],
+                 strs: tuple[tuple[int, str, str], ...] = (),
+                 self_eq: tuple[int, ...] = ()) -> tuple[Tuple, ...]:
+        """Tuples of ``rel`` with primary key ``pk`` unless it is None, value
+        ``v`` at every ``(pos, v)`` of ``fks``, and meeting ``strs`` and
+        ``self_eq`` as in ``selected``: the join step of evaluation and
+        refinement. Probes the primary-key index when ``pk`` is set, else the
+        smallest ``by_attr`` pool among ``fks``, else ``selected``."""
+        if pk is not None:
+            t = self._pk[rel].get(pk)
+            pool = () if t is None else (t,)
+        elif fks:
+            pool = min((self.by_attr(rel, pos, v) for pos, v in fks), key=len)
+        else:
+            return self.selected(rel, strs, self_eq)
+        if len(fks) > (pk is None) or strs or self_eq:
+            pool = tuple(t for t in pool
+                         if all(t[pos] == v for pos, v in fks)
+                         and all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
+                         and all(t[pos] == t[0] for pos in self_eq))
+        return pool
 
 
 def load_facts(schema_doc: dict, facts_doc: dict) -> tuple[Schema, FactBase]:

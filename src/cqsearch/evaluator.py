@@ -1,204 +1,156 @@
 """In-memory evaluation of conjunctive queries over a fact base.
 
-Evaluation enumerates satisfying assignments with a backtracking join that
-binds the most constrained alias next and prunes through the fact base's
-per-attribute indexes; the result set is the deduplicated projection onto the
-head alias. Semantics match the naive selection over the full Cartesian
-product (the test suite certifies this against a product oracle).
+A query graph is compiled once into one join step per node, head first
+(``_Compiled``). Evaluation walks the steps depth first and binds each node
+through ``FactBase.matching``, the join step refinement extends its
+assignments with. The result set is the deduplicated projection onto the
+head; semantics match the naive selection over the full Cartesian product
+(the test suite certifies this against a product oracle).
 
-Evaluation works on the query graph; a conjunctive query is converted with
-``to_graph`` on entry, so a query the schema does not license is an
-``EvalError``.
-
-``_Compiled`` serves ``evaluate``, the ``is_*`` checks and the test suite's
-oracles. Refinement does not compile its graphs: it extends each parent's
-satisfying assignments by one node (see ``refine``), and
-``refinable_with_witnesses`` and ``admits_any`` are the from-scratch
+A conjunctive query is converted with ``to_graph`` on entry, so a query the
+schema does not license is an ``EvalError``; so is a query checked against a
+partition whose target is not its head's relation. Refinement compiles no
+graph; ``refinable_with_witnesses`` and ``admits_any`` are the from-scratch
 evaluation the test suite holds it against.
 """
 from __future__ import annotations
 
-from .core import FactBase, RelationPartition, SchemaError, Tuple, pred_holds
+from .core import FactBase, RelationPartition, SchemaError, Tuple
 from .query import ConjunctiveQuery, GraphError, QueryGraph, to_graph
 
 
 class EvalError(Exception):
-    """Query references aliases or attributes the schema cannot resolve."""
+    """Query the schema cannot resolve, or checked against a partition whose
+    target is not its head's relation."""
 
 
 class _Compiled:
-    """Query normalized to positional constraints against one fact base."""
+    """Query graph compiled against one fact base into per-node join steps.
+
+    Nodes join head first, then always the node, among those connected to
+    the joined ones (or all when none is), with the fewest tuples meeting its
+    own constraints. ``steps[i]`` is ``(relation, pin, eqs, strs, self_eq)``
+    for the i-th node: ``pin`` is the ``(j, pos)`` of an earlier node's
+    foreign key holding its primary key, if any, and ``eqs`` its other
+    equalities ``(pos, j, jpos)`` with the value at ``jpos`` of node j.
+    """
 
     def __init__(self, facts: FactBase, g: QueryGraph):
         schema = facts.schema
         self.facts = facts
-        self.aliases = []
-        self.relation = {}
+        relation: dict[str, str] = {}
         for rel, alias in g.nodes:
             if rel not in schema:
                 raise EvalError(f"unknown relation {rel!r}")
-            if alias in self.relation:
+            if alias in relation:
                 raise EvalError(f"duplicate alias {alias!r}")
-            self.aliases.append(alias)
-            self.relation[alias] = rel
-        # eq constraint: value at (fk_alias, fk_pos) == primary key of pk_alias
-        self.eq: list[tuple[str, int, str]] = []
-        self.self_eq: dict[str, list[int]] = {a: [] for a in self.aliases}
+            relation[alias] = rel
+        eqs: list[tuple[str, int, str]] = []  # (fk alias, fk pos, pk alias)
+        self_eq: dict[str, list[int]] = {a: [] for a in relation}
         for fk_alias, pk_alias, attr in sorted(g.eq_edges):
-            if fk_alias not in self.relation or pk_alias not in self.relation:
+            if fk_alias not in relation or pk_alias not in relation:
                 raise EvalError(f"equality over unknown alias {fk_alias!r}/{pk_alias!r}")
-            pos = self._pos(self.relation[fk_alias], attr)
+            pos = schema.attr_pos(relation[fk_alias], attr)
             if fk_alias == pk_alias:
-                self.self_eq[fk_alias].append(pos)
+                self_eq[fk_alias].append(pos)
             else:
-                self.eq.append((fk_alias, pos, pk_alias))
-        self.strs: dict[str, list[tuple[int, str, str]]] = {a: [] for a in self.aliases}
+                eqs.append((fk_alias, pos, pk_alias))
+        strs: dict[str, list[tuple[int, str, str]]] = {a: [] for a in relation}
         for alias, attr, pred, literal in g.str_edges:
-            if alias not in self.relation:
+            if alias not in relation:
                 raise EvalError(f"string constraint over unknown alias {alias!r}")
-            pos = self._pos(self.relation[alias], attr)
-            self.strs[alias].append((pos, pred, literal))
-        self.head = self.aliases[0] if self.aliases else None
-        self._base: dict[str, tuple[Tuple, ...]] = {}
-        self._order_cache: dict[bool, list[str]] = {}
+            strs[alias].append((schema.attr_pos(relation[alias], attr), pred, literal))
 
-    def _pos(self, rel: str, attr: str) -> int:
-        try:
-            return self.facts.schema.attr_pos(rel, attr)
-        except SchemaError as exc:
-            raise EvalError(str(exc)) from exc
+        aliases = list(relation)
+        base = {a: len(facts.selected(relation[a], tuple(strs[a]), tuple(self_eq[a])))
+                for a in aliases[1:]}
+        neighbours: dict[str, list[str]] = {a: [] for a in aliases}
+        for fk_alias, _, pk_alias in eqs:
+            neighbours[fk_alias].append(pk_alias)
+            neighbours[pk_alias].append(fk_alias)
+        order, remaining = aliases[:1], aliases[1:]
+        while remaining:
+            connected = [a for a in remaining if any(n in order for n in neighbours[a])]
+            nxt = min(connected or remaining,
+                      key=lambda a: (base[a], -len(neighbours[a])))
+            order.append(nxt)
+            remaining.remove(nxt)
+
+        self.at = {a: i for i, a in enumerate(order)}
+        self.steps = []
+        for i, alias in enumerate(order):
+            pins = [(self.at[fk], pos) for fk, pos, pk in eqs
+                    if pk == alias and self.at[fk] < i]
+            checks = [(pos, self.at[pk], 0) for fk, pos, pk in eqs
+                      if fk == alias and self.at[pk] < i]
+            self.steps.append((
+                relation[alias], pins[0] if pins else None,
+                tuple([(0, j, pos) for j, pos in pins[1:]] + checks),
+                tuple(strs[alias]), tuple(self_eq[alias])))
 
     @staticmethod
     def of(facts: FactBase, q) -> "_Compiled":
         if isinstance(q, _Compiled):
             return q
-        if isinstance(q, ConjunctiveQuery):
-            try:
-                q = to_graph(q, facts.schema)
-            except (GraphError, SchemaError) as exc:
-                raise EvalError(str(exc)) from exc
-        if not isinstance(q, QueryGraph):
+        if not isinstance(q, (ConjunctiveQuery, QueryGraph)):
             raise EvalError(f"cannot evaluate {type(q).__name__}")
-        return _Compiled(facts, q)
+        try:
+            if isinstance(q, ConjunctiveQuery):
+                q = to_graph(q, facts.schema)
+            return _Compiled(facts, q)
+        except (GraphError, SchemaError) as exc:
+            raise EvalError(str(exc)) from exc
 
-    def base_tuples(self, alias: str) -> tuple[Tuple, ...]:
-        """Relation tuples pre-filtered by the alias's string constraints."""
-        got = self._base.get(alias)
-        if got is None:
-            got = self.facts.selected(self.relation[alias],
-                                      tuple(self.strs[alias]),
-                                      tuple(self.self_eq[alias]))
-            self._base[alias] = got
-        return got
-
-    def plan(self, head_first: bool) -> list[str]:
-        """Join order: smallest base relation first, then most-connected."""
-        cached = self._order_cache.get(head_first)
-        if cached is not None:
-            return cached
-        degree: dict[str, list[str]] = {a: [] for a in self.aliases}
-        for fk_alias, _, pk_alias in self.eq:
-            degree[fk_alias].append(pk_alias)
-            degree[pk_alias].append(fk_alias)
-        remaining = list(self.aliases)
-        order: list[str] = []
-        if head_first and self.head is not None:
-            order.append(self.head)
-            remaining.remove(self.head)
-        while remaining:
-            placed = set(order)
-            connected = [a for a in remaining if any(o in placed for o in degree[a])]
-            pool = connected or remaining
-            nxt = min(pool, key=lambda a: (len(self.base_tuples(a)),
-                                           -len(degree[a]), self.aliases.index(a)))
-            order.append(nxt)
-            remaining.remove(nxt)
-        self._order_cache[head_first] = order
-        return order
-
-    def _candidates(self, alias: str, bound: dict[str, Tuple]):
-        """Tuples for `alias` consistent with already-bound neighbours."""
-        facts = self.facts
-        rel = self.relation[alias]
-        # A pk-side constraint against a bound fk pins the tuple outright.
-        pinned = None
-        checks: list[tuple[int, str]] = []  # fk view: (pos, required pk value)
-        for fk_alias, pos, pk_alias in self.eq:
-            if fk_alias == alias and pk_alias in bound:
-                checks.append((pos, bound[pk_alias][0]))
-            elif pk_alias == alias and fk_alias in bound:
-                value = bound[fk_alias][pos]
-                if pinned is not None and pinned != value:
-                    return ()
-                pinned = value
-        if pinned is not None:
-            t = facts.pk_lookup(rel, pinned)
-            if t is None:
-                return ()
-            pool = (t,)
-        elif checks:
-            pos, value = checks[0]
-            pool = facts.by_attr(rel, pos, value)
-            checks = checks[1:]
-        else:
-            return self.base_tuples(alias)
-        pool = tuple(t for t in pool
-                     if all(t[pos] == v for pos, v in checks)
-                     and all(pred_holds(p, t[spos], lit)
-                             for spos, p, lit in self.strs[alias])
-                     and all(t[spos] == t[0] for spos in self.self_eq[alias]))
-        return pool
-
-    def assignments(self, fixed: dict[str, Tuple] | None = None):
-        """Yield full alias -> tuple assignments satisfying every atom."""
-        order = self.plan(head_first=bool(fixed))
-        bound: dict[str, Tuple] = {}
-        if fixed:
-            bound.update(fixed)
+    def assignments(self, head_tuple: Tuple):
+        """Yield every satisfying assignment binding the head to the tuple
+        with ``head_tuple``'s primary key: one tuple per node, in join order."""
+        matching, steps = self.facts.matching, self.steps
+        bound: list[Tuple] = []
 
         def extend(i: int):
-            if i == len(order):
-                yield dict(bound)
+            if i == len(steps):
+                yield tuple(bound)
                 return
-            alias = order[i]
-            if alias in bound:
-                # Pre-fixed: still must satisfy constraints against neighbours.
-                t = bound[alias]
-                ok = (all(pred_holds(p, t[pos], lit) for pos, p, lit in self.strs[alias])
-                      and all(t[pos] == t[0] for pos in self.self_eq[alias]))
-                if ok:
-                    for fk_alias, pos, pk_alias in self.eq:
-                        if fk_alias == alias and pk_alias in bound:
-                            ok = ok and t[pos] == bound[pk_alias][0]
-                        elif pk_alias == alias and fk_alias in bound:
-                            ok = ok and bound[fk_alias][pos] == t[0]
-                if ok:
-                    yield from extend(i + 1)
-                return
-            for t in self._candidates(alias, bound):
-                bound[alias] = t
+            rel, pin, eqs, strs, self_eq = steps[i]
+            if i == 0:
+                pk = head_tuple[0]
+            else:
+                pk = bound[pin[0]][pin[1]] if pin else None
+            fks = [(pos, bound[j][jpos]) for pos, j, jpos in eqs]
+            for t in matching(rel, pk, fks, strs, self_eq):
+                bound.append(t)
                 yield from extend(i + 1)
-                del bound[alias]
+                bound.pop()
 
         yield from extend(0)
 
     def exists(self, head_tuple: Tuple) -> bool:
-        for _ in self.assignments({self.head: head_tuple}):
+        for _ in self.assignments(head_tuple):
             return True
         return False
+
+
+def _compiled_for(q, facts: FactBase, part: RelationPartition) -> _Compiled:
+    """``q`` compiled against ``facts``; its head must range over the target."""
+    c = _Compiled.of(facts, q)
+    head = c.steps[0][0] if c.steps else None
+    if head != part.target:
+        raise EvalError(f"query head {head!r} is not the target {part.target!r}")
+    return c
 
 
 def evaluate(q, facts: FactBase) -> frozenset[Tuple]:
     """Deduplicated head tuples admitting a satisfying assignment."""
     c = _Compiled.of(facts, q)
-    if c.head is None:
+    if not c.steps:
         raise EvalError("cannot evaluate the empty query")
-    return frozenset(t for t in facts.tuples(c.relation[c.head]) if c.exists(t))
+    rel, _, _, strs, self_eq = c.steps[0]
+    return frozenset(t for t in facts.selected(rel, strs, self_eq) if c.exists(t))
 
 
 def is_refinable(q, facts: FactBase, part: RelationPartition) -> bool:
     """Does the query still admit every positive tuple?"""
-    c = _Compiled.of(facts, q)
+    c = _compiled_for(q, facts, part)
     return all(c.exists(t) for t in sorted(part.positives))
 
 
@@ -210,7 +162,7 @@ def admits_any(q, facts: FactBase, head_tuples) -> bool:
 
 def is_candidate(q, facts: FactBase, part: RelationPartition) -> bool:
     """Does the query admit exactly the positive tuples?"""
-    c = _Compiled.of(facts, q)
+    c = _compiled_for(q, facts, part)
     return (is_refinable(c, facts, part)
             and not admits_any(c, facts, sorted(part.negatives)))
 
@@ -224,21 +176,21 @@ def refinable_with_witnesses(
     Bails out as not refinable on the first positive with no assignment.
     ``g`` is a query graph or one already compiled against ``facts``.
     """
-    c = _Compiled.of(facts, g)
-    schema = facts.schema
+    c = _compiled_for(g, facts, part)
     positions = {}
     for alias, attr in slots:
-        if alias not in c.relation:
+        if alias not in c.at:
             raise GraphError(f"unknown alias {alias!r}")
-        positions[(alias, attr)] = schema.attr_pos(c.relation[alias], attr)
+        i = c.at[alias]
+        positions[(alias, attr)] = (i, facts.schema.attr_pos(c.steps[i][0], attr))
     witnesses: dict[tuple[str, str], list[set[str]]] = {s: [] for s in slots}
     for t in sorted(part.positives):
         per_slot: dict[tuple[str, str], set[str]] = {s: set() for s in slots}
         any_assignment = False
-        for assignment in c.assignments({c.head: t}):
+        for assignment in c.assignments(t):
             any_assignment = True
-            for (alias, attr), pos in positions.items():
-                per_slot[(alias, attr)].add(assignment[alias][pos])
+            for slot, (i, pos) in positions.items():
+                per_slot[slot].add(assignment[i][pos])
             if not slots:
                 break
         if not any_assignment:

@@ -17,9 +17,10 @@ satisfying assignments (its ``Rows``): per positive, and per negative it
 still admits, the tuples bound to its nodes in node order. A child of
 ``expand`` is its parent plus one unconstrained node whose equality edges
 all touch that node, so its assignments are the parent's, each extended by
-the consistent tuples of the new node: one primary-key lookup when an
-existing node's foreign key points at it, else the smallest foreign-key
-index pool filtered by the other edges. A string-closure child is its base
+the tuples ``FactBase.matching`` returns for the new node: the join step
+``evaluate`` binds every node with, here probing by primary key when an
+existing node's foreign key points at the new node, else by the smallest
+pool among the new node's foreign keys. A string-closure child is its base
 plus one constraint, so its assignments are the base's filtered by it. The
 witness sets synLCS reads are a slot's column of the positives' rows; a
 graph is refinable iff every positive keeps an assignment and a candidate
@@ -163,28 +164,17 @@ class RefinementEngine:
                 pins.append((i, self.schema.attr_pos(v.nodes[i][0], attr)))
             elif fk_alias == alias:
                 checks.append((self.schema.attr_pos(rel, attr), index[pk_alias]))
-        facts = self.facts
+        pin = pins[0] if pins else None
+        eqs = ([(0, i, pos) for i, pos in pins[1:]]
+               + [(pos, j, 0) for pos, j in checks])
+        matching = self.facts.matching
 
         def extend(group: tuple[Assignment, ...]) -> tuple[Assignment, ...]:
             out = []
             for a in group:
-                if pins:
-                    i, pos = pins[0]
-                    value = a[i][pos]
-                    if any(a[j][p] != value for j, p in pins[1:]):
-                        continue
-                    t = facts.pk_lookup(rel, value)
-                    if t is not None and all(t[p] == a[j][0] for p, j in checks):
-                        out.append(a + (t,))
-                    continue
-                wanted = [(p, a[j][0]) for p, j in checks]
-                pool = min((facts.by_attr(rel, p, value) for p, value in wanted),
-                           key=len)
-                if len(wanted) == 1:
-                    out.extend(a + (t,) for t in pool)
-                else:
-                    out.extend(a + (t,) for t in pool
-                               if all(t[p] == value for p, value in wanted))
+                pk = a[pin[0]][pin[1]] if pin else None
+                fks = [(pos, a[j][jpos]) for pos, j, jpos in eqs]
+                out.extend(a + (t,) for t in matching(rel, pk, fks))
             return tuple(out)
 
         positives = []

@@ -2,13 +2,20 @@
 
 Everything here trades efficiency for obviousness: full Cartesian products,
 exhaustive substring scans, unpruned breadth-first search over the query
-space. None of it shares search machinery with the package (shared primitives
-are limited to the evaluator inside the brute-force enumerator and inside
-``refine_by_compiling``, which the suite certifies separately against the
-product oracle, synLCS, which defines the string part of the query space and
-has its own oracle, the engine's ``expand``, which defines the graph part of
-it, and the path helpers of ``schema_graph`` behind ``reduce_by_paths``,
-which the suite checks against ``activation_brute`` and ``cycles_brute``).
+space. None of it shares search machinery with the package. The shared
+primitives are:
+
+- the evaluator inside the brute-force enumerator and inside
+  ``refine_by_compiling``, which the suite certifies separately against the
+  product oracle;
+- ``FactBase.matching``, the join step under that evaluator, which
+  refinement uses too; criterion 6 and a brute-force filter over the
+  relation's tuples (``test_core.TestMatching``) certify it on its own;
+- synLCS, which defines the string part of the query space and has its own
+  oracle;
+- the engine's ``expand``, which defines the graph part of it;
+- the path helpers of ``schema_graph`` behind ``reduce_by_paths``, which the
+  suite checks against ``activation_brute`` and ``cycles_brute``.
 """
 from __future__ import annotations
 

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from cqsearch.core import (FK, PK, STR, AttributeDecl, FactError,
                            PartitionError, Schema, SchemaError, load_facts,
-                           make_partition, partition_from_doc)
+                           make_partition, partition_from_doc, pred_holds)
 from conftest import fig1_facts, fig1_schema
+import gen
 
 
 def fig1_schema_doc():
@@ -154,3 +155,57 @@ class TestInvariants:
         assert part.positives | part.negatives == facts.tuples("Method")
         assert not part.positives & part.negatives
         assert len(part.positives) + len(part.negatives) == len(facts.tuples("Method"))
+
+
+class TestMatching:
+    """``FactBase.matching``, the join step of evaluation and refinement."""
+
+    @staticmethod
+    def brute(facts, rel, pk, fks, strs, self_eq):
+        return sorted(t for t in facts.tuples(rel)
+                      if (pk is None or t[0] == pk)
+                      and all(t[pos] == v for pos, v in fks)
+                      and all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
+                      and all(t[pos] == t[0] for pos in self_eq))
+
+    def test_matches_brute_force_filter(self):
+        rng = random.Random(37)
+        for _ in range(80):
+            schema = gen.random_schema(rng, max_fks=3, max_strs=2)
+            facts = gen.random_facts(rng, schema, max_tuples=8)
+            for _ in range(30):
+                rel = rng.choice(sorted(schema))
+                attrs = schema[rel]
+
+                def value(pos):
+                    # Mostly a value the relation holds, sometimes one it lacks.
+                    held = sorted({t[pos] for t in facts.tuples(rel)})
+                    return rng.choice(held) if held and rng.random() < 0.8 else "nope"
+
+                fk_pos = [i for i, a in enumerate(attrs) if a.kind == FK]
+                str_pos = [i for i, a in enumerate(attrs) if a.kind == STR]
+                pk = value(0) if rng.random() < 0.3 else None
+                fks = [(pos, value(pos))
+                       for pos in rng.sample(fk_pos, rng.randint(0, len(fk_pos)))]
+                if pk is not None and rng.random() < 0.3:
+                    fks.append((0, value(0)))  # a second pin
+                strs = tuple((pos, rng.choice(("equal", "prefix", "suffix", "contain")),
+                              gen.random_string(rng, "abc", 1, 2))
+                             for pos in rng.sample(str_pos, rng.randint(0, len(str_pos))))
+                self_eq = tuple(rng.sample(fk_pos, rng.randint(0, min(1, len(fk_pos)))))
+                got = facts.matching(rel, pk, fks, strs, self_eq)
+                assert len(set(got)) == len(got)
+                assert sorted(got) == self.brute(facts, rel, pk, fks, strs, self_eq)
+
+    def test_first_foreign_key_with_the_larger_pool(self, facts):
+        # Parameter.idf_id = I4 holds for all three parameters, method_id = M1
+        # for one: whichever pool is probed, the other key still filters it.
+        assert len(facts.by_attr("Parameter", 1, "I4")) == 3
+        fks = [(1, "I4"), (3, "M1")]
+        assert facts.matching("Parameter", None, fks) == (("P1", "I4", "T1", "M1"),)
+        assert facts.matching("Parameter", None, [(1, "I4"), (3, "M9")]) == ()
+
+    def test_disagreeing_pins_match_nothing(self, facts):
+        m1 = ("M1", "I1", "T3", "MDF1")
+        assert facts.matching("Method", "M1", [(0, "M1")]) == (m1,)
+        assert facts.matching("Method", "M1", [(0, "M2")]) == ()

@@ -4,7 +4,8 @@ import pytest
 
 from cqsearch.core import make_partition
 from cqsearch.evaluator import (EvalError, collect_witnesses, evaluate,
-                                is_candidate, is_refinable)
+                                is_candidate, is_refinable,
+                                refinable_with_witnesses)
 from cqsearch.query import ConjunctiveQuery, Equality, QueryGraph, StringAtom
 from conftest import fig1c_graph, fig1c_query
 import gen
@@ -95,8 +96,25 @@ class TestRefinableAndCandidate:
         rng = random.Random(31)
         for _ in range(120):
             g = gen.random_query_graph(rng, facts.schema, m_max=3)
-            if is_candidate(g, facts, partition):
+            if g.nodes[0][0] != partition.target:
+                with pytest.raises(EvalError):
+                    is_candidate(g, facts, partition)
+                with pytest.raises(EvalError):
+                    is_refinable(g, facts, partition)
+            elif is_candidate(g, facts, partition):
                 assert is_refinable(g, facts, partition)
+
+    @pytest.mark.parametrize("check", [
+        is_refinable, is_candidate,
+        lambda g, facts, part: refinable_with_witnesses(g, facts, part, []),
+        lambda g, facts, part: collect_witnesses(g, "A1", "name", part, facts)],
+        ids=["is_refinable", "is_candidate", "refinable_with_witnesses",
+             "collect_witnesses"])
+    def test_head_outside_the_target_raises(self, facts, partition, check):
+        # A Type head cannot admit the Method positives, whatever its ids.
+        g = QueryGraph((("Type", "A1"),), frozenset(), ())
+        with pytest.raises(EvalError):
+            check(g, facts, partition)
 
 
 class TestCollectWitnesses:

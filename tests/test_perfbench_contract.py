@@ -1,9 +1,11 @@
-"""The traced benchmark's hold on the program.
+"""The benchmark's hold on the program.
 
 ``perfbench/tracer.py`` patches functions and methods of the cqsearch
 modules by name and reads the refinement state's public record. A product
-rename or move must fail here, not first in a traced benchmark run.
+rename or move must fail here, not first in a traced benchmark run; so must
+a change that breaks a recorded digest or a benchmark gate.
 """
+import subprocess
 import sys
 
 from cqsearch import evaluator, query, refine, select
@@ -11,6 +13,7 @@ from conftest import REPO
 
 sys.path.insert(0, str(REPO))
 from perfbench.tracer import Tracer  # noqa: E402
+from perfbench.workloads import SearchCodebase  # noqa: E402
 
 
 def test_tracer_installs_counts_and_uninstalls(schema, facts, partition, context):
@@ -41,3 +44,21 @@ def test_tracer_installs_counts_and_uninstalls(schema, facts, partition, context
     assert metrics["query.canonical_form.calls"] > 0
     assert metrics["select.synthesize.calls"] == 1
     assert metrics["select.levels"] == len(result.levels_explored)
+
+
+def test_search_codebase_at_fan_out(tmp_path):
+    """Every golden query searched over a generated 200-class code base
+    finds exactly the positions the generator expects."""
+    workload = SearchCodebase(REPO, 7, tmp_path, classes=200)
+    workload.prepare()
+    workload.setup()
+    ops = workload.operations()
+    assert len(ops) == 21
+    for op in ops:
+        assert workload.check(op, workload.run(op)) is None, op
+
+
+def test_benchmark_selfcheck_passes():
+    done = subprocess.run([sys.executable, str(REPO / "perfbench" / "selfcheck.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
