@@ -7,6 +7,7 @@ completes but falls short (no query / failed tasks), 1 on errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -32,6 +33,25 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _read_fact_files(schema_path: str, facts_path: str, positions_path=None):
+    """The schema, the validated fact base and the positions document (``{}``
+    without a path) read from their JSON files.
+
+    The cyclic collector is paused while they load: all this builds is
+    acyclic lists, dicts and tuples of strings, which reference counting
+    frees, and on a large base the collections the allocations would trigger
+    cost as much as the decoding itself."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        schema, facts = load_facts(_read_json(schema_path), _read_json(facts_path))
+        positions = _read_json(positions_path) if positions_path else {}
+    finally:
+        if enabled:
+            gc.enable()
+    return schema, facts, positions
+
+
 def _load_inputs(args):
     """Facts and partition from either annotated sources or JSON documents."""
     if args.source:
@@ -42,7 +62,7 @@ def _load_inputs(args):
         return facts.schema, facts, part, positions
     if not (args.schema and args.facts):
         raise CliError("need either --source or --schema/--facts")
-    schema, facts = load_facts(_read_json(args.schema), _read_json(args.facts))
+    schema, facts, _ = _read_fact_files(args.schema, args.facts)
     part = None
     if args.partition:
         part = partition_from_doc(_read_json(args.partition), facts)
@@ -203,10 +223,9 @@ def _location(path: str, row_id: str, where) -> str:
 
 
 def cmd_search(args) -> int:
-    schema, facts = load_facts(_read_json(args.schema), _read_json(args.facts))
+    schema, facts, positions = _read_fact_files(args.schema, args.facts, args.positions)
     text = Path(args.query).read_text(encoding="utf-8")
     query = parse_datalog(text, schema)
-    positions = _read_json(args.positions) if args.positions else {}
     if not isinstance(positions, dict):
         raise CliError(f"{args.positions}: positions must be an object keyed "
                        f"by row id")

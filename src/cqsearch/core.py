@@ -7,10 +7,20 @@ machinery (path activation, query evaluation) relies on that.
 
 Values are plain Python strings for both entity ids and text; the attribute
 kind carries the distinction.
+
+Loading checks each relation one column at a time: ``load_facts`` the JSON
+shape (rows are lists, cells strings), ``FactBase`` the arity, non-empty
+keys, unique primary keys and foreign keys that resolve, each in one
+C-level pass per column. A failed check names the first offending row of
+the document (shape) or the least offending tuple in sorted order (the
+rest), whatever the hash seed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 PK = "pk"
@@ -191,6 +201,14 @@ class FactBase(Mapping[str, Relation]):
 
     Immutable after construction; safe to share. Every declared relation is
     present (possibly empty), every foreign-key value resolves.
+
+    Construction checks each relation column by column, one C-level pass per
+    check and no Python loop per row: arity, string cells, non-empty primary
+    and foreign keys, unique primary keys (the primary-key index is built in
+    the same pass), then every foreign key against its target's index. The
+    offending row is searched for only once a check has failed, and the
+    ``FactError`` names the least offending tuple in sorted order, so the
+    message does not depend on set iteration order (``PYTHONHASHSEED``).
     """
 
     def __init__(self, schema: Schema, relations: Iterable[Relation]):
@@ -211,31 +229,41 @@ class FactBase(Mapping[str, Relation]):
         self._validate()
 
     def _validate(self):
+        fk_columns = []  # (relation, position, set of values), checked last
         for name, rel in self._rels.items():
-            attrs = self.schema[name]
-            pk_index: dict[str, Tuple] = {}
-            for t in rel.tuples:
-                if len(t) != len(attrs):
-                    raise FactError(
-                        f"{name}: tuple {t!r} has arity {len(t)}, schema says {len(attrs)}")
-                for v, a in zip(t, attrs):
-                    if not isinstance(v, str):
-                        raise FactError(f"{name}.{a.name}: non-string value {v!r}")
-                    if a.kind in (PK, FK) and not v:
-                        raise FactError(f"{name}.{a.name}: empty key value in {t!r}")
-                if t[0] in pk_index:
-                    raise FactError(f"{name}: duplicate primary key {t[0]!r}")
-                pk_index[t[0]] = t
+            attrs, tuples = self.schema[name], rel.tuples
+            if set(map(len, tuples)) - {len(attrs)}:
+                t = _least(t for t in tuples if len(t) != len(attrs))
+                raise FactError(
+                    f"{name}: tuple {t!r} has arity {len(t)}, schema says {len(attrs)}")
+            if not _all_of(chain.from_iterable(tuples), str):
+                t = _least(t for t in tuples if not all(isinstance(v, str) for v in t))
+                i = next(i for i, v in enumerate(t) if not isinstance(v, str))
+                raise FactError(f"{name}.{attrs[i].name}: non-string value {t[i]!r} in {t!r}")
+            pk_index = dict(zip(map(itemgetter(0), tuples), tuples))
+            empty = [0] if "" in pk_index else []
+            for i, a in enumerate(attrs):
+                if a.kind == FK:
+                    values = set(map(itemgetter(i), tuples))
+                    if "" in values:
+                        empty.append(i)
+                    fk_columns.append((name, i, values))
+            if empty:
+                t = _least(t for t in tuples if not all(t[i] for i in empty))
+                i = next(i for i in empty if not t[i])
+                raise FactError(f"{name}.{attrs[i].name}: empty key value in {t!r}")
+            if len(pk_index) != len(tuples):
+                pks = Counter(map(itemgetter(0), tuples))
+                t = _least(t for t in tuples if pks[t[0]] > 1)
+                raise FactError(f"{name}: duplicate primary key {t[0]!r} in {t!r}")
             self._pk[name] = pk_index
-        for name, rel in self._rels.items():
-            for i, a in enumerate(self.schema[name]):
-                if a.kind != FK:
-                    continue
-                target_index = self._pk[a.target]
-                for t in rel.tuples:
-                    if t[i] not in target_index:
-                        raise FactError(
-                            f"{name}.{a.name}: dangling foreign key {t[i]!r} in {t!r}")
+        for name, i, values in fk_columns:
+            a = self.schema[name][i]
+            target = self._pk[a.target]
+            if not target.keys() >= values:
+                t = _least(t for t in self._rels[name].tuples if t[i] not in target)
+                raise FactError(
+                    f"{name}.{a.name}: dangling foreign key {t[i]!r} in {t!r}")
 
     def __getitem__(self, name: str) -> Relation:
         return self._rels[name]
@@ -302,7 +330,14 @@ class FactBase(Mapping[str, Relation]):
 
 
 def load_facts(schema_doc: dict, facts_doc: dict) -> tuple[Schema, FactBase]:
-    """Parse and validate the schema.json / facts.json documents."""
+    """Parse and validate the schema.json / facts.json documents.
+
+    Only the JSON shape is checked here, one C-level pass over the rows and
+    one over the cells of each relation: rows are lists and cells strings, so
+    a list or object cell is a ``FactError`` before any tuple is hashed. The
+    first offending row in document order is named. ``FactBase`` checks the
+    rest. Identical duplicate rows collapse into one tuple.
+    """
     schema = Schema.from_doc(schema_doc)
     if not isinstance(facts_doc, dict):
         raise FactError("facts document must be an object of relation -> rows")
@@ -310,16 +345,30 @@ def load_facts(schema_doc: dict, facts_doc: dict) -> tuple[Schema, FactBase]:
     for name, rows in facts_doc.items():
         if not isinstance(rows, list):
             raise FactError(f"{name}: rows must be a list, got {rows!r}")
-        tuples = set()
-        for row in rows:
-            if not isinstance(row, list):
-                raise FactError(f"{name}: row {row!r} is not a list")
-            for v in row:
-                if not isinstance(v, str):
-                    raise FactError(f"{name}: non-string value {v!r} in row {row!r}")
-            tuples.add(tuple(row))
-        relations.append(Relation(name, frozenset(tuples)))
+        if not _all_of(rows, list):
+            row = next(r for r in rows if not isinstance(r, list))
+            raise FactError(f"{name}: row {row!r} is not a list")
+        if not _all_of(chain.from_iterable(rows), str):
+            row = next(r for r in rows if not _all_of(r, str))
+            v = next(v for v in row if not isinstance(v, str))
+            raise FactError(f"{name}: non-string value {v!r} in row {row!r}")
+        relations.append(Relation(name, frozenset(map(tuple, rows))))
     return schema, FactBase(schema, relations)
+
+
+def _all_of(values: Iterable, kind: type) -> bool:
+    """Is every value an instance of ``kind``? One pass, no Python loop per value."""
+    return all(issubclass(k, kind) for k in set(map(type, values)))
+
+
+def _least(tuples: Iterable[Tuple]) -> Tuple:
+    """The least of ``tuples`` in sorted order, or by ``repr`` when they hold
+    values that do not compare (a fact base built in Python, not loaded)."""
+    tuples = list(tuples)
+    try:
+        return min(tuples)
+    except TypeError:
+        return min(tuples, key=repr)
 
 
 def make_partition(target: str, positive_ids: Iterable[str],

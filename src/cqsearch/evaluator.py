@@ -103,26 +103,31 @@ class _Compiled:
 
     def assignments(self, head_tuple: Tuple):
         """Yield every satisfying assignment binding the head to the tuple
-        with ``head_tuple``'s primary key: one tuple per node, in join order."""
+        with ``head_tuple``'s primary key: one tuple per node, in join order.
+
+        Depth first over an explicit stack of match iterators, one per bound
+        node, so that no closure refers to itself: the fact base is freed by
+        reference counting once the last query over it is gone."""
         matching, steps = self.facts.matching, self.steps
+        rel, _, _, strs, self_eq = steps[0]
         bound: list[Tuple] = []
-
-        def extend(i: int):
-            if i == len(steps):
+        pending = [iter(matching(rel, head_tuple[0], (), strs, self_eq))]
+        while pending:
+            t = next(pending[-1], None)
+            if t is None:
+                pending.pop()
+                if bound:
+                    bound.pop()
+                continue
+            bound.append(t)
+            if len(bound) == len(steps):
                 yield tuple(bound)
-                return
-            rel, pin, eqs, strs, self_eq = steps[i]
-            if i == 0:
-                pk = head_tuple[0]
-            else:
-                pk = bound[pin[0]][pin[1]] if pin else None
-            fks = [(pos, bound[j][jpos]) for pos, j, jpos in eqs]
-            for t in matching(rel, pk, fks, strs, self_eq):
-                bound.append(t)
-                yield from extend(i + 1)
                 bound.pop()
-
-        yield from extend(0)
+                continue
+            rel, pin, eqs, strs, self_eq = steps[len(bound)]
+            pk = bound[pin[0]][pin[1]] if pin else None
+            fks = [(pos, bound[j][jpos]) for pos, j, jpos in eqs]
+            pending.append(iter(matching(rel, pk, fks, strs, self_eq)))
 
     def exists(self, head_tuple: Tuple) -> bool:
         for _ in self.assignments(head_tuple):

@@ -1,9 +1,9 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here trades efficiency for obviousness: full Cartesian products,
-exhaustive substring scans, unpruned breadth-first search over the query
-space. None of it shares search machinery with the package. The shared
-primitives are:
+Everything here trades efficiency for obviousness: per-row fact checks,
+full Cartesian products, exhaustive substring scans, unpruned breadth-first
+search over the query space. None of it shares search machinery with the
+package. The shared primitives are:
 
 - the evaluator inside the brute-force enumerator and inside
   ``refine_by_compiling``, which the suite certifies separately against the
@@ -11,6 +11,8 @@ primitives are:
 - ``FactBase.matching``, the join step under that evaluator, which
   refinement uses too; criterion 6 and a brute-force filter over the
   relation's tuples (``test_core.TestMatching``) certify it on its own;
+- ``Schema.from_doc`` inside ``load_facts_by_rows``, which reads the schema
+  document the same way as the product;
 - synLCS, which defines the string part of the query space and has its own
   oracle;
 - the engine's ``expand``, which defines the graph part of it;
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from cqsearch.core import FactBase, RelationPartition, Schema
+from cqsearch.core import FK, PK, FactBase, FactError, RelationPartition, Schema
 from cqsearch.evaluator import (_Compiled, admits_any, evaluate,
                                  refinable_with_witnesses)
 from cqsearch.query import (Equality, QueryGraph, StringAtom, canonical_form,
@@ -34,6 +36,56 @@ from cqsearch.schema_graph import (RelationPath, activated_relation,
                                    build_schema_graph, compile_path,
                                    simple_cycles)
 from cqsearch.strings import syn_lcs
+
+
+# --- per-row fact loading ------------------------------------------------------
+
+def load_facts_by_rows(schema_doc, facts_doc):
+    """``core.load_facts`` as it was before the column-wise checks: every row
+    and cell checked in a Python loop, then arity, kinds and keys tuple by
+    tuple, then every foreign key. Returns the schema, the tuples of every
+    declared relation and each relation's primary-key index."""
+    schema = Schema.from_doc(schema_doc)
+    if not isinstance(facts_doc, dict):
+        raise FactError("facts document must be an object of relation -> rows")
+    tuples: dict[str, frozenset] = {}
+    for name, rows in facts_doc.items():
+        if not isinstance(rows, list):
+            raise FactError(f"{name}: rows must be a list, got {rows!r}")
+        rel = set()
+        for row in rows:
+            if not isinstance(row, list):
+                raise FactError(f"{name}: row {row!r} is not a list")
+            for v in row:
+                if not isinstance(v, str):
+                    raise FactError(f"{name}: non-string value {v!r} in row {row!r}")
+            rel.add(tuple(row))
+        tuples[name] = frozenset(rel)
+    for name in tuples:
+        if name not in schema:
+            raise FactError(f"facts for undeclared relation {name!r}")
+    tuples = {name: tuples.get(name, frozenset()) for name in schema}
+    pk: dict[str, dict] = {}
+    for name, rel in tuples.items():
+        attrs = schema[name]
+        index = {}
+        for t in rel:
+            if len(t) != len(attrs):
+                raise FactError(f"{name}: tuple {t!r} has arity {len(t)}")
+            for v, a in zip(t, attrs):
+                if a.kind in (PK, FK) and not v:
+                    raise FactError(f"{name}.{a.name}: empty key value in {t!r}")
+            if t[0] in index:
+                raise FactError(f"{name}: duplicate primary key {t[0]!r}")
+            index[t[0]] = t
+        pk[name] = index
+    for name, rel in tuples.items():
+        for i, a in enumerate(schema[name]):
+            if a.kind == FK:
+                for t in rel:
+                    if t[i] not in pk[a.target]:
+                        raise FactError(f"{name}.{a.name}: dangling foreign key {t[i]!r}")
+    return schema, tuples, pk
 
 
 # --- naive query evaluation -------------------------------------------------

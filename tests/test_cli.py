@@ -1,6 +1,10 @@
+import gc
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -265,6 +269,65 @@ class TestSearchCommand:
         assert code == 1
         assert err.startswith("error: ") and str(positions) in err, err
         assert stdout == ""
+
+
+class TestSearchLoading:
+    """How ``cqsearch search`` loads its fact files."""
+
+    SCHEMA = {"relations": [
+        {"name": "A", "attributes": [{"name": "id", "kind": "pk"}]},
+        {"name": "B", "attributes": [{"name": "id", "kind": "pk"},
+                                     {"name": "a", "kind": "fk", "target": "A"}]}]}
+    # Twenty faulty rows each, so that set iteration order would pick a
+    # different one under most hash seeds.
+    FAULTY = {
+        "dangling-foreign-key": {"A": [["a1"]],
+                                 "B": [[f"b{i}", f"zz{i}"] for i in range(20)]},
+        "arity": {"A": [["a1"]], "B": [[f"b{i}"] for i in range(20)]},
+        "duplicate-primary-key": {"A": [["a1"], ["a2"]],
+                                  "B": [[f"b{i}", a] for i in range(10)
+                                        for a in ("a1", "a2")]},
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "schema.json").write_text(json.dumps(self.SCHEMA))
+        (tmp_path / "q.dl").write_text("out(B, A) :- B(B, A).\n")
+        (tmp_path / "good.json").write_text(json.dumps({"A": [["a1"]],
+                                                        "B": [["b1", "a1"]]}))
+        (tmp_path / "bad.json").write_text(json.dumps(self.FAULTY["arity"]))
+        return tmp_path
+
+    def search(self, files, facts):
+        return ["search", str(files / "q.dl"), "--schema", str(files / "schema.json"),
+                "--facts", str(files / facts)]
+
+    @pytest.mark.parametrize("fault", FAULTY)
+    def test_error_does_not_depend_on_the_hash_seed(self, files, fault):
+        (files / "faulty.json").write_text(json.dumps(self.FAULTY[fault]))
+        path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+        errors = set()
+        for seed in ("0", "1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "cqsearch.cli", *self.search(files, "faulty.json")],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                capture_output=True, text=True, timeout=60)
+            assert done.returncode == 1 and "FactError" in done.stderr, done.stderr
+            errors.add(done.stderr)
+        assert len(errors) == 1, errors
+
+    @pytest.mark.parametrize("facts, code", [("good.json", 0), ("bad.json", 1)],
+                             ids=["found", "fact-error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collector_state_is_restored(self, capsys, files, facts, code, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            got, _, err = run(capsys, *self.search(files, facts))
+            assert got == code, err
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestGraphCommand:

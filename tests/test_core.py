@@ -1,13 +1,16 @@
+import copy
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cqsearch.core import (FK, PK, STR, AttributeDecl, FactError,
                            PartitionError, Schema, SchemaError, load_facts,
                            make_partition, partition_from_doc, pred_holds)
+from cqsearch.extract import facts_to_doc
 from conftest import fig1_facts, fig1_schema
 import gen
+import oracles
 
 
 def fig1_schema_doc():
@@ -209,3 +212,197 @@ class TestMatching:
         m1 = ("M1", "I1", "T3", "MDF1")
         assert facts.matching("Method", "M1", [(0, "M1")]) == (m1,)
         assert facts.matching("Method", "M1", [(0, "M2")]) == ()
+
+
+# --- column-wise loading against the per-row oracle ---------------------------
+
+def _outcome(load, schema_doc, facts_doc):
+    """The exception class ``load`` raises on a deep copy of the documents,
+    or None when it accepts them."""
+    try:
+        load(copy.deepcopy(schema_doc), copy.deepcopy(facts_doc))
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+    return None
+
+
+def _inject(rng, schema, doc, fault):
+    """Apply ``fault`` to ``doc`` in place; False when it has nowhere to go."""
+    def rows_where(pred):
+        return [(name, row) for name in sorted(doc) for row in doc[name]
+                if pred(name, row)]
+
+    def kinds(name, kind):
+        return [i for i, a in enumerate(schema[name]) if a.kind == kind]
+
+    if fault == "undeclared-relation":
+        doc["Ghost"] = [["g1"]]
+        return True
+    need_fk = fault in ("empty-foreign-key", "dangling-foreign-key")
+    candidates = rows_where(lambda n, r: (not need_fk or kinds(n, FK))
+                            and (not fault.startswith("duplicate") or len(r) > 1))
+    if not candidates:
+        return False
+    name, row = rng.choice(candidates)
+    rows = doc[name]
+    i = rows.index(row)
+    if fault == "non-list-row":
+        rows[i] = rng.choice(["M1", 5, None, {"id": "M1"}])
+    elif fault.endswith("-cell"):
+        bad = {"int-cell": 7, "none-cell": None, "list-cell": ["x"],
+               "dict-cell": {"x": "y"}}[fault]
+        row[rng.randrange(len(row))] = bad
+    elif fault == "short-row":
+        row.pop()
+    elif fault == "long-row":
+        row.append("extra")
+    elif fault == "empty-primary-key":
+        row[0] = ""
+    elif fault == "empty-foreign-key":
+        row[rng.choice(kinds(name, FK))] = ""
+    elif fault == "dangling-foreign-key":
+        row[rng.choice(kinds(name, FK))] = "zz-missing"
+    elif fault == "duplicate-primary-key":
+        other = list(row)
+        j = rng.randrange(1, len(row))
+        if schema[name][j].kind == FK:
+            targets = [r[0] for r in doc.get(schema[name][j].target, [])
+                       if r[0] != row[j]]
+            if not targets:
+                return False
+            other[j] = rng.choice(targets)
+        else:
+            other[j] = row[j] + "x"
+        rows.append(other)
+    elif fault == "identical-duplicate-row":
+        rows.append(list(row))
+    else:
+        raise AssertionError(fault)
+    return True
+
+
+FAULTS = ["non-list-row", "int-cell", "none-cell", "list-cell", "dict-cell",
+          "short-row", "long-row", "empty-primary-key", "empty-foreign-key",
+          "duplicate-primary-key", "dangling-foreign-key", "undeclared-relation"]
+
+
+class TestLoaderAgainstRowOracle:
+    """``load_facts`` and ``oracles.load_facts_by_rows`` accept the same
+    documents and reject the others with the same exception class."""
+
+    @staticmethod
+    def assert_same(schema_doc, facts_doc):
+        got = _outcome(load_facts, schema_doc, facts_doc)
+        assert got == _outcome(oracles.load_facts_by_rows, schema_doc, facts_doc)
+        if got is None:
+            _, facts = load_facts(schema_doc, facts_doc)
+            _, tuples, pk = oracles.load_facts_by_rows(schema_doc, facts_doc)
+            for name in tuples:
+                assert facts.tuples(name) == tuples[name]
+                for key, t in pk[name].items():
+                    assert facts.pk_lookup(name, key) == t
+                assert facts.pk_lookup(name, "zz-missing") is None
+        return got
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_every_fault_rejected_alike(self, fault):
+        rng = random.Random(f"fault/{fault}")
+        injected = 0
+        for _ in range(60):
+            schema = gen.random_schema(rng, max_fks=3, max_strs=2)
+            facts = gen.random_facts(rng, schema, max_tuples=6, min_tuples=1)
+            doc = facts_to_doc(facts)
+            if not _inject(rng, schema, doc, fault):
+                continue
+            injected += 1
+            assert self.assert_same(schema.to_doc(), doc) is FactError
+        assert injected >= 30
+
+    def test_valid_documents_accepted_alike(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            schema = gen.random_schema(rng, max_fks=3, max_strs=2)
+            facts = gen.random_facts(rng, schema, max_tuples=8)
+            doc = facts_to_doc(facts)
+            _inject(rng, schema, doc, "identical-duplicate-row")
+            for name in [n for n in doc if not doc[n]]:
+                if rng.random() < 0.5:
+                    del doc[name]  # an omitted relation is an empty one
+            assert self.assert_same(schema.to_doc(), doc) is None
+
+    def test_least_offending_tuple_is_named(self):
+        schema_doc = {"relations": [
+            {"name": "A", "attributes": [{"name": "id", "kind": "pk"}]},
+            {"name": "B", "attributes": [{"name": "id", "kind": "pk"},
+                                         {"name": "a", "kind": "fk", "target": "A"}]}]}
+        dangling = {"A": [["a1"]], "B": [[f"b{i}", f"zz{i}"] for i in range(20)]}
+        with pytest.raises(FactError, match=r"dangling foreign key 'zz0' in \('b0', 'zz0'\)"):
+            load_facts(schema_doc, dangling)
+        short = {"A": [["a1"]], "B": [[f"b{i}"] for i in range(20)]}
+        with pytest.raises(FactError, match=r"\('b0',\) has arity 1"):
+            load_facts(schema_doc, short)
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+               | st.text(max_size=4))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                        max_leaves=20)
+
+
+@st.composite
+def _valid_documents(draw):
+    """A schema from ``gen.random_schema`` and a facts document valid for it,
+    with duplicated rows, rows in any order and empty relations omitted."""
+    schema = gen.random_schema(random.Random(draw(st.integers(0, 10_000))),
+                               max_fks=3, max_strs=2)
+    keys = {name: [f"{name}-{i}" for i in range(draw(st.integers(0, 4)))]
+            for name in schema}
+    changed = True
+    while changed:  # a foreign key needs a row in its target to point at
+        changed = False
+        for name in schema:
+            for a in schema.fk_attrs(name):
+                if keys[name] and not keys[a.target]:
+                    keys[a.target] = [f"{a.target}-0"]
+                    changed = True
+    doc = {}
+    for name, attrs in schema.items():
+        rows = [[pk] + [draw(st.sampled_from(keys[a.target])) if a.kind == FK
+                        else draw(st.text(max_size=3)) for a in attrs[1:]]
+                for pk in keys[name]]
+        if not rows and draw(st.booleans()):
+            continue
+        rows += [list(r) for r in draw(st.lists(st.sampled_from(rows), max_size=2))] \
+            if rows else []
+        doc[name] = draw(st.permutations(rows))
+    return schema.to_doc(), doc
+
+
+class TestLoadProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_json_values(), _json_values())
+    def test_arbitrary_json_raises_only_domain_errors(self, schema_doc, facts_doc):
+        try:
+            load_facts(schema_doc, facts_doc)
+        except (FactError, SchemaError):
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(st.sampled_from(["Method", "Type", "Modifier", "Ghost"]),
+                           _json_values(), max_size=3))
+    def test_arbitrary_rows_raise_only_fact_errors(self, facts_doc):
+        try:
+            load_facts(fig1_schema_doc(), facts_doc)
+        except FactError:
+            pass
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_valid_documents())
+    def test_facts_to_doc_inverts_load_facts(self, docs):
+        schema_doc, facts_doc = docs
+        want = {name: [] for name in Schema.from_doc(schema_doc)}
+        for name, rows in facts_doc.items():
+            want[name] = sorted(map(list, {tuple(r) for r in rows}))
+        assert facts_to_doc(load_facts(schema_doc, facts_doc)[1]) == want

@@ -1,13 +1,18 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from cqsearch import minijava
 from cqsearch.core import make_partition
+from cqsearch.datalog import parse_datalog
 from cqsearch.evaluator import (EvalError, collect_witnesses, evaluate,
                                 is_candidate, is_refinable,
                                 refinable_with_witnesses)
+from cqsearch.extract import build_facts
 from cqsearch.query import ConjunctiveQuery, Equality, QueryGraph, StringAtom
-from conftest import fig1c_graph, fig1c_query
+from conftest import CORPUS, fig1c_graph, fig1c_query
 import gen
 from oracles import naive_evaluate
 
@@ -142,3 +147,26 @@ class TestCollectWitnesses:
                        ("A3", "A2", "type_id")}), ())
         with pytest.raises(EvalError):
             collect_witnesses(g, "A2", "name", partition, facts)
+
+
+def test_fact_base_freed_by_reference_counting():
+    """Evaluation leaves no reference cycle holding the fact base, so it is
+    freed as soon as its last reference goes, with the collector off."""
+    task = CORPUS / "t10_method_mutual_recursion"
+    facts = build_facts(minijava.parse_files([str(task / "example.java")]))[0]
+    queries = [
+        "out(M, I, R, D) :- Method(M, I, R, D).",
+        "out(M, I, R, D) :- Method(M, I, R, D), Identifier(I, N), Type(R, T).",
+        (task / "golden.dl").read_text(encoding="utf-8"),
+    ]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for text in queries:
+            assert evaluate(parse_datalog(text, facts.schema), facts)
+        ref = weakref.ref(facts)
+        del facts
+        assert ref() is None
+    finally:
+        if was:
+            gc.enable()
