@@ -11,6 +11,7 @@ import gc
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import minijava
@@ -265,6 +266,7 @@ def cmd_bench(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+@cache  # argparse objects refer to each other: build them once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqsearch",

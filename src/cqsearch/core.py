@@ -9,11 +9,11 @@ Values are plain Python strings for both entity ids and text; the attribute
 kind carries the distinction.
 
 Loading checks each relation one column at a time: ``load_facts`` the JSON
-shape (rows are lists, cells strings), ``FactBase`` the arity, non-empty
-keys, unique primary keys and foreign keys that resolve, each in one
-C-level pass per column. A failed check names the first offending row of
-the document (shape) or the least offending tuple in sorted order (the
-rest), whatever the hash seed.
+shape (rows are lists, no list or object cells), ``FactBase`` the arity,
+string cells, non-empty keys, unique primary keys and foreign keys that
+resolve, each in one C-level pass per column. A failed check names the first
+offending row of the document (shape) or the least offending tuple in
+sorted order (the rest), whatever the hash seed.
 """
 from __future__ import annotations
 
@@ -332,11 +332,11 @@ class FactBase(Mapping[str, Relation]):
 def load_facts(schema_doc: dict, facts_doc: dict) -> tuple[Schema, FactBase]:
     """Parse and validate the schema.json / facts.json documents.
 
-    Only the JSON shape is checked here, one C-level pass over the rows and
-    one over the cells of each relation: rows are lists and cells strings, so
-    a list or object cell is a ``FactError`` before any tuple is hashed. The
-    first offending row in document order is named. ``FactBase`` checks the
-    rest. Identical duplicate rows collapse into one tuple.
+    Only the JSON shape is checked here: rows are lists, one C-level pass
+    per relation, and no cell is a list or object, which hashing the rows
+    into tuples finds. Either failure names the first offending row in
+    document order. ``FactBase`` checks the rest, every other non-string
+    cell among it. Identical duplicate rows collapse into one tuple.
     """
     schema = Schema.from_doc(schema_doc)
     if not isinstance(facts_doc, dict):
@@ -348,11 +348,12 @@ def load_facts(schema_doc: dict, facts_doc: dict) -> tuple[Schema, FactBase]:
         if not _all_of(rows, list):
             row = next(r for r in rows if not isinstance(r, list))
             raise FactError(f"{name}: row {row!r} is not a list")
-        if not _all_of(chain.from_iterable(rows), str):
-            row = next(r for r in rows if not _all_of(r, str))
-            v = next(v for v in row if not isinstance(v, str))
-            raise FactError(f"{name}: non-string value {v!r} in row {row!r}")
-        relations.append(Relation(name, frozenset(map(tuple, rows))))
+        try:
+            relations.append(Relation(name, frozenset(map(tuple, rows))))
+        except TypeError:  # a list or object cell cannot be hashed
+            row = next(r for r in rows if any(isinstance(v, (list, dict)) for v in r))
+            v = next(v for v in row if isinstance(v, (list, dict)))
+            raise FactError(f"{name}: non-string value {v!r} in row {row!r}") from None
     return schema, FactBase(schema, relations)
 
 

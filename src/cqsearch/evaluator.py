@@ -1,92 +1,64 @@
 """In-memory evaluation of conjunctive queries over a fact base.
 
-A query graph is compiled once into one join step per node, head first
-(``_Compiled``). Evaluation walks the steps depth first and binds each node
-through ``FactBase.matching``, the join step refinement extends its
-assignments with. The result set is the deduplicated projection onto the
-head; semantics match the naive selection over the full Cartesian product
-(the test suite certifies this against a product oracle).
+A query graph is checked against the schema (``check_graph``) and compiled
+once into one join step per node (``_Compiled``), each built by
+``join_step``, the function refinement builds the step of its new node with.
+Evaluation walks the steps depth first and binds each node through
+``FactBase.matching``. The result set is the deduplicated projection onto
+the head; semantics match the naive selection over the full Cartesian
+product (the test suite certifies this against a product oracle).
 
-A conjunctive query is converted with ``to_graph`` on entry, so a query the
-schema does not license is an ``EvalError``; so is a query checked against a
-partition whose target is not its head's relation. Refinement compiles no
-graph; ``refinable_with_witnesses`` and ``admits_any`` are the from-scratch
-evaluation the test suite holds it against.
+A conjunctive query is converted with ``to_graph``, which runs the same
+check. A query or graph the schema does not license is an ``EvalError``; so is a query checked
+against a partition whose target is not its head's relation. Refinement
+compiles no graph; ``refinable_with_witnesses`` and ``admits_any`` are the
+from-scratch evaluation the test suite holds it against.
 """
 from __future__ import annotations
 
 from .core import FactBase, RelationPartition, SchemaError, Tuple
-from .query import ConjunctiveQuery, GraphError, QueryGraph, to_graph
+from .query import (ConjunctiveQuery, GraphError, QueryGraph, check_graph,
+                    join_step, to_graph)
 
 
 class EvalError(Exception):
-    """Query the schema cannot resolve, or checked against a partition whose
-    target is not its head's relation."""
+    """Query the schema does not license, or checked against a partition
+    whose target is not its head's relation."""
 
 
 class _Compiled:
     """Query graph compiled against one fact base into per-node join steps.
 
-    Nodes join head first, then always the node, among those connected to
-    the joined ones (or all when none is), with the fewest tuples meeting its
-    own constraints. ``steps[i]`` is ``(relation, pin, eqs, strs, self_eq)``
-    for the i-th node: ``pin`` is the ``(j, pos)`` of an earlier node's
-    foreign key holding its primary key, if any, and ``eqs`` its other
-    equalities ``(pos, j, jpos)`` with the value at ``jpos`` of node j.
+    Nodes join in node order, except that a node waits until it is connected
+    to a joined one: each step takes the first remaining node with an
+    equality edge to the joined ones, or the first remaining when none has
+    one. A graph refinement builds is therefore joined in node order, the
+    order it extends assignments in. ``steps[i]`` is the ``join_step`` of
+    the i-th node to join, and ``at`` maps each alias to that position.
     """
 
-    def __init__(self, facts: FactBase, g: QueryGraph):
-        schema = facts.schema
-        self.facts = facts
-        relation: dict[str, str] = {}
-        for rel, alias in g.nodes:
-            if rel not in schema:
-                raise EvalError(f"unknown relation {rel!r}")
-            if alias in relation:
-                raise EvalError(f"duplicate alias {alias!r}")
-            relation[alias] = rel
-        eqs: list[tuple[str, int, str]] = []  # (fk alias, fk pos, pk alias)
-        self_eq: dict[str, list[int]] = {a: [] for a in relation}
-        for fk_alias, pk_alias, attr in sorted(g.eq_edges):
-            if fk_alias not in relation or pk_alias not in relation:
-                raise EvalError(f"equality over unknown alias {fk_alias!r}/{pk_alias!r}")
-            pos = schema.attr_pos(relation[fk_alias], attr)
-            if fk_alias == pk_alias:
-                self_eq[fk_alias].append(pos)
+    def __init__(self, facts: FactBase, g: QueryGraph | ConjunctiveQuery):
+        try:
+            if isinstance(g, ConjunctiveQuery):
+                g = to_graph(g, facts.schema)  # checks the graph too
             else:
-                eqs.append((fk_alias, pos, pk_alias))
-        strs: dict[str, list[tuple[int, str, str]]] = {a: [] for a in relation}
-        for alias, attr, pred, literal in g.str_edges:
-            if alias not in relation:
-                raise EvalError(f"string constraint over unknown alias {alias!r}")
-            strs[alias].append((schema.attr_pos(relation[alias], attr), pred, literal))
-
-        aliases = list(relation)
-        base = {a: len(facts.selected(relation[a], tuple(strs[a]), tuple(self_eq[a])))
-                for a in aliases[1:]}
-        neighbours: dict[str, list[str]] = {a: [] for a in aliases}
-        for fk_alias, _, pk_alias in eqs:
-            neighbours[fk_alias].append(pk_alias)
-            neighbours[pk_alias].append(fk_alias)
-        order, remaining = aliases[:1], aliases[1:]
-        while remaining:
-            connected = [a for a in remaining if any(n in order for n in neighbours[a])]
-            nxt = min(connected or remaining,
-                      key=lambda a: (base[a], -len(neighbours[a])))
-            order.append(nxt)
-            remaining.remove(nxt)
-
-        self.at = {a: i for i, a in enumerate(order)}
+                check_graph(g, facts.schema)
+        except (GraphError, SchemaError) as exc:
+            raise EvalError(str(exc)) from exc
+        self.facts = facts
+        neighbours: dict[str, set[str]] = {a: set() for _, a in g.nodes}
+        for fk_alias, pk_alias, _ in g.eq_edges:
+            neighbours[fk_alias].add(pk_alias)
+            neighbours[pk_alias].add(fk_alias)
+        self.at: dict[str, int] = {}
         self.steps = []
-        for i, alias in enumerate(order):
-            pins = [(self.at[fk], pos) for fk, pos, pk in eqs
-                    if pk == alias and self.at[fk] < i]
-            checks = [(pos, self.at[pk], 0) for fk, pos, pk in eqs
-                      if fk == alias and self.at[pk] < i]
-            self.steps.append((
-                relation[alias], pins[0] if pins else None,
-                tuple([(0, j, pos) for j, pos in pins[1:]] + checks),
-                tuple(strs[alias]), tuple(self_eq[alias])))
+        remaining = list(neighbours)
+        while remaining:
+            alias = next((a for a in remaining if not neighbours[a].isdisjoint(self.at)),
+                         remaining[0])
+            self.steps.append(join_step(facts.schema, g, self.at, alias))
+            self.at[alias] = len(self.at)
+            remaining.remove(alias)
 
     @staticmethod
     def of(facts: FactBase, q) -> "_Compiled":
@@ -94,12 +66,7 @@ class _Compiled:
             return q
         if not isinstance(q, (ConjunctiveQuery, QueryGraph)):
             raise EvalError(f"cannot evaluate {type(q).__name__}")
-        try:
-            if isinstance(q, ConjunctiveQuery):
-                q = to_graph(q, facts.schema)
-            return _Compiled(facts, q)
-        except (GraphError, SchemaError) as exc:
-            raise EvalError(str(exc)) from exc
+        return _Compiled(facts, q)
 
     def assignments(self, head_tuple: Tuple):
         """Yield every satisfying assignment binding the head to the tuple

@@ -11,6 +11,7 @@ The projection head is always the first alias and names the partition target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 from .core import FK, STR, Schema, pred_holds
 
 # String predicates, strongest first. equal implies prefix and suffix,
@@ -133,40 +134,76 @@ def _check_string_slot(schema: Schema, rel: str, attr: str):
         raise GraphError(f"{rel}.{attr} is not a string attribute")
 
 
+def check_graph(g: QueryGraph, schema: Schema) -> None:
+    """Raise ``GraphError`` unless the schema licenses ``g``: known relations,
+    unique aliases, each equality edge a foreign key referencing its target
+    node's relation, each string edge on a string attribute with a known
+    predicate. An attribute its relation lacks is a ``SchemaError``."""
+    aliases: set[str] = set()
+    for rel, alias in g.nodes:
+        if rel not in schema:
+            raise GraphError(f"unknown relation {rel!r}")
+        if alias in aliases:
+            raise GraphError(f"duplicate alias {alias!r}")
+        aliases.add(alias)
+    for fk_alias, pk_alias, attr in sorted(g.eq_edges):
+        _check_edge(schema, g.relation_of(fk_alias), attr, g.relation_of(pk_alias))
+    for alias, attr, pred, _ in g.str_edges:
+        _check_string_slot(schema, g.relation_of(alias), attr)
+        if pred not in PREDICATES:
+            raise GraphError(f"unknown predicate {pred!r}")
+
+
+def join_step(schema: Schema, g: QueryGraph, at: Mapping[str, int], alias: str):
+    """``(relation, pin, eqs, strs, self_eq)``: what ``FactBase.matching``
+    binds node ``alias`` of a checked graph with, once the nodes ``at`` maps
+    to assignment positions are bound. ``pin`` is the ``(j, pos)`` of a bound
+    node's foreign key holding the node's primary key, if any; ``eqs`` its
+    other equalities with bound nodes, ``(pos, j, jpos)``; ``strs`` its
+    string constraints ``(pos, pred, literal)``; ``self_eq`` the positions of
+    its foreign keys that must equal its own primary key."""
+    rel = g.relation_of(alias)
+    pins, checks, self_eq = [], [], []
+    for fk_alias, pk_alias, attr in sorted(g.eq_edges):
+        if fk_alias == pk_alias == alias:
+            self_eq.append(schema.attr_pos(rel, attr))
+        elif pk_alias == alias and fk_alias in at:
+            pins.append((at[fk_alias], schema.attr_pos(g.relation_of(fk_alias), attr)))
+        elif fk_alias == alias and pk_alias in at:
+            checks.append((schema.attr_pos(rel, attr), at[pk_alias], 0))
+    strs = tuple((schema.attr_pos(rel, attr), pred, literal)
+                 for a, attr, pred, literal in g.str_edges if a == alias)
+    return (rel, pins[0] if pins else None,
+            tuple([(0, j, pos) for j, pos in pins[1:]] + checks), strs, tuple(self_eq))
+
+
 def to_graph(q: ConjunctiveQuery, schema: Schema) -> QueryGraph:
-    nodes = tuple((r, a) for a, r in q.product)
-    eq = set()
-    strs = []
-    for atom in q.conditions:
-        if isinstance(atom, Equality):
-            pk_rel = q.relation_of(atom.pk_alias)
-            _check_edge(schema, q.relation_of(atom.fk_alias), atom.fk_attr, pk_rel)
-            if schema.pk_attr(pk_rel).name != atom.pk_attr:
-                raise GraphError(
-                    f"{atom.pk_alias}.{atom.pk_attr} is not the primary key of "
-                    f"{pk_rel}")
-            eq.add((atom.fk_alias, atom.pk_alias, atom.fk_attr))
-        else:
-            _check_string_slot(schema, q.relation_of(atom.alias), atom.attr)
-            if atom.pred not in PREDICATES:
-                raise GraphError(f"unknown predicate {atom.pred!r}")
-            strs.append((atom.alias, atom.attr, atom.pred, atom.literal))
-    return QueryGraph(nodes, frozenset(eq), tuple(sorted(strs)))
+    eqs = [c for c in q.conditions if isinstance(c, Equality)]
+    g = QueryGraph(tuple((r, a) for a, r in q.product),
+                   frozenset((c.fk_alias, c.pk_alias, c.fk_attr) for c in eqs),
+                   tuple(sorted((c.alias, c.attr, c.pred, c.literal)
+                                for c in q.conditions if isinstance(c, StringAtom))))
+    check_graph(g, schema)
+    for c in eqs:
+        pk_rel = g.relation_of(c.pk_alias)
+        if schema.pk_attr(pk_rel).name != c.pk_attr:
+            raise GraphError(
+                f"{c.pk_alias}.{c.pk_attr} is not the primary key of {pk_rel}")
+    return g
 
 
 def from_graph(g: QueryGraph, schema: Schema) -> ConjunctiveQuery:
     """Induced query with fresh aliases A1..Am in node order."""
+    check_graph(g, schema)
     rename = {alias: f"A{i + 1}" for i, (_, alias) in enumerate(g.nodes)}
     rel_of = {a: r for r, a in g.nodes}
     product = tuple((rename[a], r) for r, a in g.nodes)
-    conds: list[Atom] = []
-    for fk_alias, pk_alias, attr in sorted(g.eq_edges):
-        _check_edge(schema, rel_of[fk_alias], attr, rel_of[pk_alias])
-        conds.append(Equality(rename[fk_alias], attr, rename[pk_alias],
-                              schema.pk_attr(rel_of[pk_alias]).name))
-    for alias, attr, pred, literal in g.str_edges:
-        _check_string_slot(schema, rel_of[alias], attr)
-        conds.append(StringAtom(rename[alias], attr, pred, literal))
+    conds: list[Atom] = [
+        Equality(rename[fk_alias], attr, rename[pk_alias],
+                 schema.pk_attr(rel_of[pk_alias]).name)
+        for fk_alias, pk_alias, attr in sorted(g.eq_edges)]
+    conds += [StringAtom(rename[alias], attr, pred, literal)
+              for alias, attr, pred, literal in g.str_edges]
     order = {rename[a]: i for i, (_, a) in enumerate(g.nodes)}
     conds.sort(key=lambda c: ((order[c.fk_alias], c.fk_attr, order[c.pk_alias], 0)
                               if isinstance(c, Equality)

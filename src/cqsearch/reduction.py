@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import FactBase, RelationPartition, Schema
-from .schema_graph import SchemaGraph, build_schema_graph, simple_cycles
+from .schema_graph import (SchemaGraph, build_schema_graph, compile_step,
+                           simple_cycles, step_image)
 
 
 class DropReason(str, Enum):
@@ -73,25 +74,11 @@ def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
     images: dict = {}  # (activation set, compiled step) -> image
     sides: dict = {}  # (activation sets of one side, compiled step) -> image
 
-    def compiled(cur, step):  # (direction, attribute position, next relation)
-        holder = cur if step.direction == 1 else step.next
-        return step.direction, schema.attr_pos(holder, step.attr), step.next
-
     def image(acts, step):
         key = (acts, step)
         out = images.get(key)
         if out is None:
-            direction, pos, next_rel = step
-            hits = set()
-            if direction == 1:
-                for t in acts:
-                    hit = facts.pk_lookup(next_rel, t[pos])
-                    if hit is not None:
-                        hits.add(hit)
-            else:
-                for t in acts:
-                    hits.update(facts.by_attr(next_rel, pos, t[0]))
-            out = images[key] = frozenset(hits)
+            out = images[key] = frozenset(step_image(facts, acts, step))
         return out
 
     def side(acts_set, step):
@@ -117,11 +104,11 @@ def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
         for node in members:
             cur, steps = node, []
             for step in cyc.rotated_to(node):
-                steps.append(compiled(cur, step))
+                steps.append(compile_step(schema, cur, step))
                 cur = step.next
             loops[node].append((members, tuple(steps)))
 
-    out_steps = {rel: [(step.next, compiled(rel, step))
+    out_steps = {rel: [(step.next, compile_step(schema, rel, step))
                        for step in g.steps_from(rel)]
                  for rel in schema}
     total: set[str] = set()  # judged on some live vector

@@ -17,10 +17,10 @@ satisfying assignments (its ``Rows``): per positive, and per negative it
 still admits, the tuples bound to its nodes in node order. A child of
 ``expand`` is its parent plus one unconstrained node whose equality edges
 all touch that node, so its assignments are the parent's, each extended by
-the tuples ``FactBase.matching`` returns for the new node: the join step
-``evaluate`` binds every node with, here probing by primary key when an
-existing node's foreign key points at the new node, else by the smallest
-pool among the new node's foreign keys. A string-closure child is its base
+the tuples ``FactBase.matching`` returns for the new node's ``join_step``,
+the step ``evaluate`` binds every node with: a primary-key probe when an
+existing node's foreign key points at the new node, else the smallest pool
+among the new node's foreign keys. A string-closure child is its base
 plus one constraint, so its assignments are the base's filtered by it. The
 witness sets synLCS reads are a slot's column of the positives' rows; a
 graph is refinable iff every positive keeps an assignment and a candidate
@@ -39,7 +39,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .core import FactBase, RelationPartition, Schema, Tuple, pred_holds
-from .query import QueryGraph, canonical_form, multiplicity
+from .query import QueryGraph, canonical_form, join_step, multiplicity
 from .schema_graph import SchemaGraph
 from .strings import syn_lcs
 
@@ -154,19 +154,8 @@ class RefinementEngine:
         None when some positive keeps no assignment."""
         if len(v.nodes) == 1:
             return self.head_rows
-        rel, alias = v.nodes[-1]
-        index = {a: i for i, (_, a) in enumerate(v.nodes)}
-        pins: list[tuple[int, int]] = []    # existing fk -> new pk: (node, pos)
-        checks: list[tuple[int, int]] = []  # new fk -> existing pk: (pos, node)
-        for fk_alias, pk_alias, attr in v.eq_edges:
-            if pk_alias == alias:
-                i = index[fk_alias]
-                pins.append((i, self.schema.attr_pos(v.nodes[i][0], attr)))
-            elif fk_alias == alias:
-                checks.append((self.schema.attr_pos(rel, attr), index[pk_alias]))
-        pin = pins[0] if pins else None
-        eqs = ([(0, i, pos) for i, pos in pins[1:]]
-               + [(pos, j, 0) for pos, j in checks])
+        at = {a: i for i, (_, a) in enumerate(v.nodes[:-1])}
+        rel, pin, eqs, strs, self_eq = join_step(self.schema, v, at, v.nodes[-1][1])
         matching = self.facts.matching
 
         def extend(group: tuple[Assignment, ...]) -> tuple[Assignment, ...]:
@@ -174,7 +163,7 @@ class RefinementEngine:
             for a in group:
                 pk = a[pin[0]][pin[1]] if pin else None
                 fks = [(pos, a[j][jpos]) for pos, j, jpos in eqs]
-                out.extend(a + (t,) for t in matching(rel, pk, fks))
+                out.extend(a + (t,) for t in matching(rel, pk, fks, strs, self_eq))
             return tuple(out)
 
         positives = []

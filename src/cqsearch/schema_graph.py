@@ -6,7 +6,8 @@ in either direction, recording the direction; chaining key equalities along a
 path from a start tuple yields its activated tuple set. Dummy-relation
 detection (``reduction.reduce``) computes these activations over the whole
 path set in one walk without building paths; the path helpers here spell the
-set out one path at a time.
+set out one path at a time. Both take a step with ``compile_step`` and
+``step_image``.
 
 Path enumeration is acyclic paths plus each cycle spliced in once, and that
 once-spliced path set is the contract. Activation is not insensitive to
@@ -288,15 +289,32 @@ def augment_with_cycles(paths: Iterable[RelationPath], g: SchemaGraph,
     return out
 
 
+def compile_step(schema: Schema, cur: str, step: PathStep) -> tuple[int, int, str]:
+    """(direction, attribute position, next relation) of ``step`` out of ``cur``."""
+    holder = cur if step.direction == 1 else step.next
+    return step.direction, schema.attr_pos(holder, step.attr), step.next
+
+
+def step_image(facts: FactBase, tuples: Iterable[Tuple],
+               step: tuple[int, int, str]) -> set[Tuple]:
+    """Tuples one compiled step reaches from ``tuples`` by key equality."""
+    direction, pos, next_rel = step
+    hits: set[Tuple] = set()
+    if direction == 1:
+        for t in tuples:
+            hit = facts.pk_lookup(next_rel, t[pos])
+            if hit is not None:
+                hits.add(hit)
+    else:
+        for t in tuples:
+            hits.update(facts.by_attr(next_rel, pos, t[0]))
+    return hits
+
+
 def compile_path(path: RelationPath, schema: Schema) -> list[tuple[int, int, str]]:
     """Per step: (direction, attribute position, next relation)."""
-    compiled = []
-    cur = path.start
-    for step in path.steps:
-        holder = cur if step.direction == 1 else step.next
-        compiled.append((step.direction, schema.attr_pos(holder, step.attr), step.next))
-        cur = step.next
-    return compiled
+    return [compile_step(schema, cur, step)
+            for cur, step in zip(path.nodes(), path.steps)]
 
 
 def activated_relation(t0: Tuple, path: RelationPath, facts: FactBase,
@@ -307,17 +325,8 @@ def activated_relation(t0: Tuple, path: RelationPath, facts: FactBase,
     """
     steps = _compiled if _compiled is not None else compile_path(path, facts.schema)
     frontier: set[Tuple] = {t0}
-    for direction, pos, next_rel in steps:
-        nxt: set[Tuple] = set()
-        if direction == 1:
-            for t in frontier:
-                hit = facts.pk_lookup(next_rel, t[pos])
-                if hit is not None:
-                    nxt.add(hit)
-        else:
-            for t in frontier:
-                nxt.update(facts.by_attr(next_rel, pos, t[0]))
-        frontier = nxt
+    for step in steps:
+        frontier = step_image(facts, frontier, step)
         if not frontier:
             break
     return frozenset(frontier)

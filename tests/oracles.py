@@ -8,9 +8,12 @@ package. The shared primitives are:
 - the evaluator inside the brute-force enumerator and inside
   ``refine_by_compiling``, which the suite certifies separately against the
   product oracle;
-- ``FactBase.matching``, the join step under that evaluator, which
-  refinement uses too; criterion 6 and a brute-force filter over the
-  relation's tuples (``test_core.TestMatching``) certify it on its own;
+- ``query.join_step``, which compiles a node into the evaluator's join step
+  and refinement's alike, so ``refine_by_compiling`` shares it with
+  ``refine``; criterion 6 certifies it through ``evaluate``;
+- ``FactBase.matching``, which runs that join step; criterion 6 and a
+  brute-force filter over the relation's tuples (``test_core.TestMatching``)
+  certify it on its own;
 - ``Schema.from_doc`` inside ``load_facts_by_rows``, which reads the schema
   document the same way as the product;
 - synLCS, which defines the string part of the query space and has its own

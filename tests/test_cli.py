@@ -330,6 +330,25 @@ class TestSearchLoading:
             (gc.enable if was else gc.disable)()
 
 
+    @pytest.mark.parametrize("command", ["search", "graph"])
+    def test_no_cyclic_garbage_left(self, capsys, files, command):
+        # The parser is built once per process and a fact base is freed by
+        # reference counting, so a warm call leaves the collector nothing.
+        argv = (self.search(files, "good.json") if command == "search"
+                else ["graph", "--schema", str(files / "schema.json")])
+        assert run(capsys, *argv)[0] == 0
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
+
+
 class TestGraphCommand:
     def test_schema_dot(self, capsys, motivating_dir):
         code, stdout, _ = run(capsys, "graph",

@@ -380,6 +380,23 @@ def _valid_documents(draw):
     return schema.to_doc(), doc
 
 
+class TestPartitionProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_json_values() | st.fixed_dictionaries({
+        "target": st.sampled_from(["Method", "Type", "Ghost"]) | _json_values(),
+        "positive": st.lists(st.sampled_from(["M1", "M2", "M3", "T1", "M9"]),
+                             max_size=4) | _json_values()}))
+    def test_arbitrary_documents_raise_only_partition_errors(self, doc):
+        facts = fig1_facts()
+        try:
+            part = partition_from_doc(doc, facts)
+        except PartitionError:
+            return
+        assert part.positives and part.negatives
+        assert part.positives | part.negatives == facts.tuples(part.target)
+        assert {t[0] for t in part.positives} == set(doc["positive"])
+
+
 class TestLoadProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_json_values(), _json_values())

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqsearch.datalog import DatalogError, parse_datalog, render_datalog
 from cqsearch.query import QueryGraph, canonical_form, from_graph, to_graph
-from conftest import fig1c_query
+from conftest import fig1_schema, fig1c_query
 import gen
 
 
@@ -145,3 +146,53 @@ class TestParseErrors:
     def test_syntax_garbage(self, schema):
         with pytest.raises(DatalogError):
             parse_datalog("out(M :- Method(M).", schema)
+
+
+SCHEMA = fig1_schema()
+# Lexemes of the rule syntax, for inputs that get past the tokenizer.
+RULE_LEXEMES = sorted(SCHEMA) + [
+    "out", "Ghost", "str_equal", "str_prefix", "str_fuzzy", "M", "I", "R", "D",
+    "T", "N", "_x", "(", ")", ",", ".", ":-", '"a"', '"#\\""', '"', "# c\n"]
+
+
+@st.composite
+def _graphs(draw):
+    """A query graph over the Fig. 1 schema with arbitrary literals."""
+    g = gen.random_query_graph(random.Random(draw(st.integers(0, 10_000))), SCHEMA)
+    literals = draw(st.lists(st.text(max_size=6), min_size=len(g.str_edges),
+                             max_size=len(g.str_edges)))
+    return QueryGraph(g.nodes, g.eq_edges, tuple(sorted(
+        (alias, attr, pred, literal)
+        for (alias, attr, pred, _), literal in zip(g.str_edges, literals))))
+
+
+@st.composite
+def _damaged_rules(draw):
+    """A rendered rule with a stretch of up to 8 characters replaced by a lexeme."""
+    text = render_datalog(from_graph(draw(_graphs()), SCHEMA), SCHEMA)
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 8)))
+    return text[:i] + draw(st.sampled_from(RULE_LEXEMES + [""])) + text[j:]
+
+
+class TestParseProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(max_size=60) | _damaged_rules()
+           | st.lists(st.sampled_from(RULE_LEXEMES), max_size=30).map(" ".join))
+    def test_arbitrary_text_raises_only_datalog_errors(self, text):
+        try:
+            parse_datalog(text, SCHEMA)
+        except DatalogError:
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_graphs())
+    def test_parse_inverts_render_up_to_canonical_form(self, g):
+        back = to_graph(parse_datalog(render_datalog(from_graph(g, SCHEMA), SCHEMA),
+                                      SCHEMA), SCHEMA)
+        if not TestParse._has_ambiguous_class(g, SCHEMA):
+            assert canonical_form(back) == canonical_form(g)
+        # Where a variable class has several spannings, parsing picks one,
+        # and the picked graph then round-trips exactly.
+        again = parse_datalog(render_datalog(from_graph(back, SCHEMA), SCHEMA), SCHEMA)
+        assert canonical_form(to_graph(again, SCHEMA)) == canonical_form(back)

@@ -7,11 +7,12 @@ import pytest
 from cqsearch import minijava
 from cqsearch.core import make_partition
 from cqsearch.datalog import parse_datalog
-from cqsearch.evaluator import (EvalError, collect_witnesses, evaluate,
-                                is_candidate, is_refinable,
+from cqsearch.evaluator import (EvalError, _Compiled, collect_witnesses,
+                                evaluate, is_candidate, is_refinable,
                                 refinable_with_witnesses)
 from cqsearch.extract import build_facts
-from cqsearch.query import ConjunctiveQuery, Equality, QueryGraph, StringAtom
+from cqsearch.query import (ConjunctiveQuery, Equality, GraphError, QueryGraph,
+                            StringAtom, from_graph)
 from conftest import CORPUS, fig1c_graph, fig1c_query
 import gen
 from oracles import naive_evaluate
@@ -83,6 +84,59 @@ class TestEvaluate:
                     stronger = g.with_constraint(alias, a.name, "contain",
                                                  gen.random_string(rng, "af", 1, 2))
                     assert evaluate(stronger, facts) <= base
+
+
+# Query graphs the Fig. 1 schema does not license, one fault each.
+ILLEGAL_GRAPHS = {
+    "foreign-key-to-the-wrong-target": QueryGraph(
+        (("Method", "A1"), ("Modifier", "A2")),
+        frozenset({("A1", "A2", "ret_type_id")}), ()),
+    "string-attribute-as-key": QueryGraph(
+        (("Type", "A1"), ("Identifier", "A2")),
+        frozenset({("A1", "A2", "name")}), ()),
+    "string-constraint-on-a-key": QueryGraph(
+        (("Method", "A1"),), frozenset(), (("A1", "idf_id", "equal", "I1"),)),
+    "unknown-predicate": QueryGraph(
+        (("Type", "A1"),), frozenset(), (("A1", "name", "fuzzy", "int"),)),
+    "unknown-relation": QueryGraph((("Method", "A1"), ("Ghost", "A2")),
+                                   frozenset(), ()),
+    "duplicate-alias": QueryGraph((("Method", "A1"), ("Type", "A1")),
+                                  frozenset(), ()),
+}
+
+
+class TestIllegalGraphs:
+    """Every entry point checks a graph against the schema the same way."""
+
+    @pytest.mark.parametrize("name", ILLEGAL_GRAPHS)
+    def test_evaluate_raises(self, facts, name):
+        with pytest.raises(EvalError):
+            evaluate(ILLEGAL_GRAPHS[name], facts)
+
+    @pytest.mark.parametrize("name", ILLEGAL_GRAPHS)
+    def test_from_graph_raises(self, schema, name):
+        with pytest.raises(GraphError):
+            from_graph(ILLEGAL_GRAPHS[name], schema)
+
+
+class TestJoinOrder:
+    def test_node_joins_once_connected(self, facts):
+        # Type joins only through Parameter, written after it: Parameter is
+        # joined second, so Type is pinned by its type_id.
+        q = parse_datalog("out(M, I, R, D) :- Method(M, I, R, D), Type(T, N), "
+                          'Parameter(P, PI, T, M), str_equal(N, "Log4jUtils").',
+                          facts.schema)
+        c = _Compiled.of(facts, q)
+        assert c.at == {"A1": 0, "A3": 1, "A2": 2}
+        assert c.steps[2][0] == "Type" and c.steps[2][1] == (1, 2)
+        assert evaluate(q, facts) == naive_evaluate(q, facts) == {
+            ("M1", "I1", "T3", "MDF1"), ("M3", "I3", "T2", "MDF1")}
+
+    def test_disconnected_node_joins_last(self, facts):
+        g = QueryGraph((("Method", "A1"), ("Modifier", "A2"), ("Type", "A3")),
+                       frozenset({("A1", "A3", "ret_type_id")}), ())
+        assert _Compiled(facts, g).at == {"A1": 0, "A3": 1, "A2": 2}
+        assert evaluate(g, facts) == naive_evaluate(g, facts)
 
 
 class TestRefinableAndCandidate:

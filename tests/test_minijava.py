@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqsearch import minijava as mj
 
@@ -87,3 +88,29 @@ class TestParseErrors:
     def test_comments_are_skipped(self):
         prog = mj.parse("// line comment\n/* block\ncomment */class A { }")
         assert prog.classes[0].name == "A"
+
+
+# Lexemes of the mini-Java grammar, for inputs that get past the tokenizer.
+JAVA_LEXEMES = sorted(mj.KEYWORDS) + [
+    "int", "void", "boolean", "String", "A", "B", "x", "f", "{", "}", "(", ")",
+    ";", ",", "=", "<", ">", "+", "-", "!", "==", "&&", "||", ".", "/*@pos*/",
+    "/*@neg*/", "/* c */", "// c\n", '"s"', '"\\', "1", "2.5", "\n"]
+
+
+@st.composite
+def _damaged_sources(draw):
+    """``FIG1_SOURCE`` with a stretch of up to 8 characters replaced by a lexeme."""
+    i = draw(st.integers(0, len(FIG1_SOURCE)))
+    j = draw(st.integers(i, min(len(FIG1_SOURCE), i + 8)))
+    return FIG1_SOURCE[:i] + draw(st.sampled_from(JAVA_LEXEMES + [""])) + FIG1_SOURCE[j:]
+
+
+class TestParseProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(max_size=60) | _damaged_sources()
+           | st.lists(st.sampled_from(JAVA_LEXEMES), max_size=40).map(" ".join))
+    def test_arbitrary_text_raises_only_parse_errors(self, text):
+        try:
+            mj.parse(text)
+        except mj.ParseError:
+            pass

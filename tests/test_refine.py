@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cqsearch import minijava
-from cqsearch.evaluator import (is_candidate, is_refinable,
+from cqsearch.evaluator import (_Compiled, is_candidate, is_refinable,
                                  refinable_with_witnesses)
 from cqsearch.extract import extract
 from cqsearch.query import QueryGraph, canonical_form, max_multiplicity
@@ -277,6 +277,18 @@ class TestIncrementalRows:
             engine = RefinementEngine(schema, build_schema_graph(schema), facts,
                                       part, sorted(result.reduced.kept))
             assert _cross_check(engine, result.levels_explored, name) > 0, name
+
+    def test_evaluator_joins_in_node_order_on_corpus(self, corpus_runs):
+        # Refinement extends assignments in node order; the evaluator's join
+        # order agrees, so both bind each node by the same join step.
+        joined = 0
+        for name, facts, _, result in corpus_runs:
+            for refinable, _ in result.state.table.values():
+                for g in refinable:
+                    at = {alias: i for i, (_, alias) in enumerate(g.nodes)}
+                    assert _Compiled(facts, g).at == at, (name, g)
+                    joined += len(g.nodes) > 2
+        assert joined > 1000
 
     def test_matches_compiling_on_random_instances(self):
         rng = random.Random(29)

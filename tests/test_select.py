@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqsearch.core import FactBase, Relation, make_partition
 from cqsearch.evaluator import evaluate
@@ -14,6 +15,7 @@ from conftest import (MOTIVATING_DESCRIPTION, fig1c_graph, fig1c_query,
                       fig1_schema)
 import gen
 from oracles import coverage_by_atoms
+from test_core import _json_values
 
 SCHEMA = fig1_schema()
 
@@ -47,6 +49,24 @@ class TestExtractEntities:
 
     def test_plural_es_fallback(self):
         assert extract_entities("Find the classes", ["class"]) == {"class"}
+
+
+class TestContextProperties:
+    WORDS = ["method", "type", "Method.id", "Type.name", "x"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_json_values() | st.fixed_dictionaries({
+        "dictionary": st.lists(st.sampled_from(WORDS), max_size=4) | _json_values(),
+        "h": st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=4),
+                             st.lists(st.sampled_from(WORDS), max_size=3)
+                             | _json_values(), max_size=3) | _json_values()}),
+           st.text(max_size=30) | st.sampled_from(["methods and types", ""]))
+    def test_arbitrary_hmap_raises_only_context_errors(self, doc, description):
+        try:
+            ctx = make_context(doc, description)
+        except ContextError:
+            return
+        assert ctx.entities <= ctx.dictionary == load_hmap(doc)[0]
 
 
 class TestCoverage:
