@@ -128,19 +128,21 @@ class _Builder:
 
 
 def _walk_calls(builder: _Builder, node, method_id: str):
-    if isinstance(node, mj.Call):
-        callee = builder.identifier(node.callee)
-        builder.add("Call", (method_id, callee), node.pos)
-        for arg in node.args:
-            _walk_calls(builder, arg, method_id)
-    elif isinstance(node, mj.New):
-        for arg in node.args:
-            _walk_calls(builder, arg, method_id)
-    elif isinstance(node, mj.Unary):
-        _walk_calls(builder, node.operand, method_id)
-    elif isinstance(node, mj.Binary):
-        _walk_calls(builder, node.left, method_id)
-        _walk_calls(builder, node.right, method_id)
+    """One Call row per call in ``node``, in source order. Iterative: operator
+    chains nest as deep as they are long."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, mj.Call):
+            callee = builder.identifier(node.callee)
+            builder.add("Call", (method_id, callee), node.pos)
+            stack.extend(reversed(node.args))
+        elif isinstance(node, mj.New):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, mj.Unary):
+            stack.append(node.operand)
+        elif isinstance(node, mj.Binary):
+            stack += (node.right, node.left)
 
 
 def _walk_statements(builder: _Builder, stmts, method_id: str):

@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
 KEYWORDS = {"class", "interface", "extends", "implements", "import", "if",
             "else", "for", "return", "new", "true", "false"} | MODIFIERS
+# Deepest nesting of expressions (parentheses, call and constructor
+# arguments) and statement blocks the parser descends into; deeper input is
+# a ParseError, not an exhausted interpreter stack.
+MAX_NESTING = 64
 
 
 class ParseError(Exception):
@@ -296,6 +300,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.source_name = source_name
+        self.depth = 0  # open nested expressions and blocks
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
@@ -321,6 +326,12 @@ class _Parser:
         if tok.kind != "ident":
             self.error(f"expected {what}, got {tok.value!r}")
         return self.next()
+
+    def descend(self) -> None:
+        """Open one nesting level; ``self.depth -= 1`` closes it."""
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
 
     def accept_keyword(self, value: str) -> bool:
         tok = self.peek()
@@ -421,14 +432,17 @@ class _Parser:
                           ann, name_tok.pos)
 
     def block(self) -> list:
+        self.descend()
         if self.peek().kind == "punct" and self.peek().value == "{":
             self.next()
             stmts = []
             while not (self.peek().kind == "punct" and self.peek().value == "}"):
                 stmts.append(self.statement())
             self.expect_punct("}")
-            return stmts
-        return [self.statement()]
+        else:
+            stmts = [self.statement()]
+        self.depth -= 1
+        return stmts
 
     def statement(self):
         ann = self.annotations()
@@ -508,20 +522,26 @@ class _Parser:
     def expr(self, level: int = 0):
         if level == len(self._BINARY_LEVELS):
             return self.unary()
+        if level == 0:
+            self.descend()
         node = self.expr(level + 1)
         while (self.peek().kind == "punct"
                and self.peek().value in self._BINARY_LEVELS[level]):
             op = self.next()
             right = self.expr(level + 1)
             node = Binary(op.value, node, right, op.pos)
+        if level == 0:
+            self.depth -= 1
         return node
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value in ("!", "-"):
-            self.next()
-            return Unary(tok.value, self.unary(), tok.pos)
-        return self.primary()
+        ops = []
+        while self.peek().kind == "punct" and self.peek().value in ("!", "-"):
+            ops.append(self.next())
+        node = self.primary()
+        for tok in reversed(ops):
+            node = Unary(tok.value, node, tok.pos)
+        return node
 
     def primary(self):
         tok = self.peek()

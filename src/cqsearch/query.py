@@ -213,60 +213,83 @@ def from_graph(g: QueryGraph, schema: Schema) -> ConjunctiveQuery:
 
 # --- canonical form -------------------------------------------------------
 #
-# Graphs that differ only by alias renaming must collapse to one key. The head
-# stays pinned at position 0; remaining nodes are ordered by branch-and-bound
-# over candidate placements, keeping only orders that minimize the encoding.
+# Graphs that differ only by alias renaming must collapse to one key: the
+# least encoding, over the node orders that keep the head at position 0, of
+# the nodes' keys in order. A node's key is its relation, its equality edges
+# to nodes placed before it (kind, attribute, position; a self-loop is an
+# edge to its own position) and its string constraints. The relation comes
+# first, so the least encoding lists the other nodes in sorted relation order
+# and only nodes of one relation compete for a position; ties between them
+# are kept until a later position breaks them.
 
 def canonical_form(g: QueryGraph):
     n = len(g.nodes)
     if n == 0:
         return ("empty",)
-    alias_rel = {a: r for r, a in g.nodes}
-    out_edges: dict[str, list] = {a: [] for a in alias_rel}
+    index = {a: i for i, (_, a) in enumerate(g.nodes)}
+    rels = [r for r, _ in g.nodes]
+    adj: list[list] = [[] for _ in range(n)]
     for fk_alias, pk_alias, attr in g.eq_edges:
-        out_edges[fk_alias].append(("f", attr, pk_alias))
-        out_edges[pk_alias].append(("p", attr, fk_alias))
-    strs: dict[str, list] = {a: [] for a in alias_rel}
-    for alias, attr, pred, literal in g.str_edges:
-        strs[alias].append((attr, pred, literal))
+        i, j = index[fk_alias], index[pk_alias]
+        adj[i].append(("f", attr, j))
+        if i != j:
+            adj[j].append(("p", attr, i))
+    strs = [()] * n
+    if g.str_edges:
+        by_node: dict[int, list] = {}
+        for alias, attr, pred, literal in g.str_edges:
+            by_node.setdefault(index[alias], []).append((attr, pred, literal))
+        for i, s in by_node.items():
+            strs[i] = tuple(sorted(s))
 
-    aliases = [a for _, a in g.nodes]
-    head = aliases[0]
+    def key(pos, x):
+        p = pos[x]
+        return (rels[x], tuple(sorted([(kind, attr, pos[o])
+                                       for kind, attr, o in adj[x] if pos[o] <= p])),
+                strs[x])
 
-    def node_key(alias, placed_index):
-        # Edges to already-placed nodes, by placed position; string constraints.
-        edges = sorted((kind, attr, placed_index[other])
-                       for kind, attr, other in out_edges[alias]
-                       if other in placed_index)
-        return (alias_rel[alias], tuple(edges), tuple(sorted(strs[alias])))
-
-    best: list = [None]
-
-    def place(order, placed_index, encoding):
-        if best[0] is not None and tuple(encoding) > best[0][:len(encoding)]:
-            return
-        if len(order) == n:
-            enc = tuple(encoding)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
-        remaining = [a for a in aliases if a not in placed_index]
-        keyed = [(node_key(a, placed_index), a) for a in remaining]
-        min_key = min(k for k, _ in keyed)
-        for key, a in keyed:
-            if key != min_key:
-                continue
-            placed_index[a] = len(order)
-            order.append(a)
-            encoding.append(key)
-            place(order, placed_index, encoding)
-            encoding.pop()
-            order.pop()
-            del placed_index[a]
-
-    head_key = node_key(head, {})
-    place([head], {head: 0}, [head_key])
-    return best[0]
+    groups: list[list[int]] = []  # the other nodes by relation, sorted
+    for x in sorted(range(1, n), key=rels.__getitem__):
+        if groups and rels[groups[-1][0]] == rels[x]:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    pos = [n] * n  # node positions, n while unplaced
+    pos[0] = 0
+    encoding = [key(pos, 0)]
+    # The placements whose encodings tie for least so far. At each position
+    # they extend by the least key among their unplaced nodes of its
+    # relation; a relation with one node extends a single placement directly.
+    states = [pos]
+    p = 0
+    for group in groups:
+        if len(group) == 1 and len(states) == 1:
+            (x,), (pos,) = group, states
+            p += 1
+            pos[x] = p
+            encoding.append(key(pos, x))
+            continue
+        for _ in group:
+            p += 1
+            low, ties = None, []
+            for pos in states:
+                for x in group:
+                    if pos[x] != n:
+                        continue
+                    pos[x] = p
+                    k = key(pos, x)
+                    pos[x] = n
+                    if low is None or k < low:
+                        low, ties = k, [(pos, x)]
+                    elif k == low:
+                        ties.append((pos, x))
+            encoding.append(low)
+            states = []
+            for pos, x in ties:
+                pos = pos.copy() if len(ties) > 1 else pos
+                pos[x] = p
+                states.append(pos)
+    return tuple(encoding)
 
 
 # --- relational-algebra rendering -----------------------------------------

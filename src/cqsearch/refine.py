@@ -31,6 +31,11 @@ Rows are kept only where a later level reads them: never at the engine's
 starts. Duplicates are found by canonical form, except that a graph equal to
 one of the level's refinable graphs is recognised before its canonical form
 is computed.
+
+synLCS is pure, so the engine keeps each constraint it synthesizes under its
+witness sets and synthesizes it once per engine, that is once per synthesis
+run: the graphs of every level read columns of the same positives, and a run
+sees only a few distinct witness sets.
 """
 from __future__ import annotations
 
@@ -101,6 +106,8 @@ class RefinementEngine:
         self.m_cap = m_cap
         self.head_rows = Rows(tuple(((t,),) for t in sorted(part.positives)),
                               tuple(((t,),) for t in sorted(part.negatives)))
+        # syn_lcs of every witness-set tuple synthesized so far.
+        self.synthesized: dict[tuple[frozenset[str], ...], tuple[str, str] | None] = {}
 
     def expand(self, g: QueryGraph, rel: str) -> list[QueryGraph]:
         """All one-node extensions of ``g`` with ``rel``, connected.
@@ -144,10 +151,18 @@ class RefinementEngine:
         raise KeyError(alias)
 
     def witnesses(self, g: QueryGraph, rows: Rows,
-                  slot: tuple[str, str]) -> list[set[str]]:
+                  slot: tuple[str, str]) -> tuple[frozenset[str], ...]:
         """Per positive, in sorted order, the values ``slot`` takes."""
         i, pos = self._column(g, slot)
-        return [{a[i][pos] for a in group} for group in rows.positives]
+        return tuple([frozenset([a[i][pos] for a in group]) for group in rows.positives])
+
+    def constraint(self, witnesses: tuple[frozenset[str], ...]) -> tuple[str, str] | None:
+        """``syn_lcs(witnesses)``, computed once per engine."""
+        try:
+            return self.synthesized[witnesses]
+        except KeyError:
+            got = self.synthesized[witnesses] = syn_lcs(witnesses)
+            return got
 
     def _extended(self, v: QueryGraph, rows: Rows) -> Rows | None:
         """Rows of ``v``, its parent's ``rows`` extended by its last node;
@@ -262,7 +277,8 @@ class RefinementEngine:
                     while queue:
                         base, base_slots, base_rows = queue.pop()
                         for slot in base_slots:
-                            constraint = syn_lcs(self.witnesses(base, base_rows, slot))
+                            constraint = self.constraint(
+                                self.witnesses(base, base_rows, slot))
                             if constraint is None:
                                 continue
                             pred, literal = constraint

@@ -64,11 +64,11 @@ def extract_entities(description: str, dictionary: Iterable[str]) -> frozenset[s
 
 
 def load_hmap(doc: dict) -> tuple[frozenset[str], dict[tuple[str, str], frozenset[str]]]:
-    try:
-        dictionary = frozenset(doc["dictionary"])
-        entries = doc["h"]
-    except (KeyError, TypeError):
+    if not isinstance(doc, dict) or "dictionary" not in doc or "h" not in doc:
         raise ContextError("hmap document needs 'dictionary' and 'h'")
+    dictionary, entries = doc["dictionary"], doc["h"]
+    if not isinstance(dictionary, list) or not all(isinstance(w, str) for w in dictionary):
+        raise ContextError("hmap 'dictionary' must be a list of words")
     if not isinstance(entries, dict):
         raise ContextError("hmap 'h' must map Relation.attribute to words")
     h = {}
@@ -79,7 +79,7 @@ def load_hmap(doc: dict) -> tuple[frozenset[str], dict[tuple[str, str], frozense
         if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
             raise ContextError(f"h[{key!r}] must be a list of words")
         h[(rel, attr)] = frozenset(words)
-    return dictionary, h
+    return frozenset(dictionary), h
 
 
 def make_context(hmap_doc: dict, description: str) -> EntityContext:

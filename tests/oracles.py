@@ -18,6 +18,8 @@ package. The shared primitives are:
   document the same way as the product;
 - synLCS, which defines the string part of the query space and has its own
   oracle;
+- ``query.canonical_form`` inside the enumerator and ``refine_by_compiling``,
+  which the suite checks against ``canonical_form_by_search``;
 - the engine's ``expand``, which defines the graph part of it;
 - the path helpers of ``schema_graph`` behind ``reduce_by_paths``, which the
   suite checks against ``activation_brute`` and ``cycles_brute``.
@@ -307,6 +309,63 @@ def cycles_brute(graph, max_len: int = 8) -> set:
         return min(variants)
 
     return {normalize(a, s) for a, s in raw}
+
+
+# --- canonical form by search over all remaining nodes ---------------------
+
+def canonical_form_by_search(g: QueryGraph):
+    """``query.canonical_form`` as it was before the relation groups: a
+    branch-and-bound over every remaining node at every position. It ignores
+    an equality whose two ends are one node."""
+    n = len(g.nodes)
+    if n == 0:
+        return ("empty",)
+    alias_rel = {a: r for r, a in g.nodes}
+    out_edges: dict[str, list] = {a: [] for a in alias_rel}
+    for fk_alias, pk_alias, attr in g.eq_edges:
+        out_edges[fk_alias].append(("f", attr, pk_alias))
+        out_edges[pk_alias].append(("p", attr, fk_alias))
+    strs: dict[str, list] = {a: [] for a in alias_rel}
+    for alias, attr, pred, literal in g.str_edges:
+        strs[alias].append((attr, pred, literal))
+
+    aliases = [a for _, a in g.nodes]
+    head = aliases[0]
+
+    def node_key(alias, placed_index):
+        # Edges to already-placed nodes, by placed position; string constraints.
+        edges = sorted((kind, attr, placed_index[other])
+                       for kind, attr, other in out_edges[alias]
+                       if other in placed_index)
+        return (alias_rel[alias], tuple(edges), tuple(sorted(strs[alias])))
+
+    best: list = [None]
+
+    def place(order, placed_index, encoding):
+        if best[0] is not None and tuple(encoding) > best[0][:len(encoding)]:
+            return
+        if len(order) == n:
+            enc = tuple(encoding)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+            return
+        remaining = [a for a in aliases if a not in placed_index]
+        keyed = [(node_key(a, placed_index), a) for a in remaining]
+        min_key = min(k for k, _ in keyed)
+        for key, a in keyed:
+            if key != min_key:
+                continue
+            placed_index[a] = len(order)
+            order.append(a)
+            encoding.append(key)
+            place(order, placed_index, encoding)
+            encoding.pop()
+            order.pop()
+            del placed_index[a]
+
+    head_key = node_key(head, {})
+    place([head], {head: 0}, [head_key])
+    return best[0]
 
 
 # --- unpruned enumeration of the connected-expansion query space -------------

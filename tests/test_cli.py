@@ -50,6 +50,17 @@ class TestExtractCommand:
         assert (a / "facts.json").read_bytes() == (b / "facts.json").read_bytes()
 
 
+    def test_deep_nesting_exits_one(self, capsys, tmp_path):
+        depth = 3000
+        (tmp_path / "deep.java").write_text(
+            "class A { int f() { return " + "(" * depth + "1" + ")" * depth + "; } }",
+            encoding="utf-8")
+        code, _, err = run(capsys, "extract", str(tmp_path / "deep.java"),
+                           "-o", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: ParseError: 1:") and "nesting deeper" in err, err
+
+
 class TestReduceCommand:
     def test_prints_kept_and_dropped(self, capsys, motivating_dir):
         code, stdout, _ = run(capsys, "reduce",
@@ -125,6 +136,7 @@ BAD_INPUTS = {
         "schema", lambda d: d["relations"][0]["attributes"][1].pop("name")),
     "positive-key-not-string": ("partition", lambda d: d.update(positive=[["M1"]])),
     "hmap-words-not-list": ("hmap", lambda d: d["h"].update({"Method.id": 5})),
+    "hmap-dictionary-not-list": ("hmap", lambda d: d.update(dictionary="method")),
 }
 
 

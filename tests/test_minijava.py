@@ -90,6 +90,44 @@ class TestParseErrors:
         assert prog.classes[0].name == "A"
 
 
+def _method_body(stmt: str) -> str:
+    return f"class A {{ int f() {{ {stmt} }} }}"
+
+
+class TestNesting:
+    def test_nesting_up_to_the_cap_parses(self):
+        # The returned expression is one level, each parenthesis another.
+        depth = mj.MAX_NESTING - 1
+        src = _method_body("return " + "(" * depth + "1" + ")" * depth + ";")
+        node = mj.parse(src).classes[0].methods[0].body[0].value
+        assert isinstance(node, mj.Literal)
+        with pytest.raises(mj.ParseError, match="nesting deeper"):
+            mj.parse(src.replace("(1)", "((1))"))
+
+    @pytest.mark.parametrize("stmt", [
+        "return " + "(" * 3000 + "1" + ")" * 3000 + ";",
+        "return " + "f(" * 3000 + "1" + ")" * 3000 + ";",
+        "return " + "new T(" * 3000 + ")" * 3000 + ";",
+        "if (x) " * 3000 + "return 1;",
+        "if (x) { " * 3000 + "}" * 3000,
+    ], ids=["parentheses", "calls", "constructors", "if-chain", "blocks"])
+    def test_deeper_nesting_is_a_parse_error(self, stmt):
+        with pytest.raises(mj.ParseError, match="nesting deeper") as err:
+            mj.parse(_method_body(stmt))
+        assert err.value.line == 1 and err.value.col > 1
+
+    def test_long_operator_chains_parse(self):
+        prog = mj.parse(_method_body("return " + "!" * 3000 + "-x" + " + 1" * 3000 + ";"))
+        node = prog.classes[0].methods[0].body[0].value
+        assert isinstance(node, mj.Binary) and node.op == "+"
+        for _ in range(3000):
+            node = node.left
+        for op in "!" * 3000 + "-":
+            assert isinstance(node, mj.Unary) and node.op == op
+            node = node.operand
+        assert node == mj.Name("x", node.pos)
+
+
 # Lexemes of the mini-Java grammar, for inputs that get past the tokenizer.
 JAVA_LEXEMES = sorted(mj.KEYWORDS) + [
     "int", "void", "boolean", "String", "A", "B", "x", "f", "{", "}", "(", ")",

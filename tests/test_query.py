@@ -1,13 +1,29 @@
 import random
+from collections import Counter
 
 import pytest
 
+from cqsearch.extract import extraction_schema
 from cqsearch.query import (ConjunctiveQuery, Equality, GraphError, QueryGraph,
-                            StringAtom, canonical_form, from_graph,
+                            StringAtom, canonical_form, check_graph, from_graph,
                             max_multiplicity, multiplicity, pred_holds,
                             render_ra, to_graph)
 from conftest import fig1c_graph, fig1c_query
 import gen
+from oracles import canonical_form_by_search
+
+
+def relabelled(g: QueryGraph, rng: random.Random) -> QueryGraph:
+    """``g`` with its non-head nodes in a random order under fresh aliases."""
+    rest = list(g.nodes[1:])
+    rng.shuffle(rest)
+    nodes = g.nodes[:1] + tuple(rest)
+    rename = {a: f"B{i}" for i, (_, a) in enumerate(nodes)}
+    return QueryGraph(
+        tuple((r, rename[a]) for r, a in nodes),
+        frozenset((rename[fk], rename[pk], attr) for fk, pk, attr in g.eq_edges),
+        tuple(sorted((rename[a], attr, pred, literal)
+                     for a, attr, pred, literal in g.str_edges)))
 
 
 class TestKappa:
@@ -88,6 +104,44 @@ class TestCanonicalForm:
         b = QueryGraph((("Parameter", "A1"), ("Method", "A2")),
                        frozenset({("A1", "A2", "method_id")}), ())
         assert canonical_form(a) != canonical_form(b)
+
+    def test_self_loop_is_encoded(self):
+        plain = QueryGraph((("Class", "A1"),), frozenset(), ())
+        loop = QueryGraph((("Class", "A1"),), frozenset({("A1", "A1", "super_id")}), ())
+        check_graph(loop, extraction_schema())
+        assert canonical_form(loop) != canonical_form(plain)
+
+    def test_self_loops_collapse_only_under_renaming(self):
+        # A head class with two subclasses, one of them its own superclass:
+        # the loop on either subclass is one graph, the loop on the head
+        # another, and no loop a third.
+        rng = random.Random(3)
+        nodes = (("Class", "A1"), ("Class", "A2"), ("Class", "A3"))
+        edges = frozenset({("A2", "A1", "super_id"), ("A3", "A1", "super_id")})
+        looped = {a: QueryGraph(nodes, edges | {(a, a, "super_id")}, ())
+                  for a in ("A1", "A2", "A3")}
+        forms = {a: canonical_form(g) for a, g in looped.items()}
+        assert forms["A2"] == forms["A3"] != forms["A1"]
+        assert canonical_form(QueryGraph(nodes, edges, ())) not in forms.values()
+        for a, g in looped.items():
+            for _ in range(5):
+                assert canonical_form(relabelled(g, rng)) == forms[a], a
+
+    def test_matches_search_on_random_graphs(self):
+        # Up to seven nodes over at most three relations, some of them
+        # disconnected, so that one relation often holds three or more of the
+        # non-head positions and the group search has real ties to break.
+        rng = random.Random(11)
+        groups_of_three = 0
+        for _ in range(1000):
+            schema = gen.random_schema(rng, max_relations=3)
+            g = gen.random_query_graph(rng, schema, m_max=7)
+            form = canonical_form(g)
+            assert form == canonical_form_by_search(g), g
+            assert canonical_form(relabelled(g, rng)) == form, g
+            counts = Counter(rel for rel, _ in g.nodes[1:])
+            groups_of_three += max(counts.values(), default=0) >= 3
+        assert groups_of_three >= 100
 
 
 class TestPredicates:

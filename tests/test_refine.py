@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cqsearch import minijava
+from cqsearch import minijava, refine
 from cqsearch.evaluator import (_Compiled, is_candidate, is_refinable,
                                  refinable_with_witnesses)
 from cqsearch.extract import extract
@@ -11,9 +11,11 @@ from cqsearch.query import QueryGraph, canonical_form, max_multiplicity
 from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.schema_graph import build_schema_graph
 from cqsearch.select import make_context, synthesize
+from cqsearch.strings import syn_lcs
 from conftest import CORPUS, fig1c_graph
 import gen
-from oracles import brute_force_candidates, refine_by_compiling
+from oracles import (brute_force_candidates, canonical_form_by_search,
+                     refine_by_compiling)
 
 
 def engine_for(schema, facts, partition, relations=None):
@@ -243,6 +245,26 @@ class TestCandidatePath:
         assert closure_non_candidates >= 100
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """The graphs refinement canonicalises, each checked against the search
+    over every remaining node."""
+    graphs: list[QueryGraph] = []
+
+    def checked(g: QueryGraph):
+        form = canonical_form(g)
+        assert form == canonical_form_by_search(g), g
+        graphs.append(g)
+        return form
+    monkeypatch.setattr(refine, "canonical_form", checked)
+    return graphs
+
+
+def _repeats_a_relation(g: QueryGraph) -> bool:
+    rels = [rel for rel, _ in g.nodes[1:]]
+    return len(set(rels)) < len(rels)
+
+
 def _cross_check(engine, levels, label) -> int:
     """Run ``engine.refine`` and ``refine_by_compiling`` level by level and
     compare them; returns how many refinable graphs' rows were checked."""
@@ -262,21 +284,24 @@ def _cross_check(engine, levels, label) -> int:
                            for a in facts.schema.string_attrs(rel))
             ok, witnesses = refinable_with_witnesses(g, facts, part, slots)
             assert ok, (where, g)
-            assert {s: engine.witnesses(g, rows, s) for s in slots} == witnesses, \
+            assert {s: list(engine.witnesses(g, rows, s)) for s in slots} == witnesses, \
                 (where, g)
             checked += 1
+    for witnesses, constraint in engine.synthesized.items():
+        assert syn_lcs([set(w) for w in witnesses]) == constraint, (label, witnesses)
     return checked
 
 
 class TestIncrementalRows:
     """Rows extended from the parent against compiling every graph anew."""
 
-    def test_matches_compiling_on_corpus(self, corpus_runs):
+    def test_matches_compiling_on_corpus(self, corpus_runs, searched):
         for name, facts, part, result in corpus_runs:
             schema = facts.schema
             engine = RefinementEngine(schema, build_schema_graph(schema), facts,
                                       part, sorted(result.reduced.kept))
             assert _cross_check(engine, result.levels_explored, name) > 0, name
+        assert sum(map(_repeats_a_relation, searched)) > 1000
 
     def test_evaluator_joins_in_node_order_on_corpus(self, corpus_runs):
         # Refinement extends assignments in node order; the evaluator's join
@@ -290,9 +315,10 @@ class TestIncrementalRows:
                     joined += len(g.nodes) > 2
         assert joined > 1000
 
-    def test_matches_compiling_on_random_instances(self):
+    def test_matches_compiling_on_random_instances(self, searched):
         rng = random.Random(29)
         joined_twice = 0
+        synthesized = 0
         for i in range(150):
             schema, facts, part = gen.random_instance(
                 rng, max_relations=4, max_fks=2, max_strs=1)
@@ -300,6 +326,7 @@ class TestIncrementalRows:
                                       part, sorted(schema))
             levels = [(m, k) for m in range(1, 4) for k in range(1, min(2, m) + 1)]
             _cross_check(engine, levels, i)
+            synthesized += len(engine.synthesized)
             state = run_levels(engine, 3)
             joined_twice += sum(
                 1 for refinable, _ in state.table.values() for g in refinable
@@ -307,6 +334,8 @@ class TestIncrementalRows:
         # A new node joined by several edges must occur, or extending by
         # the first edge alone would pass.
         assert joined_twice >= 50
+        assert synthesized >= 100
+        assert sum(map(_repeats_a_relation, searched)) >= 100
 
     def test_synthesize_leaves_no_rows(self, schema, facts, partition, context):
         # Stopped early at m = 5 below the m cap of 8, and run to an m cap

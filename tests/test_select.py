@@ -67,6 +67,12 @@ class TestContextProperties:
         except ContextError:
             return
         assert ctx.entities <= ctx.dictionary == load_hmap(doc)[0]
+        assert isinstance(doc["dictionary"], list)
+
+    @pytest.mark.parametrize("dictionary", ["method", {"method": 1}, ["method", 1], None])
+    def test_dictionary_must_be_a_list_of_words(self, dictionary):
+        with pytest.raises(ContextError, match="'dictionary' must be a list"):
+            load_hmap({"dictionary": dictionary, "h": {}})
 
 
 class TestCoverage:
