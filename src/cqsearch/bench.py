@@ -3,7 +3,7 @@
 A corpus directory holds hmap.json plus one subdirectory per task, each with
 task.json (description, target, source files, golden rule files, expected
 sizes). Tasks are extracted, synthesized, and compared against their golden
-query set by canonical query-graph form, never by text.
+query set by the canonical form of each query's merged graph, never by text.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 from . import minijava
 from .datalog import parse_datalog, render_datalog
 from .extract import extract
-from .query import canonical_form, max_multiplicity, to_graph
+from .query import canonical_form, max_multiplicity, merged, to_graph
 from .reduction import reduced_subgraph_size
 from .schema_graph import build_schema_graph
 from .select import make_context, synthesize
@@ -50,27 +50,42 @@ class TaskResult:
         }
 
 
+def _json_doc(path: Path):
+    """The JSON document in the UTF-8 file ``path``; a file that is not one
+    is a ``ValueError`` that names it."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
              early_stop: bool = True, use_reduction: bool = True) -> TaskResult:
+    """One task's row; a task that cannot run is a failed row with its error."""
     task_dir = Path(task_dir)
-    doc = json.loads((task_dir / "task.json").read_text(encoding="utf-8"))
-    name = doc.get("name", task_dir.name)
-    category = doc.get("category", "?")
+    name, category = task_dir.name, "?"
     started = time.monotonic()
     try:
+        path = task_dir / "task.json"
+        doc = _json_doc(path)
+        if not (isinstance(doc, dict)
+                and {"source", "target", "description"} <= doc.keys()):
+            raise ValueError(f"{path}: a task is a JSON object with source, "
+                             f"target and description")
+        name = doc.get("name", name)
+        category = doc.get("category", category)
         prog = minijava.parse_files([task_dir / s for s in doc["source"]])
         facts, part, _ = extract(prog, doc["target"])
         schema = facts.schema
-        ctx = make_context(json.loads(Path(hmap_path).read_text(encoding="utf-8")),
-                           doc["description"])
+        ctx = make_context(_json_doc(Path(hmap_path)), doc["description"])
         result = synthesize(schema, facts, part, ctx, k_bound=k_bound,
                             early_stop=early_stop, use_reduction=use_reduction)
         elapsed = time.monotonic() - started
 
         golden = [parse_datalog((task_dir / f).read_text(encoding="utf-8"), schema)
                   for f in doc.get("golden", [])]
-        golden_canon = {canonical_form(to_graph(q, schema)) for q in golden}
-        selected_canon = {canonical_form(s.graph) for s in result.selected}
+        golden_canon = {canonical_form(merged(to_graph(q, schema))) for q in golden}
+        selected_canon = {canonical_form(merged(s.graph)) for s in result.selected}
         passed = bool(golden_canon) and golden_canon == selected_canon
 
         gq = result.selected[0].graph.size() if result.selected else None

@@ -29,9 +29,15 @@ class CliError(Exception):
     pass
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read(path: str, as_json: bool = False):
+    """The text of a UTF-8 file, or with ``as_json`` its JSON document.
+    Bytes that are not UTF-8, JSON syntax errors and JSON nested too deeply
+    to decode are ``CliError``s that name the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except (ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _read_fact_files(schema_path: str, facts_path: str, positions_path=None):
@@ -45,8 +51,9 @@ def _read_fact_files(schema_path: str, facts_path: str, positions_path=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        schema, facts = load_facts(_read_json(schema_path), _read_json(facts_path))
-        positions = _read_json(positions_path) if positions_path else {}
+        schema, facts = load_facts(_read(schema_path, as_json=True),
+                                   _read(facts_path, as_json=True))
+        positions = _read(positions_path, as_json=True) if positions_path else {}
     finally:
         if enabled:
             gc.enable()
@@ -66,7 +73,7 @@ def _load_inputs(args):
     schema, facts, _ = _read_fact_files(args.schema, args.facts)
     part = None
     if args.partition:
-        part = partition_from_doc(_read_json(args.partition), facts)
+        part = partition_from_doc(_read(args.partition, as_json=True), facts)
     elif args.target and args.positive:
         part = make_partition(args.target, args.positive, facts)
     return schema, facts, part, {}
@@ -74,14 +81,13 @@ def _load_inputs(args):
 
 def _query_graph_dot(graph) -> str:
     lines = ["digraph query {"]
-    for rel, alias in graph.nodes:
-        lines.append(f'  "{alias}" [label="{rel} ({alias})", shape=box];')
-    for fk_alias, pk_alias, attr in sorted(graph.eq_edges):
-        lines.append(f'  "{fk_alias}" -> "{pk_alias}" [label="{attr}"];')
-    for i, (alias, attr, pred, literal) in enumerate(graph.str_edges):
-        node = f"str{i}"
-        lines.append(f'  "{node}" [label="({pred}, \\"{literal}\\")", shape=ellipse];')
-        lines.append(f'  "{alias}" -> "{node}" [label="{attr}"];')
+    for i, rel in enumerate(graph.nodes, 1):  # node i - 1 is named A{i}
+        lines.append(f'  "A{i}" [label="{rel} (A{i})", shape=box];')
+    for fk, pk, attr in sorted(graph.eq_edges):
+        lines.append(f'  "A{fk + 1}" -> "A{pk + 1}" [label="{attr}"];')
+    for i, (node, attr, pred, literal) in enumerate(graph.str_edges):
+        lines.append(f'  "str{i}" [label="({pred}, \\"{literal}\\")", shape=ellipse];')
+        lines.append(f'  "A{node + 1}" -> "str{i}" [label="{attr}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -131,12 +137,12 @@ def cmd_synthesize(args) -> int:
     if part is None:
         raise CliError("a partition is required (--partition or --target/--positive)")
     if args.description_file:
-        description = Path(args.description_file).read_text(encoding="utf-8").strip()
+        description = _read(args.description_file).strip()
     elif args.description:
         description = args.description
     else:
         raise CliError("a description is required (--description or --description-file)")
-    ctx = make_context(_read_json(args.hmap), description)
+    ctx = make_context(_read(args.hmap, as_json=True), description)
     started = time.monotonic()
     result = synthesize(schema, facts, part, ctx, k_bound=args.k_bound,
                         early_stop=not args.no_early_stop,
@@ -225,7 +231,7 @@ def _location(path: str, row_id: str, where) -> str:
 
 def cmd_search(args) -> int:
     schema, facts, positions = _read_fact_files(args.schema, args.facts, args.positions)
-    text = Path(args.query).read_text(encoding="utf-8")
+    text = _read(args.query)
     query = parse_datalog(text, schema)
     if not isinstance(positions, dict):
         raise CliError(f"{args.positions}: positions must be an object keyed "
@@ -245,7 +251,7 @@ def cmd_graph(args) -> int:
         prog = minijava.parse_files(args.source)
         schema = extraction_schema()
     elif args.schema:
-        schema, _ = load_facts(_read_json(args.schema), {})
+        schema, _ = load_facts(_read(args.schema, as_json=True), {})
     else:
         raise CliError("need --schema or --source")
     print(build_schema_graph(schema).to_dot())
@@ -349,7 +355,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except (CliError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # domain errors carry their own context

@@ -34,7 +34,7 @@ class _Compiled:
     equality edge to the joined ones, or the first remaining when none has
     one. A graph refinement builds is therefore joined in node order, the
     order it extends assignments in. ``steps[i]`` is the ``join_step`` of
-    the i-th node to join, and ``at`` maps each alias to that position.
+    the i-th node to join, and ``at`` maps each node to that position.
     """
 
     def __init__(self, facts: FactBase, g: QueryGraph | ConjunctiveQuery):
@@ -46,19 +46,19 @@ class _Compiled:
         except (GraphError, SchemaError) as exc:
             raise EvalError(str(exc)) from exc
         self.facts = facts
-        neighbours: dict[str, set[str]] = {a: set() for _, a in g.nodes}
-        for fk_alias, pk_alias, _ in g.eq_edges:
-            neighbours[fk_alias].add(pk_alias)
-            neighbours[pk_alias].add(fk_alias)
-        self.at: dict[str, int] = {}
+        neighbours: list[set[int]] = [set() for _ in g.nodes]
+        for fk, pk, _ in g.eq_edges:
+            neighbours[fk].add(pk)
+            neighbours[pk].add(fk)
+        self.at: dict[int, int] = {}
         self.steps = []
-        remaining = list(neighbours)
+        remaining = list(range(len(g.nodes)))
         while remaining:
-            alias = next((a for a in remaining if not neighbours[a].isdisjoint(self.at)),
-                         remaining[0])
-            self.steps.append(join_step(facts.schema, g, self.at, alias))
-            self.at[alias] = len(self.at)
-            remaining.remove(alias)
+            node = next((x for x in remaining if not neighbours[x].isdisjoint(self.at)),
+                        remaining[0])
+            self.steps.append(join_step(facts.schema, g, self.at, node))
+            self.at[node] = len(self.at)
+            remaining.remove(node)
 
     @staticmethod
     def of(facts: FactBase, q) -> "_Compiled":
@@ -141,8 +141,9 @@ def is_candidate(q, facts: FactBase, part: RelationPartition) -> bool:
 
 def refinable_with_witnesses(
         g, facts: FactBase, part: RelationPartition,
-        slots: list[tuple[str, str]]) -> tuple[bool, dict[tuple[str, str], list[set[str]]]]:
-    """One pass per positive: refinability plus witness values per string slot.
+        slots: list[tuple[int, str]]) -> tuple[bool, dict[tuple[int, str], list[set[str]]]]:
+    """One pass per positive: refinability plus witness values per string
+    slot ``(node, attr)``.
 
     Returns (refinable, {slot: [witness set per positive, in sorted order]}).
     Bails out as not refinable on the first positive with no assignment.
@@ -150,14 +151,14 @@ def refinable_with_witnesses(
     """
     c = _compiled_for(g, facts, part)
     positions = {}
-    for alias, attr in slots:
-        if alias not in c.at:
-            raise GraphError(f"unknown alias {alias!r}")
-        i = c.at[alias]
-        positions[(alias, attr)] = (i, facts.schema.attr_pos(c.steps[i][0], attr))
-    witnesses: dict[tuple[str, str], list[set[str]]] = {s: [] for s in slots}
+    for node, attr in slots:
+        if node not in c.at:
+            raise GraphError(f"no node {node!r}")
+        i = c.at[node]
+        positions[(node, attr)] = (i, facts.schema.attr_pos(c.steps[i][0], attr))
+    witnesses: dict[tuple[int, str], list[set[str]]] = {s: [] for s in slots}
     for t in sorted(part.positives):
-        per_slot: dict[tuple[str, str], set[str]] = {s: set() for s in slots}
+        per_slot: dict[tuple[int, str], set[str]] = {s: set() for s in slots}
         any_assignment = False
         for assignment in c.assignments(t):
             any_assignment = True
@@ -172,11 +173,12 @@ def refinable_with_witnesses(
     return True, witnesses
 
 
-def collect_witnesses(g: QueryGraph, alias: str, attr: str,
+def collect_witnesses(g: QueryGraph, node: int, attr: str,
                       part: RelationPartition, facts: FactBase) -> dict[Tuple, frozenset[str]]:
-    """Per positive head tuple, the slot values seen across its assignments."""
-    ok, per_slot = refinable_with_witnesses(g, facts, part, [(alias, attr)])
+    """Per positive head tuple, the values slot ``(node, attr)`` takes across
+    its assignments."""
+    ok, per_slot = refinable_with_witnesses(g, facts, part, [(node, attr)])
     if not ok:
         raise EvalError("witness collection requires a refinable query graph")
-    sets = per_slot[(alias, attr)]
+    sets = per_slot[(node, attr)]
     return {t: frozenset(s) for t, s in zip(sorted(part.positives), sets)}

@@ -9,6 +9,7 @@ survive lexing as annotations and attach to the next declaration or statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
 KEYWORDS = {"class", "interface", "extends", "implements", "import", "if",
@@ -594,11 +595,26 @@ def parse(source: str, source_name: str = "<source>") -> Program:
     return prog
 
 
+def _newlines(text: str) -> str:
+    """``text`` with each CR LF and lone CR line end read as LF, as reading
+    a file in text mode does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_files(paths) -> Program:
+    """The merged program of the UTF-8 source files ``paths``; a file that
+    is not UTF-8 is a ``ParseError`` naming it, at its first bad byte."""
     prog: Program | None = None
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            part = parse(fh.read(), source_name=str(path))
+        data = Path(path).read_bytes()
+        try:
+            text = _newlines(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            before = _newlines(data[:exc.start].decode("utf-8"))
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}",
+                             before.count("\n") + 1,
+                             len(before) - before.rfind("\n")) from None
+        part = parse(text, source_name=str(path))
         prog = part if prog is None else prog.merged_with(part)
     if prog is None:
         raise ParseError("no input files", 0, 0)

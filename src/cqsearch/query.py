@@ -3,13 +3,15 @@
 A query is a projection of a selection over a product of aliased relations;
 its graph form has one node per alias, one labeled edge per pk/fk equality
 atom, and one (predicate, literal) decoration per constrained string slot.
-The two forms are interconvertible up to alias renaming; canonical forms make
-that renaming irrelevant for deduplication and golden comparisons.
-
-The projection head is always the first alias and names the partition target.
+A node is known by its position: node 0 is the projection head, which names
+the partition target, and ``to_graph`` maps the query's aliases to positions
+once. The two forms are interconvertible up to alias renaming and node
+order; canonical forms make both irrelevant for deduplication and golden
+comparisons.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 from .core import FK, STR, Schema, pred_holds
@@ -48,14 +50,6 @@ class ConjunctiveQuery:
     product: tuple[tuple[str, str], ...]  # (alias, relation), head first
     conditions: tuple[Atom, ...]
 
-    @property
-    def head_alias(self) -> str:
-        return self.product[0][0]
-
-    @property
-    def head_relation(self) -> str:
-        return self.product[0][1]
-
     def relation_of(self, alias: str) -> str:
         for a, r in self.product:
             if a == alias:
@@ -65,41 +59,29 @@ class ConjunctiveQuery:
 
 @dataclass(frozen=True)
 class QueryGraph:
-    nodes: tuple[tuple[str, str], ...]  # (relation, alias), head first
-    eq_edges: frozenset[tuple[str, str, str]]  # (fk_alias, pk_alias, fk_attr)
-    str_edges: tuple[tuple[str, str, str, str], ...]  # (alias, attr, pred, literal), sorted
+    nodes: tuple[str, ...]  # the relation of each node, head first
+    eq_edges: frozenset[tuple[int, int, str]]  # (fk_node, pk_node, fk_attr)
+    str_edges: tuple[tuple[int, str, str, str], ...]  # (node, attr, pred, literal), sorted
 
     @staticmethod
     def empty() -> "QueryGraph":
         return QueryGraph((), frozenset(), ())
 
     @property
-    def head_alias(self) -> str:
-        return self.nodes[0][1]
-
-    @property
     def head_relation(self) -> str:
-        return self.nodes[0][0]
+        return self.nodes[0]
 
-    def aliases(self) -> tuple[str, ...]:
-        return tuple(a for _, a in self.nodes)
+    def constrained_slots(self) -> frozenset[tuple[int, str]]:
+        return frozenset((node, attr) for node, attr, _, _ in self.str_edges)
 
-    def relation_of(self, alias: str) -> str:
-        for r, a in self.nodes:
-            if a == alias:
-                return r
-        raise GraphError(f"unknown alias {alias!r}")
+    def with_node(self, relation: str,
+                  edges: frozenset[tuple[int, int, str]]) -> "QueryGraph":
+        """``self`` plus node ``len(self.nodes)`` of ``relation``."""
+        return QueryGraph(self.nodes + (relation,), self.eq_edges | edges,
+                          self.str_edges)
 
-    def constrained_slots(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, attr) for a, attr, _, _ in self.str_edges)
-
-    def with_node(self, relation: str, alias: str,
-                  edges: frozenset[tuple[str, str, str]]) -> "QueryGraph":
-        return QueryGraph(self.nodes + ((relation, alias),),
-                          self.eq_edges | edges, self.str_edges)
-
-    def with_constraint(self, alias: str, attr: str, pred: str, literal: str) -> "QueryGraph":
-        extra = (alias, attr, pred, literal)
+    def with_constraint(self, node: int, attr: str, pred: str, literal: str) -> "QueryGraph":
+        extra = (node, attr, pred, literal)
         return QueryGraph(self.nodes, self.eq_edges,
                           tuple(sorted(self.str_edges + (extra,))))
 
@@ -112,80 +94,84 @@ class QueryGraph:
 
 
 def multiplicity(g: QueryGraph, relation: str) -> int:
-    return sum(1 for r, _ in g.nodes if r == relation)
+    return g.nodes.count(relation)
 
 
 def max_multiplicity(g: QueryGraph) -> int:
-    counts: dict[str, int] = {}
-    for r, _ in g.nodes:
-        counts[r] = counts.get(r, 0) + 1
-    return max(counts.values(), default=0)
-
-
-def _check_edge(schema: Schema, fk_rel: str, fk_attr: str, pk_rel: str):
-    attr = schema.attr(fk_rel, fk_attr)
-    if attr.kind != FK or attr.target != pk_rel:
-        raise GraphError(
-            f"{fk_rel}.{fk_attr} is not a foreign key referencing {pk_rel}")
-
-
-def _check_string_slot(schema: Schema, rel: str, attr: str):
-    if schema.attr(rel, attr).kind != STR:
-        raise GraphError(f"{rel}.{attr} is not a string attribute")
+    return max(Counter(g.nodes).values(), default=0)
 
 
 def check_graph(g: QueryGraph, schema: Schema) -> None:
     """Raise ``GraphError`` unless the schema licenses ``g``: known relations,
-    unique aliases, each equality edge a foreign key referencing its target
-    node's relation, each string edge on a string attribute with a known
-    predicate. An attribute its relation lacks is a ``SchemaError``."""
-    aliases: set[str] = set()
-    for rel, alias in g.nodes:
+    edges and constraints between existing nodes, each equality edge a
+    foreign key referencing its target node's relation, each string edge on
+    a string attribute with a known predicate. An attribute its relation
+    lacks is a ``SchemaError``."""
+    for rel in g.nodes:
         if rel not in schema:
             raise GraphError(f"unknown relation {rel!r}")
-        if alias in aliases:
-            raise GraphError(f"duplicate alias {alias!r}")
-        aliases.add(alias)
-    for fk_alias, pk_alias, attr in sorted(g.eq_edges):
-        _check_edge(schema, g.relation_of(fk_alias), attr, g.relation_of(pk_alias))
-    for alias, attr, pred, _ in g.str_edges:
-        _check_string_slot(schema, g.relation_of(alias), attr)
+    nodes = range(len(g.nodes))
+    for fk, pk, attr in sorted(g.eq_edges):
+        if fk not in nodes or pk not in nodes:
+            raise GraphError(f"equality edge {(fk, pk, attr)!r} leaves the nodes")
+        a = schema.attr(g.nodes[fk], attr)
+        if a.kind != FK or a.target != g.nodes[pk]:
+            raise GraphError(f"{g.nodes[fk]}.{attr} is not a foreign key "
+                             f"referencing {g.nodes[pk]}")
+    for node, attr, pred, _ in g.str_edges:
+        if node not in nodes:
+            raise GraphError(f"string constraint on a missing node {node!r}")
+        if schema.attr(g.nodes[node], attr).kind != STR:
+            raise GraphError(f"{g.nodes[node]}.{attr} is not a string attribute")
         if pred not in PREDICATES:
             raise GraphError(f"unknown predicate {pred!r}")
 
 
-def join_step(schema: Schema, g: QueryGraph, at: Mapping[str, int], alias: str):
+def join_step(schema: Schema, g: QueryGraph, at: Mapping[int, int], node: int):
     """``(relation, pin, eqs, strs, self_eq)``: what ``FactBase.matching``
-    binds node ``alias`` of a checked graph with, once the nodes ``at`` maps
-    to assignment positions are bound. ``pin`` is the ``(j, pos)`` of a bound
-    node's foreign key holding the node's primary key, if any; ``eqs`` its
-    other equalities with bound nodes, ``(pos, j, jpos)``; ``strs`` its
-    string constraints ``(pos, pred, literal)``; ``self_eq`` the positions of
-    its foreign keys that must equal its own primary key."""
-    rel = g.relation_of(alias)
+    binds ``node`` of a checked graph with, once the nodes ``at`` maps to
+    assignment positions are bound (refinement, which binds in node order,
+    passes a ``range``). ``pin`` is the ``(j, pos)`` of a bound node's
+    foreign key holding the node's primary key, if any; ``eqs`` its other
+    equalities with bound nodes, ``(pos, j, jpos)``; ``strs`` its string
+    constraints ``(pos, pred, literal)``; ``self_eq`` the positions of its
+    foreign keys that must equal its own primary key."""
+    rel = g.nodes[node]
     pins, checks, self_eq = [], [], []
-    for fk_alias, pk_alias, attr in sorted(g.eq_edges):
-        if fk_alias == pk_alias == alias:
+    for fk, pk, attr in sorted(g.eq_edges):
+        if fk == pk == node:
             self_eq.append(schema.attr_pos(rel, attr))
-        elif pk_alias == alias and fk_alias in at:
-            pins.append((at[fk_alias], schema.attr_pos(g.relation_of(fk_alias), attr)))
-        elif fk_alias == alias and pk_alias in at:
-            checks.append((schema.attr_pos(rel, attr), at[pk_alias], 0))
+        elif pk == node and fk in at:
+            pins.append((at[fk], schema.attr_pos(g.nodes[fk], attr)))
+        elif fk == node and pk in at:
+            checks.append((schema.attr_pos(rel, attr), at[pk], 0))
     strs = tuple((schema.attr_pos(rel, attr), pred, literal)
-                 for a, attr, pred, literal in g.str_edges if a == alias)
+                 for i, attr, pred, literal in g.str_edges if i == node)
     return (rel, pins[0] if pins else None,
             tuple([(0, j, pos) for j, pos in pins[1:]] + checks), strs, tuple(self_eq))
 
 
 def to_graph(q: ConjunctiveQuery, schema: Schema) -> QueryGraph:
+    """The graph of ``q``, its aliases numbered in product order."""
+    index: dict[str, int] = {}
+    for alias, _ in q.product:
+        if alias in index:
+            raise GraphError(f"duplicate alias {alias!r}")
+        index[alias] = len(index)
+
+    def node(alias: str) -> int:
+        if alias not in index:
+            raise GraphError(f"unknown alias {alias!r}")
+        return index[alias]
+
     eqs = [c for c in q.conditions if isinstance(c, Equality)]
-    g = QueryGraph(tuple((r, a) for a, r in q.product),
-                   frozenset((c.fk_alias, c.pk_alias, c.fk_attr) for c in eqs),
-                   tuple(sorted((c.alias, c.attr, c.pred, c.literal)
+    g = QueryGraph(tuple(r for _, r in q.product),
+                   frozenset((node(c.fk_alias), node(c.pk_alias), c.fk_attr) for c in eqs),
+                   tuple(sorted((node(c.alias), c.attr, c.pred, c.literal)
                                 for c in q.conditions if isinstance(c, StringAtom))))
     check_graph(g, schema)
     for c in eqs:
-        pk_rel = g.relation_of(c.pk_alias)
+        pk_rel = q.relation_of(c.pk_alias)
         if schema.pk_attr(pk_rel).name != c.pk_attr:
             raise GraphError(
                 f"{c.pk_alias}.{c.pk_attr} is not the primary key of {pk_rel}")
@@ -193,52 +179,44 @@ def to_graph(q: ConjunctiveQuery, schema: Schema) -> QueryGraph:
 
 
 def from_graph(g: QueryGraph, schema: Schema) -> ConjunctiveQuery:
-    """Induced query with fresh aliases A1..Am in node order."""
+    """Induced query that names node i ``A{i+1}``, its atoms in node order."""
     check_graph(g, schema)
-    rename = {alias: f"A{i + 1}" for i, (_, alias) in enumerate(g.nodes)}
-    rel_of = {a: r for r, a in g.nodes}
-    product = tuple((rename[a], r) for r, a in g.nodes)
-    conds: list[Atom] = [
-        Equality(rename[fk_alias], attr, rename[pk_alias],
-                 schema.pk_attr(rel_of[pk_alias]).name)
-        for fk_alias, pk_alias, attr in sorted(g.eq_edges)]
-    conds += [StringAtom(rename[alias], attr, pred, literal)
-              for alias, attr, pred, literal in g.str_edges]
-    order = {rename[a]: i for i, (_, a) in enumerate(g.nodes)}
-    conds.sort(key=lambda c: ((order[c.fk_alias], c.fk_attr, order[c.pk_alias], 0)
-                              if isinstance(c, Equality)
-                              else (order[c.alias], c.attr, 0, 1)))
-    return ConjunctiveQuery(product, tuple(conds))
+    alias = [f"A{i + 1}" for i in range(len(g.nodes))]
+    atoms = [((fk, attr, pk, 0),
+              Equality(alias[fk], attr, alias[pk], schema.pk_attr(g.nodes[pk]).name))
+             for fk, pk, attr in g.eq_edges]
+    atoms += [((node, attr, 0, 1), StringAtom(alias[node], attr, pred, literal))
+              for node, attr, pred, literal in g.str_edges]
+    atoms.sort(key=lambda a: a[0])
+    return ConjunctiveQuery(tuple(zip(alias, g.nodes)), tuple(a for _, a in atoms))
 
 
 # --- canonical form -------------------------------------------------------
 #
-# Graphs that differ only by alias renaming must collapse to one key: the
-# least encoding, over the node orders that keep the head at position 0, of
-# the nodes' keys in order. A node's key is its relation, its equality edges
-# to nodes placed before it (kind, attribute, position; a self-loop is an
-# edge to its own position) and its string constraints. The relation comes
-# first, so the least encoding lists the other nodes in sorted relation order
-# and only nodes of one relation compete for a position; ties between them
-# are kept until a later position breaks them.
+# Graphs that differ only in node order must collapse to one key: the least
+# encoding, over the node orders that keep the head at position 0, of the
+# nodes' keys in order. A node's key is its relation, its equality edges to
+# nodes placed before it (kind, attribute, position; a self-loop is an edge
+# to its own position) and its string constraints. The relation comes first,
+# so the least encoding lists the other nodes in sorted relation order and
+# only nodes of one relation compete for a position; ties between them are
+# kept until a later position breaks them.
 
 def canonical_form(g: QueryGraph):
     n = len(g.nodes)
     if n == 0:
         return ("empty",)
-    index = {a: i for i, (_, a) in enumerate(g.nodes)}
-    rels = [r for r, _ in g.nodes]
+    rels = g.nodes
     adj: list[list] = [[] for _ in range(n)]
-    for fk_alias, pk_alias, attr in g.eq_edges:
-        i, j = index[fk_alias], index[pk_alias]
+    for i, j, attr in g.eq_edges:
         adj[i].append(("f", attr, j))
         if i != j:
             adj[j].append(("p", attr, i))
     strs = [()] * n
     if g.str_edges:
         by_node: dict[int, list] = {}
-        for alias, attr, pred, literal in g.str_edges:
-            by_node.setdefault(index[alias], []).append((attr, pred, literal))
+        for i, attr, pred, literal in g.str_edges:
+            by_node.setdefault(i, []).append((attr, pred, literal))
         for i, s in by_node.items():
             strs[i] = tuple(sorted(s))
 
@@ -292,10 +270,45 @@ def canonical_form(g: QueryGraph):
     return tuple(encoding)
 
 
+def merged(g: QueryGraph) -> QueryGraph:
+    """``g`` with every set of nodes whose primary keys its equalities make
+    equal merged into one node, for comparing queries rather than graphs.
+
+    Such nodes bind one tuple, and they share a relation, since a foreign
+    key references one relation. Merging makes the merged nodes' foreign
+    keys equal too, which can merge more nodes, so it repeats until nothing
+    changes. A merged node takes the least position among its nodes and
+    the union of their edges and constraints. Spannings of one variable
+    class by different equalities, as ``parse_datalog`` may pick, merge to
+    the same graph; synthesis keeps its own graphs.
+    """
+    rep = list(range(len(g.nodes)))
+
+    def find(x: int) -> int:
+        while rep[x] != x:
+            x = rep[x]
+        return x
+
+    changed = True
+    while changed:
+        changed = False
+        referenced: dict[tuple[int, str], int] = {}  # foreign key -> a pk node
+        for fk, pk, attr in sorted(g.eq_edges):
+            a, b = find(referenced.setdefault((find(fk), attr), pk)), find(pk)
+            if a != b:
+                rep[max(a, b)] = min(a, b)
+                changed = True
+    kept = sorted({find(x) for x in range(len(g.nodes))})
+    new = [kept.index(find(x)) for x in range(len(g.nodes))]
+    return QueryGraph(tuple(g.nodes[x] for x in kept),
+                      frozenset((new[fk], new[pk], attr) for fk, pk, attr in g.eq_edges),
+                      tuple(sorted({(new[x], *rest) for x, *rest in g.str_edges})))
+
+
 # --- relational-algebra rendering -----------------------------------------
 
 def render_ra(q: ConjunctiveQuery) -> str:
-    head = q.head_alias
+    head = q.product[0][0]
     product = " × ".join(f"ρ_{a}({r})" for a, r in q.product)
     if not q.conditions:
         return f"Π_({head}.*)(σ_true({product}))"

@@ -110,51 +110,47 @@ class RefinementEngine:
         self.synthesized: dict[tuple[frozenset[str], ...], tuple[str, str] | None] = {}
 
     def expand(self, g: QueryGraph, rel: str) -> list[QueryGraph]:
-        """All one-node extensions of ``g`` with ``rel``, connected.
+        """All one-node extensions of ``g`` with ``rel``, connected: the new
+        node is node ``len(g.nodes)``, with every non-empty subset of the
+        legal edges between it and the others.
 
         The empty graph only ever grows the projection head.
         """
         if not g.nodes:
             if rel != self.part.target:
                 return []
-            return [QueryGraph(((rel, "A1"),), frozenset(), ())]
-        alias = f"A{len(g.nodes) + 1}"
-        options: list[tuple[str, str, str]] = []
-        for existing_rel, existing_alias in g.nodes:
+            return [QueryGraph((rel,), frozenset(), ())]
+        new = len(g.nodes)
+        options: list[tuple[int, int, str]] = []
+        for node, existing_rel in enumerate(g.nodes):
             for e in self.graph.fk_edges:
                 if e.src == rel and e.dst == existing_rel:
-                    options.append((alias, existing_alias, e.attr))
+                    options.append((new, node, e.attr))
                 if e.src == existing_rel and e.dst == rel:
-                    options.append((existing_alias, alias, e.attr))
+                    options.append((node, new, e.attr))
         options = sorted(set(options))
         out = []
         for n in range(1, len(options) + 1):
             for subset in combinations(options, n):
-                out.append(g.with_node(rel, alias, frozenset(subset)))
+                out.append(g.with_node(rel, frozenset(subset)))
         return out
 
-    def _string_slots(self, g: QueryGraph) -> list[tuple[str, str]]:
+    def _string_slots(self, g: QueryGraph) -> list[tuple[int, str]]:
+        """The unconstrained string slots ``(node, attr)`` of ``g``, sorted."""
         constrained = g.constrained_slots()
-        slots = []
-        for rel, alias in g.nodes:
-            for attr in self.schema.string_attrs(rel):
-                if (alias, attr.name) not in constrained:
-                    slots.append((alias, attr.name))
-        return sorted(slots)
-
-    def _column(self, g: QueryGraph, slot: tuple[str, str]) -> tuple[int, int]:
-        """(node index, attribute position) of a string slot of ``g``."""
-        alias, attr = slot
-        for i, (rel, a) in enumerate(g.nodes):
-            if a == alias:
-                return i, self.schema.attr_pos(rel, attr)
-        raise KeyError(alias)
+        return sorted((node, attr.name) for node, rel in enumerate(g.nodes)
+                      for attr in self.schema.string_attrs(rel)
+                      if (node, attr.name) not in constrained)
 
     def witnesses(self, g: QueryGraph, rows: Rows,
-                  slot: tuple[str, str]) -> tuple[frozenset[str], ...]:
-        """Per positive, in sorted order, the values ``slot`` takes."""
-        i, pos = self._column(g, slot)
-        return tuple([frozenset([a[i][pos] for a in group]) for group in rows.positives])
+                  slot: tuple[int, str]) -> tuple[frozenset[str], ...]:
+        """Per positive, in sorted order, the values ``slot``, a ``(node,
+        attr)`` pair, takes: a column of the positives' rows, which hold one
+        tuple per node in node order."""
+        node, attr = slot
+        pos = self.schema.attr_pos(g.nodes[node], attr)
+        return tuple([frozenset([a[node][pos] for a in group])
+                      for group in rows.positives])
 
     def constraint(self, witnesses: tuple[frozenset[str], ...]) -> tuple[str, str] | None:
         """``syn_lcs(witnesses)``, computed once per engine."""
@@ -169,8 +165,8 @@ class RefinementEngine:
         None when some positive keeps no assignment."""
         if len(v.nodes) == 1:
             return self.head_rows
-        at = {a: i for i, (_, a) in enumerate(v.nodes[:-1])}
-        rel, pin, eqs, strs, self_eq = join_step(self.schema, v, at, v.nodes[-1][1])
+        last = len(v.nodes) - 1
+        rel, pin, eqs, strs, self_eq = join_step(self.schema, v, range(last), last)
         matching = self.facts.matching
 
         def extend(group: tuple[Assignment, ...]) -> tuple[Assignment, ...]:
@@ -190,13 +186,14 @@ class RefinementEngine:
         negatives = tuple(got for got in map(extend, rows.negatives) if got)
         return Rows(tuple(positives), negatives)
 
-    def _constrained(self, g: QueryGraph, rows: Rows, slot: tuple[str, str],
+    def _constrained(self, g: QueryGraph, rows: Rows, slot: tuple[int, str],
                      pred: str, literal: str) -> Rows:
         """Rows of ``g`` with ``pred(slot, literal)`` added."""
-        i, pos = self._column(g, slot)
+        node, attr = slot
+        pos = self.schema.attr_pos(g.nodes[node], attr)
 
         def keep(group):
-            return tuple(a for a in group if pred_holds(pred, a[i][pos], literal))
+            return tuple(a for a in group if pred_holds(pred, a[node][pos], literal))
 
         negatives = tuple(got for got in map(keep, rows.negatives) if got)
         return Rows(tuple(map(keep, rows.positives)), negatives)

@@ -93,12 +93,12 @@ def condition_attrs(g: QueryGraph, schema: Schema) -> frozenset[tuple[str, str]]
     An equality edge touches its foreign key and the referenced primary key.
     """
     pairs = set()
-    for fk_alias, pk_alias, attr in g.eq_edges:
-        pk_rel = g.relation_of(pk_alias)
+    for fk, pk, attr in g.eq_edges:
+        pk_rel = g.nodes[pk]
         pairs.add((pk_rel, schema.pk_attr(pk_rel).name))
-        pairs.add((g.relation_of(fk_alias), attr))
-    for alias, attr, _, _ in g.str_edges:
-        pairs.add((g.relation_of(alias), attr))
+        pairs.add((g.nodes[fk], attr))
+    for node, attr, _, _ in g.str_edges:
+        pairs.add((g.nodes[node], attr))
     return frozenset(pairs)
 
 

@@ -66,11 +66,9 @@ def fig1c_query() -> ConjunctiveQuery:
 
 def fig1c_graph() -> QueryGraph:
     return QueryGraph(
-        (("Method", "A1"), ("Type", "A2"), ("Parameter", "A3"), ("Type", "A4")),
-        frozenset({("A1", "A2", "ret_type_id"), ("A3", "A1", "method_id"),
-                   ("A3", "A4", "type_id")}),
-        (("A2", "name", "equal", "CacheConfig"),
-         ("A4", "name", "equal", "Log4jUtils")))
+        ("Method", "Type", "Parameter", "Type"),
+        frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id"), (2, 3, "type_id")}),
+        ((1, "name", "equal", "CacheConfig"), (3, "name", "equal", "Log4jUtils")))
 
 
 @pytest.fixture

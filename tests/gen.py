@@ -108,28 +108,28 @@ def random_query_graph(rng: random.Random, schema: Schema,
                 for rel in schema for a in schema[rel] if a.kind == FK]
     rels = sorted(schema)
     head = rng.choice(rels)
-    g = QueryGraph(((head, "A1"),), frozenset(), ())
+    g = QueryGraph((head,), frozenset(), ())
     for _ in range(rng.randint(0, m_max - 1)):
         rel = rng.choice(rels)
-        alias = f"A{len(g.nodes) + 1}"
+        new = len(g.nodes)
         options = set()
-        for existing_rel, existing_alias in g.nodes:
+        for node, existing_rel in enumerate(g.nodes):
             for src, attr, dst in fk_edges:
                 if src == rel and dst == existing_rel:
-                    options.add((alias, existing_alias, attr))
+                    options.add((new, node, attr))
                 if src == existing_rel and dst == rel:
-                    options.add((existing_alias, alias, attr))
+                    options.add((node, new, attr))
         options = sorted(options)
         if options:
             chosen = frozenset(rng.sample(options, rng.randint(1, len(options))))
-            g = g.with_node(rel, alias, chosen)
+            g = g.with_node(rel, chosen)
         elif allow_disconnected and rng.random() < 0.3:
-            g = g.with_node(rel, alias, frozenset())
+            g = g.with_node(rel, frozenset())
     # sprinkle string constraints, literals sometimes unrelated to the data
-    for rel, alias in g.nodes:
+    for node, rel in enumerate(g.nodes):
         for a in schema[rel]:
             if a.kind == STR and rng.random() < 0.4:
                 pred = rng.choice(("equal", "prefix", "suffix", "contain"))
                 literal = random_string(rng, alphabet, 1, 3)
-                g = g.with_constraint(alias, a.name, pred, literal)
+                g = g.with_constraint(node, a.name, pred, literal)
     return g

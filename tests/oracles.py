@@ -2,15 +2,18 @@
 
 Everything here trades efficiency for obviousness: per-row fact checks,
 full Cartesian products, exhaustive substring scans, unpruned breadth-first
-search over the query space. None of it shares search machinery with the
-package. The shared primitives are:
+search over the query space, a search for homomorphisms between query
+graphs. None of it shares search machinery with the package. Query graphs
+are read as the package writes them: node i is position i, the head 0. The
+shared primitives are:
 
 - the evaluator inside the brute-force enumerator and inside
   ``refine_by_compiling``, which the suite certifies separately against the
   product oracle;
 - ``query.join_step``, which compiles a node into the evaluator's join step
-  and refinement's alike, so ``refine_by_compiling`` shares it with
-  ``refine``; criterion 6 certifies it through ``evaluate``;
+  and refinement's alike (the evaluator maps nodes to join positions,
+  refinement binds them in node order), so ``refine_by_compiling`` shares
+  it with ``refine``; criterion 6 certifies it through ``evaluate``;
 - ``FactBase.matching``, which runs that join step; criterion 6 and a
   brute-force filter over the relation's tuples (``test_core.TestMatching``)
   certify it on its own;
@@ -99,40 +102,88 @@ def naive_evaluate(q, facts: FactBase, max_rows: int = 200_000) -> frozenset:
     """Selection over the materialized Cartesian product, projected on A1."""
     schema = facts.schema
     if isinstance(q, QueryGraph):
-        nodes = [(a, r) for r, a in q.nodes]
+        nodes = list(q.nodes)
         eqs = [(fk, attr, pk) for fk, pk, attr in sorted(q.eq_edges)]
         strs = list(q.str_edges)
     else:
-        nodes = list(q.product)
-        eqs = [(c.fk_alias, c.fk_attr, c.pk_alias)
+        index = {alias: i for i, (alias, _) in enumerate(q.product)}
+        nodes = [rel for _, rel in q.product]
+        eqs = [(index[c.fk_alias], c.fk_attr, index[c.pk_alias])
                for c in q.conditions if isinstance(c, Equality)]
-        strs = [(c.alias, c.attr, c.pred, c.literal)
+        strs = [(index[c.alias], c.attr, c.pred, c.literal)
                 for c in q.conditions if isinstance(c, StringAtom)]
-    pools = [sorted(facts.tuples(rel)) for _, rel in nodes]
+    pools = [sorted(facts.tuples(rel)) for rel in nodes]
     size = 1
     for pool in pools:
         size *= len(pool)
         if size > max_rows:
             raise ValueError(f"product too large for the naive oracle ({size})")
-    index = {alias: i for i, (alias, _) in enumerate(nodes)}
-    rel_of = dict(nodes)
     out = set()
     for row in product(*pools):
         ok = True
-        for fk_alias, attr, pk_alias in eqs:
-            pos = schema.attr_pos(rel_of[fk_alias], attr)
-            if row[index[fk_alias]][pos] != row[index[pk_alias]][0]:
+        for fk, attr, pk in eqs:
+            pos = schema.attr_pos(nodes[fk], attr)
+            if row[fk][pos] != row[pk][0]:
                 ok = False
                 break
         if ok:
-            for alias, attr, pred, literal in strs:
-                pos = schema.attr_pos(rel_of[alias], attr)
-                if not pred_holds(pred, row[index[alias]][pos], literal):
+            for node, attr, pred, literal in strs:
+                pos = schema.attr_pos(nodes[node], attr)
+                if not pred_holds(pred, row[node][pos], literal):
                     ok = False
                     break
         if ok:
             out.add(row[0])
     return frozenset(out)
+
+
+# --- query containment by homomorphism ----------------------------------------
+
+def variable_classes(g: QueryGraph) -> frozenset[frozenset]:
+    """The slots ``g``'s equalities make equal, one class per variable of its
+    Datalog rule: a foreign key as ``(node, attr)``, a primary key as
+    ``(node, None)``. Slots no equality touches are left out."""
+    classes: list[set] = []
+    for fk, pk, attr in g.eq_edges:
+        ends = [(fk, attr), (pk, None)]
+        touched = [c for c in classes if not c.isdisjoint(ends)]
+        joined = set(ends).union(*touched)
+        classes = [c for c in classes if c not in touched] + [joined]
+    return frozenset(frozenset(c) for c in classes)
+
+
+def homomorphism(src: QueryGraph, dst: QueryGraph) -> tuple[int, ...] | None:
+    """A map of ``src``'s nodes onto ``dst``'s that keeps the head, each
+    node's relation, each equality (its two slots equal in ``dst``) and each
+    string constraint, found by search; None if there is none. One from
+    ``src`` to ``dst`` proves every answer of ``dst`` an answer of ``src``,
+    so one each way proves the queries equivalent (Chandra & Merlin 1977)."""
+    class_of = {slot: c for c in variable_classes(dst) for slot in c}
+    strs = set(dst.str_edges)
+
+    def holds(h: list[int]) -> bool:
+        """Do the atoms of the nodes ``h`` maps hold in ``dst``?"""
+        for fk, pk, attr in src.eq_edges:
+            if fk < len(h) and pk < len(h):
+                a, b = (h[fk], attr), (h[pk], None)
+                if a != b and b not in class_of.get(a, ()):
+                    return False
+        return all((h[x], attr, pred, literal) in strs
+                   for x, attr, pred, literal in src.str_edges if x < len(h))
+
+    def extend(h: list[int]):
+        if len(h) == len(src.nodes):
+            return tuple(h)
+        for y, rel in enumerate(dst.nodes):
+            if rel == src.nodes[len(h)] and holds(h + [y]):
+                found = extend(h + [y])
+                if found is not None:
+                    return found
+        return None
+
+    if src.nodes[0] != dst.nodes[0] or not holds([0]):
+        return None
+    return extend([0])
 
 
 # --- named-entity coverage on the rendered query ------------------------------
@@ -320,24 +371,20 @@ def canonical_form_by_search(g: QueryGraph):
     n = len(g.nodes)
     if n == 0:
         return ("empty",)
-    alias_rel = {a: r for r, a in g.nodes}
-    out_edges: dict[str, list] = {a: [] for a in alias_rel}
-    for fk_alias, pk_alias, attr in g.eq_edges:
-        out_edges[fk_alias].append(("f", attr, pk_alias))
-        out_edges[pk_alias].append(("p", attr, fk_alias))
-    strs: dict[str, list] = {a: [] for a in alias_rel}
-    for alias, attr, pred, literal in g.str_edges:
-        strs[alias].append((attr, pred, literal))
+    out_edges: list[list] = [[] for _ in g.nodes]
+    for fk, pk, attr in g.eq_edges:
+        out_edges[fk].append(("f", attr, pk))
+        out_edges[pk].append(("p", attr, fk))
+    strs: list[list] = [[] for _ in g.nodes]
+    for node, attr, pred, literal in g.str_edges:
+        strs[node].append((attr, pred, literal))
 
-    aliases = [a for _, a in g.nodes]
-    head = aliases[0]
-
-    def node_key(alias, placed_index):
+    def node_key(node, placed_index):
         # Edges to already-placed nodes, by placed position; string constraints.
         edges = sorted((kind, attr, placed_index[other])
-                       for kind, attr, other in out_edges[alias]
+                       for kind, attr, other in out_edges[node]
                        if other in placed_index)
-        return (alias_rel[alias], tuple(edges), tuple(sorted(strs[alias])))
+        return (g.nodes[node], tuple(edges), tuple(sorted(strs[node])))
 
     best: list = [None]
 
@@ -349,7 +396,7 @@ def canonical_form_by_search(g: QueryGraph):
             if best[0] is None or enc < best[0]:
                 best[0] = enc
             return
-        remaining = [a for a in aliases if a not in placed_index]
+        remaining = [a for a in range(n) if a not in placed_index]
         keyed = [(node_key(a, placed_index), a) for a in remaining]
         min_key = min(k for k, _ in keyed)
         for key, a in keyed:
@@ -363,8 +410,8 @@ def canonical_form_by_search(g: QueryGraph):
             order.pop()
             del placed_index[a]
 
-    head_key = node_key(head, {})
-    place([head], {head: 0}, [head_key])
+    head_key = node_key(0, {})
+    place([0], {0: 0}, [head_key])
     return best[0]
 
 
@@ -386,28 +433,28 @@ def enumerate_query_space(facts: FactBase, part: RelationPartition,
     def expansions(g: QueryGraph):
         if len(g.nodes) >= m_max:
             return
-        alias = f"A{len(g.nodes) + 1}"
+        new = len(g.nodes)
         for rel in sorted(schema):
             if multiplicity(g, rel) >= k_max:
                 continue
             options = set()
-            for existing_rel, existing_alias in g.nodes:
+            for node, existing_rel in enumerate(g.nodes):
                 for src, attr, dst in fk_edges:
                     if src == rel and dst == existing_rel:
-                        options.add((alias, existing_alias, attr))
+                        options.add((new, node, attr))
                     if src == existing_rel and dst == rel:
-                        options.add((existing_alias, alias, attr))
+                        options.add((node, new, attr))
             options = sorted(options)
             for mask in range(1, 1 << len(options)):
                 subset = frozenset(o for i, o in enumerate(options)
                                    if mask >> i & 1)
-                yield g.with_node(rel, alias, subset)
+                yield g.with_node(rel, subset)
 
     def string_children(g: QueryGraph):
         constrained = g.constrained_slots()
-        slots = [(alias, a.name)
-                 for rel, alias in g.nodes for a in schema[rel]
-                 if a.kind == "str" and (alias, a.name) not in constrained]
+        slots = [(node, a.name)
+                 for node, rel in enumerate(g.nodes) for a in schema[rel]
+                 if a.kind == "str" and (node, a.name) not in constrained]
         if not slots:
             return
         ok, witnesses = refinable_with_witnesses(g, facts, part, slots)
@@ -418,7 +465,7 @@ def enumerate_query_space(facts: FactBase, part: RelationPartition,
             if got is not None:
                 yield g.with_constraint(slot[0], slot[1], *got)
 
-    start = QueryGraph(((part.target, "A1"),), frozenset(), ())
+    start = QueryGraph((part.target,), frozenset(), ())
     seen = {canonical_form(start)}
     queue = [start]
     while queue:
@@ -451,11 +498,11 @@ def refine_by_compiling(engine: RefinementEngine, state: RefinementState,
     schema, facts, part = engine.schema, engine.facts, engine.part
     negatives = sorted(part.negatives)
 
-    def string_slots(g: QueryGraph) -> list[tuple[str, str]]:
+    def string_slots(g: QueryGraph) -> list[tuple[int, str]]:
         constrained = g.constrained_slots()
-        return sorted((alias, a.name) for rel, alias in g.nodes
+        return sorted((node, a.name) for node, rel in enumerate(g.nodes)
                       for a in schema.string_attrs(rel)
-                      if (alias, a.name) not in constrained)
+                      if (node, a.name) not in constrained)
 
     if m == 1 and k == 1:
         seeds = [(QueryGraph.empty(), k)]

@@ -139,7 +139,7 @@ def test_criterion_5_optimality_suite(completeness_instances):
         kept = reduce(schema, facts, part).kept
         ranked = []
         for g in cands:
-            if any(rel not in kept for rel, _ in g.nodes):
+            if any(rel not in kept for rel in g.nodes):
                 continue
             alpha = coverage(g, schema, ctx)
             assert alpha == coverage_by_atoms(g, schema, ctx)
@@ -198,7 +198,7 @@ def test_criterion_7_synlcs_oracle():
                                    allow_disconnected=False)
         if g.head_relation != part.target or g.str_edges:
             continue
-        slots = [(alias, a.name) for rel, alias in g.nodes
+        slots = [(node, a.name) for node, rel in enumerate(g.nodes)
                  for a in schema.string_attrs(rel)]
         if not slots:
             continue

@@ -60,6 +60,17 @@ class TestExtractCommand:
         assert code == 1
         assert err.startswith("error: ParseError: 1:") and "nesting deeper" in err, err
 
+    @pytest.mark.parametrize("source, where", [
+        (b"\xffclass A { }", "1:1"),
+        (b"class A {\r\n  int f() { }\r\n  // caf\xe9\r\n}", "3:9"),
+    ], ids=["first-byte", "third-line"])
+    def test_non_utf8_source_exits_one(self, capsys, tmp_path, source, where):
+        path = tmp_path / "latin1.java"
+        path.write_bytes(source)
+        code, _, err = run(capsys, "extract", str(path), "-o", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: ParseError: {where}: {path} is not UTF-8"), err
+
 
 class TestReduceCommand:
     def test_prints_kept_and_dropped(self, capsys, motivating_dir):
@@ -126,8 +137,19 @@ class TestSynthesizeCommand:
         assert code == 1
         assert "PartitionError" in err
 
+    def test_non_utf8_description_file_exits_one(self, capsys, motivating_dir):
+        path = motivating_dir / "description.txt"
+        path.write_bytes(b"Find all the m\xe9thods")
+        code, _, err = run(
+            capsys, "synthesize", "--source", str(motivating_dir / "example.java"),
+            "--target", "Method", "--description-file", str(path),
+            "--hmap", str(CORPUS / "hmap.json"))
+        assert code == 1
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode"), err
 
-# Malformed JSON shapes each loader must reject with its domain error.
+
+# Malformed JSON shapes each loader must reject with its domain error; a
+# case that returns bytes writes them as the whole file instead.
 BAD_INPUTS = {
     "rows-not-a-list": ("facts", lambda d: d.update(Method=5)),
     "list-valued-cell": ("facts", lambda d: d["Method"][0].__setitem__(1, ["I1"])),
@@ -137,6 +159,12 @@ BAD_INPUTS = {
     "positive-key-not-string": ("partition", lambda d: d.update(positive=[["M1"]])),
     "hmap-words-not-list": ("hmap", lambda d: d["h"].update({"Method.id": 5})),
     "hmap-dictionary-not-list": ("hmap", lambda d: d.update(dictionary="method")),
+    **{f"{doc}-not-utf8": (doc, lambda d: b"\xff" + json.dumps(d).encode())
+       for doc in ("schema", "facts", "partition", "hmap")},
+    "facts-syntax-error": ("facts", lambda d: b"{\n,"),
+    "schema-syntax-error": ("schema", lambda d: json.dumps(d)[:-1].encode()),
+    "hmap-syntax-error": ("hmap", lambda d: b"{'dictionary': []}"),
+    "facts-nested-too-deeply": ("facts", lambda d: b"[" * 200_000),
 }
 
 
@@ -148,13 +176,18 @@ def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt):
     shutil.copy(CORPUS / "hmap.json", out / "hmap.json")
     path = out / f"{doc}.json"
     data = json.loads(path.read_text())
-    corrupt(data)
-    path.write_text(json.dumps(data))
+    raw = corrupt(data)
+    if isinstance(raw, bytes):
+        path.write_bytes(raw)
+    else:
+        path.write_text(json.dumps(data))
     code, _, err = run(capsys, "synthesize", "--description", "Find all the methods",
                        *(arg for name in ("schema", "facts", "partition", "hmap")
                          for arg in (f"--{name}", str(out / f"{name}.json"))))
     assert code == 1
     assert err.startswith("error: "), err
+    if isinstance(raw, bytes):  # a file that is not UTF-8 JSON is named
+        assert err.startswith(f"error: {path}: "), err
 
 
 # Integer flags below their least meaningful value, per subcommand.
@@ -261,17 +294,36 @@ class TestSearchCommand:
         assert code == 1
         assert "Mystery" in err
 
+    def test_non_utf8_query_exits_one(self, capsys, target_base):
+        out = target_base / "out5"
+        run(capsys, "extract", str(target_base / "big.java"), "-o", str(out))
+        query = target_base / "q.dl"
+        query.write_bytes(b"\xffout(M, MI, MR, MD) :- Method(M, MI, MR, MD).\n")
+        code, stdout, err = run(capsys, "search", str(query),
+                                "--schema", str(out / "schema.json"),
+                                "--facts", str(out / "facts.json"))
+        assert code == 1
+        assert err.startswith(f"error: {query}: 'utf-8' codec can't decode"), err
+        assert stdout == ""
+
     @pytest.mark.parametrize("corrupt", [
         lambda d: [1, 2],
         lambda d: {row: {k: v for k, v in where.items() if k != "col"}
                    for row, where in d.items()},
         lambda d: {row: "big.java" for row in d},
-    ], ids=["not-an-object", "entry-without-col", "entry-not-an-object"])
+        lambda d: b"\xfe" + json.dumps(d).encode(),
+        lambda d: json.dumps(d).encode()[:-2],
+    ], ids=["not-an-object", "entry-without-col", "entry-not-an-object",
+            "not-utf8", "syntax-error"])
     def test_malformed_positions_exit_one(self, capsys, target_base, corrupt):
         out = target_base / "out4"
         run(capsys, "extract", str(target_base / "big.java"), "-o", str(out))
         positions = out / "positions.json"
-        positions.write_text(json.dumps(corrupt(json.loads(positions.read_text()))))
+        doc = corrupt(json.loads(positions.read_text()))
+        if isinstance(doc, bytes):
+            positions.write_bytes(doc)
+        else:
+            positions.write_text(json.dumps(doc))
         query = target_base / "q.dl"
         query.write_text("out(M, MI, MR, MD) :- Method(M, MI, MR, MD).\n")
         code, stdout, err = run(capsys, "search", str(query),
@@ -380,6 +432,35 @@ class TestBenchCommand:
         code, stdout, _ = run(capsys, "bench", str(corpus))
         assert code == 0
         assert "1/1 tasks passed" in stdout
+
+    @pytest.mark.parametrize("task", [b"[]", b"{bad", b"\xff{}", b'{"name": "x"}'],
+                             ids=["list", "syntax-error", "not-utf8", "missing-keys"])
+    def test_broken_task_is_a_failed_row(self, capsys, tmp_path, task):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
+        shutil.copytree(CORPUS / "t07_stmt_import_localtime",
+                        corpus / "t07_stmt_import_localtime")
+        (corpus / "t00_broken").mkdir()
+        (corpus / "t00_broken" / "task.json").write_bytes(task)
+        code, stdout, _ = run(capsys, "bench", str(corpus))
+        assert code == 2
+        rows = stdout.splitlines()
+        assert rows[2].startswith("t00_broken ") and "FAIL: ValueError: " in rows[2], stdout
+        assert str(corpus / "t00_broken" / "task.json") in rows[2], stdout
+        assert rows[3].startswith("stmt-import-localtime ") and rows[3].endswith(" ok"), stdout
+        assert "1/2 tasks passed" in stdout
+
+    def test_broken_hmap_fails_every_task_by_name(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "hmap.json").write_text("{bad")
+        shutil.copytree(CORPUS / "t07_stmt_import_localtime",
+                        corpus / "t07_stmt_import_localtime")
+        code, stdout, _ = run(capsys, "bench", str(corpus))
+        assert code == 2
+        assert f"FAIL: ValueError: {corpus / 'hmap.json'}: " in stdout, stdout
+        assert "0/1 tasks passed" in stdout
 
     def test_empty_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"

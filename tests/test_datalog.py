@@ -4,9 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqsearch.datalog import DatalogError, parse_datalog, render_datalog
-from cqsearch.query import QueryGraph, canonical_form, from_graph, to_graph
+from cqsearch.query import QueryGraph, canonical_form, from_graph, merged, to_graph
 from conftest import fig1_schema, fig1c_query
 import gen
+from oracles import homomorphism, variable_classes
+
+
+def assert_same_query(back: QueryGraph, g: QueryGraph):
+    """``back``, parsed from the rendering of ``g``, has g's nodes, string
+    constraints and variable classes, though parsing may span a class by
+    other equalities. So the two merge to one form and are equivalent: a
+    homomorphism maps each onto the other."""
+    assert back.nodes == g.nodes
+    assert sorted(back.str_edges) == sorted(g.str_edges)
+    assert variable_classes(back) == variable_classes(g)
+    assert canonical_form(merged(back)) == canonical_form(merged(g))
+    assert homomorphism(g, back) is not None
+    assert homomorphism(back, g) is not None
 
 
 class TestRender:
@@ -55,10 +69,8 @@ class TestParse:
 
     def test_random_graph_round_trips(self, schema, facts):
         # Parsing inverts rendering up to the choice of pk/fk atoms inside a
-        # variable class: the result always evaluates identically, and the
-        # graph itself is preserved whenever no class is ambiguous (at most
-        # one foreign-key or one primary-key slot per class). Re-rendering is
-        # a fixpoint either way.
+        # variable class: the result always evaluates identically and is the
+        # same query (``assert_same_query``). Re-rendering is a fixpoint.
         from cqsearch.evaluator import evaluate
         rng = random.Random(61)
         for _ in range(200):
@@ -66,8 +78,8 @@ class TestParse:
                                        allow_disconnected=False)
             # The same graph again with '#', '"' and '\\' in every literal.
             tricky = QueryGraph(g.nodes, g.eq_edges, tuple(
-                (alias, attr, pred, f'{literal}#"\\')
-                for alias, attr, pred, literal in g.str_edges))
+                (node, attr, pred, f'{literal}#"\\')
+                for node, attr, pred, literal in g.str_edges))
             for case in (g, tricky):
                 text = render_datalog(from_graph(case, schema), schema)
                 back = parse_datalog(text, schema)
@@ -76,35 +88,43 @@ class TestParse:
                 again = parse_datalog(normalized, schema)
                 assert canonical_form(to_graph(again, schema)) == \
                     canonical_form(to_graph(back, schema))
-                if not self._has_ambiguous_class(case, schema):
-                    assert canonical_form(to_graph(back, schema)) == canonical_form(case)
+                assert_same_query(to_graph(back, schema), case)
 
-    @staticmethod
-    def _has_ambiguous_class(g, schema):
-        classes: dict = {}
+    def test_two_primary_keys_in_one_class_merge(self, schema):
+        # Parameters 1 and 2 of method 0 share type 3, and parameter 2's
+        # type is also type 4: types 3 and 4 are one tuple. Parsing spans
+        # that class with parameter 1's key instead, a graph of another
+        # canonical form; merging types 3 and 4 gives both one form.
+        g = QueryGraph(
+            ("Method", "Parameter", "Parameter", "Type", "Type", "Identifier"),
+            frozenset({(1, 0, "method_id"), (2, 0, "method_id"), (1, 3, "type_id"),
+                       (2, 3, "type_id"), (2, 4, "type_id"), (1, 5, "idf_id")}),
+            ((4, "name", "equal", "x"),))
+        back = to_graph(parse_datalog(render_datalog(from_graph(g, schema), schema),
+                                      schema), schema)
+        assert (1, 4, "type_id") in back.eq_edges and (2, 4, "type_id") not in back.eq_edges
+        assert canonical_form(back) != canonical_form(g)
+        assert merged(g) == merged(back) == QueryGraph(
+            ("Method", "Parameter", "Parameter", "Type", "Identifier"),
+            frozenset({(1, 0, "method_id"), (2, 0, "method_id"), (1, 3, "type_id"),
+                       (2, 3, "type_id"), (1, 4, "idf_id")}),
+            ((3, "name", "equal", "x"),))
+        assert_same_query(back, g)
 
-        def find(slot):
-            while classes.get(slot, slot) != slot:
-                slot = classes[slot]
-            return slot
-
-        for fk_alias, pk_alias, attr in g.eq_edges:
-            a = (fk_alias, attr)
-            b = (pk_alias, "id")
-            classes.setdefault(a, a)
-            classes.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                classes[max(ra, rb)] = min(ra, rb)
-        groups: dict = {}
-        for slot in classes:
-            groups.setdefault(find(slot), []).append(slot)
-        for slots in groups.values():
-            fks = sum(1 for _, attr in slots if attr != "id")
-            pks = sum(1 for _, attr in slots if attr == "id")
-            if fks > 1 and pks > 1:
-                return True
-        return False
+    def test_merging_repeats_until_nothing_changes(self):
+        # Parameter 4 belongs to methods 0 and 1, so they are one tuple; only
+        # then are their return types 2 and 3 one tuple, whose constraints
+        # the merged type takes both.
+        g = QueryGraph(
+            ("Method", "Method", "Type", "Type", "Parameter"),
+            frozenset({(0, 2, "ret_type_id"), (1, 3, "ret_type_id"),
+                       (4, 0, "method_id"), (4, 1, "method_id")}),
+            ((2, "name", "equal", "a"), (3, "name", "prefix", "b")))
+        assert merged(g) == QueryGraph(
+            ("Method", "Type", "Parameter"),
+            frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id")}),
+            ((1, "name", "equal", "a"), (1, "name", "prefix", "b")))
+        assert merged(merged(g)) == merged(g)
 
 
 class TestParseErrors:
@@ -162,8 +182,8 @@ def _graphs(draw):
     literals = draw(st.lists(st.text(max_size=6), min_size=len(g.str_edges),
                              max_size=len(g.str_edges)))
     return QueryGraph(g.nodes, g.eq_edges, tuple(sorted(
-        (alias, attr, pred, literal)
-        for (alias, attr, pred, _), literal in zip(g.str_edges, literals))))
+        (node, attr, pred, literal)
+        for (node, attr, pred, _), literal in zip(g.str_edges, literals))))
 
 
 @st.composite
@@ -190,8 +210,8 @@ class TestParseProperties:
     def test_parse_inverts_render_up_to_canonical_form(self, g):
         back = to_graph(parse_datalog(render_datalog(from_graph(g, SCHEMA), SCHEMA),
                                       SCHEMA), SCHEMA)
-        if not TestParse._has_ambiguous_class(g, SCHEMA):
-            assert canonical_form(back) == canonical_form(g)
+        assert_same_query(back, g)
+        assert merged(merged(g)) == merged(g)
         # Where a variable class has several spannings, parsing picks one,
         # and the picked graph then round-trips exactly.
         again = parse_datalog(render_datalog(from_graph(back, SCHEMA), SCHEMA), SCHEMA)

@@ -12,7 +12,7 @@ from cqsearch.evaluator import (EvalError, _Compiled, collect_witnesses,
                                 refinable_with_witnesses)
 from cqsearch.extract import build_facts
 from cqsearch.query import (ConjunctiveQuery, Equality, GraphError, QueryGraph,
-                            StringAtom, from_graph)
+                            StringAtom, from_graph, to_graph)
 from conftest import CORPUS, fig1c_graph, fig1c_query
 import gen
 from oracles import naive_evaluate
@@ -79,9 +79,9 @@ class TestEvaluate:
         for _ in range(80):
             g = gen.random_query_graph(rng, facts.schema, m_max=3)
             base = evaluate(g, facts)
-            for rel, alias in g.nodes:
+            for node, rel in enumerate(g.nodes):
                 for a in facts.schema.string_attrs(rel):
-                    stronger = g.with_constraint(alias, a.name, "contain",
+                    stronger = g.with_constraint(node, a.name, "contain",
                                                  gen.random_string(rng, "af", 1, 2))
                     assert evaluate(stronger, facts) <= base
 
@@ -89,34 +89,45 @@ class TestEvaluate:
 # Query graphs the Fig. 1 schema does not license, one fault each.
 ILLEGAL_GRAPHS = {
     "foreign-key-to-the-wrong-target": QueryGraph(
-        (("Method", "A1"), ("Modifier", "A2")),
-        frozenset({("A1", "A2", "ret_type_id")}), ()),
+        ("Method", "Modifier"), frozenset({(0, 1, "ret_type_id")}), ()),
     "string-attribute-as-key": QueryGraph(
-        (("Type", "A1"), ("Identifier", "A2")),
-        frozenset({("A1", "A2", "name")}), ()),
+        ("Type", "Identifier"), frozenset({(0, 1, "name")}), ()),
     "string-constraint-on-a-key": QueryGraph(
-        (("Method", "A1"),), frozenset(), (("A1", "idf_id", "equal", "I1"),)),
+        ("Method",), frozenset(), ((0, "idf_id", "equal", "I1"),)),
     "unknown-predicate": QueryGraph(
-        (("Type", "A1"),), frozenset(), (("A1", "name", "fuzzy", "int"),)),
-    "unknown-relation": QueryGraph((("Method", "A1"), ("Ghost", "A2")),
-                                   frozenset(), ()),
-    "duplicate-alias": QueryGraph((("Method", "A1"), ("Type", "A1")),
-                                  frozenset(), ()),
+        ("Type",), frozenset(), ((0, "name", "fuzzy", "int"),)),
+    "unknown-relation": QueryGraph(("Method", "Ghost"), frozenset(), ()),
+    "edge-to-a-missing-node": QueryGraph(
+        ("Method", "Type"), frozenset({(0, 2, "ret_type_id")}), ()),
+    "constraint-on-a-missing-node": QueryGraph(
+        ("Type",), frozenset(), ((-1, "name", "equal", "int"),)),
+}
+
+# Queries whose aliases do not number the nodes of a graph.
+ILLEGAL_QUERIES = {
+    "duplicate-alias": ConjunctiveQuery((("A1", "Method"), ("A1", "Type")), ()),
+    "unknown-alias": ConjunctiveQuery(
+        (("A1", "Method"),), (Equality("A1", "ret_type_id", "A2", "id"),)),
 }
 
 
 class TestIllegalGraphs:
     """Every entry point checks a graph against the schema the same way."""
 
-    @pytest.mark.parametrize("name", ILLEGAL_GRAPHS)
+    @pytest.mark.parametrize("name", [*ILLEGAL_GRAPHS, *ILLEGAL_QUERIES])
     def test_evaluate_raises(self, facts, name):
         with pytest.raises(EvalError):
-            evaluate(ILLEGAL_GRAPHS[name], facts)
+            evaluate({**ILLEGAL_GRAPHS, **ILLEGAL_QUERIES}[name], facts)
 
     @pytest.mark.parametrize("name", ILLEGAL_GRAPHS)
     def test_from_graph_raises(self, schema, name):
         with pytest.raises(GraphError):
             from_graph(ILLEGAL_GRAPHS[name], schema)
+
+    @pytest.mark.parametrize("name", ILLEGAL_QUERIES)
+    def test_to_graph_raises(self, schema, name):
+        with pytest.raises(GraphError):
+            to_graph(ILLEGAL_QUERIES[name], schema)
 
 
 class TestJoinOrder:
@@ -127,15 +138,15 @@ class TestJoinOrder:
                           'Parameter(P, PI, T, M), str_equal(N, "Log4jUtils").',
                           facts.schema)
         c = _Compiled.of(facts, q)
-        assert c.at == {"A1": 0, "A3": 1, "A2": 2}
+        assert c.at == {0: 0, 2: 1, 1: 2}
         assert c.steps[2][0] == "Type" and c.steps[2][1] == (1, 2)
         assert evaluate(q, facts) == naive_evaluate(q, facts) == {
             ("M1", "I1", "T3", "MDF1"), ("M3", "I3", "T2", "MDF1")}
 
     def test_disconnected_node_joins_last(self, facts):
-        g = QueryGraph((("Method", "A1"), ("Modifier", "A2"), ("Type", "A3")),
-                       frozenset({("A1", "A3", "ret_type_id")}), ())
-        assert _Compiled(facts, g).at == {"A1": 0, "A3": 1, "A2": 2}
+        g = QueryGraph(("Method", "Modifier", "Type"),
+                       frozenset({(0, 2, "ret_type_id")}), ())
+        assert _Compiled(facts, g).at == {0: 0, 2: 1, 1: 2}
         assert evaluate(g, facts) == naive_evaluate(g, facts)
 
 
@@ -155,7 +166,7 @@ class TestRefinableAndCandidate:
         rng = random.Random(31)
         for _ in range(120):
             g = gen.random_query_graph(rng, facts.schema, m_max=3)
-            if g.nodes[0][0] != partition.target:
+            if g.nodes[0] != partition.target:
                 with pytest.raises(EvalError):
                     is_candidate(g, facts, partition)
                 with pytest.raises(EvalError):
@@ -166,12 +177,12 @@ class TestRefinableAndCandidate:
     @pytest.mark.parametrize("check", [
         is_refinable, is_candidate,
         lambda g, facts, part: refinable_with_witnesses(g, facts, part, []),
-        lambda g, facts, part: collect_witnesses(g, "A1", "name", part, facts)],
+        lambda g, facts, part: collect_witnesses(g, 0, "name", part, facts)],
         ids=["is_refinable", "is_candidate", "refinable_with_witnesses",
              "collect_witnesses"])
     def test_head_outside_the_target_raises(self, facts, partition, check):
         # A Type head cannot admit the Method positives, whatever its ids.
-        g = QueryGraph((("Type", "A1"),), frozenset(), ())
+        g = QueryGraph(("Type",), frozenset(), ())
         with pytest.raises(EvalError):
             check(g, facts, partition)
 
@@ -179,28 +190,26 @@ class TestRefinableAndCandidate:
 class TestCollectWitnesses:
     def test_parameter_type_witnesses(self, facts, partition):
         g = QueryGraph(
-            (("Method", "A1"), ("Type", "A2"), ("Parameter", "A3"), ("Type", "A4")),
-            frozenset({("A1", "A2", "ret_type_id"), ("A3", "A1", "method_id"),
-                       ("A3", "A4", "type_id")}),
-            (("A2", "name", "equal", "CacheConfig"),))
-        witnesses = collect_witnesses(g, "A4", "name", partition, facts)
+            ("Method", "Type", "Parameter", "Type"),
+            frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id"), (2, 3, "type_id")}),
+            ((1, "name", "equal", "CacheConfig"),))
+        witnesses = collect_witnesses(g, 3, "name", partition, facts)
         assert witnesses == {("M1", "I1", "T3", "MDF1"): frozenset({"Log4jUtils"})}
 
     def test_method_identifier_names(self, facts):
         part = make_partition("Method", ["M1", "M2"], facts)
-        g = QueryGraph((("Method", "A1"), ("Identifier", "A2")),
-                       frozenset({("A1", "A2", "idf_id")}), ())
-        witnesses = collect_witnesses(g, "A2", "name", part, facts)
+        g = QueryGraph(("Method", "Identifier"), frozenset({(0, 1, "idf_id")}), ())
+        witnesses = collect_witnesses(g, 1, "name", part, facts)
         assert witnesses[("M1", "I1", "T3", "MDF1")] == frozenset({"foo"})
         assert witnesses[("M2", "I2", "T3", "MDF1")] == frozenset({"f2"})
 
     def test_requires_refinable_graph(self, facts, partition):
         g = QueryGraph(
-            (("Method", "A1"), ("Type", "A2"), ("Parameter", "A3")),
-            frozenset({("A1", "A2", "ret_type_id"), ("A3", "A1", "method_id"),
-                       ("A3", "A2", "type_id")}), ())
+            ("Method", "Type", "Parameter"),
+            frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id"), (2, 1, "type_id")}),
+            ())
         with pytest.raises(EvalError):
-            collect_witnesses(g, "A2", "name", partition, facts)
+            collect_witnesses(g, 1, "name", partition, facts)
 
 
 def test_fact_base_freed_by_reference_counting():

@@ -14,24 +14,24 @@ from oracles import canonical_form_by_search
 
 
 def relabelled(g: QueryGraph, rng: random.Random) -> QueryGraph:
-    """``g`` with its non-head nodes in a random order under fresh aliases."""
-    rest = list(g.nodes[1:])
+    """``g`` with its non-head nodes in a random order, the head kept at 0."""
+    rest = list(range(1, len(g.nodes)))
     rng.shuffle(rest)
-    nodes = g.nodes[:1] + tuple(rest)
-    rename = {a: f"B{i}" for i, (_, a) in enumerate(nodes)}
+    order = [0] + rest
+    moved = {old: new for new, old in enumerate(order)}
     return QueryGraph(
-        tuple((r, rename[a]) for r, a in nodes),
-        frozenset((rename[fk], rename[pk], attr) for fk, pk, attr in g.eq_edges),
-        tuple(sorted((rename[a], attr, pred, literal)
-                     for a, attr, pred, literal in g.str_edges)))
+        tuple(g.nodes[old] for old in order),
+        frozenset((moved[fk], moved[pk], attr) for fk, pk, attr in g.eq_edges),
+        tuple(sorted((moved[node], attr, pred, literal)
+                     for node, attr, pred, literal in g.str_edges)))
 
 
 class TestKappa:
     def test_motivating_query_to_graph(self, schema):
         g = to_graph(fig1c_query(), schema)
         assert g.size() == (4, 3, 2)
-        assert ("A3", "A1", "method_id") in g.eq_edges
-        assert ("A2", "name", "equal", "CacheConfig") in g.str_edges
+        assert (2, 0, "method_id") in g.eq_edges
+        assert (1, "name", "equal", "CacheConfig") in g.str_edges
 
     def test_round_trip_is_identity_up_to_renaming(self, schema):
         g = fig1c_graph()
@@ -40,7 +40,7 @@ class TestKappa:
         assert canonical_form(g) == canonical_form(g2)
 
     def test_single_node_graph(self, schema):
-        g = QueryGraph((("Method", "A1"),), frozenset(), ())
+        g = QueryGraph(("Method",), frozenset(), ())
         q = from_graph(g, schema)
         assert q.product == (("A1", "Method"),)
         assert q.conditions == ()
@@ -82,32 +82,27 @@ class TestCanonicalForm:
         g = fig1c_graph()
         # same graph with nodes listed in a different order after the head
         shuffled = QueryGraph(
-            (("Method", "B1"), ("Parameter", "B2"), ("Type", "B3"), ("Type", "B4")),
-            frozenset({("B1", "B4", "ret_type_id"), ("B2", "B1", "method_id"),
-                       ("B2", "B3", "type_id")}),
-            (("B3", "name", "equal", "Log4jUtils"),
-             ("B4", "name", "equal", "CacheConfig")))
+            ("Method", "Parameter", "Type", "Type"),
+            frozenset({(0, 3, "ret_type_id"), (1, 0, "method_id"), (1, 2, "type_id")}),
+            ((2, "name", "equal", "Log4jUtils"), (3, "name", "equal", "CacheConfig")))
         assert canonical_form(g) == canonical_form(shuffled)
 
     def test_distinct_constraint_placement_distinguished(self):
-        nodes = (("Method", "A1"), ("Type", "A2"), ("Parameter", "A3"), ("Type", "A4"))
-        edges = frozenset({("A1", "A2", "ret_type_id"), ("A3", "A1", "method_id"),
-                           ("A3", "A4", "type_id")})
-        a = QueryGraph(nodes, edges, (("A2", "name", "equal", "CacheConfig"),))
-        c = QueryGraph(nodes, edges, (("A4", "name", "equal", "CacheConfig"),))
+        nodes = ("Method", "Type", "Parameter", "Type")
+        edges = frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id"), (2, 3, "type_id")})
+        a = QueryGraph(nodes, edges, ((1, "name", "equal", "CacheConfig"),))
+        c = QueryGraph(nodes, edges, ((3, "name", "equal", "CacheConfig"),))
         assert canonical_form(a) != canonical_form(c)
 
     def test_head_is_pinned(self):
         # Same shape, different projection head: never collapsed.
-        a = QueryGraph((("Method", "A1"), ("Parameter", "A2")),
-                       frozenset({("A2", "A1", "method_id")}), ())
-        b = QueryGraph((("Parameter", "A1"), ("Method", "A2")),
-                       frozenset({("A1", "A2", "method_id")}), ())
+        a = QueryGraph(("Method", "Parameter"), frozenset({(1, 0, "method_id")}), ())
+        b = QueryGraph(("Parameter", "Method"), frozenset({(0, 1, "method_id")}), ())
         assert canonical_form(a) != canonical_form(b)
 
     def test_self_loop_is_encoded(self):
-        plain = QueryGraph((("Class", "A1"),), frozenset(), ())
-        loop = QueryGraph((("Class", "A1"),), frozenset({("A1", "A1", "super_id")}), ())
+        plain = QueryGraph(("Class",), frozenset(), ())
+        loop = QueryGraph(("Class",), frozenset({(0, 0, "super_id")}), ())
         check_graph(loop, extraction_schema())
         assert canonical_form(loop) != canonical_form(plain)
 
@@ -116,16 +111,16 @@ class TestCanonicalForm:
         # the loop on either subclass is one graph, the loop on the head
         # another, and no loop a third.
         rng = random.Random(3)
-        nodes = (("Class", "A1"), ("Class", "A2"), ("Class", "A3"))
-        edges = frozenset({("A2", "A1", "super_id"), ("A3", "A1", "super_id")})
-        looped = {a: QueryGraph(nodes, edges | {(a, a, "super_id")}, ())
-                  for a in ("A1", "A2", "A3")}
-        forms = {a: canonical_form(g) for a, g in looped.items()}
-        assert forms["A2"] == forms["A3"] != forms["A1"]
+        nodes = ("Class", "Class", "Class")
+        edges = frozenset({(1, 0, "super_id"), (2, 0, "super_id")})
+        looped = {node: QueryGraph(nodes, edges | {(node, node, "super_id")}, ())
+                  for node in range(3)}
+        forms = {node: canonical_form(g) for node, g in looped.items()}
+        assert forms[1] == forms[2] != forms[0]
         assert canonical_form(QueryGraph(nodes, edges, ())) not in forms.values()
-        for a, g in looped.items():
+        for node, g in looped.items():
             for _ in range(5):
-                assert canonical_form(relabelled(g, rng)) == forms[a], a
+                assert canonical_form(relabelled(g, rng)) == forms[node], node
 
     def test_matches_search_on_random_graphs(self):
         # Up to seven nodes over at most three relations, some of them
@@ -139,7 +134,7 @@ class TestCanonicalForm:
             form = canonical_form(g)
             assert form == canonical_form_by_search(g), g
             assert canonical_form(relabelled(g, rng)) == form, g
-            counts = Counter(rel for rel, _ in g.nodes[1:])
+            counts = Counter(g.nodes[1:])
             groups_of_three += max(counts.values(), default=0) >= 3
         assert groups_of_three >= 100
 

@@ -93,7 +93,7 @@ class TestReductionSoundness:
                 continue
             found_any += 1
             kept = reduce(schema, facts, part).kept
-            assert any(all(rel in kept for rel, _ in g.nodes) for g in cands), \
+            assert any(all(rel in kept for rel in g.nodes) for g in cands), \
                 f"no candidate over kept={sorted(kept)}"
         assert found_any >= 3  # the generator must exercise the property
 
@@ -106,7 +106,7 @@ class TestReductionSoundness:
             kept = reduce(schema, facts, part).kept
             all_cands = brute_force_candidates(facts, part, m_max=3, k_max=2)
             kept_cands = [g for g in all_cands
-                          if all(rel in kept for rel, _ in g.nodes)]
+                          if all(rel in kept for rel in g.nodes)]
             assert bool(all_cands) == bool(kept_cands)
 
 

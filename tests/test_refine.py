@@ -7,7 +7,8 @@ from cqsearch import minijava, refine
 from cqsearch.evaluator import (_Compiled, is_candidate, is_refinable,
                                  refinable_with_witnesses)
 from cqsearch.extract import extract
-from cqsearch.query import QueryGraph, canonical_form, max_multiplicity
+from cqsearch.query import (QueryGraph, canonical_form, from_graph,
+                            max_multiplicity, to_graph)
 from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.schema_graph import build_schema_graph
 from cqsearch.select import make_context, synthesize
@@ -37,33 +38,33 @@ class TestExpand:
         eng = engine_for(schema, facts, partition)
         assert eng.expand(QueryGraph.empty(), "Type") == []
         out = eng.expand(QueryGraph.empty(), "Method")
-        assert [g.nodes for g in out] == [(("Method", "A1"),)]
+        assert [g.nodes for g in out] == [("Method",)]
 
     def test_parameter_joins_method(self, schema, facts, partition):
         eng = engine_for(schema, facts, partition)
-        head = QueryGraph((("Method", "A1"),), frozenset(), ())
+        head = QueryGraph(("Method",), frozenset(), ())
         out = eng.expand(head, "Parameter")
-        assert any(("A2", "A1", "method_id") in g.eq_edges for g in out)
+        assert any((1, 0, "method_id") in g.eq_edges for g in out)
 
     def test_type_joins_via_return(self, schema, facts, partition):
         eng = engine_for(schema, facts, partition)
-        head = QueryGraph((("Method", "A1"),), frozenset(), ())
+        head = QueryGraph(("Method",), frozenset(), ())
         out = eng.expand(head, "Type")
-        assert [sorted(g.eq_edges) for g in out] == [[("A1", "A2", "ret_type_id")]]
+        assert [sorted(g.eq_edges) for g in out] == [[(0, 1, "ret_type_id")]]
 
     def test_every_subset_of_edges(self, schema, facts, partition):
         eng = engine_for(schema, facts, partition)
-        g = QueryGraph((("Method", "A1"), ("Parameter", "A2")),
-                       frozenset({("A2", "A1", "method_id")}), ())
+        g = QueryGraph(("Method", "Parameter"), frozenset({(1, 0, "method_id")}), ())
         out = eng.expand(g, "Type")
-        # legal edges: A1.ret_type_id and A2.type_id -> three non-empty subsets
+        # legal edges: node 0's ret_type_id and node 1's type_id -> three
+        # non-empty subsets
         assert len(out) == 3
 
 
 class TestRefineLevels:
     def test_base_level(self, schema, facts, partition):
         state = run_levels(engine_for(schema, facts, partition), 1)
-        assert [g.nodes for g in state.refinable(1, 1)] == [(("Method", "A1"),)]
+        assert [g.nodes for g in state.refinable(1, 1)] == [("Method",)]
         assert state.candidates(1, 1) == []
 
     def test_level_invariants(self, schema, facts, partition):
@@ -85,9 +86,9 @@ class TestRefineLevels:
         # parameter type forced equal to return type excludes the positive
         state = run_levels(engine_for(schema, facts, partition), 4)
         bad = QueryGraph(
-            (("Method", "A1"), ("Type", "A2"), ("Parameter", "A3")),
-            frozenset({("A1", "A2", "ret_type_id"), ("A3", "A1", "method_id"),
-                       ("A3", "A2", "type_id")}), ())
+            ("Method", "Type", "Parameter"),
+            frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id"), (2, 1, "type_id")}),
+            ())
         canon = canonical_form(bad)
         for refinable, _ in state.table.values():
             assert canon not in {canonical_form(g) for g in refinable}
@@ -128,12 +129,16 @@ class TestSubsumption:
 
     @staticmethod
     def _has_sub_structure(g, predecessor_canons):
+        def moved(node, dropped):
+            return node - (node > dropped)
+
         for drop_idx in range(1, len(g.nodes)):
-            _, dropped_alias = g.nodes[drop_idx]
             nodes = g.nodes[:drop_idx] + g.nodes[drop_idx + 1:]
-            edges = frozenset(e for e in g.eq_edges
-                              if dropped_alias not in (e[0], e[1]))
-            strs = tuple(s for s in g.str_edges if s[0] != dropped_alias)
+            edges = frozenset((moved(fk, drop_idx), moved(pk, drop_idx), attr)
+                              for fk, pk, attr in g.eq_edges
+                              if drop_idx not in (fk, pk))
+            strs = tuple((moved(node, drop_idx), *rest)
+                         for node, *rest in g.str_edges if node != drop_idx)
             bases = [QueryGraph(nodes, edges, strs)]
             bases += [QueryGraph(nodes, edges, strs[:i] + strs[i + 1:])
                       for i in range(len(strs))]
@@ -204,6 +209,19 @@ PINNED_LEVELS = {
 }
 
 
+def test_kept_graphs_round_trip_exactly_on_corpus(corpus_runs):
+    # Naming node i A{i+1} and numbering the aliases back gives the very
+    # graph refinement kept: same node order, edges and constraints.
+    kept = 0
+    for name, facts, _, result in corpus_runs:
+        for refinable, _ in result.state.table.values():
+            for g in refinable:
+                assert to_graph(from_graph(g, facts.schema), facts.schema) == g, (name, g)
+                kept += 1
+    assert kept == sum(refinable for _, levels in PINNED_LEVELS.values()
+                       for _, _, _, refinable, _ in levels)
+
+
 def _assert_candidates_are_exact(state, facts, part, label):
     for (m, k), (refinable, candidates) in state.table.items():
         assert len(set(candidates)) == len(candidates), (label, m, k)
@@ -261,7 +279,7 @@ def searched(monkeypatch):
 
 
 def _repeats_a_relation(g: QueryGraph) -> bool:
-    rels = [rel for rel, _ in g.nodes[1:]]
+    rels = g.nodes[1:]
     return len(set(rels)) < len(rels)
 
 
@@ -280,7 +298,7 @@ def _cross_check(engine, levels, label) -> int:
         assert mine.stats[-1] == theirs.stats[-1], where
         assert len(mine.seen) == len(theirs.seen), where
         for g, rows in zip(mine.refinable(m, k), mine.rows[(m, k)], strict=True):
-            slots = sorted((alias, a.name) for rel, alias in g.nodes
+            slots = sorted((node, a.name) for node, rel in enumerate(g.nodes)
                            for a in facts.schema.string_attrs(rel))
             ok, witnesses = refinable_with_witnesses(g, facts, part, slots)
             assert ok, (where, g)
@@ -310,7 +328,7 @@ class TestIncrementalRows:
         for name, facts, _, result in corpus_runs:
             for refinable, _ in result.state.table.values():
                 for g in refinable:
-                    at = {alias: i for i, (_, alias) in enumerate(g.nodes)}
+                    at = {node: node for node in range(len(g.nodes))}
                     assert _Compiled(facts, g).at == at, (name, g)
                     joined += len(g.nodes) > 2
         assert joined > 1000
@@ -330,7 +348,7 @@ class TestIncrementalRows:
             state = run_levels(engine, 3)
             joined_twice += sum(
                 1 for refinable, _ in state.table.values() for g in refinable
-                if sum(g.nodes[-1][1] in e[:2] for e in g.eq_edges) > 1)
+                if sum(len(g.nodes) - 1 in e[:2] for e in g.eq_edges) > 1)
         # A new node joined by several edges must occur, or extending by
         # the first edge alone would pass.
         assert joined_twice >= 50

@@ -120,11 +120,10 @@ class TestSuffixAutomaton:
 class TestRefinabilityPreservation:
     def test_constraint_insertion_keeps_positives(self, facts):
         part = make_partition("Method", ["M1", "M2"], facts)
-        g = QueryGraph((("Method", "A1"), ("Identifier", "A2")),
-                       frozenset({("A1", "A2", "idf_id")}), ())
-        ok, witnesses = refinable_with_witnesses(g, facts, part, [("A2", "name")])
+        g = QueryGraph(("Method", "Identifier"), frozenset({(0, 1, "idf_id")}), ())
+        ok, witnesses = refinable_with_witnesses(g, facts, part, [(1, "name")])
         assert ok
-        got = syn_lcs(witnesses[("A2", "name")])
+        got = syn_lcs(witnesses[(1, "name")])
         assert got == ("prefix", "f")  # foo / f2 share only their leading "f"
-        augmented = g.with_constraint("A2", "name", *got)
+        augmented = g.with_constraint(1, "name", *got)
         assert is_refinable(augmented, facts, part)
