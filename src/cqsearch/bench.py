@@ -50,11 +50,12 @@ class TaskResult:
         }
 
 
-def _json_doc(path: Path):
-    """The JSON document in the UTF-8 file ``path``; a file that is not one
-    is a ``ValueError`` that names it."""
+def _read(path: Path, decode=json.loads):
+    """``decode`` of the text of the UTF-8 file ``path``, by default its JSON
+    document; a file that is not UTF-8, or that ``decode`` rejects with a
+    ``ValueError``, is a ``ValueError`` that names it."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return decode(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
         raise ValueError(f"{path}: {exc}") from None
 
@@ -67,7 +68,7 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
     started = time.monotonic()
     try:
         path = task_dir / "task.json"
-        doc = _json_doc(path)
+        doc = _read(path)
         if not (isinstance(doc, dict)
                 and {"source", "target", "description"} <= doc.keys()):
             raise ValueError(f"{path}: a task is a JSON object with source, "
@@ -77,12 +78,12 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
         prog = minijava.parse_files([task_dir / s for s in doc["source"]])
         facts, part, _ = extract(prog, doc["target"])
         schema = facts.schema
-        ctx = make_context(_json_doc(Path(hmap_path)), doc["description"])
+        ctx = make_context(_read(Path(hmap_path)), doc["description"])
         result = synthesize(schema, facts, part, ctx, k_bound=k_bound,
                             early_stop=early_stop, use_reduction=use_reduction)
         elapsed = time.monotonic() - started
 
-        golden = [parse_datalog((task_dir / f).read_text(encoding="utf-8"), schema)
+        golden = [parse_datalog(_read(task_dir / f, str), schema)
                   for f in doc.get("golden", [])]
         golden_canon = {canonical_form(merged(to_graph(q, schema))) for q in golden}
         selected_canon = {canonical_form(merged(s.graph)) for s in result.selected}

@@ -15,7 +15,7 @@ from functools import cache
 from pathlib import Path
 
 from . import minijava
-from .core import load_facts, make_partition, partition_from_doc
+from .core import DomainError, load_facts, make_partition, partition_from_doc
 from .datalog import parse_datalog, render_datalog
 from .evaluator import evaluate
 from .extract import extract, extraction_schema, facts_to_doc
@@ -358,20 +358,9 @@ def main(argv=None) -> int:
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # domain errors carry their own context
-        from .core import FactError, PartitionError, SchemaError
-        from .datalog import DatalogError
-        from .evaluator import EvalError
-        from .extract import ExtractError
-        from .minijava import ParseError
-        from .query import GraphError
-        from .select import ContextError
-        known = (FactError, PartitionError, SchemaError, DatalogError,
-                 EvalError, ExtractError, ParseError, GraphError, ContextError)
-        if isinstance(exc, known):
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        raise
+    except DomainError as exc:  # domain errors carry their own context
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

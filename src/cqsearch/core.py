@@ -46,15 +46,20 @@ def pred_holds(pred: str, value: str, literal: str) -> bool:
     raise ValueError(f"unknown string predicate {pred!r}")
 
 
-class SchemaError(Exception):
+class DomainError(Exception):
+    """Base of the errors a bad input raises: each message says what is
+    wrong and where, so the CLI prints it as it stands."""
+
+
+class SchemaError(DomainError):
     """Malformed schema document (names, keys, foreign-key targets)."""
 
 
-class FactError(Exception):
+class FactError(DomainError):
     """Facts that do not fit the schema (arity, kinds, dangling keys)."""
 
 
-class PartitionError(Exception):
+class PartitionError(DomainError):
     """Degenerate or inconsistent positive/negative split of the target."""
 
 
@@ -128,9 +133,6 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
 
     def pk_attr(self, rel: str) -> AttributeDecl:
         return self._rels[rel][0]
-
-    def fk_attrs(self, rel: str) -> tuple[AttributeDecl, ...]:
-        return tuple(a for a in self._rels[rel] if a.kind == FK)
 
     def string_attrs(self, rel: str) -> tuple[AttributeDecl, ...]:
         return tuple(a for a in self._rels[rel] if a.kind == STR)

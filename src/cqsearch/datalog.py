@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import re
 
-from .core import FK, STR, Schema
+from .core import FK, STR, DomainError, Schema
 from .query import (ConjunctiveQuery, Equality, GraphError, StringAtom,
                     PREDICATES, to_graph)
 
 
-class DatalogError(Exception):
+class DatalogError(DomainError):
     """Rule text that does not describe a legal conjunctive query."""
 
 

@@ -16,12 +16,12 @@ from-scratch evaluation the test suite holds it against.
 """
 from __future__ import annotations
 
-from .core import FactBase, RelationPartition, SchemaError, Tuple
+from .core import DomainError, FactBase, RelationPartition, SchemaError, Tuple
 from .query import (ConjunctiveQuery, GraphError, QueryGraph, check_graph,
                     join_step, to_graph)
 
 
-class EvalError(Exception):
+class EvalError(DomainError):
     """Query the schema does not license, or checked against a partition
     whose target is not its head's relation."""
 

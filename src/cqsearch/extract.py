@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import minijava as mj
-from .core import (FK, PK, STR, AttributeDecl, FactBase, Relation,
-                   RelationPartition, Schema, make_partition)
+from .core import (FK, PK, STR, AttributeDecl, DomainError, FactBase,
+                   Relation, RelationPartition, Schema, make_partition)
 
 
-class ExtractError(Exception):
+class ExtractError(DomainError):
     """Annotations that cannot be mapped onto the requested target relation."""
 
 

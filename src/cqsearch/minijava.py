@@ -5,11 +5,33 @@ methods with parameters, and flat method bodies (local declarations,
 assignments, calls, if/for with condition expressions, return). Anything else
 is a parse error, never silently skipped. The markers /*@pos*/ and /*@neg*/
 survive lexing as annotations and attach to the next declaration or statement.
+
+Lexical grammar (``tokenize``, one regex with a group per lexeme):
+
+- blanks are space, tab and CR, and each counts one column; only LF ends a
+  line. ``//`` comments run to the line end and ``/* */`` comments to the
+  first ``*/``; an unterminated one is an error at its ``/*``.
+- a string is ``"`` to the next unescaped ``"`` on the same line; a
+  backslash escapes any character, a line end included. Its value is the
+  raw text between the quotes.
+- a number is a run of ``str.isdigit`` characters, with at most one ``.``
+  between two of them (``1.2.3`` is ``1.2`` ``.`` ``3``); with a dot it is a
+  double, else an int. So ``²`` is an int and ``1²`` one int.
+- a word starts with a ``str.isalpha`` character or ``_`` and goes on over
+  ``str.isalnum`` characters and ``_``; a keyword is a word in ``KEYWORDS``.
+  ``½`` or ``Ⅷ`` may go on a word but start no token.
+- punctuation is ``== != <= >= && ||`` or one of ``(){};,=<>+-*/%!.``.
+
+Any other character is an ``unexpected character`` error at its position.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
+
+from .core import DomainError
 
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
 KEYWORDS = {"class", "interface", "extends", "implements", "import", "if",
@@ -20,15 +42,14 @@ KEYWORDS = {"class", "interface", "extends", "implements", "import", "if",
 MAX_NESTING = 64
 
 
-class ParseError(Exception):
+class ParseError(DomainError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int
     col: int
 
@@ -190,107 +211,76 @@ class Program:
 
 # --- lexer -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | keyword | int | double | string | punct | annot | eof
     value: str
     pos: Pos
 
 
-_PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||")
-_PUNCT1 = "(){};,=<>+-*/%!."
+# The lexical grammar, one alternative per lexeme, tried in order at each
+# offset. It reads ASCII; ``_AsciiClass`` maps any other character to a
+# stand-in of its class, and ``\x80`` stands for one that may go on a word
+# but start no token.
+_LEXEME = re.compile(r"""
+    (?P<blank>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<annot>/\*@(?:pos|neg)\*/)
+  | (?P<block>/\*[\s\S]*?\*/)
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+  | (?P<open>/\*|")
+  | (?P<double>[0-9]+\.[0-9]+)
+  | (?P<int>[0-9]+)
+  | (?P<word>[A-Za-z_][\w\x80]*)
+  | (?P<punct>==|!=|<=|>=|&&|\|\||[(){};,=<>+\-*/%!.])
+  | (?P<bad>[\s\S])
+""", re.VERBOSE)
+_UNTERMINATED = {"/*": "unterminated comment", '"': "unterminated string literal"}
 
 
-def tokenize(src: str, source_name: str = "<source>") -> list[Token]:
+class _AsciiClass(dict):
+    """A ``str.translate`` table, filled in as characters are met: ASCII is
+    itself, and any other character a digit, a letter, ``\x80`` (other
+    ``str.isalnum``) or ``#`` (unexpected), as ``str`` classes it."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        self[code] = ch if ch.isascii() else (
+            "0" if ch.isdigit() else "a" if ch.isalpha()
+            else "\x80" if ch.isalnum() else "#")
+        return self[code]
+
+
+def tokenize(src: str) -> list[Token]:
+    """The tokens of ``src`` and a closing ``eof`` token; the first lexical
+    error is a ``ParseError`` at its line and column."""
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-
-    def error(msg):
-        raise ParseError(msg, line, col)
-
-    def advance(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    lexemes = src if src.isascii() else src.translate(_AsciiClass())
+    for m in _LEXEME.finditer(lexemes):
+        kind = m.lastgroup
+        if kind == "blank" or kind == "comment":
             continue
-        if src.startswith("//", i):
-            end = src.find("\n", i)
-            end = n if end < 0 else end
-            advance(src[i:end])
-            i = end
+        start = m.start()
+        if kind == "newline":
+            line, line_start = line + 1, start + 1
             continue
-        if src.startswith("/*@pos*/", i) or src.startswith("/*@neg*/", i):
-            text = src[i:i + 8]
-            tokens.append(Token("annot", text[3:6], Pos(line, col)))
-            advance(text)
-            i += len(text)
-            continue
-        if src.startswith("/*", i):
-            end = src.find("*/", i + 2)
-            if end < 0:
-                error("unterminated comment")
-            advance(src[i:end + 2])
-            i = end + 2
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and src[j] != '"':
-                if src[j] == "\n":
-                    error("unterminated string literal")
-                j += 2 if src[j] == "\\" else 1
-            if j >= n:
-                error("unterminated string literal")
-            text = src[i:j + 1]
-            tokens.append(Token("string", text[1:-1], Pos(line, col)))
-            advance(text)
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot
-                                                  and j + 1 < n and src[j + 1].isdigit())):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            text = src[i:j]
-            tokens.append(Token("double" if seen_dot else "int", text, Pos(line, col)))
-            advance(text)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, Pos(line, col)))
-            advance(text)
-            i = j
-            continue
-        two = src[i:i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, Pos(line, col)))
-            advance(two)
-            i += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, Pos(line, col)))
-            advance(ch)
-            i += 1
-            continue
-        error(f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", Pos(line, col)))
+        text = src[start:m.end()]
+        pos = Pos(line, start - line_start + 1)
+        if kind == "word":
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, pos))
+        elif kind == "punct" or kind == "int" or kind == "double":
+            tokens.append(Token(kind, text, pos))
+        elif kind == "annot":
+            tokens.append(Token("annot", text[3:6], pos))
+        elif kind == "string":
+            tokens.append(Token("string", text[1:-1], pos))
+        elif kind == "open" or kind == "bad":
+            raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), *pos)
+        if (kind == "block" or kind == "string") and "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
+    tokens.append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
     return tokens
 
 
@@ -316,10 +306,23 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(msg, tok.pos.line, tok.pos.col)
 
-    def expect_punct(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            self.error(f"expected {value!r}, got {tok.value!r}")
+    def at(self, *values: str, ahead: int = 0) -> bool:
+        """Whether the token ``ahead`` of the next is one of the punctuation
+        marks or keywords ``values``. The tokens end in ``eof``, which
+        ``next`` never passes, so ``ahead`` may be 1 unless ``eof`` is next."""
+        tok = self.tokens[self.i + ahead]
+        return tok.value in values and tok.kind in ("punct", "keyword")
+
+    def accept(self, value: str) -> bool:
+        """Consume the punctuation mark or keyword ``value`` if it is next."""
+        if self.at(value):
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> Token:
+        if not self.at(value):
+            self.error(f"expected {value!r}, got {self.peek().value!r}")
         return self.next()
 
     def expect_ident(self, what: str = "identifier") -> Token:
@@ -334,13 +337,6 @@ class _Parser:
             self.error(f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
 
-    def accept_keyword(self, value: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.value == value:
-            self.next()
-            return True
-        return False
-
     def annotations(self) -> tuple[str, ...]:
         marks = []
         while self.peek().kind == "annot":
@@ -349,17 +345,36 @@ class _Parser:
 
     def modifiers(self) -> tuple[str, ...]:
         mods = []
-        while self.peek().kind == "keyword" and self.peek().value in MODIFIERS:
+        while self.at(*MODIFIERS):
             mods.append(self.next().value)
         return tuple(mods)
+
+    def comma_list(self, item) -> list:
+        """``(`` item ``,`` … ``)``, the items as ``item()`` parses them."""
+        self.expect("(")
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.accept(","):
+                items.append(item())
+        self.expect(")")
+        return items
+
+    def statements(self) -> list:
+        """``{`` statement … ``}``"""
+        self.expect("{")
+        stmts = []
+        while not self.at("}"):
+            stmts.append(self.statement())
+        self.expect("}")
+        return stmts
 
     # program := (import | class)*
     def program(self) -> Program:
         prog = Program(source_name=self.source_name)
         while self.peek().kind != "eof":
             ann = self.annotations()
-            tok = self.peek()
-            if tok.kind == "keyword" and tok.value == "import":
+            if self.at("import"):
                 prog.imports.append(self.import_decl(ann))
             else:
                 prog.classes.append(self.class_decl(ann))
@@ -368,101 +383,73 @@ class _Parser:
     def import_decl(self, ann: tuple[str, ...]) -> ImportDecl:
         start = self.next()  # import
         parts = [self.expect_ident("imported name").value]
-        while self.peek().kind == "punct" and self.peek().value == ".":
-            self.next()
+        while self.accept("."):
             parts.append(self.expect_ident("imported name").value)
-        self.expect_punct(";")
+        self.expect(";")
         return ImportDecl(".".join(parts), ann, start.pos)
 
     def class_decl(self, ann: tuple[str, ...]) -> ClassDecl:
         mods = self.modifiers()
-        tok = self.peek()
-        if tok.kind != "keyword" or tok.value not in ("class", "interface"):
-            self.error(f"expected a declaration, got {tok.value!r}")
+        if not self.at("class", "interface"):
+            self.error(f"expected a declaration, got {self.peek().value!r}")
         kind = self.next().value
         name = self.expect_ident("class name")
         super_name = None
-        if self.accept_keyword("extends") or self.accept_keyword("implements"):
+        if self.accept("extends") or self.accept("implements"):
             super_name = self.expect_ident("superclass name").value
-        self.expect_punct("{")
+        self.expect("{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+        while not self.at("}"):
             member_ann = self.annotations()
             member_mods = self.modifiers()
             type_tok = self.expect_ident("member type")
             name_tok = self.expect_ident("member name")
-            if self.peek().kind == "punct" and self.peek().value == "(":
+            if self.at("("):
                 methods.append(self.method_rest(member_mods, type_tok, name_tok, member_ann))
             else:
                 fields.append(self.field_rest(member_mods, type_tok, name_tok, member_ann))
-        self.expect_punct("}")
+        self.expect("}")
         return ClassDecl(kind, mods, name.value, super_name, fields, methods,
                          ann, name.pos)
 
     def field_rest(self, mods, type_tok, name_tok, ann) -> FieldDecl:
-        init = None
-        if self.peek().kind == "punct" and self.peek().value == "=":
-            self.next()
-            init = self.expr()
-        self.expect_punct(";")
+        init = self.expr() if self.accept("=") else None
+        self.expect(";")
         return FieldDecl(mods, type_tok.value, name_tok.value, init, ann, name_tok.pos)
 
     def method_rest(self, mods, type_tok, name_tok, ann) -> MethodDecl:
-        self.expect_punct("(")
-        params: list[Param] = []
-        if not (self.peek().kind == "punct" and self.peek().value == ")"):
-            while True:
-                p_type = self.expect_ident("parameter type")
-                p_name = self.expect_ident("parameter name")
-                params.append(Param(p_type.value, p_name.value, p_name.pos))
-                if self.peek().kind == "punct" and self.peek().value == ",":
-                    self.next()
-                    continue
-                break
-        self.expect_punct(")")
-        body: list = []
-        if self.peek().kind == "punct" and self.peek().value == ";":
-            self.next()
-        else:
-            self.expect_punct("{")
-            while not (self.peek().kind == "punct" and self.peek().value == "}"):
-                body.append(self.statement())
-            self.expect_punct("}")
+        params = self.comma_list(self.param)
+        body = [] if self.accept(";") else self.statements()
         return MethodDecl(mods, type_tok.value, name_tok.value, params, body,
                           ann, name_tok.pos)
 
+    def param(self) -> Param:
+        p_type = self.expect_ident("parameter type")
+        p_name = self.expect_ident("parameter name")
+        return Param(p_type.value, p_name.value, p_name.pos)
+
     def block(self) -> list:
         self.descend()
-        if self.peek().kind == "punct" and self.peek().value == "{":
-            self.next()
-            stmts = []
-            while not (self.peek().kind == "punct" and self.peek().value == "}"):
-                stmts.append(self.statement())
-            self.expect_punct("}")
-        else:
-            stmts = [self.statement()]
+        stmts = self.statements() if self.at("{") else [self.statement()]
         self.depth -= 1
         return stmts
 
     def statement(self):
         ann = self.annotations()
         tok = self.peek()
+        if self.at("if"):
+            return self.if_stmt(ann)
+        if self.at("for"):
+            return self.for_stmt(ann)
+        if self.accept("return"):
+            value = None if self.at(";") else self.expr()
+            self.expect(";")
+            return ReturnStmt(value, ann, tok.pos)
         if tok.kind == "keyword":
-            if tok.value == "if":
-                return self.if_stmt(ann)
-            if tok.value == "for":
-                return self.for_stmt(ann)
-            if tok.value == "return":
-                self.next()
-                value = None
-                if not (self.peek().kind == "punct" and self.peek().value == ";"):
-                    value = self.expr()
-                self.expect_punct(";")
-                return ReturnStmt(value, ann, tok.pos)
             self.error(f"unsupported statement {tok.value!r}")
         stmt = self.simple_stmt(ann)
-        self.expect_punct(";")
+        self.expect(";")
         return stmt
 
     def simple_stmt(self, ann: tuple[str, ...]):
@@ -470,49 +457,37 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "ident":
             self.error(f"unsupported statement {tok.value!r}")
-        nxt = self.peek(1)
-        if nxt.kind == "ident":
+        if self.peek(1).kind == "ident":
             type_tok = self.next()
             name_tok = self.next()
-            init = None
-            if self.peek().kind == "punct" and self.peek().value == "=":
-                self.next()
-                init = self.expr()
+            init = self.expr() if self.accept("=") else None
             return DeclStmt(type_tok.value, name_tok.value, init, ann, name_tok.pos)
-        if nxt.kind == "punct" and nxt.value == "=":
+        if self.at("=", ahead=1):
             name_tok = self.next()
             self.next()
             return AssignStmt(name_tok.value, self.expr(), ann, name_tok.pos)
-        if nxt.kind == "punct" and nxt.value == "(":
+        if self.at("(", ahead=1):
             return ExprStmt(self.expr(), ann, tok.pos)
         self.error(f"unsupported statement starting at {tok.value!r}")
 
     def if_stmt(self, ann: tuple[str, ...]) -> IfStmt:
         tok = self.next()  # if
-        self.expect_punct("(")
+        self.expect("(")
         cond = self.expr()
-        self.expect_punct(")")
+        self.expect(")")
         then = self.block()
-        orelse: list = []
-        if self.accept_keyword("else"):
-            orelse = self.block()
+        orelse = self.block() if self.accept("else") else []
         return IfStmt(cond, then, orelse, ann, tok.pos)
 
     def for_stmt(self, ann: tuple[str, ...]) -> ForStmt:
         tok = self.next()  # for
-        self.expect_punct("(")
-        init = None
-        if not (self.peek().kind == "punct" and self.peek().value == ";"):
-            init = self.simple_stmt(())
-        self.expect_punct(";")
-        cond = None
-        if not (self.peek().kind == "punct" and self.peek().value == ";"):
-            cond = self.expr()
-        self.expect_punct(";")
-        update = None
-        if not (self.peek().kind == "punct" and self.peek().value == ")"):
-            update = self.simple_stmt(())
-        self.expect_punct(")")
+        self.expect("(")
+        init = None if self.at(";") else self.simple_stmt(())
+        self.expect(";")
+        cond = None if self.at(";") else self.expr()
+        self.expect(";")
+        update = None if self.at(")") else self.simple_stmt(())
+        self.expect(")")
         body = self.block()
         return ForStmt(init, cond, update, body, ann, tok.pos)
 
@@ -526,8 +501,7 @@ class _Parser:
         if level == 0:
             self.descend()
         node = self.expr(level + 1)
-        while (self.peek().kind == "punct"
-               and self.peek().value in self._BINARY_LEVELS[level]):
+        while self.at(*self._BINARY_LEVELS[level]):
             op = self.next()
             right = self.expr(level + 1)
             node = Binary(op.value, node, right, op.pos)
@@ -537,7 +511,7 @@ class _Parser:
 
     def unary(self):
         ops = []
-        while self.peek().kind == "punct" and self.peek().value in ("!", "-"):
+        while self.at("!", "-"):
             ops.append(self.next())
         node = self.primary()
         for tok in reversed(ops):
@@ -546,49 +520,27 @@ class _Parser:
 
     def primary(self):
         tok = self.peek()
-        if tok.kind == "int":
-            return Literal("int", self.next().value, tok.pos)
-        if tok.kind == "double":
-            return Literal("double", self.next().value, tok.pos)
-        if tok.kind == "string":
-            return Literal("string", self.next().value, tok.pos)
-        if tok.kind == "keyword" and tok.value in ("true", "false"):
+        if tok.kind in ("int", "double", "string"):
+            return Literal(tok.kind, self.next().value, tok.pos)
+        if self.at("true", "false"):
             return Literal("bool", self.next().value, tok.pos)
-        if tok.kind == "keyword" and tok.value == "new":
-            self.next()
+        if self.accept("new"):
             type_tok = self.expect_ident("type name")
-            self.expect_punct("(")
-            args = self.call_args()
-            return New(type_tok.value, args, tok.pos)
+            return New(type_tok.value, self.comma_list(self.expr), tok.pos)
         if tok.kind == "ident":
-            name_tok = self.next()
-            if self.peek().kind == "punct" and self.peek().value == "(":
-                self.next()
-                args = self.call_args()
-                return Call(name_tok.value, args, name_tok.pos)
-            return Name(name_tok.value, name_tok.pos)
-        if tok.kind == "punct" and tok.value == "(":
             self.next()
+            if self.at("("):
+                return Call(tok.value, self.comma_list(self.expr), tok.pos)
+            return Name(tok.value, tok.pos)
+        if self.accept("("):
             node = self.expr()
-            self.expect_punct(")")
+            self.expect(")")
             return node
         self.error(f"expected an expression, got {tok.value!r}")
 
-    def call_args(self) -> list:
-        args = []
-        if not (self.peek().kind == "punct" and self.peek().value == ")"):
-            while True:
-                args.append(self.expr())
-                if self.peek().kind == "punct" and self.peek().value == ",":
-                    self.next()
-                    continue
-                break
-        self.expect_punct(")")
-        return args
-
 
 def parse(source: str, source_name: str = "<source>") -> Program:
-    parser = _Parser(tokenize(source, source_name), source_name)
+    parser = _Parser(tokenize(source), source_name)
     prog = parser.program()
     for decl in prog.imports + prog.classes:
         decl.source = source_name

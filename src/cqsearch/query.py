@@ -14,14 +14,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
-from .core import FK, STR, Schema, pred_holds
+from .core import FK, STR, DomainError, Schema, pred_holds
 
 # String predicates, strongest first. equal implies prefix and suffix,
 # either of which implies contain.
 PREDICATES = ("equal", "prefix", "suffix", "contain")
 
 
-class GraphError(Exception):
+class GraphError(DomainError):
     """Query graph edge or constraint that the schema does not license."""
 
 
@@ -66,10 +66,6 @@ class QueryGraph:
     @staticmethod
     def empty() -> "QueryGraph":
         return QueryGraph((), frozenset(), ())
-
-    @property
-    def head_relation(self) -> str:
-        return self.nodes[0]
 
     def constrained_slots(self) -> frozenset[tuple[int, str]]:
         return frozenset((node, attr) for node, attr, _, _ in self.str_edges)

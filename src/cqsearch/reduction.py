@@ -46,9 +46,6 @@ class ReducedRepresentation:
     kept: frozenset[str]
     dropped: frozenset[tuple[str, DropReason]]
 
-    def dropped_names(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.dropped)
-
     def report_lines(self) -> list[str]:
         lines = [f"keep {name}" for name in sorted(self.kept)]
         lines += [f"drop {name} ({reason.value})" for name, reason in sorted(self.dropped)]

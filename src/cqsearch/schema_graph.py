@@ -75,28 +75,16 @@ class SchemaGraph:
         self.fk_edges: tuple[SchemaEdge, ...] = tuple(
             e for e in self.edges if e.dst != STR_NODE)
         self._fk_edge_set = frozenset(self.fk_edges)
-        self._incident: dict[str, list[SchemaEdge]] = {r: [] for r in schema}
-        for e in self.fk_edges:
-            self._incident[e.src].append(e)
-            if e.dst != e.src:
-                self._incident[e.dst].append(e)
         # Every legal single step out of a relation, with the edge it walks.
-        self._moves: dict[str, tuple[tuple[PathStep, SchemaEdge], ...]] = {}
-        for rel in schema:
-            moves = []
-            for e in self._incident[rel]:
-                if e.src == rel:
-                    moves.append((PathStep(e.attr, 1, e.dst), e))
-                if e.dst == rel:
-                    moves.append((PathStep(e.attr, -1, e.src), e))
-            self._moves[rel] = tuple(sorted(moves, key=lambda m: m[0]))
+        moves: dict[str, list[tuple[PathStep, SchemaEdge]]] = {r: [] for r in schema}
+        for e in self.fk_edges:
+            moves[e.src].append((PathStep(e.attr, 1, e.dst), e))
+            moves[e.dst].append((PathStep(e.attr, -1, e.src), e))
+        self._moves: dict[str, tuple[tuple[PathStep, SchemaEdge], ...]] = {
+            rel: tuple(sorted(ms, key=lambda m: m[0])) for rel, ms in moves.items()}
         self._steps: dict[str, tuple[PathStep, ...]] = {
             rel: tuple(step for step, _ in moves)
             for rel, moves in self._moves.items()}
-
-    def incident(self, rel: str) -> list[SchemaEdge]:
-        """Foreign-key edges touching ``rel`` (either endpoint)."""
-        return self._incident[rel]
 
     def steps_from(self, rel: str) -> tuple[PathStep, ...]:
         """Every legal single step out of ``rel``, in deterministic order."""

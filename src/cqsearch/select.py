@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import FK, FactBase, RelationPartition, Schema
+from .core import FK, DomainError, FactBase, RelationPartition, Schema
 from .query import ConjunctiveQuery, QueryGraph, canonical_form, from_graph
 from .reduction import ReducedRepresentation, reduce
 from .refine import RefinementEngine, RefinementState
 from .schema_graph import build_schema_graph
 
 
-class ContextError(Exception):
+class ContextError(DomainError):
     """Unusable entity context (empty description entity set, bad h map)."""
 
 

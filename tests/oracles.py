@@ -1,11 +1,16 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here trades efficiency for obviousness: per-row fact checks,
-full Cartesian products, exhaustive substring scans, unpruned breadth-first
-search over the query space, a search for homomorphisms between query
-graphs. None of it shares search machinery with the package. Query graphs
-are read as the package writes them: node i is position i, the head 0. The
-shared primitives are:
+Everything here trades efficiency for obviousness: a mini-Java scanner
+that reads one character at a time, per-row fact checks, full Cartesian
+products, exhaustive substring scans, unpruned breadth-first search over the
+query space, a search for homomorphisms between query graphs. None of it
+shares search machinery with the package. Query graphs are read as the
+package writes them: node i is position i, the head 0. The shared
+primitives are:
+
+- ``minijava``'s ``Token``, ``Pos``, ``ParseError`` and ``KEYWORDS``, the
+  types and keyword set ``tokenize_by_scanning`` writes its tokens and
+  errors in, and nothing of ``tokenize``'s regex;
 
 - the evaluator inside the brute-force enumerator and inside
   ``refine_by_compiling``, which the suite certifies separately against the
@@ -35,6 +40,7 @@ from itertools import product
 from cqsearch.core import FK, PK, FactBase, FactError, RelationPartition, Schema
 from cqsearch.evaluator import (_Compiled, admits_any, evaluate,
                                  refinable_with_witnesses)
+from cqsearch.minijava import KEYWORDS, ParseError, Pos, Token
 from cqsearch.query import (Equality, QueryGraph, StringAtom, canonical_form,
                             from_graph, multiplicity, pred_holds)
 from cqsearch.reduction import DropReason, ReducedRepresentation
@@ -44,6 +50,107 @@ from cqsearch.schema_graph import (RelationPath, activated_relation,
                                    build_schema_graph, compile_path,
                                    simple_cycles)
 from cqsearch.strings import syn_lcs
+
+
+# --- mini-Java tokens by scanning one character at a time ------------------
+
+_PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||")
+_PUNCT1 = "(){};,=<>+-*/%!."
+
+
+def tokenize_by_scanning(src: str) -> list[Token]:
+    """``minijava.tokenize`` as a character-by-character scanner, the
+    reference its one regex must match token for token and error for error."""
+    tokens: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(src)
+
+    def error(msg):
+        raise ParseError(msg, line, col)
+
+    def advance(text: str):
+        nonlocal line, col
+        for ch in text:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+
+    while i < n:
+        ch = src[i]
+        if ch in " \t\r\n":
+            advance(ch)
+            i += 1
+            continue
+        if src.startswith("//", i):
+            end = src.find("\n", i)
+            end = n if end < 0 else end
+            advance(src[i:end])
+            i = end
+            continue
+        if src.startswith("/*@pos*/", i) or src.startswith("/*@neg*/", i):
+            text = src[i:i + 8]
+            tokens.append(Token("annot", text[3:6], Pos(line, col)))
+            advance(text)
+            i += len(text)
+            continue
+        if src.startswith("/*", i):
+            end = src.find("*/", i + 2)
+            if end < 0:
+                error("unterminated comment")
+            advance(src[i:end + 2])
+            i = end + 2
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and src[j] != '"':
+                if src[j] == "\n":
+                    error("unterminated string literal")
+                j += 2 if src[j] == "\\" else 1
+            if j >= n:
+                error("unterminated string literal")
+            text = src[i:j + 1]
+            tokens.append(Token("string", text[1:-1], Pos(line, col)))
+            advance(text)
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            seen_dot = False
+            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot
+                                                  and j + 1 < n and src[j + 1].isdigit())):
+                seen_dot = seen_dot or src[j] == "."
+                j += 1
+            text = src[i:j]
+            tokens.append(Token("double" if seen_dot else "int", text, Pos(line, col)))
+            advance(text)
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            text = src[i:j]
+            kind = "keyword" if text in KEYWORDS else "ident"
+            tokens.append(Token(kind, text, Pos(line, col)))
+            advance(text)
+            i = j
+            continue
+        two = src[i:i + 2]
+        if two in _PUNCT2:
+            tokens.append(Token("punct", two, Pos(line, col)))
+            advance(two)
+            i += 2
+            continue
+        if ch in _PUNCT1:
+            tokens.append(Token("punct", ch, Pos(line, col)))
+            advance(ch)
+            i += 1
+            continue
+        error(f"unexpected character {ch!r}")
+    tokens.append(Token("eof", "", Pos(line, col)))
+    return tokens
 
 
 # --- per-row fact loading ------------------------------------------------------
@@ -333,7 +440,7 @@ def cycles_brute(graph, max_len: int = 8) -> set:
         if len(steps) >= max_len:
             return
         moves = []
-        for e in graph.incident(cur):
+        for e in graph.fk_edges:
             key = (e.src, e.dst, e.attr)
             if e.src == cur:
                 moves.append((("f", e.attr, e.dst), e.dst, key))

@@ -451,6 +451,20 @@ class TestBenchCommand:
         assert rows[3].startswith("stmt-import-localtime ") and rows[3].endswith(" ok"), stdout
         assert "1/2 tasks passed" in stdout
 
+    def test_non_utf8_golden_is_a_failed_row_naming_it(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
+        task = corpus / "t07_stmt_import_localtime"
+        shutil.copytree(CORPUS / task.name, task)
+        (task / "golden.dl").write_bytes(b"\xff")
+        code, stdout, _ = run(capsys, "bench", str(corpus))
+        assert code == 2
+        row = stdout.splitlines()[2]
+        assert row.startswith("stmt-import-localtime "), stdout
+        assert f"FAIL: ValueError: {task / 'golden.dl'}: " in row, stdout
+        assert "0/1 tasks passed" in stdout
+
     def test_broken_hmap_fails_every_task_by_name(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -363,8 +363,8 @@ def _valid_documents(draw):
     while changed:  # a foreign key needs a row in its target to point at
         changed = False
         for name in schema:
-            for a in schema.fk_attrs(name):
-                if keys[name] and not keys[a.target]:
+            for a in schema[name]:
+                if a.kind == FK and keys[name] and not keys[a.target]:
                     keys[a.target] = [f"{a.target}-0"]
                     changed = True
     doc = {}

@@ -1,7 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqsearch import minijava as mj
+from conftest import CORPUS, REPO
+from oracles import tokenize_by_scanning
 
 FIG1_SOURCE = """\
 class Service {
@@ -68,6 +72,50 @@ class A extends B {
     def test_stacked_annotations(self):
         prog = mj.parse("class A { /*@pos*/ /*@neg*/ int f() { } }")
         assert prog.classes[0].methods[0].annotations == ("pos", "neg")
+
+
+def _lexed(tokenize, text):
+    """``(kind, value, line, col)`` of every token of ``text``, or the
+    ``ParseError`` message, line and column."""
+    try:
+        return [(t.kind, t.value, *t.pos) for t in tokenize(text)]
+    except mj.ParseError as err:
+        return ("error", str(err), err.line, err.col)
+
+
+class TestLexemes:
+    """Exact tokens or errors at the edges of the lexical grammar."""
+
+    @pytest.mark.parametrize("text, lexed", [
+        ("1.2.3", [("double", "1.2", 1, 1), ("punct", ".", 1, 4),
+                   ("int", "3", 1, 5), ("eof", "", 1, 6)]),
+        ("5x", [("int", "5", 1, 1), ("ident", "x", 1, 2), ("eof", "", 1, 3)]),
+        ("1.x", [("int", "1", 1, 1), ("punct", ".", 1, 2), ("ident", "x", 1, 3),
+                 ("eof", "", 1, 4)]),
+        ("a\tb", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)]),
+        ("a\r\n b", [("ident", "a", 1, 1), ("ident", "b", 2, 2), ("eof", "", 2, 3)]),
+        ("/*@pos*/ /*@po*/ x", [("annot", "pos", 1, 1), ("ident", "x", 1, 18),
+                                ("eof", "", 1, 19)]),
+        ('"a\\\nb" c', [("string", "a\\\nb", 1, 1), ("ident", "c", 2, 4),
+                       ("eof", "", 2, 5)]),
+        ("a /* \n\n */ b", [("ident", "a", 1, 1), ("ident", "b", 3, 5), ("eof", "", 3, 6)]),
+        ("²", [("int", "²", 1, 1), ("eof", "", 1, 2)]),
+        ("1²", [("int", "1²", 1, 1), ("eof", "", 1, 3)]),
+        ("1.²", [("double", "1.²", 1, 1), ("eof", "", 1, 4)]),
+        ("x½ xⅧ", [("ident", "x½", 1, 1), ("ident", "xⅧ", 1, 4), ("eof", "", 1, 6)]),
+        ("½", ("error", "1:1: unexpected character '½'", 1, 1)),
+        ("x Ⅷ", ("error", "1:3: unexpected character 'Ⅷ'", 1, 3)),
+        ("a\n  /* x", ("error", "2:3: unterminated comment", 2, 3)),
+        ('x = "ab', ("error", "1:5: unterminated string literal", 1, 5)),
+        ('"ab\n"', ("error", "1:1: unterminated string literal", 1, 1)),
+        ("x # y", ("error", "1:3: unexpected character '#'", 1, 3)),
+    ], ids=["double-then-dot", "int-then-ident", "int-then-dot", "tab", "crlf",
+            "annotation", "escaped-newline", "block-comment-newline", "superscript",
+            "int-superscript", "double-superscript", "numeric-continues-ident",
+            "numeric-start", "letter-number-start", "unterminated-comment",
+            "unterminated-string", "newline-in-string", "stray-hash"])
+    def test_exact_tokens_or_error(self, text, lexed):
+        assert _lexed(mj.tokenize, text) == lexed
 
 
 class TestParseErrors:
@@ -141,6 +189,53 @@ def _damaged_sources(draw):
     i = draw(st.integers(0, len(FIG1_SOURCE)))
     j = draw(st.integers(i, min(len(FIG1_SOURCE), i + 8)))
     return FIG1_SOURCE[:i] + draw(st.sampled_from(JAVA_LEXEMES + [""])) + FIG1_SOURCE[j:]
+
+
+# Characters where str.isdigit/isalpha/isalnum and the regex classes \d/\w
+# disagree (such as ², ½ and Ⅷ), and other lexemes that abut them.
+UNICODE_LEXEMES = ["²", "½", "Ⅷ", "①", "é", "٣", "x", "1", "_", ".", "\\",
+                   "\n", "\t", "\r", "\r\n", '"', "/", "*", "/*", "*/", "#",
+                   "\f", "\v", "\x80", "\u00a0"]
+
+
+def _corpus_sources():
+    return sorted(CORPUS.glob("*/*.java"))
+
+
+class TestLexerOracle:
+    """``tokenize`` matches the character scanner in ``oracles`` token for
+    token and error for error."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.text(max_size=60) | _damaged_sources()
+           | st.lists(st.sampled_from(JAVA_LEXEMES), max_size=40).map(" ".join)
+           | st.text(st.characters(exclude_categories=()), max_size=60)
+           | st.lists(st.sampled_from(JAVA_LEXEMES + UNICODE_LEXEMES),
+                      max_size=30).map("".join))
+    def test_matches_scanner(self, text):
+        assert _lexed(mj.tokenize, text) == _lexed(tokenize_by_scanning, text)
+
+    def test_matches_scanner_where_regex_classes_disagree(self):
+        chars = [c for c in map(chr, range(sys.maxunicode + 1))
+                 if c.isalnum() and not (c.isalpha() or c.isdecimal())]
+        assert {"²", "½", "Ⅷ"} <= set(chars)
+        for c in chars:
+            for text in (c, f"1{c}", f"x{c}", f"1.{c}", f"1.2{c}", f"{c}1",
+                         f"{c}x", f"{c}.5", f"a.{c}", f"if.{c}"):
+                assert _lexed(mj.tokenize, text) == _lexed(tokenize_by_scanning, text)
+
+    @pytest.mark.parametrize("path", _corpus_sources(), ids=lambda p: p.parent.name)
+    def test_matches_scanner_on_corpus(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert _lexed(mj.tokenize, text) == _lexed(tokenize_by_scanning, text)
+
+    def test_matches_scanner_on_generated_code_base(self):
+        sys.path.insert(0, str(REPO))
+        from perfbench.gen_codebase import generate
+        files = generate(2023, 1000).files
+        assert len(files) == 40
+        for text in files.values():
+            assert _lexed(mj.tokenize, text) == _lexed(tokenize_by_scanning, text)
 
 
 class TestParseProperties:

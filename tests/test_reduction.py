@@ -73,8 +73,9 @@ class TestDropReasons:
 
     def test_kept_and_dropped_cover_schema(self, schema, facts, partition):
         red = reduce(schema, facts, partition)
-        assert red.kept | red.dropped_names() == set(schema)
-        assert not red.kept & red.dropped_names()
+        dropped = {name for name, _ in red.dropped}
+        assert red.kept | dropped == set(schema)
+        assert not red.kept & dropped
 
 
 class TestReductionSoundness:
