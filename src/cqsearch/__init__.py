@@ -9,8 +9,8 @@ structural complexity.
 """
 
 from .core import (AttributeDecl, DomainError, FactBase, FactError,
-                   PartitionError, Relation, RelationPartition, Schema,
-                   SchemaError, Tuple, load_facts, make_partition)
+                   InputError, PartitionError, Relation, RelationPartition,
+                   Schema, SchemaError, Tuple, load_facts, make_partition)
 from .datalog import DatalogError, parse_datalog, render_datalog
 from .evaluator import (EvalError, collect_witnesses, evaluate, is_candidate,
                         is_refinable)

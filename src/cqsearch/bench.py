@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import minijava
+from .core import read_input
 from .datalog import parse_datalog, render_datalog
 from .extract import extract
 from .query import canonical_form, max_multiplicity, merged, to_graph
@@ -50,16 +51,6 @@ class TaskResult:
         }
 
 
-def _read(path: Path, decode=json.loads):
-    """``decode`` of the text of the UTF-8 file ``path``, by default its JSON
-    document; a file that is not UTF-8, or that ``decode`` rejects with a
-    ``ValueError``, is a ``ValueError`` that names it."""
-    try:
-        return decode(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or too deep
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
              early_stop: bool = True, use_reduction: bool = True) -> TaskResult:
     """One task's row; a task that cannot run is a failed row with its error."""
@@ -68,7 +59,7 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
     started = time.monotonic()
     try:
         path = task_dir / "task.json"
-        doc = _read(path)
+        doc = read_input(path, json.loads)
         if not (isinstance(doc, dict)
                 and {"source", "target", "description"} <= doc.keys()):
             raise ValueError(f"{path}: a task is a JSON object with source, "
@@ -78,12 +69,12 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
         prog = minijava.parse_files([task_dir / s for s in doc["source"]])
         facts, part, _ = extract(prog, doc["target"])
         schema = facts.schema
-        ctx = make_context(_read(Path(hmap_path)), doc["description"])
+        ctx = read_input(hmap_path, lambda text: make_context(json.loads(text), doc["description"]))
         result = synthesize(schema, facts, part, ctx, k_bound=k_bound,
                             early_stop=early_stop, use_reduction=use_reduction)
         elapsed = time.monotonic() - started
 
-        golden = [parse_datalog(_read(task_dir / f, str), schema)
+        golden = [read_input(task_dir / f, lambda text: parse_datalog(text, schema))
                   for f in doc.get("golden", [])]
         golden_canon = {canonical_form(merged(to_graph(q, schema))) for q in golden}
         selected_canon = {canonical_form(merged(s.graph)) for s in result.selected}

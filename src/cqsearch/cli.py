@@ -7,7 +7,6 @@ completes but falls short (no query / failed tasks), 1 on errors.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 import time
@@ -15,7 +14,8 @@ from functools import cache
 from pathlib import Path
 
 from . import minijava
-from .core import DomainError, load_facts, make_partition, partition_from_doc
+from .core import (DomainError, Schema, load_facts, make_partition,
+                   partition_from_doc, read_input)
 from .datalog import parse_datalog, render_datalog
 from .evaluator import evaluate
 from .extract import extract, extraction_schema, facts_to_doc
@@ -29,35 +29,10 @@ class CliError(Exception):
     pass
 
 
-def _read(path: str, as_json: bool = False):
-    """The text of a UTF-8 file, or with ``as_json`` its JSON document.
-    Bytes that are not UTF-8, JSON syntax errors and JSON nested too deeply
-    to decode are ``CliError``s that name the file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        return json.loads(text) if as_json else text
-    except (ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _read_fact_files(schema_path: str, facts_path: str, positions_path=None):
-    """The schema, the validated fact base and the positions document (``{}``
-    without a path) read from their JSON files.
-
-    The cyclic collector is paused while they load: all this builds is
-    acyclic lists, dicts and tuples of strings, which reference counting
-    frees, and on a large base the collections the allocations would trigger
-    cost as much as the decoding itself."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        schema, facts = load_facts(_read(schema_path, as_json=True),
-                                   _read(facts_path, as_json=True))
-        positions = _read(positions_path, as_json=True) if positions_path else {}
-    finally:
-        if enabled:
-            gc.enable()
-    return schema, facts, positions
+def _load_facts(schema_path: str, facts_path: str):
+    """The schema, read first so that a ``SchemaError`` names it, and the fact base."""
+    schema = read_input(schema_path, lambda text: Schema.from_doc(json.loads(text)))
+    return read_input(facts_path, lambda text: load_facts(schema.to_doc(), json.loads(text)))
 
 
 def _load_inputs(args):
@@ -70,10 +45,10 @@ def _load_inputs(args):
         return facts.schema, facts, part, positions
     if not (args.schema and args.facts):
         raise CliError("need either --source or --schema/--facts")
-    schema, facts, _ = _read_fact_files(args.schema, args.facts)
+    schema, facts = _load_facts(args.schema, args.facts)
     part = None
     if args.partition:
-        part = partition_from_doc(_read(args.partition, as_json=True), facts)
+        part = read_input(args.partition, lambda text: partition_from_doc(json.loads(text), facts))
     elif args.target and args.positive:
         part = make_partition(args.target, args.positive, facts)
     return schema, facts, part, {}
@@ -137,12 +112,12 @@ def cmd_synthesize(args) -> int:
     if part is None:
         raise CliError("a partition is required (--partition or --target/--positive)")
     if args.description_file:
-        description = _read(args.description_file).strip()
+        description = read_input(args.description_file).strip()
     elif args.description:
         description = args.description
     else:
         raise CliError("a description is required (--description or --description-file)")
-    ctx = make_context(_read(args.hmap, as_json=True), description)
+    ctx = read_input(args.hmap, lambda text: make_context(json.loads(text), description))
     started = time.monotonic()
     result = synthesize(schema, facts, part, ctx, k_bound=args.k_bound,
                         early_stop=not args.no_early_stop,
@@ -230,9 +205,9 @@ def _location(path: str, row_id: str, where) -> str:
 
 
 def cmd_search(args) -> int:
-    schema, facts, positions = _read_fact_files(args.schema, args.facts, args.positions)
-    text = _read(args.query)
-    query = parse_datalog(text, schema)
+    schema, facts = _load_facts(args.schema, args.facts)
+    positions = read_input(args.positions, json.loads) if args.positions else {}
+    query = read_input(args.query, lambda text: parse_datalog(text, schema))
     if not isinstance(positions, dict):
         raise CliError(f"{args.positions}: positions must be an object keyed "
                        f"by row id")
@@ -251,7 +226,7 @@ def cmd_graph(args) -> int:
         prog = minijava.parse_files(args.source)
         schema = extraction_schema()
     elif args.schema:
-        schema, _ = load_facts(_read(args.schema, as_json=True), {})
+        schema = read_input(args.schema, lambda text: Schema.from_doc(json.loads(text)))
     else:
         raise CliError("need --schema or --source")
     print(build_schema_graph(schema).to_dot())

@@ -17,10 +17,14 @@ sorted order (the rest), whatever the hash seed.
 """
 from __future__ import annotations
 
+import gc
+import json
+import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 PK = "pk"
@@ -49,6 +53,50 @@ def pred_holds(pred: str, value: str, literal: str) -> bool:
 class DomainError(Exception):
     """Base of the errors a bad input raises: each message says what is
     wrong and where, so the CLI prints it as it stands."""
+
+
+class InputError(DomainError):
+    """A file that is not UTF-8, not JSON or nested too deeply to decode."""
+
+    def __init__(self, path, text: str, offset: int, message: str):
+        line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{path}: {line}:{col}: {message}")
+
+
+def read_input(path, decode=None):
+    """``decode`` of the text, LF line ends as in text mode, of the UTF-8 file
+    ``path``, or the text. The collector is paused while ``decode`` runs: its
+    data is acyclic, so collections would cost as much as decoding and free
+    nothing. Bytes that are not UTF-8, JSON syntax errors and nesting too deep
+    to decode are an ``InputError``; a ``DomainError`` gets a path prefix."""
+    data, fault = Path(path).read_bytes(), None
+    try:
+        text, data = data.decode("utf-8"), None  # the bytes are not held while decoding
+    except UnicodeDecodeError as exc:
+        text, fault = data[:exc.start].decode("utf-8"), f"not UTF-8: {exc.reason}"
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if fault:
+        raise InputError(path, text, len(text), fault)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return (decode or str)(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(path, text, exc.pos, exc.msg) from None
+    except RecursionError:  # at the first bracket of the deepest level, not in a string
+        brackets = [m for m in re.finditer(r'"(?:[^"\\]|\\.)*"|[][{}]', text, re.S)
+                    if m[0] in "[]{}"]
+        depths = list(accumulate(1 if m[0] in "[{" else -1 for m in brackets))
+        deepest = max(depths)
+        raise InputError(path, text, brackets[depths.index(deepest)].start(),
+                         f"nested {deepest} levels deep, too deep to decode") from None
+    except DomainError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class SchemaError(DomainError):

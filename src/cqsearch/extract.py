@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from . import minijava as mj
 from .core import (FK, PK, STR, AttributeDecl, DomainError, FactBase,
-                   Relation, RelationPartition, Schema, make_partition)
+                   PartitionError, Relation, RelationPartition, Schema,
+                   make_partition)
 
 
 class ExtractError(DomainError):
@@ -78,7 +79,7 @@ def _expr_kind(node) -> str:
 
 @dataclass
 class _Builder:
-    source: str
+    source: str = ""  # file of the import or class being walked
     rows: dict[str, list[tuple]] = field(default_factory=dict)
     interned: dict[tuple[str, str], str] = field(default_factory=dict)
     positions: dict[str, dict] = field(default_factory=dict)
@@ -121,8 +122,8 @@ class _Builder:
             return
         if relation is None or row_id is None:
             raise ExtractError(
-                f"{self.source}:{pos.line}: annotation on a construct that "
-                "produces no example rows")
+                f"{self.source}:{pos.line}:{pos.col}: annotation on a construct "
+                "that produces no example rows")
         for mark in marks:
             self.annotated.append((mark, relation, row_id))
 
@@ -190,25 +191,24 @@ def _walk_statements(builder: _Builder, stmts, method_id: str):
 def build_facts(prog: mj.Program) -> tuple[FactBase, dict[str, dict],
                                            list[tuple[str, str, str]]]:
     """All rows for a program: facts, source positions, annotation records."""
-    builder = _Builder(prog.source_name)
+    builder = _Builder()
     for imp in prog.imports:
         builder.source = imp.source
         row = builder.add("Import", (imp.name,), imp.pos)
         builder.annotate(imp.annotations, "Import", row, imp.pos)
 
-    # Class rows first so supertype references can resolve; implicit rows for
+    # Class ids first so supertype references can resolve; implicit rows for
     # undeclared names, and an implicit root every extends-less class points at.
     declared: dict[str, str] = {}
-    class_rows: dict[str, list] = {}
+    class_rows: dict[str, mj.ClassDecl] = {}
     for cls in prog.classes:
         row_id = builder.new_id("Class")
-        if cls.name not in declared:
-            declared[cls.name] = row_id
+        declared.setdefault(cls.name, row_id)
         class_rows[row_id] = cls
-        builder.rows.setdefault("Class", []).append(None)  # placeholder, filled below
         builder.positions[row_id] = {"file": cls.source,
                                      "line": cls.pos.line, "col": cls.pos.col}
 
+    classes = builder.rows.setdefault("Class", [])
     implicit: dict[str, str] = {}
 
     def implicit_class(name: str) -> str:
@@ -218,19 +218,14 @@ def build_facts(prog: mj.Program) -> tuple[FactBase, dict[str, dict],
         row_id = builder.new_id("Class")
         implicit[name] = row_id
         root = implicit_class("Object") if name != "Object" else row_id
-        builder.rows["Class"].append(
-            (row_id, builder.identifier(name), builder.modifier(()), root,
-             "external"))
+        classes.append((row_id, builder.identifier(name), builder.modifier(()),
+                        root, "external"))
         return row_id
 
-    placeholders = [rid for rid in class_rows]
-    for slot, row_id in enumerate(placeholders):
-        cls = class_rows[row_id]
-        super_ref = (implicit_class(cls.super_name) if cls.super_name
-                     else implicit_class("Object"))
-        builder.rows["Class"][slot] = (
-            row_id, builder.identifier(cls.name), builder.modifier(cls.modifiers),
-            super_ref, cls.kind)
+    for row_id, cls in class_rows.items():
+        super_ref = implicit_class(cls.super_name or "Object")
+        classes.append((row_id, builder.identifier(cls.name),
+                        builder.modifier(cls.modifiers), super_ref, cls.kind))
         builder.annotate(cls.annotations, "Class", row_id, cls.pos)
 
     for row_id, cls in class_rows.items():
@@ -272,17 +267,20 @@ def extract(prog: mj.Program, target: str) -> tuple[FactBase, RelationPartition,
     facts, positions, annotated = build_facts(prog)
     if target not in facts.schema:
         raise ExtractError(f"unknown target relation {target!r}")
+    def at(row_id: str) -> str:
+        where = positions[row_id]
+        return f"{where['file']}:{where['line']}:{where['col']}"
+
     pos_ids, neg_ids = set(), set()
     for mark, relation, row_id in annotated:
         if relation != target:
             raise ExtractError(
-                f"@{mark} annotation on a {relation} construct, but the target "
-                f"relation is {target}")
+                f"{at(row_id)}: @{mark} annotation on a {relation} construct, "
+                f"but the target relation is {target}")
         (pos_ids if mark == "pos" else neg_ids).add(row_id)
     if both := pos_ids & neg_ids:
-        from .core import PartitionError
-        raise PartitionError(
-            f"rows annotated both @pos and @neg: {', '.join(sorted(both))}")
+        raise PartitionError("rows annotated both @pos and @neg: " + ", ".join(
+            f"{row_id} at {at(row_id)}" for row_id in sorted(both)))
     if not pos_ids:
         raise ExtractError("no @pos annotations for the target relation")
     part = make_partition(target, pos_ids, facts)

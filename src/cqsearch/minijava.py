@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
-from .core import DomainError
+from .core import DomainError, read_input
 
 MODIFIERS = {"public", "private", "protected", "static", "final", "abstract"}
 KEYWORDS = {"class", "interface", "extends", "implements", "import", "if",
@@ -201,12 +200,6 @@ class ImportDecl:
 class Program:
     imports: list[ImportDecl] = field(default_factory=list)
     classes: list[ClassDecl] = field(default_factory=list)
-    source_name: str = "<source>"
-
-    def merged_with(self, other: "Program") -> "Program":
-        return Program(self.imports + other.imports,
-                       self.classes + other.classes,
-                       f"{self.source_name}+{other.source_name}")
 
 
 # --- lexer -----------------------------------------------------------------
@@ -287,10 +280,9 @@ def tokenize(src: str) -> list[Token]:
 # --- parser ----------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source_name: str):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.source_name = source_name
         self.depth = 0  # open nested expressions and blocks
 
     def peek(self, offset: int = 0) -> Token:
@@ -371,7 +363,7 @@ class _Parser:
 
     # program := (import | class)*
     def program(self) -> Program:
-        prog = Program(source_name=self.source_name)
+        prog = Program()
         while self.peek().kind != "eof":
             ann = self.annotations()
             if self.at("import"):
@@ -540,34 +532,17 @@ class _Parser:
 
 
 def parse(source: str, source_name: str = "<source>") -> Program:
-    parser = _Parser(tokenize(source), source_name)
-    prog = parser.program()
+    prog = _Parser(tokenize(source)).program()
     for decl in prog.imports + prog.classes:
         decl.source = source_name
     return prog
 
 
-def _newlines(text: str) -> str:
-    """``text`` with each CR LF and lone CR line end read as LF, as reading
-    a file in text mode does."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def parse_files(paths) -> Program:
-    """The merged program of the UTF-8 source files ``paths``; a file that
-    is not UTF-8 is a ``ParseError`` naming it, at its first bad byte."""
-    prog: Program | None = None
-    for path in paths:
-        data = Path(path).read_bytes()
-        try:
-            text = _newlines(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            before = _newlines(data[:exc.start].decode("utf-8"))
-            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}",
-                             before.count("\n") + 1,
-                             len(before) - before.rfind("\n")) from None
-        part = parse(text, source_name=str(path))
-        prog = part if prog is None else prog.merged_with(part)
-    if prog is None:
+    """The merged program of the source files ``paths``, each read by
+    ``read_input``, so that an error names its file."""
+    parts = [read_input(path, lambda text: parse(text, str(path))) for path in paths]
+    if not parts:
         raise ParseError("no input files", 0, 0)
-    return prog
+    return Program([d for p in parts for d in p.imports],
+                   [c for p in parts for c in p.classes])

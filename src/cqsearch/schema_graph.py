@@ -74,7 +74,6 @@ class SchemaGraph:
             sorted(edges, key=lambda e: (e.src, e.dst, e.attr)))
         self.fk_edges: tuple[SchemaEdge, ...] = tuple(
             e for e in self.edges if e.dst != STR_NODE)
-        self._fk_edge_set = frozenset(self.fk_edges)
         # Every legal single step out of a relation, with the edge it walks.
         moves: dict[str, list[tuple[PathStep, SchemaEdge]]] = {r: [] for r in schema}
         for e in self.fk_edges:
@@ -94,11 +93,6 @@ class SchemaGraph:
         """``steps_from`` paired with the foreign-key edge each step walks."""
         return self._moves[rel]
 
-    def has_step(self, rel: str, step: PathStep) -> bool:
-        if step.direction == 1:
-            return SchemaEdge(rel, step.next, step.attr) in self._fk_edge_set
-        return SchemaEdge(step.next, rel, step.attr) in self._fk_edge_set
-
     def to_dot(self) -> str:
         lines = ["digraph schema {"]
         for n in self.nodes:
@@ -112,18 +106,6 @@ class SchemaGraph:
 
 def build_schema_graph(schema: Schema) -> SchemaGraph:
     return SchemaGraph(schema)
-
-
-def validate_path(g: SchemaGraph, path: RelationPath) -> bool:
-    """Replay a path against the schema graph's edge set."""
-    cur = path.start
-    if cur not in g.schema:
-        return False
-    for step in path.steps:
-        if step.next not in g.schema or not g.has_step(cur, step):
-            return False
-        cur = step.next
-    return True
 
 
 def acyclic_paths(g: SchemaGraph, src: str, dst: str) -> list[RelationPath]:

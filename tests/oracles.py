@@ -30,7 +30,9 @@ primitives are:
   which the suite checks against ``canonical_form_by_search``;
 - the engine's ``expand``, which defines the graph part of it;
 - the path helpers of ``schema_graph`` behind ``reduce_by_paths``, which the
-  suite checks against ``activation_brute`` and ``cycles_brute``.
+  suite checks against ``activation_brute`` and ``cycles_brute``;
+- ``SchemaGraph.fk_edges``, the edge set ``validate_path`` replays a path
+  against.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from cqsearch.query import (Equality, QueryGraph, StringAtom, canonical_form,
                             from_graph, multiplicity, pred_holds)
 from cqsearch.reduction import DropReason, ReducedRepresentation
 from cqsearch.refine import LevelStats, RefinementEngine, RefinementState
-from cqsearch.schema_graph import (RelationPath, activated_relation,
+from cqsearch.schema_graph import (RelationPath, SchemaEdge, activated_relation,
                                    acyclic_paths, augment_with_cycles,
                                    build_schema_graph, compile_path,
                                    simple_cycles)
@@ -372,6 +374,27 @@ def activation_brute(t0, path: RelationPath, facts: FactBase,
         if ok:
             out.add(row[-1])
     return frozenset(out)
+
+
+# --- path replay against the schema graph's foreign-key edges ---------------
+
+def has_step(g, rel: str, step) -> bool:
+    """Whether ``step`` out of ``rel`` walks a foreign-key edge of ``g``."""
+    if step.direction == 1:
+        return SchemaEdge(rel, step.next, step.attr) in g.fk_edges
+    return SchemaEdge(step.next, rel, step.attr) in g.fk_edges
+
+
+def validate_path(g, path: RelationPath) -> bool:
+    """Replay a path against the schema graph's edge set."""
+    cur = path.start
+    if cur not in g.schema:
+        return False
+    for step in path.steps:
+        if step.next not in g.schema or not has_step(g, cur, step):
+            return False
+        cur = step.next
+    return True
 
 
 # --- dummy-relation removal over the materialized path set -----------------

@@ -52,13 +52,13 @@ class TestExtractCommand:
 
     def test_deep_nesting_exits_one(self, capsys, tmp_path):
         depth = 3000
-        (tmp_path / "deep.java").write_text(
+        path = tmp_path / "deep.java"
+        path.write_text(
             "class A { int f() { return " + "(" * depth + "1" + ")" * depth + "; } }",
             encoding="utf-8")
-        code, _, err = run(capsys, "extract", str(tmp_path / "deep.java"),
-                           "-o", str(tmp_path / "out"))
+        code, _, err = run(capsys, "extract", str(path), "-o", str(tmp_path / "out"))
         assert code == 1
-        assert err.startswith("error: ParseError: 1:") and "nesting deeper" in err, err
+        assert err.startswith(f"error: ParseError: {path}: 1:") and "nesting deeper" in err, err
 
     @pytest.mark.parametrize("source, where", [
         (b"\xffclass A { }", "1:1"),
@@ -69,7 +69,18 @@ class TestExtractCommand:
         path.write_bytes(source)
         code, _, err = run(capsys, "extract", str(path), "-o", str(tmp_path / "out"))
         assert code == 1
-        assert err.startswith(f"error: ParseError: {where}: {path} is not UTF-8"), err
+        assert err.startswith(f"error: InputError: {path}: {where}: not UTF-8: "), err
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["first-file", "second-file"])
+    def test_parse_error_names_its_file(self, capsys, tmp_path, bad):
+        paths = [tmp_path / "a.java", tmp_path / "b.java"]
+        for i, path in enumerate(paths):
+            path.write_text("class B {\n  int 5x;\n}" if i == bad else "class A { }",
+                            encoding="utf-8")
+        code, _, err = run(capsys, "extract", *map(str, paths), "-o", str(tmp_path / "out"))
+        assert code == 1
+        assert err == (f"error: ParseError: {paths[bad]}: 2:7: "
+                       f"expected member name, got '5'\n"), err
 
 
 class TestReduceCommand:
@@ -145,31 +156,52 @@ class TestSynthesizeCommand:
             "--target", "Method", "--description-file", str(path),
             "--hmap", str(CORPUS / "hmap.json"))
         assert code == 1
-        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode"), err
+        assert err.startswith(f"error: InputError: {path}: 1:15: not UTF-8: "), err
 
 
-# Malformed JSON shapes each loader must reject with its domain error; a
-# case that returns bytes writes them as the whole file instead.
+# Malformed JSON shapes each loader must reject with its domain error, and
+# the start of the error line, where {path} is the file and {end} the column
+# past its last byte; a case that returns bytes writes them as the whole file.
 BAD_INPUTS = {
-    "rows-not-a-list": ("facts", lambda d: d.update(Method=5)),
-    "list-valued-cell": ("facts", lambda d: d["Method"][0].__setitem__(1, ["I1"])),
-    "relation-entry-not-object": ("schema", lambda d: d["relations"].append("Method")),
+    "rows-not-a-list": ("facts", lambda d: d.update(Method=5),
+                        "FactError: {path}: Method: rows must be a list"),
+    "list-valued-cell": ("facts", lambda d: d["Method"][0].__setitem__(1, ["I1"]),
+                         "FactError: {path}: Method: non-string value ['I1']"),
+    "relation-entry-not-object": ("schema", lambda d: d["relations"].append("Method"),
+                                  "SchemaError: {path}: relation entry without a name"),
     "attribute-without-name": (
-        "schema", lambda d: d["relations"][0]["attributes"][1].pop("name")),
-    "positive-key-not-string": ("partition", lambda d: d.update(positive=[["M1"]])),
-    "hmap-words-not-list": ("hmap", lambda d: d["h"].update({"Method.id": 5})),
-    "hmap-dictionary-not-list": ("hmap", lambda d: d.update(dictionary="method")),
-    **{f"{doc}-not-utf8": (doc, lambda d: b"\xff" + json.dumps(d).encode())
+        "schema", lambda d: d["relations"][0]["attributes"][1].pop("name"),
+        "SchemaError: {path}: Method: attribute without a name"),
+    "positive-key-not-string": ("partition", lambda d: d.update(positive=[["M1"]]),
+                                "PartitionError: {path}: partition 'target' must be"),
+    "hmap-words-not-list": ("hmap", lambda d: d["h"].update({"Method.id": 5}),
+                            "ContextError: {path}: h['Method.id'] must be a list"),
+    "hmap-dictionary-not-list": ("hmap", lambda d: d.update(dictionary="method"),
+                                 "ContextError: {path}: hmap 'dictionary' must be"),
+    **{f"{doc}-not-utf8": (doc, lambda d: b"\xff" + json.dumps(d).encode(),
+                           "InputError: {path}: 1:1: not UTF-8: invalid start byte")
        for doc in ("schema", "facts", "partition", "hmap")},
-    "facts-syntax-error": ("facts", lambda d: b"{\n,"),
-    "schema-syntax-error": ("schema", lambda d: json.dumps(d)[:-1].encode()),
-    "hmap-syntax-error": ("hmap", lambda d: b"{'dictionary': []}"),
-    "facts-nested-too-deeply": ("facts", lambda d: b"[" * 200_000),
+    "facts-syntax-error": ("facts", lambda d: b"{\n,",
+                           "InputError: {path}: 2:1: Expecting property name"),
+    "schema-syntax-error": ("schema", lambda d: json.dumps(d)[:-1].encode(),
+                            "InputError: {path}: 1:{end}: Expecting ',' delimiter"),
+    "hmap-syntax-error": ("hmap", lambda d: b"{'dictionary': []}",
+                          "InputError: {path}: 1:2: Expecting property name"),
+    "facts-nested-too-deeply": ("facts", lambda d: b"[" * 200_000,
+                                "InputError: {path}: 1:200000: nested 200000 levels"),
+    "schema-relations-not-list": ("schema", lambda d: b'{"relations": 3}',
+                                  "SchemaError: {path}: schema document must have"),
+    "facts-short-row": ("facts", lambda d: b'{"Class": [["C1"]]}',
+                        "FactError: {path}: Class: tuple ('C1',) has arity 1"),
+    "partition-without-positive": ("partition", lambda d: b'{"target": 3}',
+                                   "PartitionError: {path}: partition document needs"),
 }
 
 
-@pytest.mark.parametrize("doc, corrupt", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt):
+@pytest.mark.parametrize("doc, corrupt, expected", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt,
+                                        expected):
     out = motivating_dir / "json"
     run(capsys, "extract", str(motivating_dir / "example.java"),
         "--target", "Method", "-o", str(out))
@@ -185,9 +217,8 @@ def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt):
                        *(arg for name in ("schema", "facts", "partition", "hmap")
                          for arg in (f"--{name}", str(out / f"{name}.json"))))
     assert code == 1
-    assert err.startswith("error: "), err
-    if isinstance(raw, bytes):  # a file that is not UTF-8 JSON is named
-        assert err.startswith(f"error: {path}: "), err
+    end = len(raw) + 1 if isinstance(raw, bytes) else None
+    assert err.startswith("error: " + expected.format(path=path, end=end)), err
 
 
 # Integer flags below their least meaningful value, per subcommand.
@@ -303,7 +334,23 @@ class TestSearchCommand:
                                 "--schema", str(out / "schema.json"),
                                 "--facts", str(out / "facts.json"))
         assert code == 1
-        assert err.startswith(f"error: {query}: 'utf-8' codec can't decode"), err
+        assert err.startswith(f"error: InputError: {query}: 1:1: not UTF-8: "), err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("rule, message", [
+        ("out(X) :- Nope(X.", "expected ), got '.'"),
+        ("out(X) :- Mystery(X).\n", "unknown relation 'Mystery'"),
+    ], ids=["syntax-error", "unknown-relation"])
+    def test_query_error_names_the_file(self, capsys, target_base, rule, message):
+        out = target_base / "out6"
+        run(capsys, "extract", str(target_base / "big.java"), "-o", str(out))
+        query = target_base / "q.dl"
+        query.write_text(rule, encoding="utf-8")
+        code, stdout, err = run(capsys, "search", str(query),
+                                "--schema", str(out / "schema.json"),
+                                "--facts", str(out / "facts.json"))
+        assert code == 1
+        assert err == f"error: DatalogError: {query}: {message}\n", err
         assert stdout == ""
 
     @pytest.mark.parametrize("corrupt", [
@@ -433,9 +480,13 @@ class TestBenchCommand:
         assert code == 0
         assert "1/1 tasks passed" in stdout
 
-    @pytest.mark.parametrize("task", [b"[]", b"{bad", b"\xff{}", b'{"name": "x"}'],
-                             ids=["list", "syntax-error", "not-utf8", "missing-keys"])
-    def test_broken_task_is_a_failed_row(self, capsys, tmp_path, task):
+    @pytest.mark.parametrize("task, error", [
+        (b"[]", "ValueError: {path}: a task is a JSON object"),
+        (b"{bad", "InputError: {path}: 1:2: Expecting property name"),
+        (b"\xff{}", "InputError: {path}: 1:1: not UTF-8: invalid start byte"),
+        (b'{"name": "x"}', "ValueError: {path}: a task is a JSON object"),
+    ], ids=["list", "syntax-error", "not-utf8", "missing-keys"])
+    def test_broken_task_is_a_failed_row(self, capsys, tmp_path, task, error):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
@@ -446,8 +497,9 @@ class TestBenchCommand:
         code, stdout, _ = run(capsys, "bench", str(corpus))
         assert code == 2
         rows = stdout.splitlines()
-        assert rows[2].startswith("t00_broken ") and "FAIL: ValueError: " in rows[2], stdout
-        assert str(corpus / "t00_broken" / "task.json") in rows[2], stdout
+        path = corpus / "t00_broken" / "task.json"
+        assert rows[2].startswith("t00_broken "), stdout
+        assert "FAIL: " + error.format(path=path) in rows[2], stdout
         assert rows[3].startswith("stmt-import-localtime ") and rows[3].endswith(" ok"), stdout
         assert "1/2 tasks passed" in stdout
 
@@ -462,8 +514,23 @@ class TestBenchCommand:
         assert code == 2
         row = stdout.splitlines()[2]
         assert row.startswith("stmt-import-localtime "), stdout
-        assert f"FAIL: ValueError: {task / 'golden.dl'}: " in row, stdout
+        assert (f"FAIL: InputError: {task / 'golden.dl'}: 1:1: not UTF-8: "
+                "invalid start byte") in row, stdout
         assert "0/1 tasks passed" in stdout
+
+    def test_broken_golden_rule_is_a_failed_row_naming_it(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
+        task = corpus / "t07_stmt_import_localtime"
+        shutil.copytree(CORPUS / task.name, task)
+        (task / "golden.dl").write_text("out(X) :- Nope(X.", encoding="utf-8")
+        code, stdout, _ = run(capsys, "bench", str(corpus))
+        assert code == 2
+        row = stdout.splitlines()[2]
+        assert row.startswith("stmt-import-localtime "), stdout
+        assert row.endswith(f"FAIL: DatalogError: {task / 'golden.dl'}: "
+                            "expected ), got '.'"), stdout
 
     def test_broken_hmap_fails_every_task_by_name(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
@@ -473,7 +540,8 @@ class TestBenchCommand:
                         corpus / "t07_stmt_import_localtime")
         code, stdout, _ = run(capsys, "bench", str(corpus))
         assert code == 2
-        assert f"FAIL: ValueError: {corpus / 'hmap.json'}: " in stdout, stdout
+        assert (f"FAIL: InputError: {corpus / 'hmap.json'}: 1:2: "
+                "Expecting property name") in stdout, stdout
         assert "0/1 tasks passed" in stdout
 
     def test_empty_corpus(self, capsys, tmp_path):

@@ -1,12 +1,16 @@
 import copy
+import gc
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqsearch.core import (FK, PK, STR, AttributeDecl, FactError,
+from cqsearch.core import (FK, PK, STR, AttributeDecl, FactError, InputError,
                            PartitionError, Schema, SchemaError, load_facts,
-                           make_partition, partition_from_doc, pred_holds)
+                           make_partition, partition_from_doc, pred_holds,
+                           read_input)
+from cqsearch.minijava import ParseError, parse
 from cqsearch.extract import facts_to_doc
 from conftest import fig1_facts, fig1_schema
 import gen
@@ -27,6 +31,64 @@ def fig1_facts_doc():
         "Type": [["T1", "Log4jUtils"], ["T2", "int"], ["T3", "CacheConfig"]],
         "Modifier": [["MDF1", "public"]],
     }
+
+
+class TestReadInput:
+    def test_line_ends_read_as_lf(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\r\nb\rc\n")
+        assert read_input(path) == "a\nb\nc\n"
+        assert read_input(path, str.splitlines) == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("data, where", [
+        (b"\xff", "1:1"), (b"ab\r\ncd\re\xe9f", "3:2"), (b"\n\n  [\xc3", "3:4"),
+    ], ids=["first-byte", "after-cr-lf-and-cr", "truncated"])
+    def test_not_utf8_is_located(self, tmp_path, data, where):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        for decode in (None, json.loads):
+            with pytest.raises(InputError, match=f"^{path}: {where}: not UTF-8: "):
+                read_input(path, decode)
+
+    def test_json_errors_are_located(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"a": [1,\r\n  2,]}', encoding="utf-8")
+        with pytest.raises(InputError, match=f"^{path}: 2:5: Expecting value$"):
+            read_input(path, json.loads)
+        path.write_text('["[[", {"a": [[]]}, [' + "[" * 5000 + "]]", encoding="utf-8")
+        with pytest.raises(InputError,
+                           match=f"^{path}: 1:5021: nested 5002 levels deep"):
+            read_input(path, json.loads)
+
+    def test_domain_error_keeps_class_and_fields(self, tmp_path):
+        path = tmp_path / "a.java"
+        path.write_text("class A {\n  int 5x;\n}", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_input(path, parse)
+        assert str(err.value) == f"{path}: 2:7: expected member name, got '5'"
+        assert (err.value.line, err.value.col) == (2, 7)
+
+    @pytest.mark.parametrize("text", ["[1]", "[1", "[" * 5000],
+                             ids=["decoded", "syntax-error", "too-deep"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collector_paused_and_restored(self, tmp_path, text, enabled):
+        path = tmp_path / "f.json"
+        path.write_text(text, encoding="utf-8")
+        states = []
+
+        def decode(text):
+            states.append(gc.isenabled())
+            return json.loads(text)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                read_input(path, decode)
+            except InputError:
+                pass
+            assert states == [False] and gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestLoadFacts:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -102,7 +103,9 @@ class A extends Missing {
 
 class TestAnnotationErrors:
     def test_wrong_construct_for_target(self):
-        with pytest.raises(ExtractError, match="target relation is Class"):
+        with pytest.raises(ExtractError, match=re.escape(
+                "<source>:2:33: @pos annotation on a Method construct, "
+                "but the target relation is Class")):
             extract(mj.parse(FIG1_SOURCE), "Class")
 
     def test_no_positive_annotation(self):
@@ -112,12 +115,15 @@ class TestAnnotationErrors:
 
     def test_contradictory_annotations(self):
         prog = mj.parse("class A { /*@pos*/ /*@neg*/ int f() { }"
-                        " int g() { } }")
-        with pytest.raises(PartitionError, match="both"):
+                        " int g() { } /*@neg*/ /*@pos*/ int h() { } }")
+        with pytest.raises(PartitionError, match=re.escape(
+                "rows annotated both @pos and @neg: M1 at <source>:1:33, "
+                "M3 at <source>:1:75")):
             extract(prog, "Method")
 
     def test_annotation_on_rowless_construct(self):
-        with pytest.raises(ExtractError, match="no example rows"):
+        with pytest.raises(ExtractError, match=re.escape(
+                "<source>:1:30: annotation on a construct that produces no example rows")):
             extract(mj.parse("class A { int f() { /*@pos*/ return 1; } }"),
                     "Method")
 
@@ -138,3 +144,11 @@ class TestMultipleFiles:
         assert len(facts.tuples("Class")) == 3  # A, B, Object
         files = {p["file"] for p in positions.values()}
         assert {str(tmp_path / "a.java"), str(tmp_path / "b.java")} <= files
+
+    def test_annotation_errors_name_their_file(self, tmp_path):
+        (tmp_path / "a.java").write_text("class A { /*@pos*/ int f() { } }")
+        (tmp_path / "b.java").write_text("class B {\n  /*@neg*/ int x;\n}")
+        prog = mj.parse_files([tmp_path / "a.java", tmp_path / "b.java"])
+        with pytest.raises(ExtractError, match=re.escape(
+                f"{tmp_path / 'b.java'}:2:16: @neg annotation on a Field construct")):
+            extract(prog, "Method")

@@ -5,10 +5,9 @@ from cqsearch.extract import extraction_schema
 from cqsearch.schema_graph import (PathStep, RelationPath, SchemaEdge,
                                    _enumerate_cycles, activated_relation,
                                    acyclic_paths, augment_with_cycles,
-                                   build_schema_graph, simple_cycles,
-                                   validate_path)
+                                   build_schema_graph, simple_cycles)
 import gen
-from oracles import activation_brute, cycles_brute
+from oracles import activation_brute, cycles_brute, validate_path
 
 
 class TestBuildSchemaGraph:
