@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import minijava
-from .core import read_input
+from .core import DomainError, read_input
 from .datalog import parse_datalog, render_datalog
 from .extract import extract
 from .query import canonical_form, max_multiplicity, merged, to_graph
@@ -51,6 +51,13 @@ class TaskResult:
         }
 
 
+def _task_doc(text: str) -> dict:
+    doc = json.loads(text)
+    if not (isinstance(doc, dict) and {"source", "target", "description"} <= doc.keys()):
+        raise DomainError("a task is a JSON object with source, target and description")
+    return doc
+
+
 def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
              early_stop: bool = True, use_reduction: bool = True) -> TaskResult:
     """One task's row; a task that cannot run is a failed row with its error."""
@@ -58,12 +65,7 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
     name, category = task_dir.name, "?"
     started = time.monotonic()
     try:
-        path = task_dir / "task.json"
-        doc = read_input(path, json.loads)
-        if not (isinstance(doc, dict)
-                and {"source", "target", "description"} <= doc.keys()):
-            raise ValueError(f"{path}: a task is a JSON object with source, "
-                             f"target and description")
+        doc = read_input(task_dir / "task.json", _task_doc)
         name = doc.get("name", name)
         category = doc.get("category", category)
         prog = minijava.parse_files([task_dir / s for s in doc["source"]])

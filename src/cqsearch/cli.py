@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from . import minijava
-from .core import (DomainError, Schema, load_facts, make_partition,
+from .core import (DomainError, Schema, decoding, load_facts, make_partition,
                    partition_from_doc, read_input)
 from .datalog import parse_datalog, render_datalog
 from .evaluator import evaluate
@@ -32,7 +32,9 @@ class CliError(Exception):
 def _load_facts(schema_path: str, facts_path: str):
     """The schema, read first so that a ``SchemaError`` names it, and the fact base."""
     schema = read_input(schema_path, lambda text: Schema.from_doc(json.loads(text)))
-    return read_input(facts_path, lambda text: load_facts(schema.to_doc(), json.loads(text)))
+    # One collector pause; the text is freed before the build, the document before gc resumes.
+    with decoding(facts_path):
+        return load_facts(schema.to_doc(), read_input(facts_path, json.loads))
 
 
 def _load_inputs(args):

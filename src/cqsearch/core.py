@@ -21,6 +21,7 @@ import gc
 import json
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -55,20 +56,42 @@ class DomainError(Exception):
     wrong and where, so the CLI prints it as it stands."""
 
 
+def line_col(text: str, offset: int) -> str:
+    """``line:col`` of ``offset`` in ``text``, both counted from 1."""
+    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    return f"{line}:{col}"
+
+
 class InputError(DomainError):
     """A file that is not UTF-8, not JSON or nested too deeply to decode."""
 
     def __init__(self, path, text: str, offset: int, message: str):
-        line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-        super().__init__(f"{path}: {line}:{col}: {message}")
+        super().__init__(f"{path}: {line_col(text, offset)}: {message}")
+
+
+@contextmanager
+def decoding(path):
+    """Pause the cyclic collector: decoded input is acyclic, so collections
+    would cost as much as decoding and free nothing. A ``DomainError`` raised
+    inside gets ``path`` in front of its message, unless it starts with it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    except DomainError as exc:
+        if not str(exc).startswith(f"{path}: "):
+            exc.args = (f"{path}: {exc}",)
+        raise
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def read_input(path, decode=None):
     """``decode`` of the text, LF line ends as in text mode, of the UTF-8 file
-    ``path``, or the text. The collector is paused while ``decode`` runs: its
-    data is acyclic, so collections would cost as much as decoding and free
-    nothing. Bytes that are not UTF-8, JSON syntax errors and nesting too deep
-    to decode are an ``InputError``; a ``DomainError`` gets a path prefix."""
+    ``path``, or the text; ``decode`` runs inside ``decoding(path)``. Bytes
+    that are not UTF-8, JSON syntax errors and nesting too deep to decode are
+    an ``InputError``."""
     data, fault = Path(path).read_bytes(), None
     try:
         text, data = data.decode("utf-8"), None  # the bytes are not held while decoding
@@ -78,10 +101,9 @@ def read_input(path, decode=None):
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if fault:
         raise InputError(path, text, len(text), fault)
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        return (decode or str)(text)
+        with decoding(path):
+            return (decode or str)(text)
     except json.JSONDecodeError as exc:
         raise InputError(path, text, exc.pos, exc.msg) from None
     except RecursionError:  # at the first bracket of the deepest level, not in a string
@@ -91,12 +113,6 @@ def read_input(path, decode=None):
         deepest = max(depths)
         raise InputError(path, text, brackets[depths.index(deepest)].start(),
                          f"nested {deepest} levels deep, too deep to decode") from None
-    except DomainError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class SchemaError(DomainError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .core import FK, STR, DomainError, Schema
+from .core import FK, STR, DomainError, Schema, line_col
 from .query import (ConjunctiveQuery, Equality, GraphError, StringAtom,
                     PREDICATES, to_graph)
 
@@ -65,108 +65,110 @@ def render_datalog(q: ConjunctiveQuery, schema: Schema) -> str:
 
 
 # A comment runs from '#' to the end of the line; a '#' inside a string
-# literal is matched as part of the literal first.
+# literal is matched as part of the literal first. Any other character that
+# is not white space is ``bad``.
 _TOKEN = re.compile(r'''\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)
                           |(?P<str>"(?:[^"\\]|\\.)*")
                           |(?P<punct>:-|[(),.])
                           |(?P<comment>\#[^\n]*)
+                          |(?P<bad>\S)
                           )''', re.VERBOSE)
 
 
+def _error(text: str, offset: int, message: str) -> DatalogError:
+    return DatalogError(f"{line_col(text, offset)}: {message}")
+
+
 def _tokenize(text: str):
-    pos = 0
+    """(kind, value, offset of the first character) per token, then an end token."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise DatalogError(f"cannot tokenize near {text[pos:pos + 20]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "str":
-            raw = m.group("str")[1:-1]
-            out.append(("str", re.sub(r"\\(.)", r"\1", raw)))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        elif m.lastgroup == "punct":
-            out.append(("punct", m.group("punct")))
-    return out
+    for m in _TOKEN.finditer(text):
+        kind, at = m.lastgroup, m.start(m.lastgroup)
+        if kind == "bad":
+            raise _error(text, at, f"cannot tokenize near {text[at:at + 20]!r}")
+        if kind != "comment":
+            value = re.sub(r"\\(.)", r"\1", m[kind][1:-1]) if kind == "str" else m[kind]
+            out.append((kind, value, at))
+    return out + [("punct", "<end>", len(text))]
 
 
-def _parse_atoms(tokens):
+def _parse_atoms(text: str):
+    """(name, [(kind, value) per argument], offset of the name) per atom."""
+    tokens = _tokenize(text)
     i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else ("punct", "<end>")
 
     def expect(kind, value=None):
         nonlocal i
-        got_kind, got = peek()
+        got_kind, got, at = tokens[i]
         if got_kind != kind or (value is not None and got != value):
-            raise DatalogError(f"expected {value or kind}, got {got!r}")
+            raise _error(text, at, f"expected {value or kind}, got {got!r}")
         i += 1
         return got
 
-    def atom():
+    def comma_list(item):
         nonlocal i
+        items = [item()]
+        while tokens[i][:2] == ("punct", ","):
+            i += 1
+            items.append(item())
+        return items
+
+    def argument():
+        nonlocal i
+        kind, value, at = tokens[i]
+        if kind not in ("name", "str"):
+            raise _error(text, at, f"expected an argument, got {value!r}")
+        i += 1
+        return kind, value
+
+    def atom():
+        at = tokens[i][2]
         name = expect("name")
         expect("punct", "(")
-        args = []
-        while True:
-            kind, value = peek()
-            if kind not in ("name", "str"):
-                raise DatalogError(f"expected an argument, got {value!r}")
-            args.append((kind, value))
-            i += 1
-            if peek() == ("punct", ","):
-                i += 1
-                continue
-            break
+        args = comma_list(argument)
         expect("punct", ")")
-        return name, args
+        return name, args, at
 
-    atoms = [atom()]
+    head = atom()
     expect("punct", ":-")
-    while True:
-        atoms.append(atom())
-        if peek() == ("punct", ","):
-            i += 1
-            continue
-        break
+    atoms = [head] + comma_list(atom)
     expect("punct", ".")
-    if i != len(tokens):
-        raise DatalogError("trailing input after the rule")
+    if i != len(tokens) - 1:
+        raise _error(text, tokens[i][2], "trailing input after the rule")
     return atoms
 
 
 def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
-    atoms = _parse_atoms(_tokenize(text))
-    if not atoms or atoms[0][0] != "out":
-        raise DatalogError("rule must start with an out(...) head")
+    """The rule's query. A syntax error, or an atom that names no relation or
+    does not fit it, is a ``DatalogError`` at the ``line:col`` of the
+    offending token or of the atom's name."""
+    atoms = _parse_atoms(text)
+    if atoms[0][0] != "out":
+        raise _error(text, atoms[0][2], "rule must start with an out(...) head")
     head_args = atoms[0][1]
     rel_atoms = []
     str_atoms = []
-    for name, args in atoms[1:]:
+    for name, args, at in atoms[1:]:
         if name.startswith("str_"):
             pred = name[4:]
             if pred not in PREDICATES:
-                raise DatalogError(f"unknown string predicate {name!r}")
+                raise _error(text, at, f"unknown string predicate {name!r}")
             if len(args) != 2 or args[0][0] != "name" or args[1][0] != "str":
-                raise DatalogError(f"{name} expects (Variable, \"literal\")")
+                raise _error(text, at, f"{name} expects (Variable, \"literal\")")
             str_atoms.append((pred, args[0][1], args[1][1]))
         else:
             if name not in schema:
-                raise DatalogError(f"unknown relation {name!r}")
+                raise _error(text, at, f"unknown relation {name!r}")
             if any(kind != "name" for kind, _ in args):
-                raise DatalogError(f"{name}: literals in relation atoms are not supported")
+                raise _error(text, at, f"{name}: literals in relation atoms are not supported")
             if len(args) != len(schema[name]):
-                raise DatalogError(
-                    f"{name} has arity {len(schema[name])}, got {len(args)} arguments")
+                raise _error(text, at, f"{name} has arity {len(schema[name])}, "
+                                       f"got {len(args)} arguments")
             rel_atoms.append((name, [v for _, v in args]))
     if not rel_atoms:
         raise DatalogError("rule needs at least one relation atom")
     if [v for _, v in head_args] != rel_atoms[0][1] or any(k != "name" for k, _ in head_args):
-        raise DatalogError("head must project the first body atom's variables")
+        raise _error(text, atoms[0][2], "head must project the first body atom's variables")
 
     product = tuple((f"A{i + 1}", rel) for i, (rel, _) in enumerate(rel_atoms))
     slots_by_var: dict[str, list[tuple[int, int]]] = {}

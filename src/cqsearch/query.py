@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
-from .core import FK, STR, DomainError, Schema, pred_holds
+from .core import FK, STR, DomainError, Schema
 
 # String predicates, strongest first. equal implies prefix and suffix,
 # either of which implies contain.

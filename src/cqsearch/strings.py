@@ -4,111 +4,28 @@ Given, per positive tuple, the set of values a string attribute takes across
 that tuple's satisfying assignments, find the longest literal contained in at
 least one witness of every positive (ties broken lexicographically), then the
 strongest predicate (equal > prefix > suffix > contain) that some witness of
-every positive satisfies against it. Longest-common-substring search runs on a
-generalized suffix automaton; the test suite holds it against a substring
-brute force.
+every positive satisfies against it. The length is binary-searched: every
+prefix of a common substring is common too, so the lengths that have a common
+substring are 1 up to the longest. The test suite holds the search against a
+substring brute force.
 """
 from __future__ import annotations
 
 from typing import Collection, Sequence
 
-from .query import PREDICATES, pred_holds
+from .core import pred_holds
+from .query import PREDICATES
 
 
-class SuffixAutomaton:
-    """Generalized suffix automaton over a set of strings."""
-
-    def __init__(self):
-        self.trans: list[dict[str, int]] = [{}]
-        self.link: list[int | None] = [None]
-        self.length: list[int] = [0]
-
-    def _node(self, trans, link, length) -> int:
-        self.trans.append(trans)
-        self.link.append(link)
-        self.length.append(length)
-        return len(self.trans) - 1
-
-    def add_string(self, s: str):
-        last = 0
-        for c in s:
-            last = self._extend(c, last)
-
-    def _extend(self, c: str, last: int) -> int:
-        trans, link, length = self.trans, self.link, self.length
-        if c in trans[last]:
-            q = trans[last][c]
-            if length[last] + 1 == length[q]:
-                return q
-            clone = self._node(dict(trans[q]), link[q], length[last] + 1)
-            link[q] = clone
-            p = last
-            while p is not None and trans[p].get(c) == q:
-                trans[p][c] = clone
-                p = link[p]
-            return clone
-        cur = self._node({}, None, length[last] + 1)
-        p = last
-        while p is not None and c not in trans[p]:
-            trans[p][c] = cur
-            p = link[p]
-        if p is None:
-            link[cur] = 0
-        else:
-            q = trans[p][c]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = self._node(dict(trans[q]), link[q], length[p] + 1)
-                link[q] = clone
-                link[cur] = clone
-                while p is not None and trans[p].get(c) == q:
-                    trans[p][c] = clone
-                    p = link[p]
-        return cur
-
-    def match_lengths(self, strings: Collection[str]) -> list[int]:
-        """Per state: longest substring of any input that state recognizes."""
-        match = [0] * len(self.trans)
-        for s in strings:
-            cur, l = 0, 0
-            for c in s:
-                if c in self.trans[cur]:
-                    cur = self.trans[cur][c]
-                    l += 1
-                else:
-                    while cur is not None and c not in self.trans[cur]:
-                        cur = self.link[cur]
-                    if cur is None:
-                        cur, l = 0, 0
-                    else:
-                        l = self.length[cur] + 1
-                        cur = self.trans[cur][c]
-                if l > match[cur]:
-                    match[cur] = l
-        for v in sorted(range(1, len(self.trans)),
-                        key=lambda i: -self.length[i]):
-            parent = self.link[v]
-            if parent is not None and match[v] > 0:
-                capped = min(match[v], self.length[parent])
-                if capped > match[parent]:
-                    match[parent] = capped
-        return match
-
-
-def longest_common_length(witness_sets: Sequence[Collection[str]]) -> int:
-    """Length of the longest string contained in some witness of every set."""
-    first = witness_sets[0]
-    if len(witness_sets) == 1:
-        return max((len(w) for w in first), default=0)
-    sam = SuffixAutomaton()
-    for w in sorted(first):
-        sam.add_string(w)
-    overall = [sam.length[i] for i in range(len(sam.trans))]
-    for other in witness_sets[1:]:
-        match = sam.match_lengths(other)
-        overall = [min(a, b) for a, b in zip(overall, match)]
-    return max(overall, default=0)
+def common_substrings(witness_sets: Sequence[Collection[str]], n: int) -> set[str]:
+    """The length-``n`` substrings of some witness of every set."""
+    common: set[str] | None = None
+    for ws in witness_sets:
+        found = {w[i:i + n] for w in ws for i in range(len(w) - n + 1)}
+        common = found if common is None else common & found
+        if not common:
+            break
+    return common or set()
 
 
 def syn_lcs(witness_sets: Sequence[Collection[str]]) -> tuple[str, str] | None:
@@ -119,17 +36,18 @@ def syn_lcs(witness_sets: Sequence[Collection[str]]) -> tuple[str, str] | None:
     """
     if not witness_sets or any(not ws for ws in witness_sets):
         return None
-    best_len = longest_common_length(witness_sets)
-    if best_len == 0:
+    # Length lo has the common substrings ``best`` (none yet at 0); no length
+    # above hi has any.
+    lo, hi, best = 0, min(max(map(len, ws)) for ws in witness_sets), set()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if common := common_substrings(witness_sets, mid):
+            lo, best = mid, common
+        else:
+            hi = mid - 1
+    if not best:
         return None
-    candidates = set()
-    for w in witness_sets[0]:
-        for i in range(len(w) - best_len + 1):
-            candidates.add(w[i:i + best_len])
-    common = [lit for lit in sorted(candidates)
-              if all(any(lit in w for w in ws) for ws in witness_sets[1:])]
-    literal = common[0]
-    for pred in PREDICATES:
-        if all(any(pred_holds(pred, w, literal) for w in ws) for ws in witness_sets):
-            return pred, literal
-    raise AssertionError("contain must hold for a common substring")
+    literal = min(best)
+    return next(pred for pred in PREDICATES
+                if all(any(pred_holds(pred, w, literal) for w in ws)
+                       for ws in witness_sets)), literal

@@ -39,12 +39,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from cqsearch.core import FK, PK, FactBase, FactError, RelationPartition, Schema
+from cqsearch.core import (FK, PK, FactBase, FactError, RelationPartition, Schema,
+                           pred_holds)
 from cqsearch.evaluator import (_Compiled, admits_any, evaluate,
                                  refinable_with_witnesses)
 from cqsearch.minijava import KEYWORDS, ParseError, Pos, Token
 from cqsearch.query import (Equality, QueryGraph, StringAtom, canonical_form,
-                            from_graph, multiplicity, pred_holds)
+                            from_graph, multiplicity)
 from cqsearch.reduction import DropReason, ReducedRepresentation
 from cqsearch.refine import LevelStats, RefinementEngine, RefinementState
 from cqsearch.schema_graph import (RelationPath, SchemaEdge, activated_relation,
@@ -554,7 +555,7 @@ def enumerate_query_space(facts: FactBase, part: RelationPartition,
     No reduction, no refinability pruning, no early stop: children of a graph
     are every one-node extension over every non-empty subset of legal edges,
     plus every single-slot strongest-constraint augmentation. Yields each
-    canonical graph once.
+    canonical graph once, paired with its ``_Compiled`` against ``facts``.
     """
     schema = facts.schema
     fk_edges = [(rel, a.name, a.target)
@@ -580,14 +581,14 @@ def enumerate_query_space(facts: FactBase, part: RelationPartition,
                                    if mask >> i & 1)
                 yield g.with_node(rel, subset)
 
-    def string_children(g: QueryGraph):
+    def string_children(g: QueryGraph, compiled: _Compiled):
         constrained = g.constrained_slots()
         slots = [(node, a.name)
                  for node, rel in enumerate(g.nodes) for a in schema[rel]
                  if a.kind == "str" and (node, a.name) not in constrained]
         if not slots:
             return
-        ok, witnesses = refinable_with_witnesses(g, facts, part, slots)
+        ok, witnesses = refinable_with_witnesses(compiled, facts, part, slots)
         if not ok:
             return
         for slot in slots:
@@ -600,8 +601,9 @@ def enumerate_query_space(facts: FactBase, part: RelationPartition,
     queue = [start]
     while queue:
         g = queue.pop()
-        yield g
-        for child in list(expansions(g)) + list(string_children(g)):
+        compiled = _Compiled(facts, g)
+        yield g, compiled
+        for child in list(expansions(g)) + list(string_children(g, compiled)):
             canon = canonical_form(child)
             if canon not in seen:
                 seen.add(canon)
@@ -610,8 +612,8 @@ def enumerate_query_space(facts: FactBase, part: RelationPartition,
 
 def brute_force_candidates(facts: FactBase, part: RelationPartition,
                            m_max: int, k_max: int) -> list[QueryGraph]:
-    return [g for g in enumerate_query_space(facts, part, m_max, k_max)
-            if evaluate(g, facts) == part.positives]
+    return [g for g, compiled in enumerate_query_space(facts, part, m_max, k_max)
+            if evaluate(compiled, facts) == part.positives]
 
 
 # --- refinement level by compiling and joining every graph --------------------

@@ -126,6 +126,27 @@ class TestSynthesizeCommand:
             "relations": 4, "eq_constraints": 3, "str_constraints": 2}
         assert report["queries"][0]["k"] == 2
 
+    def test_trace_prints_level_counts(self, capsys):
+        task = CORPUS / "t08_method_motivating"
+        doc = json.loads((task / "task.json").read_text(encoding="utf-8"))
+        code, _, err = run(capsys, "synthesize",
+                           "--source", str(task / "example.java"),
+                           "--target", doc["target"], "--description", doc["description"],
+                           "--hmap", str(CORPUS / "hmap.json"),
+                           "--trace", "--emit", "datalog")
+        assert code == 0
+        assert err.splitlines() == [
+            "trace (1,1): |W|=1 generated=1 |S_R|=1 |S_C|=0",
+            "trace (2,1): |W|=1 generated=5 |S_R|=5 |S_C|=1",
+            "trace (2,2): |W|=1 generated=0 |S_R|=0 |S_C|=0",
+            "trace (3,1): |W|=5 generated=30 |S_R|=12 |S_C|=3",
+            "trace (3,2): |W|=5 generated=18 |S_R|=12 |S_C|=3",
+            "trace (4,1): |W|=12 generated=68 |S_R|=16 |S_C|=4",
+            "trace (4,2): |W|=24 generated=344 |S_R|=117 |S_C|=34",
+            "trace (5,1): |W|=16 generated=0 |S_R|=0 |S_C|=0",
+            "trace (5,2): |W|=133 generated=3520 |S_R|=747 |S_C|=243",
+        ]
+
     def test_exit_two_when_nothing_separates(self, capsys, tmp_path):
         (tmp_path / "same.java").write_text(
             "class A { /*@pos*/ int f() { } int g() { } }", encoding="utf-8")
@@ -338,19 +359,22 @@ class TestSearchCommand:
         assert stdout == ""
 
     @pytest.mark.parametrize("rule, message", [
-        ("out(X) :- Nope(X.", "expected ), got '.'"),
-        ("out(X) :- Mystery(X).\n", "unknown relation 'Mystery'"),
-    ], ids=["syntax-error", "unknown-relation"])
-    def test_query_error_names_the_file(self, capsys, target_base, rule, message):
+        ("out(X) :- Nope(X.", "1:17: expected ), got '.'"),
+        ("out(X) :- Mystery(X).\n", "1:11: unknown relation 'Mystery'"),
+        ("out(M, MI, MR, MD) :-\n    Method(M, MI, MR, MD),\n    Type(MR, RN, X).\n",
+         "3:5: Type has arity 2, got 3 arguments"),
+    ], ids=["syntax-error", "unknown-relation", "third-line"])
+    def test_query_error_names_the_file(self, capsys, target_base, monkeypatch,
+                                        rule, message):
         out = target_base / "out6"
         run(capsys, "extract", str(target_base / "big.java"), "-o", str(out))
-        query = target_base / "q.dl"
-        query.write_text(rule, encoding="utf-8")
-        code, stdout, err = run(capsys, "search", str(query),
+        (target_base / "q.dl").write_text(rule, encoding="utf-8")
+        monkeypatch.chdir(target_base)
+        code, stdout, err = run(capsys, "search", "q.dl",
                                 "--schema", str(out / "schema.json"),
                                 "--facts", str(out / "facts.json"))
         assert code == 1
-        assert err == f"error: DatalogError: {query}: {message}\n", err
+        assert err == f"error: DatalogError: q.dl: {message}\n", err
         assert stdout == ""
 
     @pytest.mark.parametrize("corrupt", [
@@ -481,10 +505,10 @@ class TestBenchCommand:
         assert "1/1 tasks passed" in stdout
 
     @pytest.mark.parametrize("task, error", [
-        (b"[]", "ValueError: {path}: a task is a JSON object"),
+        (b"[]", "DomainError: {path}: a task is a JSON object"),
         (b"{bad", "InputError: {path}: 1:2: Expecting property name"),
         (b"\xff{}", "InputError: {path}: 1:1: not UTF-8: invalid start byte"),
-        (b'{"name": "x"}', "ValueError: {path}: a task is a JSON object"),
+        (b'{"name": "x"}', "DomainError: {path}: a task is a JSON object"),
     ], ids=["list", "syntax-error", "not-utf8", "missing-keys"])
     def test_broken_task_is_a_failed_row(self, capsys, tmp_path, task, error):
         corpus = tmp_path / "corpus"
@@ -530,7 +554,7 @@ class TestBenchCommand:
         row = stdout.splitlines()[2]
         assert row.startswith("stmt-import-localtime "), stdout
         assert row.endswith(f"FAIL: DatalogError: {task / 'golden.dl'}: "
-                            "expected ), got '.'"), stdout
+                            "1:17: expected ), got '.'"), stdout
 
     def test_broken_hmap_fails_every_task_by_name(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"

@@ -167,6 +167,22 @@ class TestParseErrors:
         with pytest.raises(DatalogError):
             parse_datalog("out(M :- Method(M).", schema)
 
+    @pytest.mark.parametrize("text, message", [
+        ('out(T, N) :-\n  Type(T, N),\n  str_equal(N N).', "3:15: expected ), got 'N'"),
+        ("out(T, N) :- Type(T, N)", "1:24: expected ., got '<end>'"),
+        ("out(T, N) :- Type(T, N) ;", "1:25: cannot tokenize near ';'"),
+        ("out(T, N) :- Type(T, N).\n\n  out", "3:3: trailing input after the rule"),
+        ("out(T, N) :- Type(T, N),\n\tstr_prefix(N, N).",
+         '2:2: str_prefix expects (Variable, "literal")'),
+        ('out(T, N) :-\n  Type(T, "Cache").',
+         "2:3: Type: literals in relation atoms are not supported"),
+        ("out(N, T) :- Type(T, N).", "1:1: head must project the first body atom's variables"),
+    ], ids=["syntax", "end", "tokenize", "trailing", "str-atom", "literal", "head"])
+    def test_error_names_line_and_column(self, schema, text, message):
+        with pytest.raises(DatalogError) as info:
+            parse_datalog(text, schema)
+        assert str(info.value) == message
+
 
 SCHEMA = fig1_schema()
 # Lexemes of the rule syntax, for inputs that get past the tokenizer.

@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
+from cqsearch.core import pred_holds
 from cqsearch.extract import extraction_schema
 from cqsearch.query import (ConjunctiveQuery, Equality, GraphError, QueryGraph,
                             StringAtom, canonical_form, check_graph, from_graph,
-                            max_multiplicity, multiplicity, pred_holds,
-                            render_ra, to_graph)
+                            max_multiplicity, multiplicity, render_ra, to_graph)
 from conftest import fig1c_graph, fig1c_query
 import gen
 from oracles import canonical_form_by_search

@@ -2,10 +2,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from cqsearch.core import make_partition
+from cqsearch.core import make_partition, pred_holds
 from cqsearch.evaluator import is_refinable, refinable_with_witnesses
-from cqsearch.query import QueryGraph
-from cqsearch.strings import SuffixAutomaton, longest_common_length, syn_lcs
+from cqsearch.query import PREDICATES, QueryGraph
+from cqsearch.strings import syn_lcs
 import gen
 from oracles import lcs_brute
 
@@ -65,7 +65,6 @@ class TestOracleAgreement:
             return
         pred, literal = got
         assert literal
-        from cqsearch.query import PREDICATES, pred_holds
         assert all(any(literal in w for w in ws) for ws in sets)
         for stronger in PREDICATES[:PREDICATES.index(pred)]:
             assert not all(any(pred_holds(stronger, w, literal) for w in ws)
@@ -81,40 +80,54 @@ class TestOracleAgreement:
             want = lcs_brute(sets)
             assert got == want, (sets, got, want)
 
-    def test_length_matches_brute_force(self):
-        rng = random.Random(43)
+
+class TestInputShapes:
+    """Witness sets the strategies above never draw, each against the brute force."""
+
+    @staticmethod
+    def check(sets):
+        got = syn_lcs(sets)
+        assert got == lcs_brute(sets), (sets, got)
+        return got
+
+    def test_empty_string_witnesses(self):
+        assert self.check([{""}]) is None
+        assert self.check([{""}, {"abc"}]) is None
+        assert self.check([{"", "ab"}, {"b", ""}]) == ("suffix", "b")
+        rng = random.Random(44)
         for _ in range(200):
-            sets = [frozenset(gen.random_string(rng, "ab", 1, 12)
-                              for _ in range(rng.randint(1, 2)))
-                    for _ in range(rng.randint(2, 3))]
-            want = lcs_brute(sets)
-            got = longest_common_length(sets)
-            assert got == (len(want[1]) if want else 0)
+            self.check([frozenset(gen.random_string(rng, "ab", 0, 4)
+                                  for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 4))])
 
+    def test_non_ascii_and_astral_characters(self):
+        assert self.check([{"Grüße😀"}, {"süße😀x"}]) == ("contain", "üße😀")
+        assert self.check([{"😀😁"}, {"😁😀😁"}]) == ("suffix", "😀😁")
+        rng = random.Random(45)
+        for _ in range(200):
+            self.check([frozenset(gen.random_string(rng, "aé\u0301€😀\U00010348", 1, 8)
+                                  for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 4))])
 
-class TestSuffixAutomaton:
-    def test_recognizes_all_substrings(self):
-        sam = SuffixAutomaton()
-        sam.add_string("abcbc")
-        sam.add_string("cbab")
-        for s in ("abcbc", "cbab"):
-            for i in range(len(s)):
-                for j in range(i + 1, len(s) + 1):
-                    cur = 0
-                    for c in s[i:j]:
-                        assert c in sam.trans[cur]
-                        cur = sam.trans[cur][c]
+    def test_common_substring_only_in_a_later_witness(self):
+        assert self.check([["zz", "qq", "xabcx"], ["yy", "pp", "abc"]]) == \
+            ("contain", "abc")
+        rng = random.Random(46)
+        for _ in range(200):
+            planted = gen.random_string(rng, "abc", 1, 5)
+            sets = [[gen.random_string(rng, "xyz", 1, 6) for _ in range(rng.randint(1, 3))]
+                    + [gen.random_string(rng, "xy", 0, 3) + planted]
+                    for _ in range(rng.randint(2, 4))]
+            pred, literal = self.check(sets)
+            assert len(literal) >= len(planted)
 
-    def test_rejects_non_substrings(self):
-        sam = SuffixAutomaton()
-        sam.add_string("aab")
-        cur, ok = 0, True
-        for c in "ba" + "x":
-            if c not in sam.trans[cur]:
-                ok = False
-                break
-            cur = sam.trans[cur][c]
-        assert not ok
+    def test_forty_character_witnesses(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            alphabet = rng.choice(["ab", "abc", "abcd"])
+            self.check([frozenset(gen.random_string(rng, alphabet, 40, 40)
+                                  for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(2, 4))])
 
 
 class TestRefinabilityPreservation:
