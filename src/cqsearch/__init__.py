@@ -9,8 +9,9 @@ structural complexity.
 """
 
 from .core import (AttributeDecl, DomainError, FactBase, FactError,
-                   InputError, PartitionError, Relation, RelationPartition,
-                   Schema, SchemaError, Tuple, load_facts, make_partition)
+                   InputError, PartitionError, PositionsError, Relation,
+                   RelationPartition, Schema, SchemaError, Tuple, load_facts,
+                   load_positions, make_partition)
 from .datalog import DatalogError, parse_datalog, render_datalog
 from .evaluator import (EvalError, collect_witnesses, evaluate, is_candidate,
                         is_refinable)

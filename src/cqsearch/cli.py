@@ -14,11 +14,11 @@ from functools import cache
 from pathlib import Path
 
 from . import minijava
-from .core import (DomainError, Schema, decoding, load_facts, make_partition,
-                   partition_from_doc, read_input)
+from .core import (DomainError, Schema, decoding, load_facts, load_positions,
+                   make_partition, partition_from_doc, read_input)
 from .datalog import parse_datalog, render_datalog
 from .evaluator import evaluate
-from .extract import extract, extraction_schema, facts_to_doc
+from .extract import extract, extraction_schema, facts_to_doc, positions_to_doc
 from .query import max_multiplicity, render_ra
 from .reduction import reduce
 from .schema_graph import build_schema_graph
@@ -34,7 +34,7 @@ def _load_facts(schema_path: str, facts_path: str):
     schema = read_input(schema_path, lambda text: Schema.from_doc(json.loads(text)))
     # One collector pause; the text is freed before the build, the document before gc resumes.
     with decoding(facts_path):
-        return load_facts(schema.to_doc(), read_input(facts_path, json.loads))
+        return load_facts(schema, read_input(facts_path, json.loads))
 
 
 def _load_inputs(args):
@@ -43,8 +43,8 @@ def _load_inputs(args):
         prog = minijava.parse_files(args.source)
         if not args.target:
             raise CliError("--target is required with --source")
-        facts, part, positions = extract(prog, args.target)
-        return facts.schema, facts, part, positions
+        facts, part, _ = extract(prog, args.target)
+        return facts.schema, facts, part
     if not (args.schema and args.facts):
         raise CliError("need either --source or --schema/--facts")
     schema, facts = _load_facts(args.schema, args.facts)
@@ -53,7 +53,7 @@ def _load_inputs(args):
         part = read_input(args.partition, lambda text: partition_from_doc(json.loads(text), facts))
     elif args.target and args.positive:
         part = make_partition(args.target, args.positive, facts)
-    return schema, facts, part, {}
+    return schema, facts, part
 
 
 def _query_graph_dot(graph) -> str:
@@ -94,13 +94,13 @@ def cmd_extract(args) -> int:
             encoding="utf-8")
         written.insert(2, "partition.json")
     (outdir / "positions.json").write_text(
-        json.dumps(positions, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(positions_to_doc(positions)) + "\n", encoding="utf-8")
     print(f"wrote {', '.join(written)} to {outdir}")
     return 0
 
 
 def cmd_reduce(args) -> int:
-    schema, facts, part, _ = _load_inputs(args)
+    schema, facts, part = _load_inputs(args)
     if part is None:
         raise CliError("a partition is required (--partition or --target/--positive)")
     reduced = reduce(schema, facts, part, max_cycle_len=args.max_cycle_len)
@@ -110,7 +110,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    schema, facts, part, _ = _load_inputs(args)
+    schema, facts, part = _load_inputs(args)
     if part is None:
         raise CliError("a partition is required (--partition or --target/--positive)")
     if args.description_file:
@@ -197,29 +197,14 @@ def _emit(args, result, report):
           f"wall time: {report['wall_time_s']}s")
 
 
-def _location(path: str, row_id: str, where) -> str:
-    """One positions.json entry, {"file", "line", "col"}, as file:line:col."""
-    try:
-        return f"{where['file']}:{where['line']}:{where['col']}"
-    except (TypeError, KeyError):
-        raise CliError(f"{path}: position of {row_id!r} needs file, line "
-                       f"and col") from None
-
-
 def cmd_search(args) -> int:
     schema, facts = _load_facts(args.schema, args.facts)
-    positions = read_input(args.positions, json.loads) if args.positions else {}
+    location = (read_input(args.positions, lambda text: load_positions(json.loads(text)))
+                if args.positions else {}.get)
     query = read_input(args.query, lambda text: parse_datalog(text, schema))
-    if not isinstance(positions, dict):
-        raise CliError(f"{args.positions}: positions must be an object keyed "
-                       f"by row id")
-    lines = []  # printed only once every hit has a location
     for t in sorted(evaluate(query, facts)):
-        where = positions.get(t[0])
-        lines.append(t[0] if where is None
-                     else f"{t[0]}\t{_location(args.positions, t[0], where)}")
-    for line in lines:
-        print(line)
+        where = location(t[0])
+        print(t[0] if where is None else f"{t[0]}\t{where}")
     return 0
 
 

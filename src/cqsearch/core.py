@@ -11,9 +11,10 @@ kind carries the distinction.
 Loading checks each relation one column at a time: ``load_facts`` the JSON
 shape (rows are lists, no list or object cells), ``FactBase`` the arity,
 string cells, non-empty keys, unique primary keys and foreign keys that
-resolve, each in one C-level pass per column. A failed check names the first
-offending row of the document (shape) or the least offending tuple in
-sorted order (the rest), whatever the hash seed.
+resolve, each in one C-level pass per column over the rows in the order they
+were decoded. A failed check names the first offending row of the document
+(shape) or the least offending tuple in sorted order (the rest), whatever
+the hash seed.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 PK = "pk"
 FK = "fk"
@@ -121,6 +122,10 @@ class SchemaError(DomainError):
 
 class FactError(DomainError):
     """Facts that do not fit the schema (arity, kinds, dangling keys)."""
+
+
+class PositionsError(DomainError):
+    """A positions.json document that is not the columns ``extract`` writes."""
 
 
 class PartitionError(DomainError):
@@ -278,6 +283,21 @@ class FactBase(Mapping[str, Relation]):
     """
 
     def __init__(self, schema: Schema, relations: Iterable[Relation]):
+        self._build(schema, relations, {})
+
+    @classmethod
+    def _decoded(cls, schema: Schema, relations: Iterable[Relation],
+                 order: Mapping[str, Sequence[Tuple]]) -> "FactBase":
+        """``FactBase(schema, relations)``, each relation checked over
+        ``order[name]``, its tuples as the loader decoded them (duplicates
+        allowed). A pass over a list in that order stays in cache; one over a
+        frozenset of thousands of tuples, in hash order, misses it."""
+        base = cls.__new__(cls)
+        base._build(schema, relations, order)
+        return base
+
+    def _build(self, schema: Schema, relations: Iterable[Relation],
+               order: Mapping[str, Sequence[Tuple]]):
         self.schema = schema
         rels: dict[str, Relation] = {}
         for r in relations:
@@ -292,12 +312,12 @@ class FactBase(Mapping[str, Relation]):
         self._pk: dict[str, dict[str, Tuple]] = {}
         self._by_attr: dict[tuple[str, int], dict[str, tuple[Tuple, ...]]] = {}
         self._selected: dict[tuple, tuple[Tuple, ...]] = {}
-        self._validate()
+        self._validate(order)
 
-    def _validate(self):
+    def _validate(self, order: Mapping[str, Sequence[Tuple]]):
         fk_columns = []  # (relation, position, set of values), checked last
         for name, rel in self._rels.items():
-            attrs, tuples = self.schema[name], rel.tuples
+            attrs, tuples = self.schema[name], order.get(name, rel.tuples)
             if set(map(len, tuples)) - {len(attrs)}:
                 t = _least(t for t in tuples if len(t) != len(attrs))
                 raise FactError(
@@ -318,9 +338,9 @@ class FactBase(Mapping[str, Relation]):
                 t = _least(t for t in tuples if not all(t[i] for i in empty))
                 i = next(i for i in empty if not t[i])
                 raise FactError(f"{name}.{attrs[i].name}: empty key value in {t!r}")
-            if len(pk_index) != len(tuples):
-                pks = Counter(map(itemgetter(0), tuples))
-                t = _least(t for t in tuples if pks[t[0]] > 1)
+            if len(pk_index) != len(rel):  # distinct keys against distinct tuples
+                pks = Counter(map(itemgetter(0), rel.tuples))
+                t = _least(t for t in rel.tuples if pks[t[0]] > 1)
                 raise FactError(f"{name}: duplicate primary key {t[0]!r} in {t!r}")
             self._pk[name] = pk_index
         for name, i, values in fk_columns:
@@ -395,32 +415,82 @@ class FactBase(Mapping[str, Relation]):
         return pool
 
 
-def load_facts(schema_doc: dict, facts_doc: dict) -> tuple[Schema, FactBase]:
-    """Parse and validate the schema.json / facts.json documents.
+def load_facts(schema: Schema, facts_doc: dict) -> tuple[Schema, FactBase]:
+    """``schema`` and the fact base of the facts.json document ``facts_doc``.
 
     Only the JSON shape is checked here: rows are lists, one C-level pass
     per relation, and no cell is a list or object, which hashing the rows
     into tuples finds. Either failure names the first offending row in
     document order. ``FactBase`` checks the rest, every other non-string
-    cell among it. Identical duplicate rows collapse into one tuple.
+    cell among it, over the tuples in document order. Identical duplicate
+    rows collapse into one tuple.
     """
-    schema = Schema.from_doc(schema_doc)
     if not isinstance(facts_doc, dict):
         raise FactError("facts document must be an object of relation -> rows")
-    relations = []
+    relations, order = [], {}
     for name, rows in facts_doc.items():
         if not isinstance(rows, list):
             raise FactError(f"{name}: rows must be a list, got {rows!r}")
         if not _all_of(rows, list):
             row = next(r for r in rows if not isinstance(r, list))
             raise FactError(f"{name}: row {row!r} is not a list")
+        order[name] = tuples = list(map(tuple, rows))
         try:
-            relations.append(Relation(name, frozenset(map(tuple, rows))))
+            relations.append(Relation(name, frozenset(tuples)))
         except TypeError:  # a list or object cell cannot be hashed
             row = next(r for r in rows if any(isinstance(v, (list, dict)) for v in r))
             v = next(v for v in row if isinstance(v, (list, dict)))
             raise FactError(f"{name}: non-string value {v!r} in row {row!r}") from None
-    return schema, FactBase(schema, relations)
+    return schema, FactBase._decoded(schema, relations, order)
+
+
+_POSITION_COLUMNS = ("files", "rows", "file", "line", "col")
+
+
+def load_positions(doc: dict) -> Callable[[str], str | None]:
+    """``file:line:col`` of a row id, or None, from the positions.json
+    document ``doc``: the sorted file table ``files``, and per row its id in
+    ``rows``, its file's index into ``files`` in ``file``, its ``line`` and its
+    ``col``. Each column is checked in one C-level pass; a fault is a
+    ``PositionsError`` naming the first offending entry."""
+    if not isinstance(doc, dict):
+        raise PositionsError("positions must be an object of columns "
+                             + ", ".join(_POSITION_COLUMNS))
+    missing = [name for name in _POSITION_COLUMNS if name not in doc]
+    if missing and all(isinstance(v, dict) for v in doc.values()):
+        raise PositionsError("one object per row is the old positions layout; "
+                             "re-run `cqsearch extract` to write it as columns")
+    if missing:
+        raise PositionsError(f"missing column {missing[0]!r}")
+    for name in _POSITION_COLUMNS:
+        if not isinstance(doc[name], list):
+            raise PositionsError(f"column {name!r} must be a list, got {doc[name]!r}")
+    files, rows, file, line, col = (doc[name] for name in _POSITION_COLUMNS)
+    if not len(rows) == len(file) == len(line) == len(col):
+        raise PositionsError(f"columns 'rows', 'file', 'line' and 'col' have "
+                             f"{len(rows)}, {len(file)}, {len(line)} and {len(col)} "
+                             f"entries, not one per row")
+    for name in ("files", "rows"):
+        if not _all_of(doc[name], str):
+            i, v = next((i, v) for i, v in enumerate(doc[name]) if not isinstance(v, str))
+            raise PositionsError(f"{name}[{i}] is {v!r}, not a string")
+    index = dict(zip(rows, range(len(rows))))
+    if len(index) != len(rows):
+        counts = Counter(rows)
+        raise PositionsError(f"duplicate row id {min(r for r in counts if counts[r] > 1)!r}")
+    for name in ("file", "line", "col"):
+        if set(map(type, doc[name])) - {int}:  # bool is not int here
+            i, v = next((i, v) for i, v in enumerate(doc[name]) if type(v) is not int)
+            raise PositionsError(f"{name}[{i}] of row {rows[i]!r} is {v!r}, not an integer")
+    if file and (min(file) < 0 or max(file) >= len(files)):
+        i = next(i for i, v in enumerate(file) if not 0 <= v < len(files))
+        raise PositionsError(f"file[{i}] of row {rows[i]!r} is {file[i]}, not an "
+                             f"index into the {len(files)} files")
+
+    def location(row_id: str) -> str | None:
+        i = index.get(row_id)
+        return None if i is None else f"{files[file[i]]}:{line[i]}:{col[i]}"
+    return location
 
 
 def _all_of(values: Iterable, kind: type) -> bool:

@@ -93,7 +93,7 @@ def _tokenize(text: str):
 
 
 def _parse_atoms(text: str):
-    """(name, [(kind, value) per argument], offset of the name) per atom."""
+    """(name, [(kind, value, offset) per argument], offset of the name) per atom."""
     tokens = _tokenize(text)
     i = 0
 
@@ -119,7 +119,7 @@ def _parse_atoms(text: str):
         if kind not in ("name", "str"):
             raise _error(text, at, f"expected an argument, got {value!r}")
         i += 1
-        return kind, value
+        return kind, value, at
 
     def atom():
         at = tokens[i][2]
@@ -139,9 +139,13 @@ def _parse_atoms(text: str):
 
 
 def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
-    """The rule's query. A syntax error, or an atom that names no relation or
-    does not fit it, is a ``DatalogError`` at the ``line:col`` of the
-    offending token or of the atom's name."""
+    """The rule's query. Every error is a ``DatalogError`` at a ``line:col``:
+    a syntax error at the offending token; an atom that names no relation or
+    does not fit it at the atom's name; a variable no pk/fk chain can express
+    at its first occurrence in a relation atom; a string variable that is
+    unbound, joins relations, names no string attribute or is constrained
+    twice at the offending ``str_*`` atom; a rule with no relation atom at
+    its first body atom."""
     atoms = _parse_atoms(text)
     if atoms[0][0] != "out":
         raise _error(text, atoms[0][2], "rule must start with an out(...) head")
@@ -155,24 +159,25 @@ def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
                 raise _error(text, at, f"unknown string predicate {name!r}")
             if len(args) != 2 or args[0][0] != "name" or args[1][0] != "str":
                 raise _error(text, at, f"{name} expects (Variable, \"literal\")")
-            str_atoms.append((pred, args[0][1], args[1][1]))
+            str_atoms.append((pred, args[0][1], args[1][1], at))
         else:
             if name not in schema:
                 raise _error(text, at, f"unknown relation {name!r}")
-            if any(kind != "name" for kind, _ in args):
+            if any(kind != "name" for kind, _, _ in args):
                 raise _error(text, at, f"{name}: literals in relation atoms are not supported")
             if len(args) != len(schema[name]):
                 raise _error(text, at, f"{name} has arity {len(schema[name])}, "
                                        f"got {len(args)} arguments")
-            rel_atoms.append((name, [v for _, v in args]))
+            rel_atoms.append((name, [v for _, v, _ in args], [a for _, _, a in args]))
     if not rel_atoms:
-        raise DatalogError("rule needs at least one relation atom")
-    if [v for _, v in head_args] != rel_atoms[0][1] or any(k != "name" for k, _ in head_args):
+        raise _error(text, atoms[1][2], "rule needs at least one relation atom")
+    if [v for _, v, _ in head_args] != rel_atoms[0][1] \
+            or any(k != "name" for k, _, _ in head_args):
         raise _error(text, atoms[0][2], "head must project the first body atom's variables")
 
-    product = tuple((f"A{i + 1}", rel) for i, (rel, _) in enumerate(rel_atoms))
+    product = tuple((f"A{i + 1}", rel) for i, (rel, _, _) in enumerate(rel_atoms))
     slots_by_var: dict[str, list[tuple[int, int]]] = {}
-    for idx, (_, vars_) in enumerate(rel_atoms):
+    for idx, (_, vars_, _) in enumerate(rel_atoms):
         for pos, var in enumerate(vars_):
             slots_by_var.setdefault(var, []).append((idx, pos))
 
@@ -204,8 +209,9 @@ def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
                 parent[find(fk_slot)] = find(pk_slot)
                 chosen.append((fk_slot, pk_slot))
         if len({find(s) for s in slots}) != 1:
-            raise DatalogError(
-                f"variable {var!r} equates attributes that no pk/fk chain can express")
+            first, pos = slots[0]
+            raise _error(text, rel_atoms[first][2][pos], f"variable {var!r} equates "
+                         "attributes that no pk/fk chain can express")
         for (fi, fp), (pi, _) in chosen:
             frel = rel_atoms[fi][0]
             prel = rel_atoms[pi][0]
@@ -213,19 +219,19 @@ def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
                                   f"A{pi + 1}", schema.pk_attr(prel).name))
 
     seen_slots = set()
-    for pred, var, literal in str_atoms:
+    for pred, var, literal, at in str_atoms:
         slots = slots_by_var.get(var)
         if not slots:
-            raise DatalogError(f"string variable {var!r} is not bound by any atom")
+            raise _error(text, at, f"string variable {var!r} is not bound by any atom")
         if len(slots) != 1:
-            raise DatalogError(f"string variable {var!r} cannot also join relations")
+            raise _error(text, at, f"string variable {var!r} cannot also join relations")
         idx, pos = slots[0]
         rel = rel_atoms[idx][0]
         if schema[rel][pos].kind != STR:
-            raise DatalogError(f"{rel} argument {pos} is not a string attribute")
+            raise _error(text, at, f"{rel} argument {pos} is not a string attribute")
         slot = (idx, schema[rel][pos].name)
         if slot in seen_slots:
-            raise DatalogError(f"duplicate string constraint on {rel}.{slot[1]}")
+            raise _error(text, at, f"duplicate string constraint on {rel}.{slot[1]}")
         seen_slots.add(slot)
         conds.append(StringAtom(f"A{idx + 1}", schema[rel][pos].name, pred, literal))
 

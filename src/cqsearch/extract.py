@@ -254,7 +254,8 @@ def build_facts(prog: mj.Program) -> tuple[FactBase, dict[str, dict],
     schema = extraction_schema()
     relations = [Relation(name, frozenset(builder.rows.get(name, ())))
                  for name in schema]
-    return FactBase(schema, relations), builder.positions, builder.annotated
+    return (FactBase._decoded(schema, relations, builder.rows), builder.positions,
+            builder.annotated)
 
 
 def extract(prog: mj.Program, target: str) -> tuple[FactBase, RelationPartition,
@@ -290,3 +291,17 @@ def extract(prog: mj.Program, target: str) -> tuple[FactBase, RelationPartition,
 def facts_to_doc(facts: FactBase) -> dict:
     return {name: sorted([list(t) for t in facts.tuples(name)])
             for name in facts.schema}
+
+
+def positions_to_doc(positions: dict[str, dict]) -> dict:
+    """The positions.json document of ``positions``, one column per field:
+    the sorted file table ``files``, the sorted row ids ``rows``, and per row
+    its file's index into ``files``, its line and its column."""
+    files = sorted({where["file"] for where in positions.values()})
+    index = {name: i for i, name in enumerate(files)}
+    rows = sorted(positions)
+    wheres = [positions[row_id] for row_id in rows]
+    return {"files": files, "rows": rows,
+            "file": [index[where["file"]] for where in wheres],
+            "line": [where["line"] for where in wheres],
+            "col": [where["col"] for where in wheres]}

@@ -156,6 +156,20 @@ def tokenize_by_scanning(src: str) -> list[Token]:
     return tokens
 
 
+# --- search output ---------------------------------------------------------------
+
+def search_lines(hits, positions: dict[str, dict]) -> list[str]:
+    """``cqsearch search``'s lines for ``hits`` as it printed them from
+    one-object-per-row positions: the sorted row ids, each followed by a tab
+    and ``file:line:col`` when ``positions`` has the row."""
+    lines = []
+    for t in sorted(hits):
+        where = positions.get(t[0])
+        lines.append(t[0] if where is None
+                     else f"{t[0]}\t{where['file']}:{where['line']}:{where['col']}")
+    return lines
+
+
 # --- per-row fact loading ------------------------------------------------------
 
 def load_facts_by_rows(schema_doc, facts_doc):

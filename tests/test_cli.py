@@ -2,15 +2,22 @@ import gc
 import importlib.util
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from cqsearch import minijava
 from cqsearch.cli import main
+from cqsearch.core import FactError, Schema, load_facts
+from cqsearch.datalog import parse_datalog
+from cqsearch.evaluator import evaluate
+from cqsearch.extract import build_facts, extract
 from conftest import CORPUS, REPO
 from test_minijava import FIG1_SOURCE
+import oracles
 
 
 @pytest.fixture
@@ -377,20 +384,56 @@ class TestSearchCommand:
         assert err == f"error: DatalogError: q.dl: {message}\n", err
         assert stdout == ""
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda d: [1, 2],
-        lambda d: {row: {k: v for k, v in where.items() if k != "col"}
-                   for row, where in d.items()},
-        lambda d: {row: "big.java" for row in d},
-        lambda d: b"\xfe" + json.dumps(d).encode(),
-        lambda d: json.dumps(d).encode()[:-2],
-    ], ids=["not-an-object", "entry-without-col", "entry-not-an-object",
-            "not-utf8", "syntax-error"])
-    def test_malformed_positions_exit_one(self, capsys, target_base, corrupt):
+    @staticmethod
+    def _old_layout(d):
+        return {row: {"file": d["files"][f], "line": line, "col": col}
+                for row, f, line, col in zip(d["rows"], d["file"], d["line"], d["col"])}
+
+    @staticmethod
+    def _with(d, column, i, value):
+        d[column][i] = value
+        return d
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda d: [1, 2], "PositionsError: {path}: positions must be an object of columns"),
+        (_old_layout, "PositionsError: {path}: one object per row is the old positions "
+                      "layout; re-run `cqsearch extract`"),
+        (lambda d: {k: v for k, v in d.items() if k != "col"},
+         "PositionsError: {path}: missing column 'col'"),
+        (lambda d: dict(d, line="12"), "PositionsError: {path}: column 'line' must be a list"),
+        (lambda d: dict(d, line=d["line"][:-1]),
+         "PositionsError: {path}: columns 'rows', 'file', 'line' and 'col' have 21, 21, "
+         "20 and 21 entries, not one per row"),
+        (lambda d: dict(d, rows=["M1"] + d["rows"][1:] + ["M1"], file=d["file"] + [0],
+                        line=d["line"] + [1], col=d["col"] + [1]),
+         "PositionsError: {path}: duplicate row id 'M1'"),
+        (lambda d: dict(d, rows=d["rows"][:-1] + [7]),
+         "PositionsError: {path}: rows[20] is 7, not a string"),
+        (lambda d: TestSearchCommand._with(d, "line", 2, "3"),
+         "PositionsError: {path}: line[2] of row 'M10' is '3', not an integer"),
+        (lambda d: TestSearchCommand._with(d, "line", 0, True),
+         "PositionsError: {path}: line[0] of row 'C1' is True, not an integer"),
+        (lambda d: TestSearchCommand._with(d, "col", 0, 1.0),
+         "PositionsError: {path}: col[0] of row 'C1' is 1.0, not an integer"),
+        (lambda d: TestSearchCommand._with(d, "file", 3, 1),
+         "PositionsError: {path}: file[3] of row 'M2' is 1, not an index into the 1 files"),
+        (lambda d: TestSearchCommand._with(d, "file", 3, -1),
+         "PositionsError: {path}: file[3] of row 'M2' is -1, not an index into the 1 files"),
+        (lambda d: b"\xfe" + json.dumps(d).encode(),
+         "InputError: {path}: 1:1: not UTF-8: invalid start byte"),
+        (lambda d: json.dumps(d).encode()[:-2], "InputError: {path}: 1:"),
+    ], ids=["not-an-object", "old-layout", "missing-column", "column-not-a-list",
+            "unequal-lengths", "duplicate-row-id", "row-id-not-a-string",
+            "line-not-an-integer", "line-a-bool", "col-a-float", "file-out-of-range",
+            "file-negative", "not-utf8", "syntax-error"])
+    def test_malformed_positions_exit_one(self, capsys, target_base, corrupt, error):
         out = target_base / "out4"
         run(capsys, "extract", str(target_base / "big.java"), "-o", str(out))
         positions = out / "positions.json"
-        doc = corrupt(json.loads(positions.read_text()))
+        doc = json.loads(positions.read_text())
+        assert doc["rows"][:4] == ["C1", "M1", "M10", "M2"]  # the row ids the cases name
+        assert len(doc["rows"]) == 21
+        doc = corrupt(doc)
         if isinstance(doc, bytes):
             positions.write_bytes(doc)
         else:
@@ -402,8 +445,65 @@ class TestSearchCommand:
                                 "--facts", str(out / "facts.json"),
                                 "--positions", str(positions))
         assert code == 1
-        assert err.startswith("error: ") and str(positions) in err, err
+        assert err.startswith("error: " + error.format(path=positions)), err
         assert stdout == ""
+
+    def test_positions_are_columns(self, capsys, target_base):
+        out = target_base / "out7"
+        run(capsys, "extract", str(target_base / "big.java"), "-o", str(out))
+        doc = json.loads((out / "positions.json").read_text())
+        assert list(doc) == ["files", "rows", "file", "line", "col"]
+        assert doc["files"] == [str(target_base / "big.java")]
+        i = doc["rows"].index("M2")
+        assert (doc["file"][i], doc["line"][i], doc["col"][i]) == (0, 3, 17)
+
+
+def _search_lines(capsys, query, out):
+    code, stdout, err = run(capsys, "search", str(query),
+                            "--schema", str(out / "schema.json"),
+                            "--facts", str(out / "facts.json"),
+                            "--positions", str(out / "positions.json"))
+    assert code == 0, err
+    return stdout.splitlines()
+
+
+class TestPositionsRoundTrip:
+    """``cqsearch extract`` then ``cqsearch search`` prints the lines the
+    in-memory positions give under the one-object-per-row rule."""
+
+    @pytest.mark.parametrize("task", sorted(CORPUS.glob("*/task.json")),
+                             ids=lambda path: path.parent.name)
+    def test_corpus_task(self, capsys, tmp_path, task):
+        doc = json.loads(task.read_text(encoding="utf-8"))
+        sources = [str(task.parent / name) for name in doc["source"]]
+        out = tmp_path / "out"
+        assert run(capsys, "extract", *sources, "--target", doc["target"],
+                   "-o", str(out))[0] == 0
+        facts, _, positions = extract(minijava.parse_files(sources), doc["target"])
+        golden = task.parent / doc["golden"][0]
+        query = parse_datalog(golden.read_text(encoding="utf-8"), facts.schema)
+        want = oracles.search_lines(evaluate(query, facts), positions)
+        assert want and _search_lines(capsys, golden, out) == want
+
+    def test_generated_code_base(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO))
+        from perfbench import gen_codebase
+        sources = []
+        for name, text in gen_codebase.generate(2023, 100).files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            sources.append(str(tmp_path / name))
+        out = tmp_path / "out"
+        assert run(capsys, "extract", *sources, "-o", str(out))[0] == 0
+        facts, positions, _ = build_facts(minijava.parse_files(sources))
+        found = 0
+        for task in sorted(CORPUS.glob("*/task.json")):
+            doc = json.loads(task.read_text(encoding="utf-8"))
+            golden = task.parent / doc["golden"][0]
+            query = parse_datalog(golden.read_text(encoding="utf-8"), facts.schema)
+            want = oracles.search_lines(evaluate(query, facts), positions)
+            assert _search_lines(capsys, golden, out) == want, task.parent.name
+            found += len(want)
+        assert found > 100
 
 
 class TestSearchLoading:
@@ -450,6 +550,21 @@ class TestSearchLoading:
             assert done.returncode == 1 and "FactError" in done.stderr, done.stderr
             errors.add(done.stderr)
         assert len(errors) == 1, errors
+
+    @pytest.mark.parametrize("fault", FAULTY)
+    def test_error_does_not_depend_on_row_order(self, fault):
+        schema = Schema.from_doc(self.SCHEMA)
+
+        def message(doc):
+            with pytest.raises(FactError) as info:
+                load_facts(schema, doc)
+            return str(info.value)
+        want = message(self.FAULTY[fault])
+        for seed in range(5):
+            rng = random.Random(seed)
+            doc = {name: rng.sample(rows, len(rows))
+                   for name, rows in self.FAULTY[fault].items()}
+            assert message(doc) == want, seed
 
     @pytest.mark.parametrize("facts, code", [("good.json", 0), ("bad.json", 1)],
                              ids=["found", "fact-error"])

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqsearch.core import (FK, PK, STR, AttributeDecl, FactError, InputError,
-                           PartitionError, Schema, SchemaError, load_facts,
+from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, FactError,
+                           InputError, PartitionError, Relation, Schema,
+                           SchemaError, load_facts,
                            make_partition, partition_from_doc, pred_holds,
                            read_input)
 from cqsearch.minijava import ParseError, parse
@@ -15,10 +16,6 @@ from cqsearch.extract import facts_to_doc
 from conftest import fig1_facts, fig1_schema
 import gen
 import oracles
-
-
-def fig1_schema_doc():
-    return fig1_schema().to_doc()
 
 
 def fig1_facts_doc():
@@ -93,7 +90,7 @@ class TestReadInput:
 
 class TestLoadFacts:
     def test_fig1_shape(self):
-        schema, facts = load_facts(fig1_schema_doc(), fig1_facts_doc())
+        schema, facts = load_facts(fig1_schema(), fig1_facts_doc())
         assert len(schema) == 5
         assert [a.name for a in schema["Method"]] == ["id", "idf_id",
                                                       "ret_type_id", "mdf_id"]
@@ -104,7 +101,7 @@ class TestLoadFacts:
         doc["Modifier"] = []
         doc["Method"] = []
         doc["Parameter"] = []
-        _, facts = load_facts(fig1_schema_doc(), doc)
+        _, facts = load_facts(fig1_schema(), doc)
         assert facts.tuples("Modifier") == frozenset()
 
     def test_omitted_relation_is_empty(self):
@@ -112,38 +109,38 @@ class TestLoadFacts:
         del doc["Modifier"]
         del doc["Method"]
         del doc["Parameter"]
-        _, facts = load_facts(fig1_schema_doc(), doc)
+        _, facts = load_facts(fig1_schema(), doc)
         assert facts.tuples("Modifier") == frozenset()
 
     def test_dangling_foreign_key(self):
         doc = fig1_facts_doc()
         doc["Method"].append(["M9", "I1", "T99", "MDF1"])
         with pytest.raises(FactError, match="dangling"):
-            load_facts(fig1_schema_doc(), doc)
+            load_facts(fig1_schema(), doc)
 
     def test_duplicate_primary_key(self):
         doc = fig1_facts_doc()
         doc["Method"].append(["M1", "I2", "T2", "MDF1"])
         with pytest.raises(FactError, match="duplicate primary key"):
-            load_facts(fig1_schema_doc(), doc)
+            load_facts(fig1_schema(), doc)
 
     def test_arity_mismatch(self):
         doc = fig1_facts_doc()
         doc["Method"][0] = ["M1", "I1", "T3"]
         with pytest.raises(FactError, match="arity"):
-            load_facts(fig1_schema_doc(), doc)
+            load_facts(fig1_schema(), doc)
 
     def test_non_string_value(self):
         doc = fig1_facts_doc()
         doc["Type"][1] = ["T2", 17]
         with pytest.raises(FactError, match="non-string"):
-            load_facts(fig1_schema_doc(), doc)
+            load_facts(fig1_schema(), doc)
 
     def test_undeclared_relation(self):
         doc = fig1_facts_doc()
         doc["Mystery"] = [["X1"]]
         with pytest.raises(FactError, match="undeclared"):
-            load_facts(fig1_schema_doc(), doc)
+            load_facts(fig1_schema(), doc)
 
 
 class TestSchemaValidation:
@@ -278,6 +275,11 @@ class TestMatching:
 
 # --- column-wise loading against the per-row oracle ---------------------------
 
+def _load_docs(schema_doc, facts_doc):
+    """``load_facts`` from the two documents, as the CLI reads them."""
+    return load_facts(Schema.from_doc(schema_doc), facts_doc)
+
+
 def _outcome(load, schema_doc, facts_doc):
     """The exception class ``load`` raises on a deep copy of the documents,
     or None when it accepts them."""
@@ -354,10 +356,10 @@ class TestLoaderAgainstRowOracle:
 
     @staticmethod
     def assert_same(schema_doc, facts_doc):
-        got = _outcome(load_facts, schema_doc, facts_doc)
+        got = _outcome(_load_docs, schema_doc, facts_doc)
         assert got == _outcome(oracles.load_facts_by_rows, schema_doc, facts_doc)
         if got is None:
-            _, facts = load_facts(schema_doc, facts_doc)
+            _, facts = _load_docs(schema_doc, facts_doc)
             _, tuples, pk = oracles.load_facts_by_rows(schema_doc, facts_doc)
             for name in tuples:
                 assert facts.tuples(name) == tuples[name]
@@ -399,10 +401,10 @@ class TestLoaderAgainstRowOracle:
                                          {"name": "a", "kind": "fk", "target": "A"}]}]}
         dangling = {"A": [["a1"]], "B": [[f"b{i}", f"zz{i}"] for i in range(20)]}
         with pytest.raises(FactError, match=r"dangling foreign key 'zz0' in \('b0', 'zz0'\)"):
-            load_facts(schema_doc, dangling)
+            _load_docs(schema_doc, dangling)
         short = {"A": [["a1"]], "B": [[f"b{i}"] for i in range(20)]}
         with pytest.raises(FactError, match=r"\('b0',\) has arity 1"):
-            load_facts(schema_doc, short)
+            _load_docs(schema_doc, short)
 
 
 def _json_values():
@@ -464,7 +466,7 @@ class TestLoadProperties:
     @given(_json_values(), _json_values())
     def test_arbitrary_json_raises_only_domain_errors(self, schema_doc, facts_doc):
         try:
-            load_facts(schema_doc, facts_doc)
+            _load_docs(schema_doc, facts_doc)
         except (FactError, SchemaError):
             pass
 
@@ -473,9 +475,30 @@ class TestLoadProperties:
                            _json_values(), max_size=3))
     def test_arbitrary_rows_raise_only_fact_errors(self, facts_doc):
         try:
-            load_facts(fig1_schema_doc(), facts_doc)
+            load_facts(fig1_schema(), facts_doc)
         except FactError:
             pass
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_valid_documents(), st.randoms(use_true_random=False))
+    def test_row_order_and_duplicates_do_not_change_the_base(self, docs, rng):
+        # load_facts checks rows in document order; FactBase built from
+        # frozensets checks them in hash order. Both give one base.
+        schema_doc, facts_doc = docs
+        schema = Schema.from_doc(schema_doc)
+        want = FactBase(schema, [Relation(name, frozenset(map(tuple, rows)))
+                                 for name, rows in facts_doc.items()])
+        shuffled = {}
+        for name, rows in facts_doc.items():
+            rows = rows + [list(r) for r in rows if rng.random() < 0.3]
+            rng.shuffle(rows)
+            shuffled[name] = rows
+        _, got = load_facts(schema, shuffled)
+        for name in schema:
+            assert got.tuples(name) == want.tuples(name)
+            for t in want.tuples(name):
+                assert got.pk_lookup(name, t[0]) == t
+            assert got.pk_lookup(name, "zz-missing") is None
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_valid_documents())
@@ -484,4 +507,4 @@ class TestLoadProperties:
         want = {name: [] for name in Schema.from_doc(schema_doc)}
         for name, rows in facts_doc.items():
             want[name] = sorted(map(list, {tuple(r) for r in rows}))
-        assert facts_to_doc(load_facts(schema_doc, facts_doc)[1]) == want
+        assert facts_to_doc(_load_docs(schema_doc, facts_doc)[1]) == want

@@ -177,7 +177,22 @@ class TestParseErrors:
         ('out(T, N) :-\n  Type(T, "Cache").',
          "2:3: Type: literals in relation atoms are not supported"),
         ("out(N, T) :- Type(T, N).", "1:1: head must project the first body atom's variables"),
-    ], ids=["syntax", "end", "tokenize", "trailing", "str-atom", "literal", "head"])
+        ("out(T, N) :- Type(T, N), Identifier(I, N).",
+         "1:22: variable 'N' equates attributes that no pk/fk chain can express"),
+        ("out(M, I, R, D) :-\n  Method(M, I, R, D),\n  Parameter(P, PI, R, PM).",
+         "2:16: variable 'R' equates attributes that no pk/fk chain can express"),
+        ('out(T, N) :- Type(T, N),\n  str_equal(Z, "x").',
+         "2:3: string variable 'Z' is not bound by any atom"),
+        ('out(M, I, R, D) :- Method(M, I, R, D), Type(R, N),\n  str_equal(R, "x").',
+         "2:3: string variable 'R' cannot also join relations"),
+        ('out(T, N) :- Type(T, N), str_prefix(T, "a").',
+         "1:26: Type argument 0 is not a string attribute"),
+        ('out(T, N) :- Type(T, N), str_prefix(N, "a"),\n  str_suffix(N, "b").',
+         "2:3: duplicate string constraint on Type.name"),
+        ('out(X) :-\n  str_equal(X, "a").', "2:3: rule needs at least one relation atom"),
+    ], ids=["syntax", "end", "tokenize", "trailing", "str-atom", "literal", "head",
+            "no-chain", "no-chain-first-occurrence", "unbound-string", "joining-string",
+            "not-a-string-attribute", "duplicate-constraint", "no-relation-atom"])
     def test_error_names_line_and_column(self, schema, text, message):
         with pytest.raises(DatalogError) as info:
             parse_datalog(text, schema)
