@@ -14,8 +14,8 @@ from functools import cache
 from pathlib import Path
 
 from . import minijava
-from .core import (DomainError, Schema, decoding, load_facts, load_positions,
-                   make_partition, partition_from_doc, read_input)
+from .core import (DomainError, Schema, collector_paused, decoding, load_facts,
+                   load_positions, make_partition, partition_from_doc, read_input)
 from .datalog import parse_datalog, render_datalog
 from .evaluator import evaluate
 from .extract import extract, extraction_schema, facts_to_doc, positions_to_doc
@@ -198,6 +198,15 @@ def _emit(args, result, report):
 
 
 def cmd_search(args) -> int:
+    # One collector pause from reading the facts to printing the last line:
+    # what a search allocates is acyclic, so a collection would walk the
+    # whole fact base and free nothing. The fact base goes with _search's
+    # frame, by reference counting, before the collector resumes.
+    with collector_paused():
+        return _search(args)
+
+
+def _search(args) -> int:
     schema, facts = _load_facts(args.schema, args.facts)
     location = (read_input(args.positions, lambda text: load_positions(json.loads(text)))
                 if args.positions else {}.get)

@@ -15,6 +15,13 @@ resolve, each in one C-level pass per column over the rows in the order they
 were decoded. A failed check names the first offending row of the document
 (shape) or the least offending tuple in sorted order (the rest), whatever
 the hash seed.
+
+The fact base keeps each relation's rows once, in the order they were
+decoded, and its checks and indexes walk them in that order: consecutive
+rows were allocated one after the other, so the walk stays in the CPU's
+caches where one over a frozenset, in hash order, misses them. The rows
+``FactBase.by_attr`` and ``FactBase.selected`` return come in that order too,
+the same whatever the hash seed.
 """
 from __future__ import annotations
 
@@ -71,21 +78,29 @@ class InputError(DomainError):
 
 
 @contextmanager
-def decoding(path):
-    """Pause the cyclic collector: decoded input is acyclic, so collections
-    would cost as much as decoding and free nothing. A ``DomainError`` raised
-    inside gets ``path`` in front of its message, unless it starts with it."""
+def collector_paused():
+    """Pause the cyclic collector, and restore its state on the way out."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
-    except DomainError as exc:
-        if not str(exc).startswith(f"{path}: "):
-            exc.args = (f"{path}: {exc}",)
-        raise
     finally:
         if enabled:
             gc.enable()
+
+
+@contextmanager
+def decoding(path):
+    """Pause the cyclic collector: decoded input is acyclic, so collections
+    would cost as much as decoding and free nothing. A ``DomainError`` raised
+    inside gets ``path`` in front of its message, unless it starts with it."""
+    with collector_paused():
+        try:
+            yield
+        except DomainError as exc:
+            if not str(exc).startswith(f"{path}: "):
+                exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def read_input(path, decode=None):
@@ -280,6 +295,13 @@ class FactBase(Mapping[str, Relation]):
     offending row is searched for only once a check has failed, and the
     ``FactError`` names the least offending tuple in sorted order, so the
     message does not depend on set iteration order (``PYTHONHASHSEED``).
+
+    Each relation's tuples are also held once as a tuple of rows, which the
+    checks, ``by_attr`` and ``selected`` walk: in the order they were decoded
+    for a base that ``load_facts`` or ``extract`` built, and in the
+    frozenset's order for one built here from ``Relation`` values. A walk in
+    decoded order stays in the CPU's caches; one over a frozenset of
+    thousands of tuples, in hash order, misses them.
     """
 
     def __init__(self, schema: Schema, relations: Iterable[Relation]):
@@ -288,10 +310,9 @@ class FactBase(Mapping[str, Relation]):
     @classmethod
     def _decoded(cls, schema: Schema, relations: Iterable[Relation],
                  order: Mapping[str, Sequence[Tuple]]) -> "FactBase":
-        """``FactBase(schema, relations)``, each relation checked over
-        ``order[name]``, its tuples as the loader decoded them (duplicates
-        allowed). A pass over a list in that order stays in cache; one over a
-        frozenset of thousands of tuples, in hash order, misses it."""
+        """``FactBase(schema, relations)``, each relation's rows held in the
+        order of ``order[name]``, its tuples as the loader decoded them
+        (duplicates allowed, and kept once)."""
         base = cls.__new__(cls)
         base._build(schema, relations, order)
         return base
@@ -309,15 +330,17 @@ class FactBase(Mapping[str, Relation]):
         for name in schema:
             rels.setdefault(name, Relation(name, frozenset()))
         self._rels = {name: rels[name] for name in schema}
+        self._rows = {name: _rows(rel.tuples, order.get(name))
+                      for name, rel in self._rels.items()}
         self._pk: dict[str, dict[str, Tuple]] = {}
         self._by_attr: dict[tuple[str, int], dict[str, tuple[Tuple, ...]]] = {}
         self._selected: dict[tuple, tuple[Tuple, ...]] = {}
-        self._validate(order)
+        self._validate()
 
-    def _validate(self, order: Mapping[str, Sequence[Tuple]]):
+    def _validate(self):
         fk_columns = []  # (relation, position, set of values), checked last
-        for name, rel in self._rels.items():
-            attrs, tuples = self.schema[name], order.get(name, rel.tuples)
+        for name, tuples in self._rows.items():
+            attrs = self.schema[name]
             if set(map(len, tuples)) - {len(attrs)}:
                 t = _least(t for t in tuples if len(t) != len(attrs))
                 raise FactError(
@@ -338,16 +361,16 @@ class FactBase(Mapping[str, Relation]):
                 t = _least(t for t in tuples if not all(t[i] for i in empty))
                 i = next(i for i in empty if not t[i])
                 raise FactError(f"{name}.{attrs[i].name}: empty key value in {t!r}")
-            if len(pk_index) != len(rel):  # distinct keys against distinct tuples
-                pks = Counter(map(itemgetter(0), rel.tuples))
-                t = _least(t for t in rel.tuples if pks[t[0]] > 1)
+            if len(pk_index) != len(tuples):  # distinct keys against distinct tuples
+                pks = Counter(map(itemgetter(0), tuples))
+                t = _least(t for t in tuples if pks[t[0]] > 1)
                 raise FactError(f"{name}: duplicate primary key {t[0]!r} in {t!r}")
             self._pk[name] = pk_index
         for name, i, values in fk_columns:
             a = self.schema[name][i]
             target = self._pk[a.target]
             if not target.keys() >= values:
-                t = _least(t for t in self._rels[name].tuples if t[i] not in target)
+                t = _least(t for t in self._rows[name] if t[i] not in target)
                 raise FactError(
                     f"{name}.{a.name}: dangling foreign key {t[i]!r} in {t!r}")
 
@@ -367,12 +390,13 @@ class FactBase(Mapping[str, Relation]):
         return self._pk[rel].get(value)
 
     def by_attr(self, rel: str, pos: int, value: str) -> tuple[Tuple, ...]:
-        """All tuples of ``rel`` whose attribute at ``pos`` equals ``value``."""
+        """All tuples of ``rel`` whose attribute at ``pos`` equals ``value``,
+        in the order of its rows."""
         key = (rel, pos)
         index = self._by_attr.get(key)
         if index is None:
             built: dict[str, list[Tuple]] = {}
-            for t in self._rels[rel].tuples:
+            for t in self._rows[rel]:
                 built.setdefault(t[pos], []).append(t)
             index = {v: tuple(ts) for v, ts in built.items()}
             self._by_attr[key] = index
@@ -382,13 +406,16 @@ class FactBase(Mapping[str, Relation]):
                  self_eq: tuple[int, ...]) -> tuple[Tuple, ...]:
         """Tuples of ``rel`` meeting every string constraint ``(pos, pred,
         literal)`` in ``strs`` and equal to their own primary key at every
-        position in ``self_eq``, memoised per argument triple."""
+        position in ``self_eq``, in the order of its rows, memoised per
+        argument triple."""
         key = (rel, strs, self_eq)
         got = self._selected.get(key)
         if got is None:
-            got = tuple(t for t in self._rels[rel].tuples
-                        if all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
-                        and all(t[pos] == t[0] for pos in self_eq))
+            got = self._rows[rel]
+            if strs or self_eq:
+                got = tuple(t for t in got
+                            if all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
+                            and all(t[pos] == t[0] for pos in self_eq))
             self._selected[key] = got
         return got
 
@@ -434,7 +461,7 @@ def load_facts(schema: Schema, facts_doc: dict) -> tuple[Schema, FactBase]:
         if not _all_of(rows, list):
             row = next(r for r in rows if not isinstance(r, list))
             raise FactError(f"{name}: row {row!r} is not a list")
-        order[name] = tuples = list(map(tuple, rows))
+        order[name] = tuples = tuple(map(tuple, rows))
         try:
             relations.append(Relation(name, frozenset(tuples)))
         except TypeError:  # a list or object cell cannot be hashed
@@ -491,6 +518,15 @@ def load_positions(doc: dict) -> Callable[[str], str | None]:
         i = index.get(row_id)
         return None if i is None else f"{files[file[i]]}:{line[i]}:{col[i]}"
     return location
+
+
+def _rows(tuples: frozenset[Tuple], decoded: Sequence[Tuple] | None) -> tuple[Tuple, ...]:
+    """``tuples`` in the order of ``decoded``, each once, or in their own
+    order without ``decoded``. A ``decoded`` tuple without duplicates is
+    kept as it is, not copied."""
+    if decoded is None:
+        return tuple(tuples)
+    return tuple(decoded if len(decoded) == len(tuples) else dict.fromkeys(decoded))
 
 
 def _all_of(values: Iterable, kind: type) -> bool:

@@ -1,12 +1,23 @@
 """In-memory evaluation of conjunctive queries over a fact base.
 
 A query graph is checked against the schema (``check_graph``) and compiled
-once into one join step per node (``_Compiled``), each built by
-``join_step``, the function refinement builds the step of its new node with.
-Evaluation walks the steps depth first and binds each node through
-``FactBase.matching``. The result set is the deduplicated projection onto
-the head; semantics match the naive selection over the full Cartesian
-product (the test suite certifies this against a product oracle).
+once (``_Compiled``): into one join step per node, each built by
+``join_step``, the function refinement builds the step of its new node with,
+and, when its equalities form no cycle, into a plan of semi-joins.
+
+``evaluate`` merges the equalities between two nodes, in either direction,
+into one edge with a composite key; an equality of a node with itself is a
+``self_eq`` check of its join step. When the edges form a forest, it is
+evaluated set at a time, bottom up (Yannakakis 1981): each node starts from
+the tuples ``FactBase.selected`` gives for its string constraints and
+``self_eq``, and each edge, from the leaves up, keeps the parent's tuples
+whose key matches some child tuple's. The answer is the head's remaining
+tuples, or nothing when a node has none left. When the edges form a cycle,
+``evaluate`` searches per head tuple: it walks the join steps depth first
+and binds each node through ``FactBase.matching``. Either way the result is
+the deduplicated projection onto the head; semantics match the naive
+selection over the full Cartesian product (the test suite certifies this
+against a product oracle, and the two ways against each other).
 
 A conjunctive query is converted with ``to_graph``, which runs the same
 check. A query or graph the schema does not license is an ``EvalError``; so is a query checked
@@ -15,6 +26,9 @@ compiles no graph; ``refinable_with_witnesses`` and ``admits_any`` are the
 from-scratch evaluation the test suite holds it against.
 """
 from __future__ import annotations
+
+from itertools import compress
+from operator import itemgetter
 
 from .core import DomainError, FactBase, RelationPartition, SchemaError, Tuple
 from .query import (ConjunctiveQuery, GraphError, QueryGraph, check_graph,
@@ -35,6 +49,8 @@ class _Compiled:
     one. A graph refinement builds is therefore joined in node order, the
     order it extends assignments in. ``steps[i]`` is the ``join_step`` of
     the i-th node to join, and ``at`` maps each node to that position.
+    ``semijoins`` is the plan ``_semijoins`` makes, or None for a graph with
+    a cycle.
     """
 
     def __init__(self, facts: FactBase, g: QueryGraph | ConjunctiveQuery):
@@ -59,6 +75,7 @@ class _Compiled:
             self.steps.append(join_step(facts.schema, g, self.at, node))
             self.at[node] = len(self.at)
             remaining.remove(node)
+        self.semijoins = _semijoins(self.steps)
 
     @staticmethod
     def of(facts: FactBase, q) -> "_Compiled":
@@ -111,13 +128,55 @@ def _compiled_for(q, facts: FactBase, part: RelationPartition) -> _Compiled:
     return c
 
 
+def _semijoins(steps):
+    """``(parent, child, parent_key, child_key)`` per edge of the forest that
+    the equalities between distinct nodes form, children before their
+    parents, or None when they form a cycle. Nodes are join positions, and
+    all equalities between two nodes make one edge: its keys are
+    ``itemgetter``s of their positions in the parent's and the child's
+    tuples.
+
+    A node joins once it is connected to a joined one, so each node but the
+    first of its component has an edge to an earlier one, its parent. The
+    edges form a forest exactly when no node has edges to two earlier ones."""
+    plan = []
+    for child in range(len(steps) - 1, 0, -1):
+        _, pin, eqs, _, _ = steps[child]
+        edges = [(j, jpos, pos) for pos, j, jpos in eqs]
+        if pin:
+            edges.append((*pin, 0))
+        parents = {j for j, _, _ in edges}
+        if len(parents) > 1:
+            return None
+        if parents:
+            plan.append((parents.pop(), child, itemgetter(*(e[1] for e in edges)),
+                         itemgetter(*(e[2] for e in edges))))
+    return plan
+
+
+def _by_semijoins(c: _Compiled) -> frozenset[Tuple]:
+    """``evaluate`` of a graph without cycles: its semi-join plan, bottom up."""
+    rows = [c.facts.selected(rel, strs, self_eq) for rel, _, _, strs, self_eq in c.steps]
+    for parent, child, parent_key, child_key in c.semijoins:
+        keys = set(map(child_key, rows[child]))
+        rows[parent] = list(compress(rows[parent],
+                                     map(keys.__contains__, map(parent_key, rows[parent]))))
+    return frozenset(rows[0]) if all(rows) else frozenset()
+
+
+def _per_head(c: _Compiled) -> frozenset[Tuple]:
+    """``evaluate`` by a depth-first search from each head tuple."""
+    rel, _, _, strs, self_eq = c.steps[0]
+    return frozenset(t for t in c.facts.selected(rel, strs, self_eq) if c.exists(t))
+
+
 def evaluate(q, facts: FactBase) -> frozenset[Tuple]:
-    """Deduplicated head tuples admitting a satisfying assignment."""
+    """Deduplicated head tuples admitting a satisfying assignment: by
+    semi-joins, or per head tuple when the query's equalities form a cycle."""
     c = _Compiled.of(facts, q)
     if not c.steps:
         raise EvalError("cannot evaluate the empty query")
-    rel, _, _, strs, self_eq = c.steps[0]
-    return frozenset(t for t in facts.selected(rel, strs, self_eq) if c.exists(t))
+    return _per_head(c) if c.semijoins is None else _by_semijoins(c)
 
 
 def is_refinable(q, facts: FactBase, part: RelationPartition) -> bool:

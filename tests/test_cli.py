@@ -506,6 +506,27 @@ class TestPositionsRoundTrip:
         assert found > 100
 
 
+@pytest.mark.parametrize("task", ["t10_method_mutual_recursion", "t08_method_motivating"])
+def test_search_output_does_not_depend_on_the_hash_seed(capsys, tmp_path, task):
+    # The cyclic query takes the per-head search, the other the semi-joins.
+    doc = json.loads((CORPUS / task / "task.json").read_text(encoding="utf-8"))
+    out = tmp_path / "out"
+    assert run(capsys, "extract", *(str(CORPUS / task / name) for name in doc["source"]),
+               "-o", str(out))[0] == 0
+    path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    outputs = set()
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "cqsearch.cli", "search",
+             str(CORPUS / task / doc["golden"][0]), "--schema", str(out / "schema.json"),
+             "--facts", str(out / "facts.json"), "--positions", str(out / "positions.json")],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stdout, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
+
+
 class TestSearchLoading:
     """How ``cqsearch search`` loads its fact files."""
 

@@ -143,6 +143,34 @@ class TestLoadFacts:
             load_facts(fig1_schema(), doc)
 
 
+class TestRowOrder:
+    """``by_attr`` and ``selected`` walk a relation's rows in one fixed order."""
+
+    def test_loaded_rows_come_in_document_order_once(self):
+        doc = fig1_facts_doc()
+        doc["Type"] = [["T3", "CacheConfig"], ["T1", "Log4jUtils"],
+                       ["T3", "CacheConfig"], ["T2", "int"]]
+        doc["Method"] = [["M3", "I3", "T2", "MDF1"], ["M2", "I2", "T3", "MDF1"],
+                         ["M1", "I1", "T3", "MDF1"], ["M2", "I2", "T3", "MDF1"]]
+        _, facts = load_facts(fig1_schema(), doc)
+        assert facts.selected("Type", (), ()) == (
+            ("T3", "CacheConfig"), ("T1", "Log4jUtils"), ("T2", "int"))
+        assert facts.selected("Type", ((1, "contain", "n"),), ()) == (
+            ("T3", "CacheConfig"), ("T2", "int"))
+        assert facts.by_attr("Method", 2, "T3") == (
+            ("M2", "I2", "T3", "MDF1"), ("M1", "I1", "T3", "MDF1"))
+        assert facts.by_attr("Method", 3, "MDF1") == (
+            ("M3", "I3", "T2", "MDF1"), ("M2", "I2", "T3", "MDF1"),
+            ("M1", "I1", "T3", "MDF1"))
+        assert len(facts.tuples("Method")) == 3
+
+    def test_built_base_keeps_the_frozenset_order(self):
+        facts = fig1_facts()
+        for rel in facts:
+            assert facts.selected(rel, (), ()) == tuple(facts.tuples(rel))
+        assert facts.by_attr("Method", 3, "MDF1") == tuple(facts.tuples("Method"))
+
+
 class TestSchemaValidation:
     def test_missing_fk_target(self):
         with pytest.raises(SchemaError, match="target"):

@@ -1,16 +1,18 @@
 import gc
+import json
 import random
 import weakref
 
 import pytest
 
 from cqsearch import minijava
-from cqsearch.core import make_partition
+from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, Relation,
+                           Schema, make_partition)
 from cqsearch.datalog import parse_datalog
-from cqsearch.evaluator import (EvalError, _Compiled, collect_witnesses,
-                                evaluate, is_candidate, is_refinable,
-                                refinable_with_witnesses)
-from cqsearch.extract import build_facts
+from cqsearch.evaluator import (EvalError, _by_semijoins, _Compiled, _per_head,
+                                collect_witnesses, evaluate, is_candidate,
+                                is_refinable, refinable_with_witnesses)
+from cqsearch.extract import build_facts, extract
 from cqsearch.query import (ConjunctiveQuery, Equality, GraphError, QueryGraph,
                             StringAtom, from_graph, to_graph)
 from conftest import CORPUS, fig1c_graph, fig1c_query
@@ -148,6 +150,114 @@ class TestJoinOrder:
                        frozenset({(0, 2, "ret_type_id")}), ())
         assert _Compiled(facts, g).at == {0: 0, 2: 1, 1: 2}
         assert evaluate(g, facts) == naive_evaluate(g, facts)
+
+
+def both_ways(c: _Compiled) -> frozenset:
+    """The semi-join answer of an acyclic compiled graph, checked against
+    the per-head search."""
+    assert c.semijoins is not None
+    got = _by_semijoins(c)
+    assert got == _per_head(c)
+    return got
+
+
+# Persons with a boss and a desk; desks with an owner and a backup. Between
+# a Person and a Desk node there can be edges both ways, and from a Desk
+# two parallel ones; a Person can be its own boss.
+DESKS_SCHEMA = Schema({
+    "Person": [AttributeDecl("id", PK), AttributeDecl("boss", FK, "Person"),
+               AttributeDecl("desk", FK, "Desk"), AttributeDecl("name", STR)],
+    "Desk": [AttributeDecl("id", PK), AttributeDecl("owner", FK, "Person"),
+             AttributeDecl("backup", FK, "Person"), AttributeDecl("label", STR)],
+})
+
+
+@pytest.fixture
+def desks():
+    return FactBase(DESKS_SCHEMA, [
+        Relation("Person", frozenset({("p1", "p1", "d1", "ann"), ("p2", "p1", "d1", "bob"),
+                                      ("p3", "p3", "d2", "cy")})),
+        Relation("Desk", frozenset({("d1", "p1", "p1", "x"), ("d2", "p2", "p3", "y")})),
+    ])
+
+
+class TestSemijoins:
+    """The semi-join path against the per-head search it replaces on
+    acyclic graphs, and against the product oracle."""
+
+    @pytest.mark.parametrize("nodes, edges, strs, want", [
+        (("Person", "Desk"), {(1, 0, "owner"), (1, 0, "backup")}, (), {"p1"}),
+        (("Person", "Desk"), {(0, 1, "desk"), (1, 0, "owner")}, (), {"p1"}),
+        (("Person", "Desk"), {(0, 1, "desk"), (1, 0, "owner"), (1, 0, "backup")}, (),
+         {"p1"}),
+        (("Person",), {(0, 0, "boss")}, (), {"p1", "p3"}),
+        (("Person", "Person"), {(0, 1, "boss"), (1, 1, "boss")}, (), {"p1", "p2", "p3"}),
+        (("Person", "Person", "Desk"), {(1, 0, "boss"), (2, 1, "owner"), (1, 1, "boss")},
+         (), {"p1"}),
+        (("Person", "Desk"), set(), ((1, "label", "equal", "nope"),), set()),
+        (("Person", "Desk"), set(), ((1, "label", "equal", "y"),), {"p1", "p2", "p3"}),
+        (("Person", "Desk", "Desk"), {(0, 1, "desk")}, ((2, "label", "equal", "y"),),
+         {"p1", "p2", "p3"}),
+        (("Person", "Desk", "Person"), {(0, 1, "desk"), (2, 1, "desk")},
+         ((1, "label", "equal", "x"), (2, "name", "equal", "nope")), set()),
+    ], ids=["parallel-edges", "both-directions", "both-directions-and-parallel",
+            "self-loop", "self-loop-on-a-child", "chain-with-self-loop",
+            "component-matching-nothing", "component-matching-something",
+            "connected-and-disconnected", "leaf-matching-nothing"])
+    def test_hand_built_graphs(self, desks, nodes, edges, strs, want):
+        g = QueryGraph(nodes, frozenset(edges), strs)
+        c = _Compiled(desks, g)
+        got = both_ways(c)
+        assert {t[0] for t in got} == want
+        assert got == naive_evaluate(g, desks) == evaluate(g, desks)
+
+    def test_edges_between_two_nodes_merge_into_one(self, desks):
+        g = QueryGraph(("Person", "Desk"),
+                       frozenset({(0, 1, "desk"), (1, 0, "owner"), (1, 0, "backup")}), ())
+        (parent, child, parent_key, child_key), = _Compiled(desks, g).semijoins
+        assert (parent, child) == (0, 1)
+        person, desk = ("p1", "p1", "d1", "ann"), ("d1", "p1", "p1", "x")
+        assert parent_key(person) == child_key(desk) == ("p1", "p1", "d1")
+
+    def test_self_loop_is_a_check_of_its_node(self, desks):
+        c = _Compiled(desks, QueryGraph(("Person",), frozenset({(0, 0, "boss")}), ()))
+        assert c.semijoins == [] and c.steps[0][4] == (1,)
+
+    def test_cycle_takes_the_per_head_search(self, desks):
+        triangle = QueryGraph(("Person", "Person", "Desk"),
+                              frozenset({(0, 1, "boss"), (0, 2, "desk"), (2, 1, "owner")}), ())
+        c = _Compiled(desks, triangle)
+        assert c.semijoins is None
+        assert evaluate(triangle, desks) == _per_head(c) == naive_evaluate(triangle, desks)
+
+    def test_agrees_on_criterion_6_graphs(self):
+        # The stream of acceptance criterion 6, which checks evaluate
+        # against the product oracle.
+        rng = random.Random(606)
+        acyclic = 0
+        for _ in range(1000):
+            schema, facts, _ = gen.random_instance(
+                rng, max_relations=4, max_fks=2, max_strs=1)
+            c = _Compiled(facts, gen.random_query_graph(rng, schema, m_max=4))
+            if c.semijoins is not None:
+                acyclic += 1
+                both_ways(c)
+        assert acyclic > 900
+
+    def test_agrees_on_corpus_golden_rules(self):
+        cyclic = []
+        for path in sorted(CORPUS.glob("*/task.json")):
+            task = json.loads(path.read_text(encoding="utf-8"))
+            facts, _, _ = extract(minijava.parse_files(
+                [str(path.parent / s) for s in task["source"]]), task["target"])
+            for golden in task["golden"]:
+                rule = (path.parent / golden).read_text(encoding="utf-8")
+                c = _Compiled.of(facts, parse_datalog(rule, facts.schema))
+                if c.semijoins is None:
+                    cyclic.append(task["name"])
+                else:
+                    both_ways(c)
+        assert cyclic == ["method-mutual-recursion"]
 
 
 class TestRefinableAndCandidate:
