@@ -109,6 +109,7 @@ def run_corpus(corpus: Path, k_bound: int = 2, early_stop: bool = True,
                use_reduction: bool = True, jobs: int = 1) -> list[TaskResult]:
     hmap = corpus / "hmap.json"
     tasks = discover_tasks(corpus)
+    jobs = min(jobs, len(tasks))  # a pool starts all its workers at once
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_task, str(t), str(hmap), k_bound,

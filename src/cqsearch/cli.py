@@ -48,11 +48,12 @@ def _load_inputs(args):
     if not (args.schema and args.facts):
         raise CliError("need either --source or --schema/--facts")
     schema, facts = _load_facts(args.schema, args.facts)
-    part = None
     if args.partition:
         part = read_input(args.partition, lambda text: partition_from_doc(json.loads(text), facts))
     elif args.target and args.positive:
         part = make_partition(args.target, args.positive, facts)
+    else:
+        raise CliError("a partition is required (--partition or --target/--positive)")
     return schema, facts, part
 
 
@@ -101,8 +102,6 @@ def cmd_extract(args) -> int:
 
 def cmd_reduce(args) -> int:
     schema, facts, part = _load_inputs(args)
-    if part is None:
-        raise CliError("a partition is required (--partition or --target/--positive)")
     reduced = reduce(schema, facts, part, max_cycle_len=args.max_cycle_len)
     for line in reduced.report_lines():
         print(line)
@@ -111,8 +110,6 @@ def cmd_reduce(args) -> int:
 
 def cmd_synthesize(args) -> int:
     schema, facts, part = _load_inputs(args)
-    if part is None:
-        raise CliError("a partition is required (--partition or --target/--positive)")
     if args.description_file:
         description = read_input(args.description_file).strip()
     elif args.description:
@@ -176,13 +173,9 @@ def _emit(args, result, report):
         for sel in result.selected:
             print(_query_graph_dot(sel.graph))
         return
-    if mode == "ra":
+    if mode in ("ra", "datalog"):
         for q in report["queries"]:
-            print(q["ra"])
-        return
-    if mode == "datalog":
-        for q in report["queries"]:
-            print(q["datalog"])
+            print(q[mode])
         return
     # default pretty text
     if not report["queries"]:
@@ -231,6 +224,8 @@ def cmd_graph(args) -> int:
 
 def cmd_bench(args) -> int:
     from .bench import run_corpus, render_table
+    if not Path(args.corpus).is_dir():
+        raise CliError(f"corpus {args.corpus} is not a directory")
     results = run_corpus(Path(args.corpus), k_bound=args.k_bound,
                          early_stop=not args.no_early_stop,
                          use_reduction=not args.no_reduction,

@@ -8,20 +8,18 @@ machinery (path activation, query evaluation) relies on that.
 Values are plain Python strings for both entity ids and text; the attribute
 kind carries the distinction.
 
-Loading checks each relation one column at a time: ``load_facts`` the JSON
-shape (rows are lists, no list or object cells), ``FactBase`` the arity,
-string cells, non-empty keys, unique primary keys and foreign keys that
-resolve, each in one C-level pass per column over the rows in the order they
-were decoded. A failed check names the first offending row of the document
-(shape) or the least offending tuple in sorted order (the rest), whatever
-the hash seed.
+Loading checks each relation one column at a time: ``load_facts`` that rows
+are lists, ``FactBase`` the arity, string cells, non-empty keys, unique
+primary keys and foreign keys that resolve, each in one C-level pass per
+column. A failed check names the first offending row of the document (a row
+that is not a list, or a list or object cell) or the least offending tuple
+in sorted order (the rest), whatever the hash seed.
 
-The fact base keeps each relation's rows once, in the order they were
-decoded, and its checks and indexes walk them in that order: consecutive
-rows were allocated one after the other, so the walk stays in the CPU's
-caches where one over a frozenset, in hash order, misses them. The rows
-``FactBase.by_attr`` and ``FactBase.selected`` return come in that order too,
-the same whatever the hash seed.
+The fact base holds each relation once, as the tuple of its rows in the
+order they were decoded; its checks, its indexes, ``by_attr`` and
+``selected`` walk them in that order. Consecutive rows were allocated one
+after the other, so the walk stays in the CPU's caches where one over a
+frozenset, in hash order, misses them.
 """
 from __future__ import annotations
 
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 PK = "pk"
 FK = "fk"
@@ -170,8 +168,6 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
         rels: dict[str, tuple[AttributeDecl, ...]] = {}
         for name, attrs in relations.items():
             attrs = tuple(attrs)
-            if name in rels:
-                raise SchemaError(f"duplicate relation {name!r}")
             if name == STR_NODE:
                 raise SchemaError(f"{STR_NODE!r} is reserved for the string sink")
             if not attrs:
@@ -192,19 +188,19 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
                 if a.kind == FK and a.target not in rels:
                     raise SchemaError(
                         f"{name}.{a.name}: foreign key target {a.target!r} not in schema")
-        self._rels = rels
+        self._decls = rels
         self._pos = {(name, a.name): i
                      for name, attrs in rels.items()
                      for i, a in enumerate(attrs)}
 
     def __getitem__(self, name: str) -> tuple[AttributeDecl, ...]:
-        return self._rels[name]
+        return self._decls[name]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._rels)
+        return iter(self._decls)
 
     def __len__(self) -> int:
-        return len(self._rels)
+        return len(self._decls)
 
     def attr_pos(self, rel: str, attr: str) -> int:
         got = self._pos.get((rel, attr))
@@ -213,13 +209,13 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
         return got
 
     def attr(self, rel: str, name: str) -> AttributeDecl:
-        return self._rels[rel][self.attr_pos(rel, name)]
+        return self._decls[rel][self.attr_pos(rel, name)]
 
     def pk_attr(self, rel: str) -> AttributeDecl:
-        return self._rels[rel][0]
+        return self._decls[rel][0]
 
     def string_attrs(self, rel: str) -> tuple[AttributeDecl, ...]:
-        return tuple(a for a in self._rels[rel] if a.kind == STR)
+        return tuple(a for a in self._decls[rel] if a.kind == STR)
 
     @staticmethod
     def from_doc(doc: dict) -> "Schema":
@@ -251,7 +247,7 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
 
     def to_doc(self) -> dict:
         out = []
-        for name, attrs in self._rels.items():
+        for name, attrs in self._decls.items():
             entry = {"name": name, "attributes": []}
             for a in attrs:
                 rec = {"name": a.name, "kind": a.kind}
@@ -264,8 +260,10 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
 
 @dataclass(frozen=True)
 class Relation:
+    """A relation's rows: any collection of tuples, a frozenset or the rows a
+    loader decoded. Identical duplicate rows count once in a ``FactBase``."""
     name: str
-    tuples: frozenset[Tuple]
+    tuples: Collection[Tuple]
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -286,52 +284,30 @@ class FactBase(Mapping[str, Relation]):
     """Validated relations with lazy per-attribute indexes.
 
     Immutable after construction; safe to share. Every declared relation is
-    present (possibly empty), every foreign-key value resolves.
+    present (possibly empty), every foreign-key value resolves. Each is held
+    once, as the tuple of its rows in the order its ``Relation.tuples``
+    iterates, identical duplicates kept at their first occurrence;
+    ``tuples`` and ``facts[name]`` build a frozenset of them on each call.
 
     Construction checks each relation column by column, one C-level pass per
     check and no Python loop per row: arity, string cells, non-empty primary
     and foreign keys, unique primary keys (the primary-key index is built in
-    the same pass), then every foreign key against its target's index. The
-    offending row is searched for only once a check has failed, and the
-    ``FactError`` names the least offending tuple in sorted order, so the
-    message does not depend on set iteration order (``PYTHONHASHSEED``).
-
-    Each relation's tuples are also held once as a tuple of rows, which the
-    checks, ``by_attr`` and ``selected`` walk: in the order they were decoded
-    for a base that ``load_facts`` or ``extract`` built, and in the
-    frozenset's order for one built here from ``Relation`` values. A walk in
-    decoded order stays in the CPU's caches; one over a frozenset of
-    thousands of tuples, in hash order, misses them.
+    the same pass; rows are deduplicated only when it is shorter than they
+    are), then every foreign key against its target's index. A failed check
+    names the least offending tuple in sorted order, so the ``FactError``
+    does not depend on set iteration order (``PYTHONHASHSEED``).
     """
 
     def __init__(self, schema: Schema, relations: Iterable[Relation]):
-        self._build(schema, relations, {})
-
-    @classmethod
-    def _decoded(cls, schema: Schema, relations: Iterable[Relation],
-                 order: Mapping[str, Sequence[Tuple]]) -> "FactBase":
-        """``FactBase(schema, relations)``, each relation's rows held in the
-        order of ``order[name]``, its tuples as the loader decoded them
-        (duplicates allowed, and kept once)."""
-        base = cls.__new__(cls)
-        base._build(schema, relations, order)
-        return base
-
-    def _build(self, schema: Schema, relations: Iterable[Relation],
-               order: Mapping[str, Sequence[Tuple]]):
         self.schema = schema
-        rels: dict[str, Relation] = {}
+        rows: dict[str, tuple[Tuple, ...]] = {}
         for r in relations:
             if r.name not in schema:
                 raise FactError(f"facts for undeclared relation {r.name!r}")
-            if r.name in rels:
+            if r.name in rows:
                 raise FactError(f"duplicate relation {r.name!r} in facts")
-            rels[r.name] = r
-        for name in schema:
-            rels.setdefault(name, Relation(name, frozenset()))
-        self._rels = {name: rels[name] for name in schema}
-        self._rows = {name: _rows(rel.tuples, order.get(name))
-                      for name, rel in self._rels.items()}
+            rows[r.name] = tuple(r.tuples)
+        self._rows = {name: rows.get(name, ()) for name in schema}
         self._pk: dict[str, dict[str, Tuple]] = {}
         self._by_attr: dict[tuple[str, int], dict[str, tuple[Tuple, ...]]] = {}
         self._selected: dict[tuple, tuple[Tuple, ...]] = {}
@@ -361,7 +337,10 @@ class FactBase(Mapping[str, Relation]):
                 t = _least(t for t in tuples if not all(t[i] for i in empty))
                 i = next(i for i in empty if not t[i])
                 raise FactError(f"{name}.{attrs[i].name}: empty key value in {t!r}")
-            if len(pk_index) != len(tuples):  # distinct keys against distinct tuples
+            if len(pk_index) != len(tuples):  # identical rows kept once, then keys
+                tuples = self._rows[name] = tuple(dict.fromkeys(tuples))
+                pk_index = dict(zip(map(itemgetter(0), tuples), tuples))
+            if len(pk_index) != len(tuples):
                 pks = Counter(map(itemgetter(0), tuples))
                 t = _least(t for t in tuples if pks[t[0]] > 1)
                 raise FactError(f"{name}: duplicate primary key {t[0]!r} in {t!r}")
@@ -375,16 +354,16 @@ class FactBase(Mapping[str, Relation]):
                     f"{name}.{a.name}: dangling foreign key {t[i]!r} in {t!r}")
 
     def __getitem__(self, name: str) -> Relation:
-        return self._rels[name]
+        return Relation(name, self.tuples(name))
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._rels)
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._rels)
+        return len(self._rows)
 
     def tuples(self, rel: str) -> frozenset[Tuple]:
-        return self._rels[rel].tuples
+        return frozenset(self._rows[rel])
 
     def pk_lookup(self, rel: str, value: str) -> Tuple | None:
         return self._pk[rel].get(value)
@@ -413,9 +392,7 @@ class FactBase(Mapping[str, Relation]):
         if got is None:
             got = self._rows[rel]
             if strs or self_eq:
-                got = tuple(t for t in got
-                            if all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
-                            and all(t[pos] == t[0] for pos in self_eq))
+                got = _filtered(got, (), strs, self_eq)
             self._selected[key] = got
         return got
 
@@ -435,40 +412,54 @@ class FactBase(Mapping[str, Relation]):
         else:
             return self.selected(rel, strs, self_eq)
         if len(fks) > (pk is None) or strs or self_eq:
-            pool = tuple(t for t in pool
-                         if all(t[pos] == v for pos, v in fks)
-                         and all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
-                         and all(t[pos] == t[0] for pos in self_eq))
+            return _filtered(pool, fks, strs, self_eq)
         return pool
 
 
+def _filtered(rows: Iterable[Tuple], fks: Sequence[tuple[int, str]],
+              strs: tuple[tuple[int, str, str], ...],
+              self_eq: tuple[int, ...]) -> tuple[Tuple, ...]:
+    """The ``rows`` that meet ``fks``, ``strs`` and ``self_eq`` as ``matching`` says, in order."""
+    return tuple(t for t in rows
+                 if all(t[pos] == v for pos, v in fks)
+                 and all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
+                 and all(t[pos] == t[0] for pos in self_eq))
+
+
 def load_facts(schema: Schema, facts_doc: dict) -> tuple[Schema, FactBase]:
-    """``schema`` and the fact base of the facts.json document ``facts_doc``.
+    """``schema`` and the fact base of the facts.json document ``facts_doc``,
+    each relation's rows in document order.
 
     Only the JSON shape is checked here: rows are lists, one C-level pass
-    per relation, and no cell is a list or object, which hashing the rows
-    into tuples finds. Either failure names the first offending row in
-    document order. ``FactBase`` checks the rest, every other non-string
-    cell among it, over the tuples in document order. Identical duplicate
-    rows collapse into one tuple.
+    per relation, and no cell is a list or object. ``FactBase`` checks the
+    rest, and fails on such a cell too, since it is not a string; only then
+    is the document searched for one, so that a shape fault comes first.
     """
     if not isinstance(facts_doc, dict):
         raise FactError("facts document must be an object of relation -> rows")
-    relations, order = [], {}
+    if not all(isinstance(rows, list) and _all_of(rows, list) for rows in facts_doc.values()):
+        raise _shape_fault(facts_doc)
+    try:
+        return schema, FactBase(schema, [Relation(name, tuple(map(tuple, rows)))
+                                         for name, rows in facts_doc.items()])
+    except FactError as exc:
+        raise (_shape_fault(facts_doc) or exc) from None
+
+
+def _shape_fault(facts_doc: dict) -> FactError | None:
+    """The fault of the first relation of ``facts_doc`` that has one: rows
+    that are not a list, else a row that is not a list, else a list or object cell."""
     for name, rows in facts_doc.items():
         if not isinstance(rows, list):
-            raise FactError(f"{name}: rows must be a list, got {rows!r}")
-        if not _all_of(rows, list):
-            row = next(r for r in rows if not isinstance(r, list))
-            raise FactError(f"{name}: row {row!r} is not a list")
-        order[name] = tuples = tuple(map(tuple, rows))
-        try:
-            relations.append(Relation(name, frozenset(tuples)))
-        except TypeError:  # a list or object cell cannot be hashed
-            row = next(r for r in rows if any(isinstance(v, (list, dict)) for v in r))
-            v = next(v for v in row if isinstance(v, (list, dict)))
-            raise FactError(f"{name}: non-string value {v!r} in row {row!r}") from None
-    return schema, FactBase._decoded(schema, relations, order)
+            return FactError(f"{name}: rows must be a list, got {rows!r}")
+        for row in rows:
+            if not isinstance(row, list):
+                return FactError(f"{name}: row {row!r} is not a list")
+        for row in rows:
+            for v in row:
+                if isinstance(v, (list, dict)):
+                    return FactError(f"{name}: non-string value {v!r} in row {row!r}")
+    return None
 
 
 _POSITION_COLUMNS = ("files", "rows", "file", "line", "col")
@@ -520,15 +511,6 @@ def load_positions(doc: dict) -> Callable[[str], str | None]:
     return location
 
 
-def _rows(tuples: frozenset[Tuple], decoded: Sequence[Tuple] | None) -> tuple[Tuple, ...]:
-    """``tuples`` in the order of ``decoded``, each once, or in their own
-    order without ``decoded``. A ``decoded`` tuple without duplicates is
-    kept as it is, not copied."""
-    if decoded is None:
-        return tuple(tuples)
-    return tuple(decoded if len(decoded) == len(tuples) else dict.fromkeys(decoded))
-
-
 def _all_of(values: Iterable, kind: type) -> bool:
     """Is every value an instance of ``kind``? One pass, no Python loop per value."""
     return all(issubclass(k, kind) for k in set(map(type, values)))
@@ -547,7 +529,7 @@ def _least(tuples: Iterable[Tuple]) -> Tuple:
 def make_partition(target: str, positive_ids: Iterable[str],
                    facts: FactBase) -> RelationPartition:
     """Split the target relation by primary key; everything unlisted is negative."""
-    if target not in facts:
+    if target not in facts.schema:
         raise PartitionError(f"unknown target relation {target!r}")
     wanted = set(positive_ids)
     positives = set()

@@ -252,10 +252,8 @@ def build_facts(prog: mj.Program) -> tuple[FactBase, dict[str, dict],
             _walk_statements(builder, method.body, mrow)
 
     schema = extraction_schema()
-    relations = [Relation(name, frozenset(builder.rows.get(name, ())))
-                 for name in schema]
-    return (FactBase._decoded(schema, relations, builder.rows), builder.positions,
-            builder.annotated)
+    relations = [Relation(name, tuple(builder.rows.get(name, ()))) for name in schema]
+    return FactBase(schema, relations), builder.positions, builder.annotated
 
 
 def extract(prog: mj.Program, target: str) -> tuple[FactBase, RelationPartition,

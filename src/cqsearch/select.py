@@ -112,11 +112,15 @@ def coverage(g: QueryGraph, schema: Schema, ctx: EntityContext) -> Fraction:
     return Fraction(len(covered), len(ctx.entities))
 
 
+def rank(g: QueryGraph, schema: Schema, ctx: EntityContext) -> tuple[Fraction, int]:
+    """``(coverage, -complexity)``: of two queries, the greater key ranks higher."""
+    return coverage(g, schema, ctx), -g.complexity()
+
+
 def compare(g1: QueryGraph, g2: QueryGraph, schema: Schema,
             ctx: EntityContext) -> int:
     """1 if g1 ranks above g2, -1 if below, 0 on a tie."""
-    key1 = (coverage(g1, schema, ctx), -g1.complexity())
-    key2 = (coverage(g2, schema, ctx), -g2.complexity())
+    key1, key2 = rank(g1, schema, ctx), rank(g2, schema, ctx)
     return (key1 > key2) - (key1 < key2)
 
 
@@ -190,8 +194,7 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
     engine = RefinementEngine(schema, graph, facts, part, sorted(kept),
                               m_cap=m_cap)
     state = RefinementState()
-    alpha_max: Fraction | None = None
-    beta_min: int | None = None
+    best: tuple[Fraction, int] | None = None  # rank of the selected class
     selected: dict = {}  # canonical form -> graph, for the top-ranked class
     levels: list[tuple[int, int]] = []
     terminated_early = False
@@ -206,20 +209,19 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
             engine.refine(state, m, k)
             levels.append((m, k))
             for g in state.candidates(m, k):
-                alpha, beta = coverage(g, schema, ctx), g.complexity()
-                key = (alpha, -beta)
-                if alpha_max is None or key > (alpha_max, -beta_min):
-                    alpha_max, beta_min = alpha, beta
-                    selected = {canonical_form(g): g}
-                elif key == (alpha_max, -beta_min):
+                key = rank(g, schema, ctx)
+                if best is None or key > best:
+                    best, selected = key, {canonical_form(g): g}
+                elif key == best:
                     selected.setdefault(canonical_form(g), g)
-            if early_stop and selected and alpha_max == alpha_bound:
+            if early_stop and selected and best[0] == alpha_bound:
                 frontier = _frontier_min_beta(state, m, k, k_bound)
-                if frontier is None or beta_min <= frontier:
+                if frontier is None or -best[1] <= frontier:
                     terminated_early = True
                     break
 
     state.rows.clear()  # the assignments serve only the next level
+    alpha_max, beta_min = (best[0], -best[1]) if best else (None, None)
     chosen = tuple(SelectedQuery(selected[c], from_graph(selected[c], schema),
                                  alpha_max, beta_min) for c in sorted(selected))
     return SynthesisResult(chosen, alpha_max, beta_min, terminated_early,

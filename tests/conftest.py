@@ -31,9 +31,8 @@ def fig1_schema() -> Schema:
     })
 
 
-def fig1_facts(schema=None) -> FactBase:
-    schema = schema or fig1_schema()
-    return FactBase(schema, [
+def fig1_relations() -> list[Relation]:
+    return [
         Relation("Method", frozenset({
             ("M1", "I1", "T3", "MDF1"),
             ("M2", "I2", "T3", "MDF1"),
@@ -47,7 +46,11 @@ def fig1_facts(schema=None) -> FactBase:
         Relation("Type", frozenset({
             ("T1", "Log4jUtils"), ("T2", "int"), ("T3", "CacheConfig")})),
         Relation("Modifier", frozenset({("MDF1", "public")})),
-    ])
+    ]
+
+
+def fig1_facts(schema=None) -> FactBase:
+    return FactBase(schema or fig1_schema(), fig1_relations())
 
 
 def fig1c_query() -> ConjunctiveQuery:

@@ -6,10 +6,11 @@ import random
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
-from cqsearch import minijava
+from cqsearch import bench, minijava
 from cqsearch.cli import main
 from cqsearch.core import FactError, Schema, load_facts
 from cqsearch.datalog import parse_datalog
@@ -711,6 +712,47 @@ class TestBenchCommand:
         code, stdout, _ = run(capsys, "bench", str(corpus))
         assert code == 0
         assert "0/0 tasks passed" in stdout
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_corpus_that_is_not_a_directory_is_an_error(self, capsys, tmp_path, kind):
+        corpus = tmp_path / "corpus"
+        if kind == "file":
+            corpus.write_text("{}")
+        code, stdout, err = run(capsys, "bench", str(corpus))
+        assert code == 1 and stdout == ""
+        assert err == f"error: corpus {corpus} is not a directory\n"
+
+    @pytest.mark.parametrize("tasks, workers", [(2, [2]), (1, [])],
+                             ids=["two-tasks", "one-task"])
+    def test_pool_has_no_more_workers_than_tasks(self, capsys, tmp_path, monkeypatch,
+                                                 tasks, workers):
+        class InlinePool:  # records its size and runs each task in this process
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
+        for name in ("t06_stmt_import_log4j", "t07_stmt_import_localtime")[:tasks]:
+            shutil.copytree(CORPUS / name, corpus / name)
+        code, stdout, _ = run(capsys, "bench", str(corpus), "--jobs", "500")
+        assert code == 0
+        assert f"{tasks}/{tasks} tasks passed" in stdout
+        assert InlinePool.sizes == workers
 
     def test_parallel_jobs(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"

@@ -1,7 +1,10 @@
 import copy
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,7 @@ from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, FactError,
                            read_input)
 from cqsearch.minijava import ParseError, parse
 from cqsearch.extract import facts_to_doc
-from conftest import fig1_facts, fig1_schema
+from conftest import REPO, fig1_facts, fig1_relations, fig1_schema
 import gen
 import oracles
 
@@ -142,6 +145,19 @@ class TestLoadFacts:
         with pytest.raises(FactError, match="undeclared"):
             load_facts(fig1_schema(), doc)
 
+    @pytest.mark.parametrize("rel, row, cell, error", [
+        ("Method", 0, ["I1"], "Method: non-string value ['I1'] in row "
+                              "['M1', ['I1'], 'T3', 'MDF1']"),
+        ("Type", 1, {"a": 1}, "Type: non-string value {'a': 1} in row ['T2', {'a': 1}]"),
+    ], ids=["list", "dict"])
+    def test_list_or_object_cell(self, rel, row, cell, error):
+        doc = fig1_facts_doc()
+        doc[rel][row][1] = cell
+        doc["Identifier"].append(["I9", 17])  # a later fault FactBase would name
+        with pytest.raises(FactError) as info:
+            load_facts(fig1_schema(), doc)
+        assert str(info.value) == error
+
 
 class TestRowOrder:
     """``by_attr`` and ``selected`` walk a relation's rows in one fixed order."""
@@ -165,10 +181,64 @@ class TestRowOrder:
         assert len(facts.tuples("Method")) == 3
 
     def test_built_base_keeps_the_frozenset_order(self):
-        facts = fig1_facts()
-        for rel in facts:
-            assert facts.selected(rel, (), ()) == tuple(facts.tuples(rel))
-        assert facts.by_attr("Method", 3, "MDF1") == tuple(facts.tuples("Method"))
+        relations = fig1_relations()
+        facts = FactBase(fig1_schema(), relations)
+        for r in relations:
+            assert facts.selected(r.name, (), ()) == tuple(r.tuples)
+        methods = next(r.tuples for r in relations if r.name == "Method")
+        assert facts.by_attr("Method", 3, "MDF1") == tuple(methods)
+
+    def test_built_base_keeps_duplicate_rows_once_in_first_order(self):
+        rows = (("T3", "CacheConfig"), ("T1", "Log4jUtils"), ("T3", "CacheConfig"),
+                ("T2", "int"), ("T1", "Log4jUtils"))
+        relations = [r for r in fig1_relations() if r.name != "Type"]
+        facts = FactBase(fig1_schema(), relations + [Relation("Type", rows)])
+        assert facts.selected("Type", (), ()) == (
+            ("T3", "CacheConfig"), ("T1", "Log4jUtils"), ("T2", "int"))
+        assert len(facts["Type"]) == 3
+        assert facts["Type"].tuples == facts.tuples("Type") == frozenset(rows)
+
+
+# Run in fresh interpreters: the TestRowOrder claims, and the text of a
+# FactError among twenty dangling rows of a shuffled document.
+HASH_SEED_SWEEP = """
+import random
+from cqsearch.core import FactBase, FactError, load_facts
+from conftest import fig1_relations, fig1_schema
+
+relations = fig1_relations()
+facts = FactBase(fig1_schema(), relations)
+for r in relations:
+    assert facts.selected(r.name, (), ()) == tuple(r.tuples), r.name
+rng = random.Random(17)
+doc = {r.name: [list(t) for t in sorted(r.tuples)] for r in relations}
+for rows in doc.values():
+    rng.shuffle(rows)
+doc["Method"].append(doc["Method"][0])
+_, loaded = load_facts(fig1_schema(), doc)
+for name, rows in doc.items():
+    assert loaded.selected(name, (), ()) == tuple(dict.fromkeys(map(tuple, rows))), name
+assert loaded.by_attr("Method", 3, "MDF1") == loaded.selected("Method", (), ())
+doc["Parameter"] += [[f"P{i}", "I4", f"T{i}", "M1"] for i in rng.sample(range(10, 30), 20)]
+try:
+    load_facts(fig1_schema(), doc)
+except FactError as exc:
+    print(exc)
+"""
+
+
+def test_row_order_and_errors_hold_under_every_hash_seed():
+    path = os.pathsep.join([str(REPO / "src"), str(REPO / "tests"),
+                            os.environ.get("PYTHONPATH", "")])
+    runs = [subprocess.Popen([sys.executable, "-c", HASH_SEED_SWEEP], text=True,
+                             env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for seed in range(4)]
+    for seed, run in enumerate(runs):
+        out, err = run.communicate(timeout=60)
+        assert run.returncode == 0, (seed, err)
+        assert out == ("Parameter.type_id: dangling foreign key 'T10' in "
+                       "('P10', 'I4', 'T10', 'M1')\n"), (seed, out)
 
 
 class TestSchemaValidation:
