@@ -192,6 +192,8 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
         self._pos = {(name, a.name): i
                      for name, attrs in rels.items()
                      for i, a in enumerate(attrs)}
+        self._strings = {name: tuple(a for a in attrs if a.kind == STR)
+                         for name, attrs in rels.items()}
 
     def __getitem__(self, name: str) -> tuple[AttributeDecl, ...]:
         return self._decls[name]
@@ -215,7 +217,7 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
         return self._decls[rel][0]
 
     def string_attrs(self, rel: str) -> tuple[AttributeDecl, ...]:
-        return tuple(a for a in self._decls[rel] if a.kind == STR)
+        return self._strings[rel]
 
     @staticmethod
     def from_doc(doc: dict) -> "Schema":

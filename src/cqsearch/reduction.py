@@ -15,11 +15,13 @@ the target depth first, and every tree node judges its last relation on the
 paths that end there. A node carries a *plain* vector (the activations along
 its acyclic prefix) and a set of *spliced* vectors (the same prefix with one
 cycle spliced in). A cycle's first shared node depends only on the prefix, so
-at ``nodes[i]`` the walk splices every cycle that contains ``nodes[i]`` and
-no earlier node, into the plain vector only, and carries the result down the
-subtree; a spliced vector never takes a second cycle. A vector is the pair
-``(P, N)`` of the distinct activation sets of the positives and of the
-negatives: equal sets stay equal under every step. A vector in which a
+at ``nodes[i]`` the walk splices every cycle that contains ``nodes[i]`` and no
+earlier node, into the plain vector only, and carries the result down the
+subtree; a spliced vector never takes a second cycle. The compiled loops
+(``schema_graph.cycle_loops``) are memoised by the schema's declarations, as a
+compiled step holds attribute positions, and ``max_cycle_len``. A vector is
+the pair ``(P, N)`` of the distinct activation sets of the positives and of
+the negatives: equal sets stay equal under every step. A vector in which a
 positive's activation is empty is *dead* (it stays empty) and is discarded,
 and a subtree with no live vector is skipped. A relation no live vector
 reaches reads EmptyActivation if foreign keys join it to the target at all,
@@ -30,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import FactBase, RelationPartition, Schema
+from .core import STR_NODE, FactBase, RelationPartition, Schema
 from .schema_graph import (SchemaGraph, build_schema_graph, compile_step,
-                           simple_cycles, step_image)
+                           cycle_loops, step_image)
 
 
 class DropReason(str, Enum):
@@ -95,16 +97,7 @@ def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
             neg = side(neg, step)
         return pos, neg
 
-    loops: dict[str, list] = {rel: [] for rel in schema}
-    for cyc in simple_cycles(g, max_cycle_len):
-        members = cyc.nodes()
-        for node in members:
-            cur, steps = node, []
-            for step in cyc.rotated_to(node):
-                steps.append(compile_step(schema, cur, step))
-                cur = step.next
-            loops[node].append((members, tuple(steps)))
-
+    loops = cycle_loops(g, max_cycle_len)
     out_steps = {rel: [(step.next, compile_step(schema, rel, step))
                        for step in g.steps_from(rel)]
                  for rel in schema}
@@ -155,7 +148,6 @@ def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
 
 def reduced_subgraph_size(g: SchemaGraph, kept: frozenset[str]) -> tuple[int, int]:
     """(nodes, edges) of the schema subgraph induced by kept relations + STR."""
-    from .core import STR_NODE
     nodes = len(kept) + 1
     edges = sum(1 for e in g.edges
                 if e.src in kept and (e.dst in kept or e.dst == STR_NODE))

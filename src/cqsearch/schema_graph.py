@@ -155,26 +155,42 @@ class Cycle:
         return self.steps[idx:] + self.steps[:idx]
 
 
-# Cycle lists by (relation names, foreign-key edges, max_len): the cycles
-# depend on nothing else, and tasks over one extraction schema repeat them.
-_CYCLES: dict[tuple, tuple[Cycle, ...]] = {}
+# By (schema declarations, max_len): the cycles and their ``cycle_loops``.
+# Keyed by declarations, not names and edges: compiled steps hold positions.
+_CYCLES: dict[tuple, tuple[tuple[Cycle, ...], dict[str, list]]] = {}
 _CYCLES_SIZE = 16
 
 
 def simple_cycles(g: SchemaGraph, max_len: int = 8) -> list[Cycle]:
     """Enumerate cycles up to ``max_len`` steps, one canonical walk each.
 
-    Memoised per schema shape in a small bounded table; every call returns a
-    fresh list.
+    Memoised per schema in a small bounded table; every call returns a fresh
+    list.
     """
-    key = (tuple(sorted(g.schema)), g.fk_edges, max_len)
-    cycles = _CYCLES.get(key)
-    if cycles is None:
+    key = (tuple(g.schema.items()), max_len)
+    entry = _CYCLES.get(key)
+    if entry is None:
         cycles = tuple(_enumerate_cycles(g, max_len))
+        loops: dict[str, list] = {rel: [] for rel in g.schema}
+        for cyc in cycles:
+            # Step i leaves order[i] in every rotation: compile once, slice.
+            order = (cyc.anchor,) + tuple(s.next for s in cyc.steps[:-1])
+            steps = tuple(compile_step(g.schema, cur, step)
+                          for cur, step in zip(order, cyc.steps))
+            members = cyc.nodes()
+            for node in members:  # rotated to its first visit, as ``rotated_to``
+                i = order.index(node)
+                loops[node].append((members, steps[i:] + steps[:i]))
         if len(_CYCLES) >= _CYCLES_SIZE:
             del _CYCLES[next(iter(_CYCLES))]
-        _CYCLES[key] = cycles
-    return list(cycles)
+        entry = _CYCLES[key] = (cycles, loops)
+    return list(entry[0])
+
+
+def cycle_loops(g: SchemaGraph, max_len: int = 8) -> dict[str, list]:
+    """Per relation, (members, compiled loop from it) per cycle; read only."""
+    simple_cycles(g, max_len)  # fills the entry
+    return _CYCLES[(tuple(g.schema.items()), max_len)][1]
 
 
 def _enumerate_cycles(g: SchemaGraph, max_len: int) -> list[Cycle]:

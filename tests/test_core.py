@@ -267,6 +267,14 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError, match="reserved"):
             Schema({"STR": [AttributeDecl("id", PK)]})
 
+    def test_string_attrs_are_the_string_declarations_in_order(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            schema = gen.random_schema(rng, max_strs=3)
+            for rel in schema:
+                assert schema.string_attrs(rel) == tuple(
+                    a for a in schema[rel] if a.kind == STR)
+
 
 class TestMakePartition:
     def test_motivating_split(self, facts):

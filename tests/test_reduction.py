@@ -197,6 +197,40 @@ class TestPathSetContract:
         assert reduce(schema, facts, part, max_cycle_len=1).report_lines() == [
             "keep A", "keep T", "drop G (IndistinguishableActivation)"]
 
+    def test_cycle_memo_tells_attribute_orders_apart(self):
+        # Two schemas with the same relations and foreign-key edges, the
+        # string attribute first in one and last in the other, so the
+        # foreign keys a and b sit at other positions. Compiled loops hold positions, so
+        # neither may reuse the other's: the cycle T -(a,+)-> A -(b,-)-> T
+        # keeps G only if it reads a and b where they are.
+        def instance(t_attrs, t_rows):
+            schema = Schema({
+                "T": [AttributeDecl("id", PK)] + t_attrs,
+                "A": [AttributeDecl("id", PK)],
+                "G": [AttributeDecl("id", PK)],
+            })
+            facts = FactBase(schema, [
+                Relation("T", frozenset(t_rows)),
+                Relation("A", frozenset({("x1",), ("x2",)})),
+                Relation("G", frozenset({("g1",)})),
+            ])
+            return schema, facts, make_partition("T", ["t1"], facts)
+
+        a, b, g = _fk("a", "A"), _fk("b", "A"), _fk("g", "G")
+        s = AttributeDecl("s", STR)
+        instances = [
+            instance([s, a, b, g], [("t1", "n", "x1", "x1", "g1"),
+                                    ("t2", "n", "x2", "x1", "g1")]),
+            instance([a, b, g, s], [("t1", "x1", "x1", "g1", "n"),
+                                    ("t2", "x2", "x1", "g1", "n")]),
+        ]
+        for max_len in (8, 1, 2, 8, 0):
+            for schema, facts, part in instances + instances[::-1]:
+                red = reduce(schema, facts, part, max_cycle_len=max_len)
+                assert red == reduce_by_paths(schema, facts, part,
+                                              max_cycle_len=max_len)
+                assert ("G" in red.kept) == (max_len >= 2)
+
     def test_reachable_only_along_paths_that_empty_a_positive(self):
         # No R row refers to the positive t1, so every path into R, and on
         # into S, empties it: both read EmptyActivation, not Unreachable.

@@ -5,7 +5,8 @@ from cqsearch.extract import extraction_schema
 from cqsearch.schema_graph import (PathStep, RelationPath, SchemaEdge,
                                    _enumerate_cycles, activated_relation,
                                    acyclic_paths, augment_with_cycles,
-                                   build_schema_graph, simple_cycles)
+                                   build_schema_graph, compile_path,
+                                   cycle_loops, simple_cycles)
 import gen
 from oracles import activation_brute, cycles_brute, validate_path
 
@@ -141,6 +142,28 @@ class TestAugmentWithCycles:
                 # A second graph over the same schema reads the memo; the
                 # caller's edits to the first list must not show.
                 assert simple_cycles(build_schema_graph(schema), max_len) == fresh
+
+    def test_memoised_loops_equal_the_path_code(self):
+        # Each loop is compiled once per cycle and rotated by slicing; it must
+        # equal the rotated walk compiled as a path, on a fresh entry and on
+        # a memo hit, and a caller's edits to the cycle list must not reach it.
+        rng = random.Random(13)
+        schemas = [extraction_schema()] + [
+            gen.random_schema(rng, max_relations=5, max_fks=2)
+            for _ in range(40)]
+        for schema in schemas:
+            for max_len in (0, 1, 2, 3, 8):
+                for _ in range(2):
+                    g = build_schema_graph(schema)
+                    cycles = simple_cycles(g, max_len)
+                    expected = {rel: [] for rel in schema}
+                    for cyc in cycles:
+                        for node in cyc.nodes():
+                            path = RelationPath(node, cyc.rotated_to(node))
+                            loop = tuple(compile_path(path, schema))
+                            expected[node].append((cyc.nodes(), loop))
+                    assert cycle_loops(g, max_len) == expected
+                    cycles.clear()
 
     def test_augmented_paths_replay_against_schema(self, schema):
         g = build_schema_graph(schema)
