@@ -398,32 +398,35 @@ class FactBase(Mapping[str, Relation]):
             self._selected[key] = got
         return got
 
-    def matching(self, rel: str, pk: str | None, fks: Sequence[tuple[int, str]],
+    def matching(self, rel: str, links: Sequence[tuple[int, str]],
                  strs: tuple[tuple[int, str, str], ...] = (),
                  self_eq: tuple[int, ...] = ()) -> tuple[Tuple, ...]:
-        """Tuples of ``rel`` with primary key ``pk`` unless it is None, value
-        ``v`` at every ``(pos, v)`` of ``fks``, and meeting ``strs`` and
-        ``self_eq`` as in ``selected``: the join step of evaluation and
-        refinement. Probes the primary-key index when ``pk`` is set, else the
-        smallest ``by_attr`` pool among ``fks``, else ``selected``."""
-        if pk is not None:
-            t = self._pk[rel].get(pk)
-            pool = () if t is None else (t,)
-        elif fks:
-            pool = min((self.by_attr(rel, pos, v) for pos, v in fks), key=len)
-        else:
+        """Tuples of ``rel`` with value ``v`` at every ``(pos, v)`` of
+        ``links``, and meeting ``strs`` and ``self_eq`` as in ``selected``:
+        the one key-equality probe of evaluation, refinement and reduction.
+        Probes the primary-key index when the first link is at position 0,
+        else the smallest ``by_attr`` pool among ``links``, else ``selected``."""
+        if not links:
             return self.selected(rel, strs, self_eq)
-        if len(fks) > (pk is None) or strs or self_eq:
-            return _filtered(pool, fks, strs, self_eq)
+        pos, v = links[0]
+        if pos == 0:
+            t = self._pk[rel].get(v)
+            pool = () if t is None else (t,)
+        elif len(links) == 1:
+            pool = self.by_attr(rel, pos, v)
+        else:
+            pool = min((self.by_attr(rel, pos, v) for pos, v in links), key=len)
+        if len(links) > 1 or strs or self_eq:
+            return _filtered(pool, links, strs, self_eq)
         return pool
 
 
-def _filtered(rows: Iterable[Tuple], fks: Sequence[tuple[int, str]],
+def _filtered(rows: Iterable[Tuple], links: Sequence[tuple[int, str]],
               strs: tuple[tuple[int, str, str], ...],
               self_eq: tuple[int, ...]) -> tuple[Tuple, ...]:
-    """The ``rows`` that meet ``fks``, ``strs`` and ``self_eq`` as ``matching`` says, in order."""
+    """The ``rows`` that meet ``links``, ``strs`` and ``self_eq`` as ``matching`` says, in order."""
     return tuple(t for t in rows
-                 if all(t[pos] == v for pos, v in fks)
+                 if all(t[pos] == v for pos, v in links)
                  and all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
                  and all(t[pos] == t[0] for pos in self_eq))
 

@@ -5,9 +5,9 @@ once (``_Compiled``): into one join step per node, each built by
 ``join_step``, the function refinement builds the step of its new node with,
 and, when its equalities form no cycle, into a plan of semi-joins.
 
-``evaluate`` merges the equalities between two nodes, in either direction,
-into one edge with a composite key; an equality of a node with itself is a
-``self_eq`` check of its join step. When the edges form a forest, it is
+``evaluate`` takes the links of a join step to one earlier node, its key
+equalities with it in either direction, as one edge with a composite key;
+a self-equality is a ``self_eq`` check. When the edges form a forest, it is
 evaluated set at a time, bottom up (Yannakakis 1981): each node starts from
 the tuples ``FactBase.selected`` gives for its string constraints and
 ``self_eq``, and each edge, from the leaves up, keeps the parent's tuples
@@ -48,9 +48,9 @@ class _Compiled:
     equality edge to the joined ones, or the first remaining when none has
     one. A graph refinement builds is therefore joined in node order, the
     order it extends assignments in. ``steps[i]`` is the ``join_step`` of
-    the i-th node to join, and ``at`` maps each node to that position.
-    ``semijoins`` is the plan ``_semijoins`` makes, or None for a graph with
-    a cycle.
+    the i-th node to join, its links naming earlier nodes by these join
+    positions, and ``at`` maps each node to its position. ``semijoins`` is
+    the plan ``_semijoins`` makes, or None for a graph with a cycle.
     """
 
     def __init__(self, facts: FactBase, g: QueryGraph | ConjunctiveQuery):
@@ -93,9 +93,9 @@ class _Compiled:
         node, so that no closure refers to itself: the fact base is freed by
         reference counting once the last query over it is gone."""
         matching, steps = self.facts.matching, self.steps
-        rel, _, _, strs, self_eq = steps[0]
+        rel, _, strs, self_eq = steps[0]
         bound: list[Tuple] = []
-        pending = [iter(matching(rel, head_tuple[0], (), strs, self_eq))]
+        pending = [iter(matching(rel, ((0, head_tuple[0]),), strs, self_eq))]
         while pending:
             t = next(pending[-1], None)
             if t is None:
@@ -108,10 +108,9 @@ class _Compiled:
                 yield tuple(bound)
                 bound.pop()
                 continue
-            rel, pin, eqs, strs, self_eq = steps[len(bound)]
-            pk = bound[pin[0]][pin[1]] if pin else None
-            fks = [(pos, bound[j][jpos]) for pos, j, jpos in eqs]
-            pending.append(iter(matching(rel, pk, fks, strs, self_eq)))
+            rel, links, strs, self_eq = steps[len(bound)]
+            values = [(pos, bound[j][jpos]) for pos, j, jpos in links]
+            pending.append(iter(matching(rel, values, strs, self_eq)))
 
     def exists(self, head_tuple: Tuple) -> bool:
         for _ in self.assignments(head_tuple):
@@ -132,7 +131,7 @@ def _semijoins(steps):
     """``(parent, child, parent_key, child_key)`` per edge of the forest that
     the equalities between distinct nodes form, children before their
     parents, or None when they form a cycle. Nodes are join positions, and
-    all equalities between two nodes make one edge: its keys are
+    a child's links, all to one parent, make one edge: its keys are
     ``itemgetter``s of their positions in the parent's and the child's
     tuples.
 
@@ -141,22 +140,19 @@ def _semijoins(steps):
     edges form a forest exactly when no node has edges to two earlier ones."""
     plan = []
     for child in range(len(steps) - 1, 0, -1):
-        _, pin, eqs, _, _ = steps[child]
-        edges = [(j, jpos, pos) for pos, j, jpos in eqs]
-        if pin:
-            edges.append((*pin, 0))
-        parents = {j for j, _, _ in edges}
+        links = steps[child][1]
+        parents = {j for _, j, _ in links}
         if len(parents) > 1:
             return None
         if parents:
-            plan.append((parents.pop(), child, itemgetter(*(e[1] for e in edges)),
-                         itemgetter(*(e[2] for e in edges))))
+            plan.append((parents.pop(), child, itemgetter(*(link[2] for link in links)),
+                         itemgetter(*(link[0] for link in links))))
     return plan
 
 
 def _by_semijoins(c: _Compiled) -> frozenset[Tuple]:
     """``evaluate`` of a graph without cycles: its semi-join plan, bottom up."""
-    rows = [c.facts.selected(rel, strs, self_eq) for rel, _, _, strs, self_eq in c.steps]
+    rows = [c.facts.selected(rel, strs, self_eq) for rel, _, strs, self_eq in c.steps]
     for parent, child, parent_key, child_key in c.semijoins:
         keys = set(map(child_key, rows[child]))
         rows[parent] = list(compress(rows[parent],
@@ -166,7 +162,7 @@ def _by_semijoins(c: _Compiled) -> frozenset[Tuple]:
 
 def _per_head(c: _Compiled) -> frozenset[Tuple]:
     """``evaluate`` by a depth-first search from each head tuple."""
-    rel, _, _, strs, self_eq = c.steps[0]
+    rel, _, strs, self_eq = c.steps[0]
     return frozenset(t for t in c.facts.selected(rel, strs, self_eq) if c.exists(t))
 
 

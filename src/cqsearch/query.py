@@ -124,27 +124,27 @@ def check_graph(g: QueryGraph, schema: Schema) -> None:
 
 
 def join_step(schema: Schema, g: QueryGraph, at: Mapping[int, int], node: int):
-    """``(relation, pin, eqs, strs, self_eq)``: what ``FactBase.matching``
-    binds ``node`` of a checked graph with, once the nodes ``at`` maps to
+    """``(relation, links, strs, self_eq)``: what ``FactBase.matching`` binds
+    ``node`` of a checked graph with, once the nodes ``at`` maps to
     assignment positions are bound (refinement, which binds in node order,
-    passes a ``range``). ``pin`` is the ``(j, pos)`` of a bound node's
-    foreign key holding the node's primary key, if any; ``eqs`` its other
-    equalities with bound nodes, ``(pos, j, jpos)``; ``strs`` its string
-    constraints ``(pos, pred, literal)``; ``self_eq`` the positions of its
-    foreign keys that must equal its own primary key."""
+    passes a ``range``). ``links`` are its key equalities with bound nodes,
+    sorted: ``(pos, j, jpos)`` says position ``pos`` of its tuple equals
+    position ``jpos`` of the tuple bound at ``j``, and a bound node's foreign
+    key holding its primary key has ``pos`` 0, so it comes first. ``strs``
+    are its string constraints ``(pos, pred, literal)``; ``self_eq`` the
+    sorted positions of its foreign keys that must equal its own primary key."""
     rel = g.nodes[node]
-    pins, checks, self_eq = [], [], []
-    for fk, pk, attr in sorted(g.eq_edges):
+    links, self_eq = [], []
+    for fk, pk, attr in g.eq_edges:
         if fk == pk == node:
             self_eq.append(schema.attr_pos(rel, attr))
         elif pk == node and fk in at:
-            pins.append((at[fk], schema.attr_pos(g.nodes[fk], attr)))
+            links.append((0, at[fk], schema.attr_pos(g.nodes[fk], attr)))
         elif fk == node and pk in at:
-            checks.append((schema.attr_pos(rel, attr), at[pk], 0))
+            links.append((schema.attr_pos(rel, attr), at[pk], 0))
     strs = tuple((schema.attr_pos(rel, attr), pred, literal)
                  for i, attr, pred, literal in g.str_edges if i == node)
-    return (rel, pins[0] if pins else None,
-            tuple([(0, j, pos) for j, pos in pins[1:]] + checks), strs, tuple(self_eq))
+    return rel, tuple(sorted(links)), strs, tuple(sorted(self_eq))
 
 
 def to_graph(q: ConjunctiveQuery, schema: Schema) -> QueryGraph:

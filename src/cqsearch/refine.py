@@ -17,10 +17,10 @@ satisfying assignments (its ``Rows``): per positive, and per negative it
 still admits, the tuples bound to its nodes in node order. A child of
 ``expand`` is its parent plus one unconstrained node whose equality edges
 all touch that node, so its assignments are the parent's, each extended by
-the tuples ``FactBase.matching`` returns for the new node's ``join_step``,
-the step ``evaluate`` binds every node with: a primary-key probe when an
-existing node's foreign key points at the new node, else the smallest pool
-among the new node's foreign keys. A string-closure child is its base
+the tuples ``FactBase.matching`` returns for the links of the new node's
+``join_step``, as ``evaluate`` binds every node: a primary-key probe when
+an existing node's foreign key holds the new node's key, else the smallest
+pool among its links. A string-closure child is its base
 plus one constraint, so its assignments are the base's filtered by it. The
 witness sets synLCS reads are a slot's column of the positives' rows; a
 graph is refinable iff every positive keeps an assignment and a candidate
@@ -166,15 +166,14 @@ class RefinementEngine:
         if len(v.nodes) == 1:
             return self.head_rows
         last = len(v.nodes) - 1
-        rel, pin, eqs, strs, self_eq = join_step(self.schema, v, range(last), last)
+        rel, links, strs, self_eq = join_step(self.schema, v, range(last), last)
         matching = self.facts.matching
 
         def extend(group: tuple[Assignment, ...]) -> tuple[Assignment, ...]:
             out = []
             for a in group:
-                pk = a[pin[0]][pin[1]] if pin else None
-                fks = [(pos, a[j][jpos]) for pos, j, jpos in eqs]
-                out.extend(a + (t,) for t in matching(rel, pk, fks, strs, self_eq))
+                values = [(pos, a[j][jpos]) for pos, j, jpos in links]
+                out.extend(a + (t,) for t in matching(rel, values, strs, self_eq))
             return tuple(out)
 
         positives = []

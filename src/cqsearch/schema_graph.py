@@ -7,7 +7,7 @@ path from a start tuple yields its activated tuple set. Dummy-relation
 detection (``reduction.reduce``) computes these activations over the whole
 path set in one walk without building paths; the path helpers here spell the
 set out one path at a time. Both take a step with ``compile_step`` and
-``step_image``.
+``step_image``, which binds its key equality through ``FactBase.matching``.
 
 Path enumeration is acyclic paths plus each cycle spliced in once, and that
 once-spliced path set is the contract. Activation is not insensitive to
@@ -84,6 +84,9 @@ class SchemaGraph:
         self._steps: dict[str, tuple[PathStep, ...]] = {
             rel: tuple(step for step, _ in moves)
             for rel, moves in self._moves.items()}
+        # The schema's declarations as plain strings, which hash fast.
+        self.decl_key = tuple((rel, tuple((a.name, a.kind, a.target) for a in attrs))
+                              for rel, attrs in schema.items())
 
     def steps_from(self, rel: str) -> tuple[PathStep, ...]:
         """Every legal single step out of ``rel``, in deterministic order."""
@@ -155,7 +158,7 @@ class Cycle:
         return self.steps[idx:] + self.steps[:idx]
 
 
-# By (schema declarations, max_len): the cycles and their ``cycle_loops``.
+# By (``SchemaGraph.decl_key``, max_len): the cycles and their ``cycle_loops``.
 # Keyed by declarations, not names and edges: compiled steps hold positions.
 _CYCLES: dict[tuple, tuple[tuple[Cycle, ...], dict[str, list]]] = {}
 _CYCLES_SIZE = 16
@@ -167,7 +170,7 @@ def simple_cycles(g: SchemaGraph, max_len: int = 8) -> list[Cycle]:
     Memoised per schema in a small bounded table; every call returns a fresh
     list.
     """
-    key = (tuple(g.schema.items()), max_len)
+    key = (g.decl_key, max_len)
     entry = _CYCLES.get(key)
     if entry is None:
         cycles = tuple(_enumerate_cycles(g, max_len))
@@ -190,7 +193,7 @@ def simple_cycles(g: SchemaGraph, max_len: int = 8) -> list[Cycle]:
 def cycle_loops(g: SchemaGraph, max_len: int = 8) -> dict[str, list]:
     """Per relation, (members, compiled loop from it) per cycle; read only."""
     simple_cycles(g, max_len)  # fills the entry
-    return _CYCLES[(tuple(g.schema.items()), max_len)][1]
+    return _CYCLES[(g.decl_key, max_len)][1]
 
 
 def _enumerate_cycles(g: SchemaGraph, max_len: int) -> list[Cycle]:
@@ -276,29 +279,27 @@ def augment_with_cycles(paths: Iterable[RelationPath], g: SchemaGraph,
 
 
 def compile_step(schema: Schema, cur: str, step: PathStep) -> tuple[int, int, str]:
-    """(direction, attribute position, next relation) of ``step`` out of ``cur``."""
-    holder = cur if step.direction == 1 else step.next
-    return step.direction, schema.attr_pos(holder, step.attr), step.next
+    """``(pos, next_pos, next relation)`` of ``step`` out of ``cur``: position
+    ``pos`` of a ``cur`` tuple equals position ``next_pos`` of the tuples it
+    reaches, and one of the two is the primary key's, 0."""
+    if step.direction == 1:
+        return schema.attr_pos(cur, step.attr), 0, step.next
+    return 0, schema.attr_pos(step.next, step.attr), step.next
 
 
 def step_image(facts: FactBase, tuples: Iterable[Tuple],
                step: tuple[int, int, str]) -> set[Tuple]:
     """Tuples one compiled step reaches from ``tuples`` by key equality."""
-    direction, pos, next_rel = step
+    pos, next_pos, next_rel = step
+    matching = facts.matching
     hits: set[Tuple] = set()
-    if direction == 1:
-        for t in tuples:
-            hit = facts.pk_lookup(next_rel, t[pos])
-            if hit is not None:
-                hits.add(hit)
-    else:
-        for t in tuples:
-            hits.update(facts.by_attr(next_rel, pos, t[0]))
+    for t in tuples:
+        hits.update(matching(next_rel, ((next_pos, t[pos]),)))
     return hits
 
 
 def compile_path(path: RelationPath, schema: Schema) -> list[tuple[int, int, str]]:
-    """Per step: (direction, attribute position, next relation)."""
+    """Per step: ``compile_step``'s (pos, next_pos, next relation)."""
     return [compile_step(schema, cur, step)
             for cur, step in zip(path.nodes(), path.steps)]
 

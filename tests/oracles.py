@@ -19,9 +19,11 @@ primitives are:
   and refinement's alike (the evaluator maps nodes to join positions,
   refinement binds them in node order), so ``refine_by_compiling`` shares
   it with ``refine``; criterion 6 certifies it through ``evaluate``;
-- ``FactBase.matching``, which runs that join step; criterion 6 and a
-  brute-force filter over the relation's tuples (``test_core.TestMatching``)
-  certify it on its own;
+- ``FactBase.matching``, which binds that join step's links, and the key
+  equality of each schema-path step in ``step_image``, so reduction rests on
+  it too; criterion 6, ``activation_brute`` (against ``activated_relation``)
+  and a brute-force filter over the relation's tuples
+  (``test_core.TestMatching``) certify it;
 - ``Schema.from_doc`` inside ``load_facts_by_rows``, which reads the schema
   document the same way as the product;
 - synLCS, which defines the string part of the query space and has its own

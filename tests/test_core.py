@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,18 +327,19 @@ class TestInvariants:
 
 
 class TestMatching:
-    """``FactBase.matching``, the join step of evaluation and refinement."""
+    """``FactBase.matching``, the one key-equality probe of evaluation,
+    refinement and reduction."""
 
     @staticmethod
-    def brute(facts, rel, pk, fks, strs, self_eq):
+    def brute(facts, rel, links, strs, self_eq):
         return sorted(t for t in facts.tuples(rel)
-                      if (pk is None or t[0] == pk)
-                      and all(t[pos] == v for pos, v in fks)
+                      if all(t[pos] == v for pos, v in links)
                       and all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
                       and all(t[pos] == t[0] for pos in self_eq))
 
     def test_matches_brute_force_filter(self):
         rng = random.Random(37)
+        cases = Counter()
         for _ in range(80):
             schema = gen.random_schema(rng, max_fks=3, max_strs=2)
             facts = gen.random_facts(rng, schema, max_tuples=8)
@@ -352,31 +354,37 @@ class TestMatching:
 
                 fk_pos = [i for i, a in enumerate(attrs) if a.kind == FK]
                 str_pos = [i for i, a in enumerate(attrs) if a.kind == STR]
-                pk = value(0) if rng.random() < 0.3 else None
-                fks = [(pos, value(pos))
-                       for pos in rng.sample(fk_pos, rng.randint(0, len(fk_pos)))]
-                if pk is not None and rng.random() < 0.3:
-                    fks.append((0, value(0)))  # a second pin
+                links = [(pos, value(pos))
+                         for pos in rng.sample(fk_pos, rng.randint(0, len(fk_pos)))]
+                # None, one or several position-0 links: first, as ``join_step``
+                # sorts them, or after the others, which takes the ``by_attr``
+                # path on the primary key.
+                pk_links = [(0, value(0)) for _ in range(rng.choice((0, 0, 1, 1, 2, 3)))]
+                links = pk_links + links if rng.random() < 0.7 else links + pk_links
                 strs = tuple((pos, rng.choice(("equal", "prefix", "suffix", "contain")),
                               gen.random_string(rng, "abc", 1, 2))
                              for pos in rng.sample(str_pos, rng.randint(0, len(str_pos))))
                 self_eq = tuple(rng.sample(fk_pos, rng.randint(0, min(1, len(fk_pos)))))
-                got = facts.matching(rel, pk, fks, strs, self_eq)
+                got = facts.matching(rel, links, strs, self_eq)
                 assert len(set(got)) == len(got)
-                assert sorted(got) == self.brute(facts, rel, pk, fks, strs, self_eq)
+                assert sorted(got) == self.brute(facts, rel, links, strs, self_eq)
+                cases["several position-0"] += len(pk_links) > 1
+                cases["position 0 not first"] += bool(pk_links) and links[0][0] != 0
+                cases["no links, constrained"] += not links and bool(strs or self_eq)
+        assert min(cases.values()) > 20, cases
 
     def test_first_foreign_key_with_the_larger_pool(self, facts):
         # Parameter.idf_id = I4 holds for all three parameters, method_id = M1
         # for one: whichever pool is probed, the other key still filters it.
         assert len(facts.by_attr("Parameter", 1, "I4")) == 3
-        fks = [(1, "I4"), (3, "M1")]
-        assert facts.matching("Parameter", None, fks) == (("P1", "I4", "T1", "M1"),)
-        assert facts.matching("Parameter", None, [(1, "I4"), (3, "M9")]) == ()
+        links = [(1, "I4"), (3, "M1")]
+        assert facts.matching("Parameter", links) == (("P1", "I4", "T1", "M1"),)
+        assert facts.matching("Parameter", [(1, "I4"), (3, "M9")]) == ()
 
     def test_disagreeing_pins_match_nothing(self, facts):
         m1 = ("M1", "I1", "T3", "MDF1")
-        assert facts.matching("Method", "M1", [(0, "M1")]) == (m1,)
-        assert facts.matching("Method", "M1", [(0, "M2")]) == ()
+        assert facts.matching("Method", [(0, "M1"), (0, "M1")]) == (m1,)
+        assert facts.matching("Method", [(0, "M1"), (0, "M2")]) == ()
 
 
 # --- column-wise loading against the per-row oracle ---------------------------

@@ -135,13 +135,13 @@ class TestIllegalGraphs:
 class TestJoinOrder:
     def test_node_joins_once_connected(self, facts):
         # Type joins only through Parameter, written after it: Parameter is
-        # joined second, so Type is pinned by its type_id.
+        # joined second, so Type's primary key is linked to its type_id.
         q = parse_datalog("out(M, I, R, D) :- Method(M, I, R, D), Type(T, N), "
                           'Parameter(P, PI, T, M), str_equal(N, "Log4jUtils").',
                           facts.schema)
         c = _Compiled.of(facts, q)
         assert c.at == {0: 0, 2: 1, 1: 2}
-        assert c.steps[2][0] == "Type" and c.steps[2][1] == (1, 2)
+        assert c.steps[2][0] == "Type" and c.steps[2][1] == ((0, 1, 2),)
         assert evaluate(q, facts) == naive_evaluate(q, facts) == {
             ("M1", "I1", "T3", "MDF1"), ("M3", "I3", "T2", "MDF1")}
 
@@ -217,11 +217,11 @@ class TestSemijoins:
         (parent, child, parent_key, child_key), = _Compiled(desks, g).semijoins
         assert (parent, child) == (0, 1)
         person, desk = ("p1", "p1", "d1", "ann"), ("d1", "p1", "p1", "x")
-        assert parent_key(person) == child_key(desk) == ("p1", "p1", "d1")
+        assert parent_key(person) == child_key(desk) == ("d1", "p1", "p1")
 
     def test_self_loop_is_a_check_of_its_node(self, desks):
         c = _Compiled(desks, QueryGraph(("Person",), frozenset({(0, 0, "boss")}), ()))
-        assert c.semijoins == [] and c.steps[0][4] == (1,)
+        assert c.semijoins == [] and c.steps[0][3] == (1,)
 
     def test_cycle_takes_the_per_head_search(self, desks):
         triangle = QueryGraph(("Person", "Person", "Desk"),

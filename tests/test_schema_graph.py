@@ -165,6 +165,21 @@ class TestAugmentWithCycles:
                     assert cycle_loops(g, max_len) == expected
                     cycles.clear()
 
+    def test_cycle_memo_is_keyed_by_declarations(self):
+        # Equal declarations in two Schema objects share one entry; the same
+        # relations with the string attribute moved compile to other
+        # positions, so they get their own.
+        def schema(*attrs):
+            return Schema({"Class": [AttributeDecl("id", PK), *attrs]})
+
+        sup, name = AttributeDecl("super_id", FK, "Class"), AttributeDecl("name", STR)
+        g1, g2 = build_schema_graph(schema(sup, name)), build_schema_graph(schema(sup, name))
+        moved = build_schema_graph(schema(name, sup))
+        assert g1.schema is not g2.schema
+        assert cycle_loops(g1) is cycle_loops(g2)
+        assert cycle_loops(moved) is not cycle_loops(g1)
+        assert cycle_loops(moved) != cycle_loops(g1)
+
     def test_augmented_paths_replay_against_schema(self, schema):
         g = build_schema_graph(schema)
         for dst in schema:
