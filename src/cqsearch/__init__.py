@@ -16,9 +16,8 @@ from .datalog import DatalogError, parse_datalog, render_datalog
 from .evaluator import (EvalError, collect_witnesses, evaluate, is_candidate,
                         is_refinable)
 from .extract import ExtractError, extract, extraction_schema
-from .query import (ConjunctiveQuery, Equality, GraphError, QueryGraph,
-                    StringAtom, canonical_form, from_graph, multiplicity,
-                    render_ra, to_graph)
+from .query import (GraphError, QueryGraph, canonical_form, multiplicity,
+                    render_ra)
 from .reduction import DropReason, ReducedRepresentation, reduce
 from .schema_graph import (RelationPath, SchemaGraph, activated_relation,
                            acyclic_paths, augment_with_cycles,

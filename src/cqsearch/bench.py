@@ -17,7 +17,7 @@ from . import minijava
 from .core import DomainError, read_input
 from .datalog import parse_datalog, render_datalog
 from .extract import extract
-from .query import canonical_form, max_multiplicity, merged, to_graph
+from .query import canonical_form, max_multiplicity, merged
 from .reduction import reduced_subgraph_size
 from .schema_graph import build_schema_graph
 from .select import make_context, synthesize
@@ -78,7 +78,7 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
 
         golden = [read_input(task_dir / f, lambda text: parse_datalog(text, schema))
                   for f in doc.get("golden", [])]
-        golden_canon = {canonical_form(merged(to_graph(q, schema))) for q in golden}
+        golden_canon = {canonical_form(merged(g)) for g in golden}
         selected_canon = {canonical_form(merged(s.graph)) for s in result.selected}
         passed = bool(golden_canon) and golden_canon == selected_canon
 
@@ -92,8 +92,8 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
         return TaskResult(
             name, category, passed, gq, k,
             reduced_subgraph_size(graph, result.reduced.kept), elapsed,
-            selected=[render_datalog(s.query, schema) for s in result.selected],
-            golden=[render_datalog(q, schema) for q in golden],
+            selected=[render_datalog(s.graph, schema) for s in result.selected],
+            golden=[render_datalog(g, schema) for g in golden],
             explored=result.state.generated_total(),
             terminated_early=result.terminated_early)
     except Exception as exc:  # a broken task must not abort the run

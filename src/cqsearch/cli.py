@@ -38,12 +38,15 @@ def _load_facts(schema_path: str, facts_path: str):
 
 
 def _load_inputs(args):
-    """Facts and partition from either annotated sources or JSON documents."""
+    """Facts and partition from either annotated sources or JSON documents.
+    A flag the chosen input ignores is an error, raised before any file is read."""
     if args.source:
-        prog = minijava.parse_files(args.source)
         if not args.target:
             raise CliError("--target is required with --source")
-        facts, part, _ = extract(prog, args.target)
+        for flag in ("schema", "facts", "partition", "positive"):
+            if getattr(args, flag):
+                raise CliError(f"--{flag} cannot be used with --source")
+        facts, part, _ = extract(minijava.parse_files(args.source), args.target)
         return facts.schema, facts, part
     if not (args.schema and args.facts):
         raise CliError("need either --source or --schema/--facts")
@@ -141,8 +144,8 @@ def _report(result, schema, elapsed: float) -> dict:
     for sel in result.selected:
         rels, eq, strs = sel.graph.size()
         queries.append({
-            "ra": render_ra(sel.query),
-            "datalog": render_datalog(sel.query, schema),
+            "ra": render_ra(sel.graph, schema),
+            "datalog": render_datalog(sel.graph, schema),
             "alpha": float(sel.alpha),
             "alpha_exact": str(sel.alpha),
             "beta": sel.beta,

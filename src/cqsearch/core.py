@@ -310,13 +310,13 @@ class FactBase(Mapping[str, Relation]):
                 raise FactError(f"duplicate relation {r.name!r} in facts")
             rows[r.name] = tuple(r.tuples)
         self._rows = {name: rows.get(name, ()) for name in schema}
-        self._pk: dict[str, dict[str, Tuple]] = {}
         self._by_attr: dict[tuple[str, int], dict[str, tuple[Tuple, ...]]] = {}
         self._selected: dict[tuple, tuple[Tuple, ...]] = {}
         self._validate()
 
     def _validate(self):
         fk_columns = []  # (relation, position, set of values), checked last
+        keys: dict[str, dict[str, Tuple]] = {}  # primary-key index per relation
         for name, tuples in self._rows.items():
             attrs = self.schema[name]
             if set(map(len, tuples)) - {len(attrs)}:
@@ -346,10 +346,10 @@ class FactBase(Mapping[str, Relation]):
                 pks = Counter(map(itemgetter(0), tuples))
                 t = _least(t for t in tuples if pks[t[0]] > 1)
                 raise FactError(f"{name}: duplicate primary key {t[0]!r} in {t!r}")
-            self._pk[name] = pk_index
+            keys[name] = pk_index
         for name, i, values in fk_columns:
             a = self.schema[name][i]
-            target = self._pk[a.target]
+            target = keys[a.target]
             if not target.keys() >= values:
                 t = _least(t for t in self._rows[name] if t[i] not in target)
                 raise FactError(
@@ -367,12 +367,9 @@ class FactBase(Mapping[str, Relation]):
     def tuples(self, rel: str) -> frozenset[Tuple]:
         return frozenset(self._rows[rel])
 
-    def pk_lookup(self, rel: str, value: str) -> Tuple | None:
-        return self._pk[rel].get(value)
-
     def by_attr(self, rel: str, pos: int, value: str) -> tuple[Tuple, ...]:
         """All tuples of ``rel`` whose attribute at ``pos`` equals ``value``,
-        in the order of its rows."""
+        in the order of its rows: at most one at the primary key, ``pos`` 0."""
         key = (rel, pos)
         index = self._by_attr.get(key)
         if index is None:
@@ -403,16 +400,14 @@ class FactBase(Mapping[str, Relation]):
                  self_eq: tuple[int, ...] = ()) -> tuple[Tuple, ...]:
         """Tuples of ``rel`` with value ``v`` at every ``(pos, v)`` of
         ``links``, and meeting ``strs`` and ``self_eq`` as in ``selected``:
-        the one key-equality probe of evaluation, refinement and reduction.
-        Probes the primary-key index when the first link is at position 0,
-        else the smallest ``by_attr`` pool among ``links``, else ``selected``."""
+        the key-equality probe of evaluation and refinement, over the one
+        index kind, ``by_attr``, that reduction probes too. Takes the pool
+        of a single link or of a first link at the primary key, else the
+        smallest pool among ``links``, else ``selected``."""
         if not links:
             return self.selected(rel, strs, self_eq)
         pos, v = links[0]
-        if pos == 0:
-            t = self._pk[rel].get(v)
-            pool = () if t is None else (t,)
-        elif len(links) == 1:
+        if pos == 0 or len(links) == 1:
             pool = self.by_attr(rel, pos, v)
         else:
             pool = min((self.by_attr(rel, pos, v) for pos, v in links), key=len)
@@ -539,10 +534,10 @@ def make_partition(target: str, positive_ids: Iterable[str],
     wanted = set(positive_ids)
     positives = set()
     for pid in sorted(wanted):
-        t = facts.pk_lookup(target, pid)
-        if t is None:
+        t = facts.by_attr(target, 0, pid)
+        if not t:
             raise PartitionError(f"{target}: no tuple with primary key {pid!r}")
-        positives.add(t)
+        positives.add(t[0])
     negatives = facts.tuples(target) - positives
     if not positives:
         raise PartitionError("no positive tuples")

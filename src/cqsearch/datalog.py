@@ -1,66 +1,55 @@
-"""Single-rule Datalog rendering and parsing of conjunctive queries.
+"""Single-rule Datalog rendering and parsing of query graphs.
 
-A query renders as one rule: the head projects every attribute of the first
-body atom, equality atoms become shared variables, and string constraints
-become str_<predicate>(Var, "literal") atoms. Parsing inverts this; shared
-variables are decomposed into primary-key/foreign-key equality atoms through
-a deterministic spanning of each variable class.
+A graph renders as one rule: the head projects every attribute of node 0,
+the body has one relation atom per node in node order, equality edges
+become shared variables, and string constraints become
+str_<predicate>(Var, "literal") atoms in the graph's ``str_edges`` order.
+Parsing inverts this: the i-th relation atom is node i, and shared variables
+are decomposed into primary-key/foreign-key equality edges through a
+deterministic spanning of each variable class.
 """
 from __future__ import annotations
 
 import re
 
 from .core import FK, STR, DomainError, Schema, line_col
-from .query import (ConjunctiveQuery, Equality, GraphError, StringAtom,
-                    PREDICATES, to_graph)
+from .query import GraphError, PREDICATES, QueryGraph, check_graph
 
 
 class DatalogError(DomainError):
     """Rule text that does not describe a legal conjunctive query."""
 
 
-def render_datalog(q: ConjunctiveQuery, schema: Schema) -> str:
-    classes: dict[tuple[str, int], tuple[str, int]] = {}
+def render_datalog(g: QueryGraph, schema: Schema) -> str:
+    classes: dict[tuple[int, int], tuple[int, int]] = {}  # (node, pos) slots
 
     def find(slot):
         while classes.get(slot, slot) != slot:
             slot = classes[slot]
         return slot
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
+    for fk, pk, attr in g.eq_edges:
+        ra, rb = find((fk, schema.attr_pos(g.nodes[fk], attr))), find((pk, 0))
         if ra != rb:
             classes[max(ra, rb)] = min(ra, rb)
 
-    rel_of = dict(q.product)
-    for atom in q.conditions:
-        if isinstance(atom, Equality):
-            fk_slot = (atom.fk_alias, schema.attr_pos(rel_of[atom.fk_alias], atom.fk_attr))
-            pk_slot = (atom.pk_alias, 0)
-            classes.setdefault(fk_slot, fk_slot)
-            classes.setdefault(pk_slot, pk_slot)
-            union(fk_slot, pk_slot)
-
-    names: dict[tuple[str, int], str] = {}
+    names: dict[tuple[int, int], str] = {}
     counter = 0
     body = []
-    for alias, rel in q.product:
+    for node, rel in enumerate(g.nodes):
         args = []
         for pos in range(len(schema[rel])):
-            root = find((alias, pos))
+            root = find((node, pos))
             if root not in names:
                 names[root] = f"V{counter}"
                 counter += 1
             args.append(names[root])
         body.append(f"{rel}({', '.join(args)})")
-    for atom in q.conditions:
-        if isinstance(atom, StringAtom):
-            pos = schema.attr_pos(rel_of[atom.alias], atom.attr)
-            var = names[find((atom.alias, pos))]
-            literal = atom.literal.replace("\\", "\\\\").replace('"', '\\"')
-            body.append(f'str_{atom.pred}({var}, "{literal}")')
-    head_alias, head_rel = q.product[0]
-    head_args = [names[find((head_alias, pos))] for pos in range(len(schema[head_rel]))]
+    for node, attr, pred, literal in g.str_edges:
+        var = names[find((node, schema.attr_pos(g.nodes[node], attr)))]
+        literal = literal.replace("\\", "\\\\").replace('"', '\\"')
+        body.append(f'str_{pred}({var}, "{literal}")')
+    head_args = [names[find((0, pos))] for pos in range(len(schema[g.nodes[0]]))]
     return f"out({', '.join(head_args)}) :- {', '.join(body)}."
 
 
@@ -138,14 +127,15 @@ def _parse_atoms(text: str):
     return atoms
 
 
-def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
-    """The rule's query. Every error is a ``DatalogError`` at a ``line:col``:
-    a syntax error at the offending token; an atom that names no relation or
-    does not fit it at the atom's name; a variable no pk/fk chain can express
-    at its first occurrence in a relation atom; a string variable that is
-    unbound, joins relations, names no string attribute or is constrained
-    twice at the offending ``str_*`` atom; a rule with no relation atom at
-    its first body atom."""
+def parse_datalog(text: str, schema: Schema) -> QueryGraph:
+    """The rule's query graph, checked: node i is the i-th relation atom,
+    and its string constraints are sorted. Every error is a ``DatalogError``
+    at a ``line:col``: a syntax error at the offending token; an atom that
+    names no relation or does not fit it at the atom's name; a variable no
+    pk/fk chain can express at its first occurrence in a relation atom; a
+    string variable that is unbound, joins relations, names no string
+    attribute or is constrained twice at the offending ``str_*`` atom; a
+    rule with no relation atom at its first body atom."""
     atoms = _parse_atoms(text)
     if atoms[0][0] != "out":
         raise _error(text, atoms[0][2], "rule must start with an out(...) head")
@@ -175,13 +165,12 @@ def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
             or any(k != "name" for k, _, _ in head_args):
         raise _error(text, atoms[0][2], "head must project the first body atom's variables")
 
-    product = tuple((f"A{i + 1}", rel) for i, (rel, _, _) in enumerate(rel_atoms))
     slots_by_var: dict[str, list[tuple[int, int]]] = {}
     for idx, (_, vars_, _) in enumerate(rel_atoms):
         for pos, var in enumerate(vars_):
             slots_by_var.setdefault(var, []).append((idx, pos))
 
-    conds: list = []
+    eq_edges = set()
     for var in sorted(slots_by_var):
         slots = slots_by_var[var]
         if len(slots) == 1:
@@ -213,12 +202,9 @@ def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
             raise _error(text, rel_atoms[first][2][pos], f"variable {var!r} equates "
                          "attributes that no pk/fk chain can express")
         for (fi, fp), (pi, _) in chosen:
-            frel = rel_atoms[fi][0]
-            prel = rel_atoms[pi][0]
-            conds.append(Equality(f"A{fi + 1}", schema[frel][fp].name,
-                                  f"A{pi + 1}", schema.pk_attr(prel).name))
+            eq_edges.add((fi, pi, schema[rel_atoms[fi][0]][fp].name))
 
-    seen_slots = set()
+    str_edges = []
     for pred, var, literal, at in str_atoms:
         slots = slots_by_var.get(var)
         if not slots:
@@ -229,15 +215,15 @@ def parse_datalog(text: str, schema: Schema) -> ConjunctiveQuery:
         rel = rel_atoms[idx][0]
         if schema[rel][pos].kind != STR:
             raise _error(text, at, f"{rel} argument {pos} is not a string attribute")
-        slot = (idx, schema[rel][pos].name)
-        if slot in seen_slots:
-            raise _error(text, at, f"duplicate string constraint on {rel}.{slot[1]}")
-        seen_slots.add(slot)
-        conds.append(StringAtom(f"A{idx + 1}", schema[rel][pos].name, pred, literal))
+        attr = schema[rel][pos].name
+        if any(s[:2] == (idx, attr) for s in str_edges):
+            raise _error(text, at, f"duplicate string constraint on {rel}.{attr}")
+        str_edges.append((idx, attr, pred, literal))
 
-    query = ConjunctiveQuery(product, tuple(conds))
+    g = QueryGraph(tuple(rel for rel, _, _ in rel_atoms), frozenset(eq_edges),
+                   tuple(sorted(str_edges)))
     try:
-        to_graph(query, schema)
+        check_graph(g, schema)
     except GraphError as exc:
         raise DatalogError(str(exc)) from exc
-    return query
+    return g

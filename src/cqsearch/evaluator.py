@@ -19,8 +19,7 @@ the deduplicated projection onto the head; semantics match the naive
 selection over the full Cartesian product (the test suite certifies this
 against a product oracle, and the two ways against each other).
 
-A conjunctive query is converted with ``to_graph``, which runs the same
-check. A query or graph the schema does not license is an ``EvalError``; so is a query checked
+A graph the schema does not license is an ``EvalError``; so is one checked
 against a partition whose target is not its head's relation. Refinement
 compiles no graph; ``refinable_with_witnesses`` and ``admits_any`` are the
 from-scratch evaluation the test suite holds it against.
@@ -31,8 +30,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .core import DomainError, FactBase, RelationPartition, SchemaError, Tuple
-from .query import (ConjunctiveQuery, GraphError, QueryGraph, check_graph,
-                    join_step, to_graph)
+from .query import GraphError, QueryGraph, check_graph, join_step
 
 
 class EvalError(DomainError):
@@ -53,12 +51,9 @@ class _Compiled:
     the plan ``_semijoins`` makes, or None for a graph with a cycle.
     """
 
-    def __init__(self, facts: FactBase, g: QueryGraph | ConjunctiveQuery):
+    def __init__(self, facts: FactBase, g: QueryGraph):
         try:
-            if isinstance(g, ConjunctiveQuery):
-                g = to_graph(g, facts.schema)  # checks the graph too
-            else:
-                check_graph(g, facts.schema)
+            check_graph(g, facts.schema)
         except (GraphError, SchemaError) as exc:
             raise EvalError(str(exc)) from exc
         self.facts = facts
@@ -81,7 +76,7 @@ class _Compiled:
     def of(facts: FactBase, q) -> "_Compiled":
         if isinstance(q, _Compiled):
             return q
-        if not isinstance(q, (ConjunctiveQuery, QueryGraph)):
+        if not isinstance(q, QueryGraph):
             raise EvalError(f"cannot evaluate {type(q).__name__}")
         return _Compiled(facts, q)
 

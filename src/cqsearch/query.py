@@ -1,13 +1,13 @@
-"""Conjunctive queries and their graph form.
+"""Conjunctive queries as query graphs.
 
-A query is a projection of a selection over a product of aliased relations;
-its graph form has one node per alias, one labeled edge per pk/fk equality
-atom, and one (predicate, literal) decoration per constrained string slot.
-A node is known by its position: node 0 is the projection head, which names
-the partition target, and ``to_graph`` maps the query's aliases to positions
-once. The two forms are interconvertible up to alias renaming and node
-order; canonical forms make both irrelevant for deduplication and golden
-comparisons.
+A query is a projection of a selection over a product of relations, and its
+graph is the one form the package keeps of it: one node per relation
+occurrence, one labeled edge per pk/fk equality, and one (predicate,
+literal) decoration per constrained string slot. A node is known by its
+position: node 0 is the projection head, which names the partition target,
+and the renderers name node i ``A{i+1}``. A graph says everything the query
+says up to node order; canonical forms make node order irrelevant for
+deduplication and golden comparisons.
 """
 from __future__ import annotations
 
@@ -23,38 +23,6 @@ PREDICATES = ("equal", "prefix", "suffix", "contain")
 
 class GraphError(DomainError):
     """Query graph edge or constraint that the schema does not license."""
-
-
-@dataclass(frozen=True, order=True)
-class Equality:
-    """fk_alias.fk_attr = pk_alias.pk_attr (the referenced primary key)."""
-    fk_alias: str
-    fk_attr: str
-    pk_alias: str
-    pk_attr: str
-
-
-@dataclass(frozen=True, order=True)
-class StringAtom:
-    alias: str
-    attr: str
-    pred: str
-    literal: str
-
-
-Atom = Equality | StringAtom
-
-
-@dataclass(frozen=True)
-class ConjunctiveQuery:
-    product: tuple[tuple[str, str], ...]  # (alias, relation), head first
-    conditions: tuple[Atom, ...]
-
-    def relation_of(self, alias: str) -> str:
-        for a, r in self.product:
-            if a == alias:
-                return r
-        raise GraphError(f"unknown alias {alias!r}")
 
 
 @dataclass(frozen=True)
@@ -147,44 +115,18 @@ def join_step(schema: Schema, g: QueryGraph, at: Mapping[int, int], node: int):
     return rel, tuple(sorted(links)), strs, tuple(sorted(self_eq))
 
 
-def to_graph(q: ConjunctiveQuery, schema: Schema) -> QueryGraph:
-    """The graph of ``q``, its aliases numbered in product order."""
-    index: dict[str, int] = {}
-    for alias, _ in q.product:
-        if alias in index:
-            raise GraphError(f"duplicate alias {alias!r}")
-        index[alias] = len(index)
-
-    def node(alias: str) -> int:
-        if alias not in index:
-            raise GraphError(f"unknown alias {alias!r}")
-        return index[alias]
-
-    eqs = [c for c in q.conditions if isinstance(c, Equality)]
-    g = QueryGraph(tuple(r for _, r in q.product),
-                   frozenset((node(c.fk_alias), node(c.pk_alias), c.fk_attr) for c in eqs),
-                   tuple(sorted((node(c.alias), c.attr, c.pred, c.literal)
-                                for c in q.conditions if isinstance(c, StringAtom))))
+def to_graph(g: QueryGraph, schema: Schema) -> QueryGraph:
+    """``g``, checked. Kept only because perfbench/workloads.py calls it;
+    the benchmark's next change deletes it."""
     check_graph(g, schema)
-    for c in eqs:
-        pk_rel = q.relation_of(c.pk_alias)
-        if schema.pk_attr(pk_rel).name != c.pk_attr:
-            raise GraphError(
-                f"{c.pk_alias}.{c.pk_attr} is not the primary key of {pk_rel}")
     return g
 
 
-def from_graph(g: QueryGraph, schema: Schema) -> ConjunctiveQuery:
-    """Induced query that names node i ``A{i+1}``, its atoms in node order."""
+def from_graph(g: QueryGraph, schema: Schema) -> QueryGraph:
+    """``g``, checked. Kept only because perfbench/tracer.py times it; the
+    benchmark's next change deletes it."""
     check_graph(g, schema)
-    alias = [f"A{i + 1}" for i in range(len(g.nodes))]
-    atoms = [((fk, attr, pk, 0),
-              Equality(alias[fk], attr, alias[pk], schema.pk_attr(g.nodes[pk]).name))
-             for fk, pk, attr in g.eq_edges]
-    atoms += [((node, attr, 0, 1), StringAtom(alias[node], attr, pred, literal))
-              for node, attr, pred, literal in g.str_edges]
-    atoms.sort(key=lambda a: a[0])
-    return ConjunctiveQuery(tuple(zip(alias, g.nodes)), tuple(a for _, a in atoms))
+    return g
 
 
 # --- canonical form -------------------------------------------------------
@@ -303,16 +245,19 @@ def merged(g: QueryGraph) -> QueryGraph:
 
 # --- relational-algebra rendering -----------------------------------------
 
-def render_ra(q: ConjunctiveQuery) -> str:
-    head = q.product[0][0]
-    product = " × ".join(f"ρ_{a}({r})" for a, r in q.product)
-    if not q.conditions:
-        return f"Π_({head}.*)(σ_true({product}))"
-    parts = []
-    for atom in q.conditions:
-        if isinstance(atom, Equality):
-            parts.append(f"({atom.fk_alias}.{atom.fk_attr} = {atom.pk_alias}.{atom.pk_attr})")
-        else:
-            parts.append(f'{atom.pred}({atom.alias}.{atom.attr}, "{atom.literal}")')
-    theta = " ∧ ".join(parts)
-    return f"Π_({head}.*)(σ_Θ({product})) where Θ := {theta}"
+def render_ra(g: QueryGraph, schema: Schema) -> str:
+    """``g`` as relational algebra, node i named ``A{i+1}``. The atoms are
+    sorted together by ``(fk node, attribute, pk node, 0)`` for an equality
+    and ``(node, attribute, 0, 1)`` for a string constraint, so the two
+    kinds interleave by node."""
+    product = " × ".join(f"ρ_A{i + 1}({rel})" for i, rel in enumerate(g.nodes))
+    if not g.eq_edges and not g.str_edges:
+        return f"Π_(A1.*)(σ_true({product}))"
+    atoms = [((fk, attr, pk, 0),
+              f"(A{fk + 1}.{attr} = A{pk + 1}.{schema.pk_attr(g.nodes[pk]).name})")
+             for fk, pk, attr in g.eq_edges]
+    atoms += [((node, attr, 0, 1), f'{pred}(A{node + 1}.{attr}, "{literal}")')
+              for node, attr, pred, literal in g.str_edges]
+    atoms.sort(key=lambda a: a[0])
+    theta = " ∧ ".join(text for _, text in atoms)
+    return f"Π_(A1.*)(σ_Θ({product})) where Θ := {theta}"

@@ -7,7 +7,7 @@ path from a start tuple yields its activated tuple set. Dummy-relation
 detection (``reduction.reduce``) computes these activations over the whole
 path set in one walk without building paths; the path helpers here spell the
 set out one path at a time. Both take a step with ``compile_step`` and
-``step_image``, which binds its key equality through ``FactBase.matching``.
+``step_image``, which probes ``FactBase.by_attr`` once per tuple.
 
 Path enumeration is acyclic paths plus each cycle spliced in once, and that
 once-spliced path set is the contract. Activation is not insensitive to
@@ -291,10 +291,10 @@ def step_image(facts: FactBase, tuples: Iterable[Tuple],
                step: tuple[int, int, str]) -> set[Tuple]:
     """Tuples one compiled step reaches from ``tuples`` by key equality."""
     pos, next_pos, next_rel = step
-    matching = facts.matching
+    by_attr = facts.by_attr
     hits: set[Tuple] = set()
     for t in tuples:
-        hits.update(matching(next_rel, ((next_pos, t[pos]),)))
+        hits.update(by_attr(next_rel, next_pos, t[pos]))
     return hits
 
 

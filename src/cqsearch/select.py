@@ -6,7 +6,7 @@ relation attributes to words; structural complexity is relation count plus
 atom count. Both are read off the query graph, where every atom is one edge.
 Queries are ranked by coverage first (higher wins), complexity second (lower
 wins); synthesis keeps exactly the top equivalence class, and only its
-graphs are rendered as conjunctive queries.
+graphs are reported.
 
 The loop walks levels (m, k) in increasing order and stops early once
 coverage has hit its schema-wide upper bound and every query still derivable
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import FK, DomainError, FactBase, RelationPartition, Schema
-from .query import ConjunctiveQuery, QueryGraph, canonical_form, from_graph
+from .query import QueryGraph, canonical_form
 from .reduction import ReducedRepresentation, reduce
 from .refine import RefinementEngine, RefinementState
 from .schema_graph import build_schema_graph
@@ -126,10 +126,16 @@ def compare(g1: QueryGraph, g2: QueryGraph, schema: Schema,
 
 @dataclass(frozen=True)
 class SelectedQuery:
+    """A selected query's graph, with its class's coverage and complexity."""
     graph: QueryGraph
-    query: ConjunctiveQuery
     alpha: Fraction
     beta: int
+
+    @property
+    def query(self) -> QueryGraph:
+        """``graph``. Kept only because perfbench/workloads.py reads it; the
+        benchmark's next change deletes it."""
+        return self.graph
 
 
 @dataclass
@@ -222,7 +228,7 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
 
     state.rows.clear()  # the assignments serve only the next level
     alpha_max, beta_min = (best[0], -best[1]) if best else (None, None)
-    chosen = tuple(SelectedQuery(selected[c], from_graph(selected[c], schema),
-                                 alpha_max, beta_min) for c in sorted(selected))
+    chosen = tuple(SelectedQuery(selected[c], alpha_max, beta_min)
+                   for c in sorted(selected))
     return SynthesisResult(chosen, alpha_max, beta_min, terminated_early,
                            tuple(levels), reduced, state)

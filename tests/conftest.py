@@ -5,7 +5,7 @@ import pytest
 
 from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, Relation,
                            Schema, make_partition)
-from cqsearch.query import ConjunctiveQuery, Equality, QueryGraph, StringAtom
+from cqsearch.query import QueryGraph
 from cqsearch.select import EntityContext, extract_entities, load_hmap
 
 REPO = Path(__file__).resolve().parent.parent
@@ -53,21 +53,15 @@ def fig1_facts(schema=None) -> FactBase:
     return FactBase(schema or fig1_schema(), fig1_relations())
 
 
-def fig1c_query() -> ConjunctiveQuery:
-    """The motivating target query: CacheConfig return, Log4jUtils parameter."""
-    return ConjunctiveQuery(
-        product=(("A1", "Method"), ("A2", "Type"), ("A3", "Parameter"),
-                 ("A4", "Type")),
-        conditions=(
-            Equality("A3", "method_id", "A1", "id"),
-            Equality("A1", "ret_type_id", "A2", "id"),
-            Equality("A3", "type_id", "A4", "id"),
-            StringAtom("A2", "name", "equal", "CacheConfig"),
-            StringAtom("A4", "name", "equal", "Log4jUtils"),
-        ))
+# The motivating target query as a hand-written rule; it parses to ``fig1c_graph()``.
+FIG1C_RULE = ('out(M, MIdf, MRet, MMdf) :- Method(M, MIdf, MRet, MMdf), '
+              'Type(MRet, RetName), Parameter(P, PIdf, PType, M), '
+              'Type(PType, ParName), str_equal(RetName, "CacheConfig"), '
+              'str_equal(ParName, "Log4jUtils").')
 
 
 def fig1c_graph() -> QueryGraph:
+    """The motivating target query: CacheConfig return, Log4jUtils parameter."""
     return QueryGraph(
         ("Method", "Type", "Parameter", "Type"),
         frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id"), (2, 3, "type_id")}),

@@ -19,11 +19,17 @@ primitives are:
   and refinement's alike (the evaluator maps nodes to join positions,
   refinement binds them in node order), so ``refine_by_compiling`` shares
   it with ``refine``; criterion 6 certifies it through ``evaluate``;
-- ``FactBase.matching``, which binds that join step's links, and the key
-  equality of each schema-path step in ``step_image``, so reduction rests on
-  it too; criterion 6, ``activation_brute`` (against ``activated_relation``)
-  and a brute-force filter over the relation's tuples
-  (``test_core.TestMatching``) certify it;
+- ``FactBase.matching``, which binds that join step's links, and
+  ``FactBase.by_attr``, the one index it probes, which ``step_image`` also
+  probes for the key equality of each schema-path step, so reduction rests
+  on it too; criterion 6, ``activation_brute`` (against
+  ``activated_relation``) and a brute-force filter over the relation's
+  tuples (``test_core.TestMatching``) certify them, and ``test_core``
+  checks the primary-key probes against ``load_facts_by_rows``'s key map;
+- ``query.QueryGraph``, the one query form, which ``naive_evaluate`` and
+  ``coverage_by_atoms`` read by their own definitions (a selection over the
+  product, the atoms the edges and constraints are), not through the
+  product's renderers or ``select.condition_attrs``;
 - ``Schema.from_doc`` inside ``load_facts_by_rows``, which reads the schema
   document the same way as the product;
 - synLCS, which defines the string part of the query space and has its own
@@ -46,8 +52,7 @@ from cqsearch.core import (FK, PK, FactBase, FactError, RelationPartition, Schem
 from cqsearch.evaluator import (_Compiled, admits_any, evaluate,
                                  refinable_with_witnesses)
 from cqsearch.minijava import KEYWORDS, ParseError, Pos, Token
-from cqsearch.query import (Equality, QueryGraph, StringAtom, canonical_form,
-                            from_graph, multiplicity)
+from cqsearch.query import QueryGraph, canonical_form, multiplicity
 from cqsearch.reduction import DropReason, ReducedRepresentation
 from cqsearch.refine import LevelStats, RefinementEngine, RefinementState
 from cqsearch.schema_graph import (RelationPath, SchemaEdge, activated_relation,
@@ -224,20 +229,13 @@ def load_facts_by_rows(schema_doc, facts_doc):
 
 # --- naive query evaluation -------------------------------------------------
 
-def naive_evaluate(q, facts: FactBase, max_rows: int = 200_000) -> frozenset:
-    """Selection over the materialized Cartesian product, projected on A1."""
+def naive_evaluate(g: QueryGraph, facts: FactBase,
+                   max_rows: int = 200_000) -> frozenset:
+    """Selection over the materialized Cartesian product, projected on node 0."""
     schema = facts.schema
-    if isinstance(q, QueryGraph):
-        nodes = list(q.nodes)
-        eqs = [(fk, attr, pk) for fk, pk, attr in sorted(q.eq_edges)]
-        strs = list(q.str_edges)
-    else:
-        index = {alias: i for i, (alias, _) in enumerate(q.product)}
-        nodes = [rel for _, rel in q.product]
-        eqs = [(index[c.fk_alias], c.fk_attr, index[c.pk_alias])
-               for c in q.conditions if isinstance(c, Equality)]
-        strs = [(index[c.alias], c.attr, c.pred, c.literal)
-                for c in q.conditions if isinstance(c, StringAtom)]
+    nodes = list(g.nodes)
+    eqs = [(fk, attr, pk) for fk, pk, attr in sorted(g.eq_edges)]
+    strs = list(g.str_edges)
     pools = [sorted(facts.tuples(rel)) for rel in nodes]
     size = 1
     for pool in pools:
@@ -317,18 +315,17 @@ def homomorphism(src: QueryGraph, dst: QueryGraph) -> tuple[int, ...] | None:
 def coverage_by_atoms(g: QueryGraph, schema: Schema, ctx) -> Fraction:
     """Coverage by its definition over the conjunctive query's atoms.
 
-    Each equality atom names a foreign key and a primary key, each string atom
-    one string attribute; the words h maps them to are intersected with the
+    Each equality edge is an atom that names a foreign key and the primary
+    key of the node it references, each string constraint an atom on one
+    string attribute; the words h maps them to are intersected with the
     description's entities.
     """
-    q = from_graph(g, schema)
     pairs = set()
-    for atom in q.conditions:
-        if isinstance(atom, Equality):
-            pairs.add((q.relation_of(atom.fk_alias), atom.fk_attr))
-            pairs.add((q.relation_of(atom.pk_alias), atom.pk_attr))
-        else:
-            pairs.add((q.relation_of(atom.alias), atom.attr))
+    for fk, pk, attr in g.eq_edges:
+        pairs.add((g.nodes[fk], attr))
+        pairs.update((g.nodes[pk], a.name) for a in schema[g.nodes[pk]] if a.kind == PK)
+    for node, attr, _, _ in g.str_edges:
+        pairs.add((g.nodes[node], attr))
     covered = set()
     for pair in pairs:
         covered |= ctx.h.get(pair, frozenset()) & ctx.entities

@@ -15,7 +15,7 @@ from cqsearch.core import (FK, PK, AttributeDecl, FactBase, Relation, Schema,
                            make_partition)
 from cqsearch.evaluator import evaluate, is_refinable, refinable_with_witnesses
 from cqsearch.extract import extract
-from cqsearch.query import canonical_form, to_graph
+from cqsearch.query import canonical_form
 from cqsearch.reduction import reduce
 from cqsearch.schema_graph import (Cycle, PathStep, RelationPath, SchemaEdge,
                                    activated_relation, acyclic_paths,
@@ -46,9 +46,9 @@ def test_criterion_1_motivating_example():
     result = synthesize(facts.schema, facts, part, ctx, k_bound=2)
     elapsed = time.monotonic() - started
 
-    want = canonical_form(to_graph(
+    want = canonical_form(
         __import__("cqsearch.datalog", fromlist=["parse_datalog"]).parse_datalog(
-            (task_dir / "golden.dl").read_text(), facts.schema), facts.schema))
+            (task_dir / "golden.dl").read_text(), facts.schema))
     got = {canonical_form(s.graph) for s in result.selected}
     ok = (got == {want} and result.alpha_max == 1 and result.beta_min == 9
           and result.terminated_early and elapsed < 5.0)
@@ -82,7 +82,7 @@ def test_criterion_3_soundness_suite():
                             max_relations=5)
         for sel in result.selected:
             returned += 1
-            if evaluate(sel.query, facts) != part.positives:
+            if evaluate(sel.graph, facts) != part.positives:
                 violations += 1
     report("criterion 3 (soundness, 500 instances)", violations == 0,
            f"{returned} selected queries checked, {violations} violations")

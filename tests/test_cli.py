@@ -112,6 +112,27 @@ class TestReduceCommand:
         assert code == 0
         assert "keep Parameter" in stdout.splitlines()
 
+    # A source that does not parse: each flag error must come before it is read.
+    BAD_SOURCE = "class B {\n  int 5x;\n}"
+
+    def test_missing_target_is_named_before_the_source_is_read(self, capsys, tmp_path):
+        bad = tmp_path / "bad.java"
+        bad.write_text(self.BAD_SOURCE, encoding="utf-8")
+        code, stdout, err = run(capsys, "reduce", "--source", str(bad))
+        assert (code, stdout) == (1, "")
+        assert err == "error: --target is required with --source\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--schema", "x.json"), ("--facts", "x.json"), ("--partition", "x.json"),
+        ("--positive", "M1")])
+    def test_flag_the_source_ignores_is_an_error(self, capsys, tmp_path, flag, value):
+        bad = tmp_path / "bad.java"
+        bad.write_text(self.BAD_SOURCE, encoding="utf-8")
+        code, stdout, err = run(capsys, "reduce", "--source", str(bad),
+                                "--target", "Method", flag, value)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {flag} cannot be used with --source\n"
+
 
 class TestSynthesizeCommand:
     def test_motivating_report(self, capsys, motivating_dir, tmp_path):
@@ -133,6 +154,22 @@ class TestSynthesizeCommand:
         assert report["queries"][0]["graph_size"] == {
             "relations": 4, "eq_constraints": 3, "str_constraints": 2}
         assert report["queries"][0]["k"] == 2
+
+    @pytest.mark.parametrize("task", sorted(CORPUS.glob("*/task.json")),
+                             ids=lambda path: path.parent.name)
+    def test_emitted_queries_are_pinned(self, capsys, task):
+        # The --emit ra and --emit datalog text of every corpus selection,
+        # recorded in tests/emitted_queries.json.
+        doc = json.loads(task.read_text(encoding="utf-8"))
+        want = json.loads((REPO / "tests" / "emitted_queries.json")
+                          .read_text(encoding="utf-8"))[doc["name"]]
+        for mode in ("ra", "datalog"):
+            code, stdout, _ = run(
+                capsys, "synthesize",
+                "--source", *(str(task.parent / name) for name in doc["source"]),
+                "--target", doc["target"], "--description", doc["description"],
+                "--hmap", str(CORPUS / "hmap.json"), "--emit", mode)
+            assert (code, stdout.splitlines()) == (0, want[mode]), mode
 
     def test_trace_prints_level_counts(self, capsys):
         task = CORPUS / "t08_method_motivating"

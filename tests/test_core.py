@@ -478,8 +478,8 @@ class TestLoaderAgainstRowOracle:
             for name in tuples:
                 assert facts.tuples(name) == tuples[name]
                 for key, t in pk[name].items():
-                    assert facts.pk_lookup(name, key) == t
-                assert facts.pk_lookup(name, "zz-missing") is None
+                    assert facts.by_attr(name, 0, key) == (t,)
+                assert facts.by_attr(name, 0, "zz-missing") == ()
         return got
 
     @pytest.mark.parametrize("fault", FAULTS)
@@ -611,8 +611,8 @@ class TestLoadProperties:
         for name in schema:
             assert got.tuples(name) == want.tuples(name)
             for t in want.tuples(name):
-                assert got.pk_lookup(name, t[0]) == t
-            assert got.pk_lookup(name, "zz-missing") is None
+                assert got.by_attr(name, 0, t[0]) == (t,)
+            assert got.by_attr(name, 0, "zz-missing") == ()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_valid_documents())

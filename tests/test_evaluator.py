@@ -13,29 +13,24 @@ from cqsearch.evaluator import (EvalError, _by_semijoins, _Compiled, _per_head,
                                 collect_witnesses, evaluate, is_candidate,
                                 is_refinable, refinable_with_witnesses)
 from cqsearch.extract import build_facts, extract
-from cqsearch.query import (ConjunctiveQuery, Equality, GraphError, QueryGraph,
-                            StringAtom, from_graph, to_graph)
-from conftest import CORPUS, fig1c_graph, fig1c_query
+from cqsearch.query import GraphError, QueryGraph, from_graph, to_graph
+from conftest import CORPUS, FIG1C_RULE, fig1c_graph
 import gen
 from oracles import naive_evaluate
 
 
 def refinable_3rel_query():
     """Return type CacheConfig, some parameter: keeps M1 and the negative M2."""
-    return ConjunctiveQuery(
-        (("A1", "Method"), ("A2", "Type"), ("A3", "Parameter")),
-        (Equality("A3", "method_id", "A1", "id"),
-         Equality("A1", "ret_type_id", "A2", "id"),
-         StringAtom("A2", "name", "equal", "CacheConfig")))
+    return QueryGraph(("Method", "Type", "Parameter"),
+                      frozenset({(2, 0, "method_id"), (0, 1, "ret_type_id")}),
+                      ((1, "name", "equal", "CacheConfig"),))
 
 
 def same_type_query():
     """Parameter type forced equal to the return type: excludes M1."""
-    return ConjunctiveQuery(
-        (("A1", "Method"), ("A2", "Type"), ("A3", "Parameter")),
-        (Equality("A3", "method_id", "A1", "id"),
-         Equality("A1", "ret_type_id", "A2", "id"),
-         Equality("A3", "type_id", "A2", "id")))
+    return QueryGraph(("Method", "Type", "Parameter"),
+                      frozenset({(2, 0, "method_id"), (0, 1, "ret_type_id"),
+                                 (2, 1, "type_id")}), ())
 
 
 class TestEvaluate:
@@ -44,29 +39,29 @@ class TestEvaluate:
             ("M1", "I1", "T3", "MDF1"), ("M2", "I2", "T3", "MDF1")}
 
     def test_trivial_single_node(self, facts):
-        q = ConjunctiveQuery((("A1", "Method"),), ())
+        q = QueryGraph(("Method",), frozenset(), ())
         assert evaluate(q, facts) == facts.tuples("Method")
 
     def test_motivating_query_selects_only_foo(self, facts):
-        result = evaluate(fig1c_query(), facts)
+        result = evaluate(fig1c_graph(), facts)
         assert result == {("M1", "I1", "T3", "MDF1")}
-        assert result == naive_evaluate(fig1c_query(), facts)
+        assert result == naive_evaluate(fig1c_graph(), facts)
 
     def test_graph_and_query_forms_agree(self, facts):
-        assert evaluate(fig1c_graph(), facts) == evaluate(fig1c_query(), facts)
+        q = parse_datalog(FIG1C_RULE, facts.schema)
+        assert evaluate(fig1c_graph(), facts) == evaluate(q, facts)
 
     def test_disconnected_alias_acts_existentially(self, facts):
-        q = ConjunctiveQuery((("A1", "Method"), ("A2", "Identifier")),
-                             (StringAtom("A2", "name", "equal", "foo"),))
+        q = QueryGraph(("Method", "Identifier"), frozenset(),
+                       ((1, "name", "equal", "foo"),))
         # some identifier is "foo", so every method qualifies
         assert evaluate(q, facts) == facts.tuples("Method")
-        q2 = ConjunctiveQuery((("A1", "Method"), ("A2", "Identifier")),
-                              (StringAtom("A2", "name", "equal", "nope"),))
+        q2 = QueryGraph(("Method", "Identifier"), frozenset(),
+                        ((1, "name", "equal", "nope"),))
         assert evaluate(q2, facts) == frozenset()
 
     def test_unknown_attribute_raises(self, facts):
-        q = ConjunctiveQuery((("A1", "Method"),),
-                             (StringAtom("A1", "ghost", "equal", "x"),))
+        q = QueryGraph(("Method",), frozenset(), ((0, "ghost", "equal", "x"),))
         with pytest.raises(EvalError):
             evaluate(q, facts)
 
@@ -105,31 +100,24 @@ ILLEGAL_GRAPHS = {
         ("Type",), frozenset(), ((-1, "name", "equal", "int"),)),
 }
 
-# Queries whose aliases do not number the nodes of a graph.
-ILLEGAL_QUERIES = {
-    "duplicate-alias": ConjunctiveQuery((("A1", "Method"), ("A1", "Type")), ()),
-    "unknown-alias": ConjunctiveQuery(
-        (("A1", "Method"),), (Equality("A1", "ret_type_id", "A2", "id"),)),
-}
-
 
 class TestIllegalGraphs:
     """Every entry point checks a graph against the schema the same way."""
 
-    @pytest.mark.parametrize("name", [*ILLEGAL_GRAPHS, *ILLEGAL_QUERIES])
+    @pytest.mark.parametrize("name", ILLEGAL_GRAPHS)
     def test_evaluate_raises(self, facts, name):
         with pytest.raises(EvalError):
-            evaluate({**ILLEGAL_GRAPHS, **ILLEGAL_QUERIES}[name], facts)
+            evaluate(ILLEGAL_GRAPHS[name], facts)
 
     @pytest.mark.parametrize("name", ILLEGAL_GRAPHS)
     def test_from_graph_raises(self, schema, name):
         with pytest.raises(GraphError):
             from_graph(ILLEGAL_GRAPHS[name], schema)
 
-    @pytest.mark.parametrize("name", ILLEGAL_QUERIES)
+    @pytest.mark.parametrize("name", ILLEGAL_GRAPHS)
     def test_to_graph_raises(self, schema, name):
         with pytest.raises(GraphError):
-            to_graph(ILLEGAL_QUERIES[name], schema)
+            to_graph(ILLEGAL_GRAPHS[name], schema)
 
 
 class TestJoinOrder:
@@ -267,7 +255,7 @@ class TestRefinableAndCandidate:
         assert not is_candidate(q, facts, partition)
 
     def test_motivating_query_is_candidate(self, facts, partition):
-        assert is_candidate(fig1c_query(), facts, partition)
+        assert is_candidate(fig1c_graph(), facts, partition)
 
     def test_same_type_join_excludes_the_positive(self, facts, partition):
         assert not is_refinable(same_type_query(), facts, partition)

@@ -4,11 +4,11 @@ from collections import Counter
 import pytest
 
 from cqsearch.core import pred_holds
+from cqsearch.datalog import parse_datalog, render_datalog
 from cqsearch.extract import extraction_schema
-from cqsearch.query import (ConjunctiveQuery, Equality, GraphError, QueryGraph,
-                            StringAtom, canonical_form, check_graph, from_graph,
-                            max_multiplicity, multiplicity, render_ra, to_graph)
-from conftest import fig1c_graph, fig1c_query
+from cqsearch.query import (GraphError, QueryGraph, canonical_form, check_graph,
+                            max_multiplicity, merged, multiplicity, render_ra)
+from conftest import FIG1C_RULE, fig1c_graph
 import gen
 from oracles import canonical_form_by_search
 
@@ -28,44 +28,37 @@ def relabelled(g: QueryGraph, rng: random.Random) -> QueryGraph:
 
 class TestKappa:
     def test_motivating_query_to_graph(self, schema):
-        g = to_graph(fig1c_query(), schema)
+        g = parse_datalog(FIG1C_RULE, schema)
         assert g.size() == (4, 3, 2)
         assert (2, 0, "method_id") in g.eq_edges
         assert (1, "name", "equal", "CacheConfig") in g.str_edges
 
     def test_round_trip_is_identity_up_to_renaming(self, schema):
         g = fig1c_graph()
-        q = from_graph(g, schema)
-        g2 = to_graph(q, schema)
+        g2 = parse_datalog(render_datalog(g, schema), schema)
         assert canonical_form(g) == canonical_form(g2)
 
     def test_single_node_graph(self, schema):
         g = QueryGraph(("Method",), frozenset(), ())
-        q = from_graph(g, schema)
-        assert q.product == (("A1", "Method"),)
-        assert q.conditions == ()
-        assert render_ra(q) == "Π_(A1.*)(σ_true(ρ_A1(Method)))"
+        assert parse_datalog(render_datalog(g, schema), schema) == g
+        assert render_ra(g, schema) == "Π_(A1.*)(σ_true(ρ_A1(Method)))"
 
     def test_random_round_trips(self, schema):
         rng = random.Random(5)
         for _ in range(100):
             g = gen.random_query_graph(rng, schema)
-            q = from_graph(g, schema)
-            assert canonical_form(to_graph(q, schema)) == canonical_form(g)
+            back = parse_datalog(render_datalog(g, schema), schema)
+            assert canonical_form(merged(back)) == canonical_form(merged(g))
 
     def test_illegal_edge_rejected(self, schema):
-        q = ConjunctiveQuery(
-            (("A1", "Method"), ("A2", "Modifier")),
-            (Equality("A1", "ret_type_id", "A2", "id"),))
+        g = QueryGraph(("Method", "Modifier"), frozenset({(0, 1, "ret_type_id")}), ())
         with pytest.raises(GraphError):
-            to_graph(q, schema)
+            check_graph(g, schema)
 
     def test_string_constraint_needs_string_attr(self, schema):
-        q = ConjunctiveQuery(
-            (("A1", "Method"),),
-            (StringAtom("A1", "idf_id", "equal", "x"),))
+        g = QueryGraph(("Method",), frozenset(), ((0, "idf_id", "equal", "x"),))
         with pytest.raises(GraphError):
-            to_graph(q, schema)
+            check_graph(g, schema)
 
 
 class TestMultiplicity:
@@ -163,10 +156,19 @@ class TestPredicates:
 
 
 class TestRendering:
-    def test_motivating_ra_text(self):
-        text = render_ra(fig1c_query())
+    def test_motivating_ra_text(self, schema):
+        text = render_ra(fig1c_graph(), schema)
         assert text == (
             'Π_(A1.*)(σ_Θ(ρ_A1(Method) × ρ_A2(Type) × ρ_A3(Parameter) × ρ_A4(Type))) '
-            'where Θ := (A3.method_id = A1.id) ∧ (A1.ret_type_id = A2.id) '
-            '∧ (A3.type_id = A4.id) ∧ equal(A2.name, "CacheConfig") '
+            'where Θ := (A1.ret_type_id = A2.id) ∧ equal(A2.name, "CacheConfig") '
+            '∧ (A3.method_id = A1.id) ∧ (A3.type_id = A4.id) '
             '∧ equal(A4.name, "Log4jUtils")')
+
+    def test_ra_atoms_interleave_by_node(self, schema):
+        # A string constraint on node 0 comes before an equality from node
+        # 1: the atoms are sorted together, not equalities first.
+        g = QueryGraph(("Type", "Method"), frozenset({(1, 0, "ret_type_id")}),
+                       ((0, "name", "equal", "int"),))
+        assert render_ra(g, schema) == (
+            'Π_(A1.*)(σ_Θ(ρ_A1(Type) × ρ_A2(Method))) '
+            'where Θ := equal(A1.name, "int") ∧ (A2.ret_type_id = A1.id)')

@@ -7,8 +7,8 @@ from cqsearch import minijava, refine
 from cqsearch.evaluator import (_Compiled, is_candidate, is_refinable,
                                  refinable_with_witnesses)
 from cqsearch.extract import extract
-from cqsearch.query import (QueryGraph, canonical_form, from_graph,
-                            max_multiplicity, to_graph)
+from cqsearch.datalog import parse_datalog, render_datalog
+from cqsearch.query import QueryGraph, canonical_form, max_multiplicity, merged
 from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.schema_graph import build_schema_graph
 from cqsearch.select import make_context, synthesize
@@ -210,13 +210,15 @@ PINNED_LEVELS = {
 
 
 def test_kept_graphs_round_trip_exactly_on_corpus(corpus_runs):
-    # Naming node i A{i+1} and numbering the aliases back gives the very
-    # graph refinement kept: same node order, edges and constraints.
+    # Rendering each graph refinement kept as a Datalog rule and parsing it
+    # back gives the same query: parsing may span a variable class by other
+    # equalities, so the two are compared once merged.
     kept = 0
     for name, facts, _, result in corpus_runs:
         for refinable, _ in result.state.table.values():
             for g in refinable:
-                assert to_graph(from_graph(g, facts.schema), facts.schema) == g, (name, g)
+                back = parse_datalog(render_datalog(g, facts.schema), facts.schema)
+                assert canonical_form(merged(back)) == canonical_form(merged(g)), (name, g)
                 kept += 1
     assert kept == sum(refinable for _, levels in PINNED_LEVELS.values()
                        for _, _, _, refinable, _ in levels)

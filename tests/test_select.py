@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from cqsearch.core import FactBase, Relation, make_partition
 from cqsearch.evaluator import evaluate
-from cqsearch.query import (ConjunctiveQuery, Equality, StringAtom,
-                            canonical_form, to_graph)
+from cqsearch.query import QueryGraph, canonical_form
 from cqsearch.select import (ContextError, EntityContext, compare, coverage,
                              coverage_upper_bound, extract_entities,
                              load_hmap, make_context, synthesize)
-from conftest import (MOTIVATING_DESCRIPTION, fig1c_graph, fig1c_query,
-                      fig1_schema)
+from conftest import MOTIVATING_DESCRIPTION, fig1c_graph, fig1_schema
 import gen
 from oracles import coverage_by_atoms
 from test_core import _json_values
@@ -20,16 +18,10 @@ from test_core import _json_values
 SCHEMA = fig1_schema()
 
 
-def graph(q):
-    return to_graph(q, SCHEMA)
-
-
 def foo_query():
     """Method joined to its identifier, name pinned to "foo"."""
-    return ConjunctiveQuery(
-        (("A1", "Method"), ("A2", "Identifier")),
-        (Equality("A1", "idf_id", "A2", "id"),
-         StringAtom("A2", "name", "equal", "foo")))
+    return QueryGraph(("Method", "Identifier"), frozenset({(0, 1, "idf_id")}),
+                      ((1, "name", "equal", "foo"),))
 
 
 class TestExtractEntities:
@@ -77,52 +69,48 @@ class TestContextProperties:
 
 class TestCoverage:
     def test_motivating_query_covers_everything(self, context):
-        assert coverage(graph(fig1c_query()), SCHEMA, context) == 1
+        assert coverage(fig1c_graph(), SCHEMA, context) == 1
 
     def test_foo_query_covers_one_quarter(self, context):
-        assert coverage(graph(foo_query()), SCHEMA, context) == Fraction(1, 4)
+        assert coverage(foo_query(), SCHEMA, context) == Fraction(1, 4)
 
     def test_empty_condition_covers_nothing(self, context):
-        q = ConjunctiveQuery((("A1", "Method"),), ())
-        assert coverage(graph(q), SCHEMA, context) == 0
+        q = QueryGraph(("Method",), frozenset(), ())
+        assert coverage(q, SCHEMA, context) == 0
 
     def test_requires_entities(self, hmap_doc):
         dictionary, h = load_hmap(hmap_doc)
         ctx = EntityContext(dictionary, h, frozenset())
         with pytest.raises(ContextError):
-            coverage(graph(fig1c_query()), SCHEMA, ctx)
+            coverage(fig1c_graph(), SCHEMA, ctx)
 
 
 class TestComplexity:
     def test_motivating_query_is_nine(self):
-        assert graph(fig1c_query()).complexity() == 9
+        assert fig1c_graph().complexity() == 9
 
     def test_four_relations_six_atoms_is_ten(self):
-        q = ConjunctiveQuery(
-            fig1c_query().product,
-            fig1c_query().conditions + (StringAtom("A2", "name", "contain", "C"),))
-        assert graph(q).complexity() == 10
+        q = fig1c_graph().with_constraint(1, "name", "contain", "C")
+        assert q.complexity() == 10
 
     def test_bare_query_is_one(self):
-        assert graph(ConjunctiveQuery((("A1", "Method"),), ())).complexity() == 1
+        assert QueryGraph(("Method",), frozenset(), ()).complexity() == 1
 
 
 class TestCompare:
     def test_coverage_dominates(self, context):
-        target, foo = graph(fig1c_query()), graph(foo_query())
+        target, foo = fig1c_graph(), foo_query()
         assert compare(target, foo, SCHEMA, context) == 1
         assert compare(foo, target, SCHEMA, context) == -1
 
     def test_complexity_breaks_ties(self, context):
-        heavier = graph(ConjunctiveQuery(
-            fig1c_query().product,
-            fig1c_query().conditions + (StringAtom("A4", "name", "contain", "L"),)))
-        target = graph(fig1c_query())
+        heavier = fig1c_graph().with_constraint(3, "name", "contain", "L")
+        target = fig1c_graph()
         assert coverage(heavier, SCHEMA, context) == coverage(target, SCHEMA, context)
         assert compare(target, heavier, SCHEMA, context) == 1
 
     def test_reflexive_tie(self, context):
-        assert compare(graph(fig1c_query()), graph(fig1c_query()), SCHEMA,
+        assert compare(fig1c_graph(), fig1c_graph(), SCHEMA,
                        context) == 0
 
     def test_total_preorder_on_random_queries(self, facts, context):
@@ -205,7 +193,7 @@ class TestSynthesize:
         result = synthesize(schema, facts, part, ctx, k_bound=2)
         assert len(result.selected) == 1
         sel = result.selected[0]
-        assert evaluate(sel.query, facts) == part.positives
+        assert evaluate(sel.graph, facts) == part.positives
         assert sel.graph.size() == (2, 1, 1)
         assert sel.alpha == 1  # "method" is covered through the join
 
@@ -217,4 +205,4 @@ class TestSynthesize:
     def test_selected_queries_are_exact(self, schema, facts, partition, context):
         result = synthesize(schema, facts, partition, context, k_bound=2)
         for sel in result.selected:
-            assert evaluate(sel.query, facts) == partition.positives
+            assert evaluate(sel.graph, facts) == partition.positives
