@@ -10,8 +10,8 @@ structural complexity.
 
 from .core import (AttributeDecl, DomainError, FactBase, FactError,
                    InputError, PartitionError, PositionsError, Relation,
-                   RelationPartition, Schema, SchemaError, Tuple, load_facts,
-                   load_positions, make_partition)
+                   RelationPartition, Schema, SchemaError, Trace, Tuple,
+                   load_facts, load_positions, make_partition)
 from .datalog import DatalogError, parse_datalog, render_datalog
 from .evaluator import (EvalError, collect_witnesses, evaluate, is_candidate,
                         is_refinable)

@@ -8,13 +8,12 @@ query set by the canonical form of each query's merged graph, never by text.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import minijava
-from .core import DomainError, read_input
+from .core import DomainError, Trace, read_input
 from .datalog import parse_datalog, render_datalog
 from .extract import extract
 from .query import canonical_form, max_multiplicity, merged
@@ -63,18 +62,19 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
     """One task's row; a task that cannot run is a failed row with its error."""
     task_dir = Path(task_dir)
     name, category = task_dir.name, "?"
-    started = time.monotonic()
+    trace = Trace()
     try:
-        doc = read_input(task_dir / "task.json", _task_doc)
-        name = doc.get("name", name)
-        category = doc.get("category", category)
-        prog = minijava.parse_files([task_dir / s for s in doc["source"]])
-        facts, part, _ = extract(prog, doc["target"])
-        schema = facts.schema
-        ctx = read_input(hmap_path, lambda text: make_context(json.loads(text), doc["description"]))
-        result = synthesize(schema, facts, part, ctx, k_bound=k_bound,
-                            early_stop=early_stop, use_reduction=use_reduction)
-        elapsed = time.monotonic() - started
+        with trace.span("inputs"):
+            doc = read_input(task_dir / "task.json", _task_doc)
+            name = doc.get("name", name)
+            category = doc.get("category", category)
+            prog = minijava.parse_files([task_dir / s for s in doc["source"]])
+            facts, part, _ = extract(prog, doc["target"])
+            schema = facts.schema
+            ctx = read_input(hmap_path,
+                             lambda text: make_context(json.loads(text), doc["description"]))
+        result = synthesize(schema, facts, part, ctx, k_bound=k_bound, early_stop=early_stop,
+                            use_reduction=use_reduction, trace=trace)
 
         golden = [read_input(task_dir / f, lambda text: parse_datalog(text, schema))
                   for f in doc.get("golden", [])]
@@ -91,14 +91,14 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
         graph = build_schema_graph(schema)
         return TaskResult(
             name, category, passed, gq, k,
-            reduced_subgraph_size(graph, result.reduced.kept), elapsed,
+            reduced_subgraph_size(graph, result.reduced.kept), trace.wall_s,
             selected=[render_datalog(s.graph, schema) for s in result.selected],
             golden=[render_datalog(g, schema) for g in golden],
             explored=result.state.generated_total(),
             terminated_early=result.terminated_early)
     except Exception as exc:  # a broken task must not abort the run
         return TaskResult(name, category, False, None, None, (0, 0),
-                          time.monotonic() - started, error=f"{type(exc).__name__}: {exc}")
+                          trace.wall_s, error=f"{type(exc).__name__}: {exc}")
 
 
 def discover_tasks(corpus: Path) -> list[Path]:

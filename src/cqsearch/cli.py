@@ -9,17 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
 from . import minijava
-from .core import (DomainError, Schema, collector_paused, decoding, load_facts,
+from .core import (DomainError, Schema, Trace, collector_paused, decoding, load_facts,
                    load_positions, make_partition, partition_from_doc, read_input)
 from .datalog import parse_datalog, render_datalog
 from .evaluator import evaluate
 from .extract import extract, extraction_schema, facts_to_doc, positions_to_doc
-from .query import max_multiplicity, render_ra
+from .query import escaped, max_multiplicity, render_ra
 from .reduction import reduce
 from .schema_graph import build_schema_graph
 from .select import make_context, synthesize
@@ -50,13 +50,17 @@ def _load_inputs(args):
         return facts.schema, facts, part
     if not (args.schema and args.facts):
         raise CliError("need either --source or --schema/--facts")
+    if args.partition:
+        for flag in ("target", "positive"):
+            if getattr(args, flag):
+                raise CliError(f"--{flag} cannot be used with --partition")
+    elif not (args.target and args.positive):
+        raise CliError("a partition is required (--partition or --target/--positive)")
     schema, facts = _load_facts(args.schema, args.facts)
     if args.partition:
         part = read_input(args.partition, lambda text: partition_from_doc(json.loads(text), facts))
-    elif args.target and args.positive:
-        part = make_partition(args.target, args.positive, facts)
     else:
-        raise CliError("a partition is required (--partition or --target/--positive)")
+        part = make_partition(args.target, args.positive, facts)
     return schema, facts, part
 
 
@@ -67,7 +71,8 @@ def _query_graph_dot(graph) -> str:
     for fk, pk, attr in sorted(graph.eq_edges):
         lines.append(f'  "A{fk + 1}" -> "A{pk + 1}" [label="{attr}"];')
     for i, (node, attr, pred, literal) in enumerate(graph.str_edges):
-        lines.append(f'  "str{i}" [label="({pred}, \\"{literal}\\")", shape=ellipse];')
+        label = escaped(f'({pred}, "{escaped(literal)}")')
+        lines.append(f'  "str{i}" [label="{label}", shape=ellipse];')
         lines.append(f'  "A{node + 1}" -> "str{i}" [label="{attr}"];')
     lines.append("}")
     return "\n".join(lines)
@@ -112,24 +117,24 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    schema, facts, part = _load_inputs(args)
-    if args.description_file:
-        description = read_input(args.description_file).strip()
-    elif args.description:
-        description = args.description
-    else:
-        raise CliError("a description is required (--description or --description-file)")
-    ctx = read_input(args.hmap, lambda text: make_context(json.loads(text), description))
-    started = time.monotonic()
+    trace = Trace()
+    with trace.span("inputs"):
+        schema, facts, part = _load_inputs(args)
+        if args.description_file:
+            description = read_input(args.description_file).strip()
+        elif args.description:
+            description = args.description
+        else:
+            raise CliError("a description is required (--description or --description-file)")
+        ctx = read_input(args.hmap, lambda text: make_context(json.loads(text), description))
     result = synthesize(schema, facts, part, ctx, k_bound=args.k_bound,
                         early_stop=not args.no_early_stop,
                         use_reduction=not args.no_reduction,
                         max_relations=args.max_m,
-                        max_cycle_len=args.max_cycle_len)
-    elapsed = time.monotonic() - started
-    report = _report(result, schema, elapsed)
+                        max_cycle_len=args.max_cycle_len, trace=trace)
+    report = _report(result, schema)
     if args.trace:
-        for s in result.state.stats:
+        for s in trace.levels:
             print(f"trace ({s.m},{s.k}): |W|={s.worklist} generated={s.generated} "
                   f"|S_R|={s.refinable} |S_C|={s.candidates}", file=sys.stderr)
     _emit(args, result, report)
@@ -139,7 +144,7 @@ def cmd_synthesize(args) -> int:
     return 0 if result.selected else 2
 
 
-def _report(result, schema, elapsed: float) -> dict:
+def _report(result, schema) -> dict:
     queries = []
     for sel in result.selected:
         rels, eq, strs = sel.graph.size()
@@ -163,7 +168,9 @@ def _report(result, schema, elapsed: float) -> dict:
                     "dropped": [[name, reason.value]
                                 for name, reason in sorted(result.reduced.dropped)]},
         "explored_graphs": result.state.generated_total(),
-        "wall_time_s": round(elapsed, 4),
+        "wall_time_s": round(result.trace.wall_s, 4),
+        "trace": {key: value for key, value in asdict(result.trace).items()
+                  if key != "started"},
     }
 
 

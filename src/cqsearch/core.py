@@ -26,12 +26,14 @@ from __future__ import annotations
 import gc
 import json
 import re
+import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 PK = "pk"
@@ -101,11 +103,17 @@ def decoding(path):
             raise
 
 
+# A JSON string, bracket or number; a number's groups are its integer digits,
+# its fraction and its exponent.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]'
+                         r'|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', re.S)
+
+
 def read_input(path, decode=None):
     """``decode`` of the text, LF line ends as in text mode, of the UTF-8 file
     ``path``, or the text; ``decode`` runs inside ``decoding(path)``. Bytes
-    that are not UTF-8, JSON syntax errors and nesting too deep to decode are
-    an ``InputError``."""
+    that are not UTF-8, JSON syntax errors, nesting too deep to decode and
+    integers too long to convert are an ``InputError``."""
     data, fault = Path(path).read_bytes(), None
     try:
         text, data = data.decode("utf-8"), None  # the bytes are not held while decoding
@@ -120,9 +128,15 @@ def read_input(path, decode=None):
             return (decode or str)(text)
     except json.JSONDecodeError as exc:
         raise InputError(path, text, exc.pos, exc.msg) from None
+    except ValueError as exc:  # an integer literal with more digits than int() converts
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        at = next(m.start() for m in _JSON_TOKEN.finditer(text)
+                  if m[1] and not (m[2] or m[3]) and len(m[1]) > limit)
+        raise InputError(path, text, at, f"integer of more than {limit} digits") from None
     except RecursionError:  # at the first bracket of the deepest level, not in a string
-        brackets = [m for m in re.finditer(r'"(?:[^"\\]|\\.)*"|[][{}]', text, re.S)
-                    if m[0] in "[]{}"]
+        brackets = [m for m in _JSON_TOKEN.finditer(text) if m[0] in "[]{}"]
         depths = list(accumulate(1 if m[0] in "[{" else -1 for m in brackets))
         deepest = max(depths)
         raise InputError(path, text, brackets[depths.index(deepest)].start(),
@@ -557,3 +571,45 @@ def partition_from_doc(doc: dict, facts: FactBase) -> RelationPartition:
         raise PartitionError("partition 'target' must be a relation name and "
                              "'positive' a list of primary keys")
     return make_partition(target, positive, facts)
+
+
+@dataclass
+class Level:
+    """A refined level's counts: of the graphs ``generated``, ``rederived`` recurred
+    within the level and ``dedup_hits`` were isomorphic to one seen before."""
+    m: int
+    k: int
+    worklist: int = 0
+    generated: int = 0
+    rederived: int = 0
+    dedup_hits: int = 0
+    refinable: int = 0
+    candidates: int = 0
+    seconds: float = field(default=0.0, compare=False)
+
+
+@dataclass
+class Trace:
+    """The record of one synthesis run: seconds per stage (``inputs``, ``reduce``,
+    ``refine``, ``select``), a ``Level`` per refined level, the synLCS memo's calls
+    and misses, and ``wall_s`` from the trace's making to the close of its last span."""
+    spans: dict[str, float] = field(default_factory=dict)
+    levels: list[Level] = field(default_factory=list)
+    syn_lcs_calls: int = 0
+    syn_lcs_misses: int = 0
+    wall_s: float = 0.0
+    started: float = field(default_factory=perf_counter)
+
+    @contextmanager
+    def span(self, name: str, level: Level | None = None):
+        """Add the seconds inside to stage ``name`` and give them to ``level``: the
+        clock is read as a span opens and closes, never per graph."""
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            end = perf_counter()
+            self.spans[name] = self.spans.get(name, 0.0) + end - start
+            self.wall_s = end - self.started
+            if level is not None:
+                level.seconds = end - start

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .core import FK, STR, DomainError, Schema, line_col
-from .query import GraphError, PREDICATES, QueryGraph, check_graph
+from .query import GraphError, PREDICATES, QueryGraph, check_graph, escaped
 
 
 class DatalogError(DomainError):
@@ -47,8 +47,7 @@ def render_datalog(g: QueryGraph, schema: Schema) -> str:
         body.append(f"{rel}({', '.join(args)})")
     for node, attr, pred, literal in g.str_edges:
         var = names[find((node, schema.attr_pos(g.nodes[node], attr)))]
-        literal = literal.replace("\\", "\\\\").replace('"', '\\"')
-        body.append(f'str_{pred}({var}, "{literal}")')
+        body.append(f'str_{pred}({var}, "{escaped(literal)}")')
     head_args = [names[find((0, pos))] for pos in range(len(schema[g.nodes[0]]))]
     return f"out({', '.join(head_args)}) :- {', '.join(body)}."
 

@@ -245,6 +245,11 @@ def merged(g: QueryGraph) -> QueryGraph:
 
 # --- relational-algebra rendering -----------------------------------------
 
+def escaped(literal: str) -> str:
+    """``literal`` with ``\\`` and ``"`` escaped by a backslash, to be put between double quotes."""
+    return literal.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def render_ra(g: QueryGraph, schema: Schema) -> str:
     """``g`` as relational algebra, node i named ``A{i+1}``. The atoms are
     sorted together by ``(fk node, attribute, pk node, 0)`` for an equality
@@ -256,7 +261,7 @@ def render_ra(g: QueryGraph, schema: Schema) -> str:
     atoms = [((fk, attr, pk, 0),
               f"(A{fk + 1}.{attr} = A{pk + 1}.{schema.pk_attr(g.nodes[pk]).name})")
              for fk, pk, attr in g.eq_edges]
-    atoms += [((node, attr, 0, 1), f'{pred}(A{node + 1}.{attr}, "{literal}")')
+    atoms += [((node, attr, 0, 1), f'{pred}(A{node + 1}.{attr}, "{escaped(literal)}")')
               for node, attr, pred, literal in g.str_edges]
     atoms.sort(key=lambda a: a[0])
     theta = " ∧ ".join(text for _, text in atoms)

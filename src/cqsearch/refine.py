@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import FactBase, RelationPartition, Schema, Tuple, pred_holds
+from .core import FactBase, Level, RelationPartition, Schema, Trace, Tuple, pred_holds
 from .query import QueryGraph, canonical_form, join_step, multiplicity
 from .schema_graph import SchemaGraph
 from .strings import syn_lcs
@@ -64,23 +64,13 @@ class Rows(NamedTuple):
 
 
 @dataclass
-class LevelStats:
-    m: int
-    k: int
-    worklist: int = 0
-    generated: int = 0
-    refinable: int = 0
-    candidates: int = 0
-
-
-@dataclass
 class RefinementState:
     table: dict[tuple[int, int], tuple[list[QueryGraph], list[QueryGraph]]] = field(
         default_factory=dict)
     seen: set = field(default_factory=set)
-    stats: list[LevelStats] = field(default_factory=list)
     # Per level, the Rows of each refinable graph, aligned with the table.
     rows: dict[tuple[int, int], list[Rows]] = field(default_factory=dict)
+    trace: Trace = field(default_factory=Trace)
 
     def refinable(self, m: int, k: int) -> list[QueryGraph]:
         return self.table.get((m, k), ([], []))[0]
@@ -89,7 +79,7 @@ class RefinementState:
         return self.table.get((m, k), ([], []))[1]
 
     def generated_total(self) -> int:
-        return sum(s.generated for s in self.stats)
+        return sum(level.generated for level in self.trace.levels)
 
 
 class RefinementEngine:
@@ -152,13 +142,13 @@ class RefinementEngine:
         return tuple([frozenset([a[node][pos] for a in group])
                       for group in rows.positives])
 
-    def constraint(self, witnesses: tuple[frozenset[str], ...]) -> tuple[str, str] | None:
-        """``syn_lcs(witnesses)``, computed once per engine."""
-        try:
-            return self.synthesized[witnesses]
-        except KeyError:
-            got = self.synthesized[witnesses] = syn_lcs(witnesses)
-            return got
+    def constraint(self, witnesses: tuple, trace: Trace) -> tuple[str, str] | None:
+        """``syn_lcs(witnesses)``, computed once per engine; ``trace`` counts calls and misses."""
+        trace.syn_lcs_calls += 1
+        if witnesses not in self.synthesized:
+            trace.syn_lcs_misses += 1
+            self.synthesized[witnesses] = syn_lcs(witnesses)
+        return self.synthesized[witnesses]
 
     def _extended(self, v: QueryGraph, rows: Rows) -> Rows | None:
         """Rows of ``v``, its parent's ``rows`` extended by its last node;
@@ -209,90 +199,93 @@ class RefinementEngine:
         return list(zip(graphs, rows))
 
     def refine(self, state: RefinementState, m: int, k: int) -> None:
-        """Fill table level (m, k) from its predecessor levels."""
-        for level in [level for level in state.rows if level[0] <= m - 2]:
-            del state.rows[level]
-        if m == 1 and k == 1:
-            seeds = [(QueryGraph.empty(), k, self.head_rows)]
-        else:
-            seeds = [(g, k, r) for g, r in self._parents(state, m - 1, k)]
-            if k > 1:
-                seeds += [(g, k - 1, r)
-                          for g, r in self._parents(state, m - 1, k - 1)]
-        stats = LevelStats(m, k, worklist=len(seeds))
-        refinable: list[QueryGraph] = []
-        candidates: list[QueryGraph] = []
-        level_rows: list[Rows] | None = (
-            [] if self.m_cap is None or m < self.m_cap else None)
-        # The refinable graphs of this level. A graph derived again exactly
-        # (its string constraints added in another order, or an augmented
-        # parent expanded) has the same nodes, so it recurs only within the
-        # level, and matching it here spares its canonical form.
-        produced: set[QueryGraph] = set()
+        """Fill table level (m, k) from its predecessor levels, as a level of ``state.trace``."""
+        state.trace.levels.append(level := Level(m, k))
+        with state.trace.span("refine", level):
+            for old in [old for old in state.rows if old[0] <= m - 2]:
+                del state.rows[old]
+            if m == 1 and k == 1:
+                seeds = [(QueryGraph.empty(), k, self.head_rows)]
+            else:
+                seeds = [(g, k, r) for g, r in self._parents(state, m - 1, k)]
+                if k > 1:
+                    seeds += [(g, k - 1, r)
+                              for g, r in self._parents(state, m - 1, k - 1)]
+            level.worklist = len(seeds)
+            refinable: list[QueryGraph] = []
+            candidates: list[QueryGraph] = []
+            level_rows: list[Rows] | None = (
+                [] if self.m_cap is None or m < self.m_cap else None)
+            # The refinable graphs of this level. A graph derived again exactly
+            # (its string constraints added in another order, or an augmented
+            # parent expanded) has the same nodes, so it recurs only within the
+            # level, and matching it here spares its canonical form.
+            produced: set[QueryGraph] = set()
 
-        def is_new(g: QueryGraph) -> bool:
-            """Count ``g`` as generated; is it new to the whole search?"""
-            stats.generated += 1
-            if g in produced:
-                return False
-            canon = canonical_form(g)
-            if canon in state.seen:
-                return False
-            state.seen.add(canon)
-            return True
+            def is_new(g: QueryGraph) -> bool:
+                """Count ``g`` as generated; is it new to the whole search?"""
+                level.generated += 1
+                if g in produced:
+                    level.rederived += 1
+                    return False
+                canon = canonical_form(g)
+                if canon in state.seen:
+                    level.dedup_hits += 1
+                    return False
+                state.seen.add(canon)
+                return True
 
-        def keep(g: QueryGraph, rows: Rows) -> None:
-            # g admits every positive; it is a candidate if no negative.
-            produced.add(g)
-            refinable.append(g)
+            def keep(g: QueryGraph, rows: Rows) -> None:
+                # g admits every positive; it is a candidate if no negative.
+                produced.add(g)
+                refinable.append(g)
+                if level_rows is not None:
+                    level_rows.append(rows)
+                if not rows.negatives:
+                    candidates.append(g)
+
+            for g, source_k, rows in seeds:
+                for rel in self.relations:
+                    mult = multiplicity(g, rel)
+                    if source_k == k:
+                        if mult >= k:
+                            continue
+                    elif mult != k - 1:
+                        continue
+                    for v in self.expand(g, rel):
+                        if not is_new(v):
+                            continue
+                        v_rows = self._extended(v, rows)
+                        if v_rows is None:
+                            continue
+                        keep(v, v_rows)
+                        # String constraints close under iteration within the
+                        # level: an augmented graph re-enters with its remaining
+                        # slots (witnesses read from its filtered rows), so
+                        # graphs can carry several synthesized constraints.
+                        queue = [(v, self._string_slots(v), v_rows)]
+                        while queue:
+                            base, base_slots, base_rows = queue.pop()
+                            for slot in base_slots:
+                                constraint = self.constraint(
+                                    self.witnesses(base, base_rows, slot), state.trace)
+                                if constraint is None:
+                                    continue
+                                pred, literal = constraint
+                                augmented = base.with_constraint(
+                                    slot[0], slot[1], pred, literal)
+                                if not is_new(augmented):
+                                    continue
+                                aug_rows = self._constrained(base, base_rows, slot,
+                                                             pred, literal)
+                                assert all(aug_rows.positives), \
+                                    "string closure preserves refinability"
+                                keep(augmented, aug_rows)
+                                rest = self._string_slots(augmented)
+                                if rest:
+                                    queue.append((augmented, rest, aug_rows))
+            level.refinable = len(refinable)
+            level.candidates = len(candidates)
+            state.table[(m, k)] = (refinable, candidates)
             if level_rows is not None:
-                level_rows.append(rows)
-            if not rows.negatives:
-                candidates.append(g)
-
-        for g, source_k, rows in seeds:
-            for rel in self.relations:
-                mult = multiplicity(g, rel)
-                if source_k == k:
-                    if mult >= k:
-                        continue
-                elif mult != k - 1:
-                    continue
-                for v in self.expand(g, rel):
-                    if not is_new(v):
-                        continue
-                    v_rows = self._extended(v, rows)
-                    if v_rows is None:
-                        continue
-                    keep(v, v_rows)
-                    # String constraints close under iteration within the
-                    # level: an augmented graph re-enters with its remaining
-                    # slots (witnesses read from its filtered rows), so
-                    # graphs can carry several synthesized constraints.
-                    queue = [(v, self._string_slots(v), v_rows)]
-                    while queue:
-                        base, base_slots, base_rows = queue.pop()
-                        for slot in base_slots:
-                            constraint = self.constraint(
-                                self.witnesses(base, base_rows, slot))
-                            if constraint is None:
-                                continue
-                            pred, literal = constraint
-                            augmented = base.with_constraint(
-                                slot[0], slot[1], pred, literal)
-                            if not is_new(augmented):
-                                continue
-                            aug_rows = self._constrained(base, base_rows, slot,
-                                                         pred, literal)
-                            assert all(aug_rows.positives), \
-                                "string closure preserves refinability"
-                            keep(augmented, aug_rows)
-                            rest = self._string_slots(augmented)
-                            if rest:
-                                queue.append((augmented, rest, aug_rows))
-        stats.refinable = len(refinable)
-        stats.candidates = len(candidates)
-        state.table[(m, k)] = (refinable, candidates)
-        if level_rows is not None:
-            state.rows[(m, k)] = level_rows
-        state.stats.append(stats)
+                state.rows[(m, k)] = level_rows

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import FK, DomainError, FactBase, RelationPartition, Schema
+from .core import FK, DomainError, FactBase, RelationPartition, Schema, Trace
 from .query import QueryGraph, canonical_form
 from .reduction import ReducedRepresentation, reduce
 from .refine import RefinementEngine, RefinementState
@@ -144,9 +144,13 @@ class SynthesisResult:
     alpha_max: Fraction | None
     beta_min: int | None
     terminated_early: bool
-    levels_explored: tuple[tuple[int, int], ...]
     reduced: ReducedRepresentation
     state: RefinementState
+    trace: Trace  # the state's
+
+    @property
+    def levels_explored(self) -> tuple[tuple[int, int], ...]:
+        return tuple((level.m, level.k) for level in self.trace.levels)
 
 
 def coverage_upper_bound(schema: Schema, kept: frozenset[str],
@@ -180,16 +184,18 @@ def _frontier_min_beta(state: RefinementState, m: int, k: int,
 def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
                ctx: EntityContext, k_bound: int = 2, *,
                early_stop: bool = True, use_reduction: bool = True,
-               max_relations: int | None = None,
-               max_cycle_len: int = 8) -> SynthesisResult:
+               max_relations: int | None = None, max_cycle_len: int = 8,
+               trace: Trace | None = None) -> SynthesisResult:
     if not ctx.entities:
         raise ContextError("no named entities in the description")
-    graph = build_schema_graph(schema)
-    if use_reduction:
-        reduced = reduce(schema, facts, part, graph=graph,
-                         max_cycle_len=max_cycle_len)
-    else:
-        reduced = ReducedRepresentation(frozenset(schema), frozenset())
+    trace = Trace() if trace is None else trace
+    with trace.span("reduce"):
+        graph = build_schema_graph(schema)
+        if use_reduction:
+            reduced = reduce(schema, facts, part, graph=graph,
+                             max_cycle_len=max_cycle_len)
+        else:
+            reduced = ReducedRepresentation(frozenset(schema), frozenset())
     kept = reduced.kept
     alpha_bound = coverage_upper_bound(schema, kept, ctx)
 
@@ -199,10 +205,9 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
 
     engine = RefinementEngine(schema, graph, facts, part, sorted(kept),
                               m_cap=m_cap)
-    state = RefinementState()
+    state = RefinementState(trace=trace)
     best: tuple[Fraction, int] | None = None  # rank of the selected class
     selected: dict = {}  # canonical form -> graph, for the top-ranked class
-    levels: list[tuple[int, int]] = []
     terminated_early = False
 
     for m in range(1, m_cap + 1):
@@ -213,22 +218,23 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
                 if not state.refinable(m - 1, k) and not state.refinable(m - 1, k - 1):
                     continue
             engine.refine(state, m, k)
-            levels.append((m, k))
-            for g in state.candidates(m, k):
-                key = rank(g, schema, ctx)
-                if best is None or key > best:
-                    best, selected = key, {canonical_form(g): g}
-                elif key == best:
-                    selected.setdefault(canonical_form(g), g)
-            if early_stop and selected and best[0] == alpha_bound:
-                frontier = _frontier_min_beta(state, m, k, k_bound)
-                if frontier is None or -best[1] <= frontier:
-                    terminated_early = True
-                    break
+            with trace.span("select"):
+                for g in state.candidates(m, k):
+                    key = rank(g, schema, ctx)
+                    if best is None or key > best:
+                        best, selected = key, {canonical_form(g): g}
+                    elif key == best:
+                        selected.setdefault(canonical_form(g), g)
+                if early_stop and selected and best[0] == alpha_bound:
+                    frontier = _frontier_min_beta(state, m, k, k_bound)
+                    if frontier is None or -best[1] <= frontier:
+                        terminated_early = True
+                        break
 
-    state.rows.clear()  # the assignments serve only the next level
-    alpha_max, beta_min = (best[0], -best[1]) if best else (None, None)
-    chosen = tuple(SelectedQuery(selected[c], alpha_max, beta_min)
-                   for c in sorted(selected))
+    with trace.span("select"):
+        state.rows.clear()  # the assignments serve only the next level
+        alpha_max, beta_min = (best[0], -best[1]) if best else (None, None)
+        chosen = tuple(SelectedQuery(selected[c], alpha_max, beta_min)
+                       for c in sorted(selected))
     return SynthesisResult(chosen, alpha_max, beta_min, terminated_early,
-                           tuple(levels), reduced, state)
+                           reduced, state, trace)

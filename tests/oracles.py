@@ -47,14 +47,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from cqsearch.core import (FK, PK, FactBase, FactError, RelationPartition, Schema,
-                           pred_holds)
+from cqsearch.core import (FK, PK, FactBase, FactError, Level, RelationPartition,
+                           Schema, pred_holds)
 from cqsearch.evaluator import (_Compiled, admits_any, evaluate,
                                  refinable_with_witnesses)
 from cqsearch.minijava import KEYWORDS, ParseError, Pos, Token
 from cqsearch.query import QueryGraph, canonical_form, multiplicity
 from cqsearch.reduction import DropReason, ReducedRepresentation
-from cqsearch.refine import LevelStats, RefinementEngine, RefinementState
+from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.schema_graph import (RelationPath, SchemaEdge, activated_relation,
                                    acyclic_paths, augment_with_cycles,
                                    build_schema_graph, compile_path,
@@ -637,8 +637,9 @@ def refine_by_compiling(engine: RefinementEngine, state: RefinementState,
 
     Each new graph is compiled and joined per positive for refinability and
     witnesses, then per negative for candidacy; a string-closure graph is
-    compiled again. Fills ``state`` exactly as ``engine.refine`` does, rows
-    apart.
+    compiled again. Fills ``state`` exactly as ``engine.refine`` does, rows,
+    seconds and the synLCS counts apart, and appends the same level record
+    to its trace.
     """
     schema, facts, part = engine.schema, engine.facts, engine.part
     negatives = sorted(part.negatives)
@@ -655,17 +656,19 @@ def refine_by_compiling(engine: RefinementEngine, state: RefinementState,
         seeds = [(g, k) for g in state.refinable(m - 1, k)]
         if k > 1:
             seeds += [(g, k - 1) for g in state.refinable(m - 1, k - 1)]
-    stats = LevelStats(m, k, worklist=len(seeds))
+    level = Level(m, k, worklist=len(seeds))
     refinable: list[QueryGraph] = []
     candidates: list[QueryGraph] = []
     produced: set[QueryGraph] = set()
 
     def is_new(g: QueryGraph) -> bool:
-        stats.generated += 1
+        level.generated += 1
         if g in produced:
+            level.rederived += 1
             return False
         canon = canonical_form(g)
         if canon in state.seen:
+            level.dedup_hits += 1
             return False
         state.seen.add(canon)
         return True
@@ -707,7 +710,7 @@ def refine_by_compiling(engine: RefinementEngine, state: RefinementState,
                             ok, w = refinable_with_witnesses(compiled, facts, part, rest)
                             assert ok, "string closure preserves refinability"
                             queue.append((augmented, rest, w))
-    stats.refinable = len(refinable)
-    stats.candidates = len(candidates)
+    level.refinable = len(refinable)
+    level.candidates = len(candidates)
     state.table[(m, k)] = (refinable, candidates)
-    state.stats.append(stats)
+    state.trace.levels.append(level)

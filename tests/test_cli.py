@@ -1,22 +1,30 @@
+import contextlib
 import gc
 import importlib.util
+import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cqsearch import bench, minijava
-from cqsearch.cli import main
-from cqsearch.core import FactError, Schema, load_facts
+from cqsearch.cli import _load_facts, _query_graph_dot, main
+from cqsearch.core import (FactError, Schema, load_facts, load_positions,
+                           partition_from_doc)
 from cqsearch.datalog import parse_datalog
 from cqsearch.evaluator import evaluate
 from cqsearch.extract import build_facts, extract
+from cqsearch.query import QueryGraph
+from cqsearch.select import synthesize
 from conftest import CORPUS, REPO
+from test_core import _json_values
 from test_minijava import FIG1_SOURCE
 import oracles
 
@@ -192,6 +200,35 @@ class TestSynthesizeCommand:
             "trace (5,2): |W|=133 generated=3520 |S_R|=747 |S_C|=243",
         ]
 
+    def test_json_trace_matches_the_trace_lines(self, capsys, tmp_path):
+        task = CORPUS / "t08_method_motivating"
+        doc = json.loads((task / "task.json").read_text(encoding="utf-8"))
+        code, stdout, err = run(capsys, "synthesize",
+                                "--source", str(task / "example.java"),
+                                "--target", doc["target"], "--description", doc["description"],
+                                "--hmap", str(CORPUS / "hmap.json"),
+                                "--trace", "--emit", "json", "-o", str(tmp_path / "r.json"))
+        assert code == 0
+        report = json.loads(stdout)
+        assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8")) == report
+        trace = report["trace"]
+        assert err.splitlines() == [
+            f"trace ({s['m']},{s['k']}): |W|={s['worklist']} generated={s['generated']} "
+            f"|S_R|={s['refinable']} |S_C|={s['candidates']}" for s in trace["levels"]]
+        assert report["levels_explored"] == [[s["m"], s["k"]] for s in trace["levels"]]
+        assert report["explored_graphs"] == sum(s["generated"] for s in trace["levels"])
+        # The graphs neither rederived nor deduplicated are the forms kept.
+        assert sum(s["generated"] - s["rederived"] - s["dedup_hits"]
+                   for s in trace["levels"]) == 2118
+        assert list(trace["spans"]) == ["inputs", "reduce", "refine", "select"]
+        assert all(s >= 0 for s in trace["spans"].values())
+        assert all(s["seconds"] >= 0 for s in trace["levels"])
+        assert sum(s["seconds"] for s in trace["levels"]) == pytest.approx(
+            trace["spans"]["refine"])
+        assert sum(trace["spans"].values()) <= trace["wall_s"]
+        assert report["wall_time_s"] == round(trace["wall_s"], 4)
+        assert 0 < trace["syn_lcs_misses"] <= trace["syn_lcs_calls"]
+
     def test_exit_two_when_nothing_separates(self, capsys, tmp_path):
         (tmp_path / "same.java").write_text(
             "class A { /*@pos*/ int f() { } int g() { } }", encoding="utf-8")
@@ -287,17 +324,24 @@ def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt,
     assert err.startswith("error: " + expected.format(path=path, end=end)), err
 
 
-# Integer flags below their least meaningful value, per subcommand.
+# Flags a subcommand rejects before it reads any input, and the start of
+# the error: integer flags below their least meaningful value, and --target or
+# --positive beside --partition, where the JSON input files do not exist.
 BAD_FLAGS = {
-    "reduce-max-cycle-len": ("reduce", "--max-cycle-len", "-5"),
-    "synthesize-max-cycle-len": ("synthesize", "--max-cycle-len", "-1"),
-    "synthesize-k-bound-0": ("synthesize", "--k-bound", "0"),
-    "synthesize-k-bound-negative": ("synthesize", "--k-bound", "-1"),
-    "synthesize-max-m-0": ("synthesize", "--max-m", "0"),
-    "synthesize-max-m-negative": ("synthesize", "--max-m", "-3"),
-    "bench-k-bound": ("bench", "--k-bound", "0"),
-    "bench-jobs-0": ("bench", "--jobs", "0"),
-    "bench-jobs-negative": ("bench", "--jobs", "-2"),
+    "reduce-max-cycle-len": ("reduce", "--max-cycle-len=-5", "--max-cycle-len must be at least"),
+    "synthesize-max-cycle-len": ("synthesize", "--max-cycle-len=-1",
+                                 "--max-cycle-len must be at least"),
+    "synthesize-k-bound-0": ("synthesize", "--k-bound=0", "--k-bound must be at least"),
+    "synthesize-k-bound-negative": ("synthesize", "--k-bound=-1", "--k-bound must be at least"),
+    "synthesize-max-m-0": ("synthesize", "--max-m=0", "--max-m must be at least"),
+    "synthesize-max-m-negative": ("synthesize", "--max-m=-3", "--max-m must be at least"),
+    "bench-k-bound": ("bench", "--k-bound=0", "--k-bound must be at least"),
+    "bench-jobs-0": ("bench", "--jobs=0", "--jobs must be at least"),
+    "bench-jobs-negative": ("bench", "--jobs=-2", "--jobs must be at least"),
+    "reduce-target-with-partition": ("reduce --partition", "--target=NoSuchRel",
+                                     "--target cannot be used with --partition\n"),
+    "synthesize-positive-with-partition": ("synthesize --partition", "--positive=nope",
+                                           "--positive cannot be used with --partition\n"),
 }
 
 
@@ -305,21 +349,26 @@ def _command_line(command, motivating_dir, tmp_path):
     source = str(motivating_dir / "example.java")
     if command == "bench":
         return ["bench", str(tmp_path)]
-    argv = [command, "--source", source, "--target", "Method"]
+    command, _, partition = command.partition(" ")
+    if partition:
+        argv = [command, *(arg for name in ("schema", "facts", "partition")
+                           for arg in (f"--{name}", str(tmp_path / "none" / f"{name}.json")))]
+    else:
+        argv = [command, "--source", source, "--target", "Method"]
     if command == "synthesize":
         argv += ["--description", "Find all the methods",
                  "--hmap", str(CORPUS / "hmap.json")]
     return argv
 
 
-@pytest.mark.parametrize("command, flag, value", BAD_FLAGS.values(),
+@pytest.mark.parametrize("command, flag, error", BAD_FLAGS.values(),
                          ids=BAD_FLAGS.keys())
 def test_bad_flag_value_exits_one(capsys, motivating_dir, tmp_path, command,
-                                  flag, value):
+                                  flag, error):
     code, stdout, err = run(capsys, *_command_line(command, motivating_dir, tmp_path),
-                            f"{flag}={value}")
+                            flag)
     assert code == 1
-    assert err.startswith(f"error: {flag} must be at least"), err
+    assert err.startswith(f"error: {error}"), err
     assert stdout == ""
 
 
@@ -658,6 +707,91 @@ class TestSearchLoading:
                 gc.enable()
 
 
+def _main(*argv):
+    """``main``'s exit code, stdout and stderr, where a fixture outlives capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def motivating_json(tmp_path_factory):
+    """The motivating example's fact files, and a query over its methods."""
+    out = tmp_path_factory.mktemp("motivating")
+    (out / "example.java").write_text(FIG1_SOURCE, encoding="utf-8")
+    assert _main("extract", str(out / "example.java"), "--target", "Method",
+                 "-o", str(out))[0] == 0
+    (out / "q.dl").write_text("out(M, MI, MR, MD) :- Method(M, MI, MR, MD).\n")
+    return out
+
+
+def _drawn_files(keys, values):
+    """Arbitrary bytes, arbitrary JSON, or JSON objects over ``keys`` with
+    values from ``values`` or arbitrary JSON."""
+    def encoded(doc):
+        return json.dumps(doc).encode()
+    return (st.binary(max_size=40) | _json_values().map(encoded)
+            | st.dictionaries(st.sampled_from(keys), values | _json_values(),
+                              max_size=len(keys)).map(encoded))
+
+
+class TestLoadersAtTheBoundary:
+    """A --partition or --positions file of arbitrary bytes or JSON: the
+    command exits 1 with one error line naming the file and no traceback,
+    unless the loader accepts the document."""
+
+    @staticmethod
+    def _failed_naming(path, code, stdout, err):
+        assert (code, stdout) == (1, ""), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{path}: " in err, err
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=_drawn_files(["target", "positive"],
+                             st.sampled_from(["Method", "Type", "Ghost"])
+                             | st.lists(st.sampled_from(["M1", "M2", "M3", "T1", "M9"]),
+                                        max_size=4)))
+    @example(data=b"1" * 5000)
+    def test_partition(self, motivating_json, data):
+        path = motivating_json / "drawn-partition.json"
+        path.write_bytes(data)
+        schema, facts = (str(motivating_json / f"{name}.json") for name in ("schema", "facts"))
+        code, stdout, err = _main("reduce", "--schema", schema, "--facts", facts,
+                                  "--partition", str(path))
+        if code == 0:  # the loader accepts it
+            partition_from_doc(json.loads(data), _load_facts(schema, facts)[1])
+        else:
+            self._failed_naming(path, code, stdout, err)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=_drawn_files(["files", "rows", "file", "line", "col"],
+                             st.lists(st.sampled_from(["C1", "M1", "M2", "a.java"])
+                                      | st.integers(-1, 2), max_size=3)))
+    @example(data=b'{"files": [], "rows": [], "file": [], "line": [], "col": [1' + b"0" * 5000
+             + b"]}")
+    def test_positions(self, motivating_json, data):
+        path = motivating_json / "drawn-positions.json"
+        path.write_bytes(data)
+        code, stdout, err = _main("search", str(motivating_json / "q.dl"),
+                                  "--schema", str(motivating_json / "schema.json"),
+                                  "--facts", str(motivating_json / "facts.json"),
+                                  "--positions", str(path))
+        if code == 0:  # the loader accepts it
+            load_positions(json.loads(data))
+        else:
+            self._failed_naming(path, code, stdout, err)
+
+
+def test_dot_escapes_string_literals():
+    # A quote, a backslash and a conjunction sign in a literal: the label is
+    # one DOT string whose text is the literal quoted as render_datalog does.
+    g = QueryGraph(("Type",), frozenset(), ((0, "name", "equal", r'a\") ∧ (x'),))
+    line = _query_graph_dot(g).splitlines()[2]
+    assert line == r'  "str0" [label="(equal, \"a\\\\\\\") ∧ (x\")", shape=ellipse];'
+    assert re.fullmatch(r'  "str0" \[label="(?:[^"\\]|\\.)*", shape=ellipse\];', line)
+
+
 class TestGraphCommand:
     def test_schema_dot(self, capsys, motivating_dir):
         code, stdout, _ = run(capsys, "graph",
@@ -790,6 +924,22 @@ class TestBenchCommand:
         assert code == 0
         assert f"{tasks}/{tasks} tasks passed" in stdout
         assert InlinePool.sizes == workers
+
+    def test_wall_time_is_the_traces(self, capsys, tmp_path, monkeypatch):
+        # The trace opens at the task's inputs and times the whole run.
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(synthesize(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(bench, "synthesize", recording)
+        row = bench.run_task(str(CORPUS / "t07_stmt_import_localtime"),
+                             str(CORPUS / "hmap.json"))
+        assert row.passed
+        trace = results[0].trace
+        assert list(trace.spans) == ["inputs", "reduce", "refine", "select"]
+        assert all(s >= 0 for s in trace.spans.values())
+        assert sum(trace.spans.values()) <= trace.wall_s == row.wall_time_s
 
     def test_parallel_jobs(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, FactError,
-                           InputError, PartitionError, Relation, Schema,
-                           SchemaError, load_facts,
+                           InputError, Level, PartitionError, Relation, Schema,
+                           SchemaError, Trace, load_facts,
                            make_partition, partition_from_doc, pred_holds,
                            read_input)
 from cqsearch.minijava import ParseError, parse
@@ -61,6 +61,23 @@ class TestReadInput:
                            match=f"^{path}: 1:5021: nested 5002 levels deep"):
             read_input(path, json.loads)
 
+    def test_integers_too_long_to_convert_are_located(self, tmp_path):
+        # Long digit runs in a string, a fraction or an exponent convert;
+        # the first integer literal past the limit is the fault.
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "f.json"
+        text = ('{"a": "' + "9" * (limit + 1) + '", "b": [0.' + "1" * (limit + 1)
+                + ", 1e5, 12,\n -" + "7" * (limit + 1) + ", " + "8" * (limit + 1) + "]}")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError,
+                           match=f"^{path}: 2:2: integer of more than {limit} digits$"):
+            read_input(path, json.loads)
+
+        def fails(text):
+            raise ValueError("not an integer")
+        with pytest.raises(ValueError, match="^not an integer$"):
+            read_input(path, fails)
+
     def test_domain_error_keeps_class_and_fields(self, tmp_path):
         path = tmp_path / "a.java"
         path.write_text("class A {\n  int 5x;\n}", encoding="utf-8")
@@ -90,6 +107,27 @@ class TestReadInput:
             assert states == [False] and gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+class TestTrace:
+    def test_spans_add_up_within_the_wall_time(self):
+        trace, level = Trace(), Level(1, 1)
+        with trace.span("inputs"):
+            pass
+        with trace.span("refine", level):
+            sum(range(1000))
+        with trace.span("refine"):
+            pass
+        with pytest.raises(KeyError), trace.span("select"):
+            raise KeyError("a failed stage is still timed")
+        assert list(trace.spans) == ["inputs", "refine", "select"]
+        assert all(s >= 0 for s in trace.spans.values())
+        assert 0 < level.seconds < trace.spans["refine"]
+        assert sum(trace.spans.values()) <= trace.wall_s
+
+    def test_level_seconds_are_not_compared(self):
+        assert Level(2, 1, generated=3, seconds=1.0) == Level(2, 1, generated=3)
+        assert Level(2, 1, rederived=1) != Level(2, 1, dedup_hits=1)
 
 
 class TestLoadFacts:

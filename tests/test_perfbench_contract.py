@@ -33,11 +33,14 @@ def test_tracer_installs_counts_and_uninstalls(schema, facts, partition, context
              refine.RefinementEngine.refine, refine.RefinementEngine.expand)
     assert after == before
 
-    metrics = tracer.metrics(["refine.generated", "refine.refinable",
+    metrics = tracer.metrics(["refine.generated", "refine.dedup_hits", "refine.refinable",
                               "refine.candidates", "refine.expand.calls",
                               "query.canonical_form.calls",
                               "select.synthesize.calls", "select.levels"], 1.0)
     assert metrics["refine.generated"] == result.state.generated_total() > 0
+    # The tracer's dedup hits are the trace's graphs caught by either check.
+    assert metrics["refine.dedup_hits"] == sum(
+        s.rederived + s.dedup_hits for s in result.trace.levels) > 0
     assert metrics["refine.refinable"] == sum(
         len(refinable) for refinable, _ in result.state.table.values())
     assert metrics["refine.candidates"] > 0

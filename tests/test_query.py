@@ -164,6 +164,16 @@ class TestRendering:
             '∧ (A3.method_id = A1.id) ∧ (A3.type_id = A4.id) '
             '∧ equal(A4.name, "Log4jUtils")')
 
+    def test_string_literals_are_escaped(self, schema):
+        # A quote, a backslash and a conjunction sign in a literal: render_ra
+        # escapes it as render_datalog does, so it reads as one atom.
+        g = QueryGraph(("Type",), frozenset(), ((0, "name", "equal", r'a\") ∧ (x'),))
+        assert render_ra(g, schema) == (
+            r'Π_(A1.*)(σ_Θ(ρ_A1(Type))) where Θ := equal(A1.name, "a\\\") ∧ (x")')
+        assert render_datalog(g, schema) == (
+            r'out(V0, V1) :- Type(V0, V1), str_equal(V1, "a\\\") ∧ (x").')
+        assert parse_datalog(render_datalog(g, schema), schema) == g
+
     def test_ra_atoms_interleave_by_node(self, schema):
         # A string constraint on node 0 comes before an equality from node
         # 1: the atoms are sorted together, not equalities first.

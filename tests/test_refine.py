@@ -224,6 +224,15 @@ def test_kept_graphs_round_trip_exactly_on_corpus(corpus_runs):
                        for _, _, _, refinable, _ in levels)
 
 
+def test_trace_accounts_for_seen_on_corpus(corpus_runs):
+    for name, _, _, result in corpus_runs:
+        _assert_trace_accounts_for_seen(result.state, name)
+        assert result.trace is result.state.trace, name
+        assert list(result.levels_explored) == [(s.m, s.k) for s in result.trace.levels]
+        assert result.state.generated_total() == sum(
+            s.generated for s in result.trace.levels), name
+
+
 def _assert_candidates_are_exact(state, facts, part, label):
     for (m, k), (refinable, candidates) in state.table.items():
         assert len(set(candidates)) == len(candidates), (label, m, k)
@@ -239,9 +248,9 @@ class TestCandidatePath:
 
     def test_pinned_level_counts_on_corpus(self, corpus_runs):
         for name, _, _, result in corpus_runs:
-            stats = [(s.m, s.k, s.generated, s.refinable, s.candidates)
-                     for s in result.state.stats]
-            assert (len(result.state.seen), stats) == PINNED_LEVELS[name], name
+            levels = [(s.m, s.k, s.generated, s.refinable, s.candidates)
+                      for s in result.trace.levels]
+            assert (len(result.state.seen), levels) == PINNED_LEVELS[name], name
 
     def test_candidates_match_is_candidate_on_corpus(self, corpus_runs):
         for name, facts, part, result in corpus_runs:
@@ -297,7 +306,7 @@ def _cross_check(engine, levels, label) -> int:
         where = (label, m, k)
         assert mine.refinable(m, k) == theirs.refinable(m, k), where
         assert mine.candidates(m, k) == theirs.candidates(m, k), where
-        assert mine.stats[-1] == theirs.stats[-1], where
+        assert mine.trace.levels[-1] == theirs.trace.levels[-1], where
         assert len(mine.seen) == len(theirs.seen), where
         for g, rows in zip(mine.refinable(m, k), mine.rows[(m, k)], strict=True):
             slots = sorted((node, a.name) for node, rel in enumerate(g.nodes)
@@ -309,7 +318,17 @@ def _cross_check(engine, levels, label) -> int:
             checked += 1
     for witnesses, constraint in engine.synthesized.items():
         assert syn_lcs([set(w) for w in witnesses]) == constraint, (label, witnesses)
+    _assert_trace_accounts_for_seen(mine, label)
+    _assert_trace_accounts_for_seen(theirs, label)
+    assert mine.trace.syn_lcs_misses == len(engine.synthesized), label
+    assert mine.trace.syn_lcs_calls >= mine.trace.syn_lcs_misses, label
     return checked
+
+
+def _assert_trace_accounts_for_seen(state, label):
+    # Every generated graph is rederived, a duplicate, or a new form in seen.
+    new = sum(s.generated - s.rederived - s.dedup_hits for s in state.trace.levels)
+    assert new == len(state.seen), label
 
 
 class TestIncrementalRows:
