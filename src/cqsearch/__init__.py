@@ -13,8 +13,7 @@ from .core import (AttributeDecl, DomainError, FactBase, FactError,
                    RelationPartition, Schema, SchemaError, Trace, Tuple,
                    load_facts, load_positions, make_partition)
 from .datalog import DatalogError, parse_datalog, render_datalog
-from .evaluator import (EvalError, collect_witnesses, evaluate, is_candidate,
-                        is_refinable)
+from .evaluator import EvalError, evaluate, is_candidate
 from .extract import ExtractError, extract, extraction_schema
 from .query import (GraphError, QueryGraph, canonical_form, multiplicity,
                     render_ra)
@@ -22,8 +21,8 @@ from .reduction import DropReason, ReducedRepresentation, reduce
 from .schema_graph import (RelationPath, SchemaGraph, activated_relation,
                            acyclic_paths, augment_with_cycles,
                            build_schema_graph)
-from .select import (ContextError, EntityContext, SynthesisResult, compare,
-                     coverage, extract_entities, make_context, synthesize)
+from .select import (ContextError, EntityContext, SynthesisResult, coverage,
+                     extract_entities, make_context, synthesize)
 from .strings import syn_lcs
 
 __all__ = [name for name in dir() if not name.startswith("_")]

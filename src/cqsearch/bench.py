@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import minijava
@@ -38,16 +38,7 @@ class TaskResult:
     error: str | None = None
 
     def to_doc(self) -> dict:
-        return {
-            "name": self.name, "category": self.category, "passed": self.passed,
-            "gq": list(self.gq) if self.gq else None, "k": self.k,
-            "reduced_size": list(self.reduced_size),
-            "wall_time_s": round(self.wall_time_s, 4),
-            "selected": self.selected, "golden": self.golden,
-            "explored": self.explored,
-            "terminated_early": self.terminated_early,
-            "error": self.error,
-        }
+        return {**asdict(self), "wall_time_s": round(self.wall_time_s, 4)}
 
 
 def _task_doc(text: str) -> dict:

@@ -64,6 +64,10 @@ def _load_inputs(args):
     return schema, facts, part
 
 
+def _write_json(path, doc, indent=2) -> None:
+    Path(path).write_text(json.dumps(doc, indent=indent) + "\n", encoding="utf-8")
+
+
 def _query_graph_dot(graph) -> str:
     lines = ["digraph query {"]
     for i, rel in enumerate(graph.nodes, 1):  # node i - 1 is named A{i}
@@ -89,22 +93,16 @@ def cmd_extract(args) -> int:
         # Plain fact dump, e.g. an unannotated base for `search` to run over.
         facts, positions, _ = build_facts(prog)
         part = None
+    docs = {"schema.json": facts.schema.to_doc(), "facts.json": facts_to_doc(facts)}
+    if part is not None:
+        docs["partition.json"] = {"target": part.target,
+                                  "positive": sorted(t[0] for t in part.positives)}
+    docs["positions.json"] = positions_to_doc(positions)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = ["schema.json", "facts.json", "positions.json"]
-    (outdir / "schema.json").write_text(
-        json.dumps(facts.schema.to_doc(), indent=2) + "\n", encoding="utf-8")
-    (outdir / "facts.json").write_text(
-        json.dumps(facts_to_doc(facts), indent=2) + "\n", encoding="utf-8")
-    if part is not None:
-        (outdir / "partition.json").write_text(json.dumps(
-            {"target": part.target,
-             "positive": sorted(t[0] for t in part.positives)}, indent=2) + "\n",
-            encoding="utf-8")
-        written.insert(2, "partition.json")
-    (outdir / "positions.json").write_text(
-        json.dumps(positions_to_doc(positions)) + "\n", encoding="utf-8")
-    print(f"wrote {', '.join(written)} to {outdir}")
+    for name, doc in docs.items():
+        _write_json(outdir / name, doc, indent=None if name == "positions.json" else 2)
+    print(f"wrote {', '.join(docs)} to {outdir}")
     return 0
 
 
@@ -117,15 +115,13 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    if not (args.description_file or args.description):
+        raise CliError("a description is required (--description or --description-file)")
     trace = Trace()
     with trace.span("inputs"):
         schema, facts, part = _load_inputs(args)
-        if args.description_file:
-            description = read_input(args.description_file).strip()
-        elif args.description:
-            description = args.description
-        else:
-            raise CliError("a description is required (--description or --description-file)")
+        description = (read_input(args.description_file).strip() if args.description_file
+                       else args.description)
         ctx = read_input(args.hmap, lambda text: make_context(json.loads(text), description))
     result = synthesize(schema, facts, part, ctx, k_bound=args.k_bound,
                         early_stop=not args.no_early_stop,
@@ -139,8 +135,7 @@ def cmd_synthesize(args) -> int:
                   f"|S_R|={s.refinable} |S_C|={s.candidates}", file=sys.stderr)
     _emit(args, result, report)
     if args.output:
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n",
-                                     encoding="utf-8")
+        _write_json(args.output, report)
     return 0 if result.selected else 2
 
 
@@ -222,7 +217,9 @@ def _search(args) -> int:
 
 def cmd_graph(args) -> int:
     if args.source:
-        prog = minijava.parse_files(args.source)
+        if args.schema:
+            raise CliError("--schema cannot be used with --source")
+        minijava.parse_files(args.source)  # the sources must parse; the schema is fixed
         schema = extraction_schema()
     elif args.schema:
         schema = read_input(args.schema, lambda text: Schema.from_doc(json.loads(text)))
@@ -242,9 +239,7 @@ def cmd_bench(args) -> int:
                          jobs=args.jobs)
     print(render_table(results))
     if args.output:
-        Path(args.output).write_text(
-            json.dumps([r.to_doc() for r in results], indent=2) + "\n",
-            encoding="utf-8")
+        _write_json(args.output, [r.to_doc() for r in results])
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -43,6 +43,9 @@ STR = "str"
 # Reserved schema-graph node name for the string sink.
 STR_NODE = "STR"
 
+# A relation or attribute name: a Datalog name, so every output can spell it.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 Tuple = tuple[str, ...]
 
 
@@ -182,6 +185,9 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
         rels: dict[str, tuple[AttributeDecl, ...]] = {}
         for name, attrs in relations.items():
             attrs = tuple(attrs)
+            if not _NAME.fullmatch(name) or name.startswith("str_"):
+                raise SchemaError(f"relation name {name!r} is not a name matching "
+                                  f"{_NAME.pattern} without the prefix 'str_'")
             if name == STR_NODE:
                 raise SchemaError(f"{STR_NODE!r} is reserved for the string sink")
             if not attrs:
@@ -193,6 +199,9 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
                 raise SchemaError(f"relation {name!r}: primary key must be attribute 0")
             seen = set()
             for a in attrs:
+                if not _NAME.fullmatch(a.name):
+                    raise SchemaError(f"relation {name!r}: attribute name {a.name!r} "
+                                      f"does not match {_NAME.pattern}")
                 if a.name in seen:
                     raise SchemaError(f"relation {name!r}: duplicate attribute {a.name!r}")
                 seen.add(a.name)

@@ -21,7 +21,7 @@ against a product oracle, and the two ways against each other).
 
 A graph the schema does not license is an ``EvalError``; so is one checked
 against a partition whose target is not its head's relation. Refinement
-compiles no graph; ``refinable_with_witnesses`` and ``admits_any`` are the
+compiles no graph; ``refinable_with_witnesses`` and ``evaluate`` are the
 from-scratch evaluation the test suite holds it against.
 """
 from __future__ import annotations
@@ -170,23 +170,10 @@ def evaluate(q, facts: FactBase) -> frozenset[Tuple]:
     return _per_head(c) if c.semijoins is None else _by_semijoins(c)
 
 
-def is_refinable(q, facts: FactBase, part: RelationPartition) -> bool:
-    """Does the query still admit every positive tuple?"""
-    c = _compiled_for(q, facts, part)
-    return all(c.exists(t) for t in sorted(part.positives))
-
-
-def admits_any(q, facts: FactBase, head_tuples) -> bool:
-    """Does the query admit any of ``head_tuples``, tried in the given order?"""
-    c = _Compiled.of(facts, q)
-    return any(c.exists(t) for t in head_tuples)
-
-
 def is_candidate(q, facts: FactBase, part: RelationPartition) -> bool:
-    """Does the query admit exactly the positive tuples?"""
-    c = _compiled_for(q, facts, part)
-    return (is_refinable(c, facts, part)
-            and not admits_any(c, facts, sorted(part.negatives)))
+    """Does the query admit every positive tuple and no negative one?"""
+    answer = evaluate(_compiled_for(q, facts, part), facts)
+    return part.positives <= answer and answer.isdisjoint(part.negatives)
 
 
 def refinable_with_witnesses(
@@ -221,14 +208,3 @@ def refinable_with_witnesses(
         for s in slots:
             witnesses[s].append(per_slot[s])
     return True, witnesses
-
-
-def collect_witnesses(g: QueryGraph, node: int, attr: str,
-                      part: RelationPartition, facts: FactBase) -> dict[Tuple, frozenset[str]]:
-    """Per positive head tuple, the values slot ``(node, attr)`` takes across
-    its assignments."""
-    ok, per_slot = refinable_with_witnesses(g, facts, part, [(node, attr)])
-    if not ok:
-        raise EvalError("witness collection requires a refinable query graph")
-    sets = per_slot[(node, attr)]
-    return {t: frozenset(s) for t, s in zip(sorted(part.positives), sets)}

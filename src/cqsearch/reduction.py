@@ -59,7 +59,7 @@ def _component(g: SchemaGraph, start: str) -> set[str]:
     seen = {start}
     todo = [start]
     while todo:
-        for step in g.steps_from(todo.pop()):
+        for step, _ in g.moves_from(todo.pop()):
             if step.next not in seen:
                 seen.add(step.next)
                 todo.append(step.next)
@@ -98,9 +98,9 @@ def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
         return pos, neg
 
     loops = cycle_loops(g, max_cycle_len)
-    out_steps = {rel: [(step.next, compile_step(schema, rel, step))
-                       for step in g.steps_from(rel)]
-                 for rel in schema}
+    moves = {rel: [(step.next, compile_step(schema, rel, step))
+                   for step, _ in g.moves_from(rel)]
+             for rel in schema}
     total: set[str] = set()  # judged on some live vector
     kept: set[str] = set()
 
@@ -118,7 +118,7 @@ def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
             if any(pos and neg and len(pos | neg) > 1 for pos, neg in vectors):
                 kept.add(rel)
         prefix.add(rel)
-        for next_rel, step in out_steps[rel]:
+        for next_rel, step in moves[rel]:
             if next_rel in prefix:
                 continue
             below = advance(plain, (step,)) if plain is not None else None

@@ -208,9 +208,7 @@ class RefinementEngine:
                 seeds = [(QueryGraph.empty(), k, self.head_rows)]
             else:
                 seeds = [(g, k, r) for g, r in self._parents(state, m - 1, k)]
-                if k > 1:
-                    seeds += [(g, k - 1, r)
-                              for g, r in self._parents(state, m - 1, k - 1)]
+                seeds += [(g, k - 1, r) for g, r in self._parents(state, m - 1, k - 1)]
             level.worklist = len(seeds)
             refinable: list[QueryGraph] = []
             candidates: list[QueryGraph] = []
@@ -246,11 +244,8 @@ class RefinementEngine:
 
             for g, source_k, rows in seeds:
                 for rel in self.relations:
-                    mult = multiplicity(g, rel)
-                    if source_k == k:
-                        if mult >= k:
-                            continue
-                    elif mult != k - 1:
+                    mult = multiplicity(g, rel)  # the child's largest must be k
+                    if (mult >= k) if source_k == k else (mult != k - 1):
                         continue
                     for v in self.expand(g, rel):
                         if not is_new(v):

@@ -44,10 +44,6 @@ class RelationPath:
     start: str
     steps: tuple[PathStep, ...]
 
-    @property
-    def end(self) -> str:
-        return self.steps[-1].next if self.steps else self.start
-
     def nodes(self) -> tuple[str, ...]:
         return (self.start,) + tuple(s.next for s in self.steps)
 
@@ -81,19 +77,13 @@ class SchemaGraph:
             moves[e.dst].append((PathStep(e.attr, -1, e.src), e))
         self._moves: dict[str, tuple[tuple[PathStep, SchemaEdge], ...]] = {
             rel: tuple(sorted(ms, key=lambda m: m[0])) for rel, ms in moves.items()}
-        self._steps: dict[str, tuple[PathStep, ...]] = {
-            rel: tuple(step for step, _ in moves)
-            for rel, moves in self._moves.items()}
         # The schema's declarations as plain strings, which hash fast.
         self.decl_key = tuple((rel, tuple((a.name, a.kind, a.target) for a in attrs))
                               for rel, attrs in schema.items())
 
-    def steps_from(self, rel: str) -> tuple[PathStep, ...]:
-        """Every legal single step out of ``rel``, in deterministic order."""
-        return self._steps[rel]
-
     def moves_from(self, rel: str) -> tuple[tuple[PathStep, SchemaEdge], ...]:
-        """``steps_from`` paired with the foreign-key edge each step walks."""
+        """Every legal single step out of ``rel``, in deterministic order,
+        paired with the foreign-key edge it walks."""
         return self._moves[rel]
 
     def to_dot(self) -> str:
@@ -122,7 +112,7 @@ def acyclic_paths(g: SchemaGraph, src: str, dst: str) -> list[RelationPath]:
     out: list[RelationPath] = []
 
     def walk(cur: str, visited: set[str], steps: list[PathStep]):
-        for step in g.steps_from(cur):
+        for step, _ in g.moves_from(cur):
             if step.next in visited:
                 continue
             steps.append(step)

@@ -102,26 +102,24 @@ def condition_attrs(g: QueryGraph, schema: Schema) -> frozenset[tuple[str, str]]
     return frozenset(pairs)
 
 
-def coverage(g: QueryGraph, schema: Schema, ctx: EntityContext) -> Fraction:
-    """Fraction of description entities the condition's attributes reach."""
+def _coverage(pairs: Iterable[tuple[str, str]], ctx: EntityContext) -> Fraction:
+    """Fraction of description entities that the h map reaches from ``pairs``."""
     if not ctx.entities:
         raise ContextError("no named entities in the description")
     covered = set()
-    for pair in condition_attrs(g, schema):
+    for pair in pairs:
         covered |= ctx.h.get(pair, frozenset()) & ctx.entities
     return Fraction(len(covered), len(ctx.entities))
+
+
+def coverage(g: QueryGraph, schema: Schema, ctx: EntityContext) -> Fraction:
+    """Fraction of description entities the condition's attributes reach."""
+    return _coverage(condition_attrs(g, schema), ctx)
 
 
 def rank(g: QueryGraph, schema: Schema, ctx: EntityContext) -> tuple[Fraction, int]:
     """``(coverage, -complexity)``: of two queries, the greater key ranks higher."""
     return coverage(g, schema, ctx), -g.complexity()
-
-
-def compare(g1: QueryGraph, g2: QueryGraph, schema: Schema,
-            ctx: EntityContext) -> int:
-    """1 if g1 ranks above g2, -1 if below, 0 on a tie."""
-    key1, key2 = rank(g1, schema, ctx), rank(g2, schema, ctx)
-    return (key1 > key2) - (key1 < key2)
 
 
 @dataclass(frozen=True)
@@ -156,15 +154,8 @@ class SynthesisResult:
 def coverage_upper_bound(schema: Schema, kept: frozenset[str],
                          ctx: EntityContext) -> Fraction:
     """Description entities reachable through kept relations' attributes."""
-    if not ctx.entities:
-        raise ContextError("no named entities in the description")
-    covered = set()
-    for rel in kept:
-        for a in schema[rel]:
-            if a.kind == FK and a.target not in kept:
-                continue
-            covered |= ctx.h.get((rel, a.name), frozenset()) & ctx.entities
-    return Fraction(len(covered), len(ctx.entities))
+    return _coverage(((rel, a.name) for rel in kept for a in schema[rel]
+                      if a.kind != FK or a.target in kept), ctx)
 
 
 def _frontier_min_beta(state: RefinementState, m: int, k: int,

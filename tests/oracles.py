@@ -49,8 +49,7 @@ from itertools import product
 
 from cqsearch.core import (FK, PK, FactBase, FactError, Level, RelationPartition,
                            Schema, pred_holds)
-from cqsearch.evaluator import (_Compiled, admits_any, evaluate,
-                                 refinable_with_witnesses)
+from cqsearch.evaluator import _Compiled, evaluate, refinable_with_witnesses
 from cqsearch.minijava import KEYWORDS, ParseError, Pos, Token
 from cqsearch.query import QueryGraph, canonical_form, multiplicity
 from cqsearch.reduction import DropReason, ReducedRepresentation
@@ -636,13 +635,12 @@ def refine_by_compiling(engine: RefinementEngine, state: RefinementState,
     """``engine.refine`` with every graph evaluated from scratch.
 
     Each new graph is compiled and joined per positive for refinability and
-    witnesses, then per negative for candidacy; a string-closure graph is
+    witnesses, then evaluated for candidacy; a string-closure graph is
     compiled again. Fills ``state`` exactly as ``engine.refine`` does, rows,
     seconds and the synLCS counts apart, and appends the same level record
     to its trace.
     """
     schema, facts, part = engine.schema, engine.facts, engine.part
-    negatives = sorted(part.negatives)
 
     def string_slots(g: QueryGraph) -> list[tuple[int, str]]:
         constrained = g.constrained_slots()
@@ -676,7 +674,7 @@ def refine_by_compiling(engine: RefinementEngine, state: RefinementState,
     def keep(g: QueryGraph, compiled) -> None:
         produced.add(g)
         refinable.append(g)
-        if not admits_any(compiled, facts, negatives):
+        if evaluate(compiled, facts).isdisjoint(part.negatives):
             candidates.append(g)
 
     for g, source_k in seeds:

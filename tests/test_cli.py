@@ -57,6 +57,23 @@ class TestExtractCommand:
         part = json.loads((out / "partition.json").read_text())
         assert part == {"target": "Method", "positive": ["M1"]}
 
+    @pytest.mark.parametrize("target", ["Method", None], ids=["annotated", "plain"])
+    def test_file_names_and_layout(self, capsys, motivating_dir, target):
+        # positions.json is one compact line; the others are indented by two.
+        out = motivating_dir / "out"
+        code, stdout, _ = run(capsys, "extract", str(motivating_dir / "example.java"),
+                              "-o", str(out), *(["--target", target] if target else []))
+        names = ["schema.json", "facts.json", *(["partition.json"] if target else []),
+                 "positions.json"]
+        assert code == 0
+        assert stdout == f"wrote {', '.join(names)} to {out}\n"
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            indent = None if name == "positions.json" else 2
+            assert text == json.dumps(json.loads(text), indent=indent) + "\n", name
+            assert text.count("\n") == 1 if indent is None else text.count("\n") > 1
+
     def test_deterministic_outputs(self, capsys, motivating_dir):
         a, b = motivating_dir / "a", motivating_dir / "b"
         run(capsys, "extract", str(motivating_dir / "example.java"),
@@ -251,6 +268,16 @@ class TestSynthesizeCommand:
         assert code == 1
         assert "PartitionError" in err
 
+    def test_missing_description_is_named_before_the_source_is_read(self, capsys,
+                                                                    tmp_path):
+        bad = tmp_path / "bad.java"
+        bad.write_text(TestReduceCommand.BAD_SOURCE, encoding="utf-8")
+        code, stdout, err = run(capsys, "synthesize", "--source", str(bad),
+                                "--target", "Method", "--hmap", str(CORPUS / "hmap.json"))
+        assert (code, stdout) == (1, "")
+        assert err == ("error: a description is required "
+                       "(--description or --description-file)\n")
+
     def test_non_utf8_description_file_exits_one(self, capsys, motivating_dir):
         path = motivating_dir / "description.txt"
         path.write_bytes(b"Find all the m\xe9thods")
@@ -325,8 +352,9 @@ def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt,
 
 
 # Flags a subcommand rejects before it reads any input, and the start of
-# the error: integer flags below their least meaningful value, and --target or
-# --positive beside --partition, where the JSON input files do not exist.
+# the error: integer flags below their least meaningful value, --target or
+# --positive beside --partition, where the JSON input files do not exist, and
+# a --schema that does not exist beside --source.
 BAD_FLAGS = {
     "reduce-max-cycle-len": ("reduce", "--max-cycle-len=-5", "--max-cycle-len must be at least"),
     "synthesize-max-cycle-len": ("synthesize", "--max-cycle-len=-1",
@@ -342,6 +370,8 @@ BAD_FLAGS = {
                                      "--target cannot be used with --partition\n"),
     "synthesize-positive-with-partition": ("synthesize --partition", "--positive=nope",
                                            "--positive cannot be used with --partition\n"),
+    "graph-schema-with-source": ("graph", "--schema=no/such/schema.json",
+                                 "--schema cannot be used with --source\n"),
 }
 
 
@@ -349,6 +379,8 @@ def _command_line(command, motivating_dir, tmp_path):
     source = str(motivating_dir / "example.java")
     if command == "bench":
         return ["bench", str(tmp_path)]
+    if command == "graph":
+        return ["graph", "--source", source]
     command, _, partition = command.partition(" ")
     if partition:
         argv = [command, *(arg for name in ("schema", "facts", "partition")
@@ -811,6 +843,35 @@ class TestBenchCommand:
         code, stdout, _ = run(capsys, "bench", str(corpus))
         assert code == 0
         assert "1/1 tasks passed" in stdout
+
+    def test_output_rows(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
+        shutil.copytree(CORPUS / "t07_stmt_import_localtime",
+                        corpus / "t07_stmt_import_localtime")
+        (corpus / "t00_broken").mkdir()
+        (corpus / "t00_broken" / "task.json").write_bytes(b"[]")
+        out = tmp_path / "rows.json"
+        code, _, _ = run(capsys, "bench", str(corpus), "-o", str(out))
+        assert code == 2
+        text = out.read_text(encoding="utf-8")
+        rows = json.loads(text)
+        assert text == json.dumps(rows, indent=2) + "\n"
+        for row in rows:
+            assert list(row) == ["name", "category", "passed", "gq", "k", "reduced_size",
+                                 "wall_time_s", "selected", "golden", "explored",
+                                 "terminated_early", "error"]
+            assert row["wall_time_s"] == round(row["wall_time_s"], 4)
+            assert isinstance(row["reduced_size"], list)
+        broken, task = rows
+        assert (broken["name"], broken["passed"], broken["gq"], broken["k"],
+                broken["reduced_size"]) == ("t00_broken", False, None, None, [0, 0])
+        assert broken["error"].startswith("DomainError: ")
+        assert task["passed"] and task["error"] is None
+        assert isinstance(task["gq"], list) and len(task["gq"]) == 3
+        assert len(task["reduced_size"]) == 2
+        assert task["selected"] == task["golden"] != []
 
     @pytest.mark.parametrize("task, error", [
         (b"[]", "DomainError: {path}: a task is a JSON object"),

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -305,6 +306,24 @@ class TestSchemaValidation:
     def test_str_name_reserved(self):
         with pytest.raises(SchemaError, match="reserved"):
             Schema({"STR": [AttributeDecl("id", PK)]})
+
+    # Each name would print as text no output can read back: a body atom the
+    # Datalog parser rejects, a string predicate, a broken DOT node or an
+    # ambiguous h-map key Relation.attribute.
+    @pytest.mark.parametrize("rel, attr", [
+        ("My Rel", "id"), ("str_x", "id"), ('Q"x', "id"), ("A.b", "id"), ("A", "a.b"),
+        ("A", "my id"), ("1A", "id"), ("A", "")])
+    def test_names_must_be_datalog_names(self, rel, attr):
+        with pytest.raises(SchemaError, match=re.escape(repr(attr if rel == "A" else rel))):
+            Schema({rel: [AttributeDecl(attr, PK)]})
+        doc = {"relations": [{"name": rel, "attributes": [{"name": attr, "kind": "pk"}]}]}
+        with pytest.raises(SchemaError):
+            Schema.from_doc(doc)
+
+    def test_names_at_the_edge_of_the_rule_are_accepted(self):
+        schema = Schema({name: [AttributeDecl("_id9", PK)]
+                         for name in ("str", "strx", "Str_x", "_A", "a1_")})
+        assert list(schema) == ["str", "strx", "Str_x", "_A", "a1_"]
 
     def test_string_attrs_are_the_string_declarations_in_order(self):
         rng = random.Random(5)

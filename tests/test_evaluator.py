@@ -7,11 +7,10 @@ import pytest
 
 from cqsearch import minijava
 from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, Relation,
-                           Schema, make_partition)
+                           RelationPartition, Schema, make_partition)
 from cqsearch.datalog import parse_datalog
 from cqsearch.evaluator import (EvalError, _by_semijoins, _Compiled, _per_head,
-                                collect_witnesses, evaluate, is_candidate,
-                                is_refinable, refinable_with_witnesses)
+                                evaluate, is_candidate, refinable_with_witnesses)
 from cqsearch.extract import build_facts, extract
 from cqsearch.query import GraphError, QueryGraph, from_graph, to_graph
 from conftest import CORPUS, FIG1C_RULE, fig1c_graph
@@ -251,14 +250,25 @@ class TestSemijoins:
 class TestRefinableAndCandidate:
     def test_refinable_but_not_candidate(self, facts, partition):
         q = refinable_3rel_query()
-        assert is_refinable(q, facts, partition)
+        assert partition.positives <= evaluate(q, facts)
         assert not is_candidate(q, facts, partition)
 
     def test_motivating_query_is_candidate(self, facts, partition):
         assert is_candidate(fig1c_graph(), facts, partition)
 
+    def test_tuples_outside_a_partition_are_ignored(self, facts, partition):
+        # M1 and M2 return a CacheConfig; M2 is a negative of the exhaustive
+        # partition and in neither side of the other.
+        g = QueryGraph(("Method", "Type"), frozenset({(0, 1, "ret_type_id")}),
+                       ((1, "name", "equal", "CacheConfig"),))
+        m1, m2, m3 = sorted(facts.tuples("Method"))
+        assert evaluate(g, facts) == {m1, m2}
+        assert not is_candidate(g, facts, partition)
+        part = RelationPartition("Method", frozenset({m1}), frozenset({m3}))
+        assert is_candidate(g, facts, part)
+
     def test_same_type_join_excludes_the_positive(self, facts, partition):
-        assert not is_refinable(same_type_query(), facts, partition)
+        assert not partition.positives <= evaluate(same_type_query(), facts)
 
     def test_candidate_implies_refinable(self, facts, partition):
         rng = random.Random(31)
@@ -268,16 +278,15 @@ class TestRefinableAndCandidate:
                 with pytest.raises(EvalError):
                     is_candidate(g, facts, partition)
                 with pytest.raises(EvalError):
-                    is_refinable(g, facts, partition)
+                    refinable_with_witnesses(g, facts, partition, [])
             elif is_candidate(g, facts, partition):
-                assert is_refinable(g, facts, partition)
+                assert partition.positives <= evaluate(g, facts)
+                assert refinable_with_witnesses(g, facts, partition, []) == (True, {})
 
     @pytest.mark.parametrize("check", [
-        is_refinable, is_candidate,
-        lambda g, facts, part: refinable_with_witnesses(g, facts, part, []),
-        lambda g, facts, part: collect_witnesses(g, 0, "name", part, facts)],
-        ids=["is_refinable", "is_candidate", "refinable_with_witnesses",
-             "collect_witnesses"])
+        is_candidate,
+        lambda g, facts, part: refinable_with_witnesses(g, facts, part, [])],
+        ids=["is_candidate", "refinable_with_witnesses"])
     def test_head_outside_the_target_raises(self, facts, partition, check):
         # A Type head cannot admit the Method positives, whatever its ids.
         g = QueryGraph(("Type",), frozenset(), ())
@@ -286,28 +295,32 @@ class TestRefinableAndCandidate:
 
 
 class TestCollectWitnesses:
+    """``refinable_with_witnesses``: per slot, the witness set of each
+    positive, in sorted order."""
+
     def test_parameter_type_witnesses(self, facts, partition):
         g = QueryGraph(
             ("Method", "Type", "Parameter", "Type"),
             frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id"), (2, 3, "type_id")}),
             ((1, "name", "equal", "CacheConfig"),))
-        witnesses = collect_witnesses(g, 3, "name", partition, facts)
-        assert witnesses == {("M1", "I1", "T3", "MDF1"): frozenset({"Log4jUtils"})}
+        assert sorted(partition.positives) == [("M1", "I1", "T3", "MDF1")]
+        assert refinable_with_witnesses(g, facts, partition, [(3, "name")]) == (
+            True, {(3, "name"): [{"Log4jUtils"}]})
 
     def test_method_identifier_names(self, facts):
         part = make_partition("Method", ["M1", "M2"], facts)
         g = QueryGraph(("Method", "Identifier"), frozenset({(0, 1, "idf_id")}), ())
-        witnesses = collect_witnesses(g, 1, "name", part, facts)
-        assert witnesses[("M1", "I1", "T3", "MDF1")] == frozenset({"foo"})
-        assert witnesses[("M2", "I2", "T3", "MDF1")] == frozenset({"f2"})
+        assert sorted(part.positives) == [("M1", "I1", "T3", "MDF1"),
+                                          ("M2", "I2", "T3", "MDF1")]
+        assert refinable_with_witnesses(g, facts, part, [(1, "name")]) == (
+            True, {(1, "name"): [{"foo"}, {"f2"}]})
 
     def test_requires_refinable_graph(self, facts, partition):
         g = QueryGraph(
             ("Method", "Type", "Parameter"),
             frozenset({(0, 1, "ret_type_id"), (2, 0, "method_id"), (2, 1, "type_id")}),
             ())
-        with pytest.raises(EvalError):
-            collect_witnesses(g, 1, "name", partition, facts)
+        assert refinable_with_witnesses(g, facts, partition, [(1, "name")]) == (False, {})
 
 
 def test_fact_base_freed_by_reference_counting():

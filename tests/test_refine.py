@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cqsearch import minijava, refine
-from cqsearch.evaluator import (_Compiled, is_candidate, is_refinable,
+from cqsearch.evaluator import (_Compiled, evaluate, is_candidate,
                                  refinable_with_witnesses)
 from cqsearch.extract import extract
 from cqsearch.datalog import parse_datalog, render_datalog
@@ -73,7 +73,7 @@ class TestRefineLevels:
             for g in refinable:
                 assert len(g.nodes) == m
                 assert max_multiplicity(g) == k
-                assert is_refinable(g, facts, partition)
+                assert partition.positives <= evaluate(g, facts)
             for g in candidates:
                 assert is_candidate(g, facts, partition)
 
@@ -239,7 +239,7 @@ def _assert_candidates_are_exact(state, facts, part, label):
         chosen = set(candidates)
         assert chosen <= set(refinable), (label, m, k)
         for g in refinable:
-            assert is_refinable(g, facts, part), (label, m, k, g)
+            assert part.positives <= evaluate(g, facts), (label, m, k, g)
             assert (g in chosen) == is_candidate(g, facts, part), (label, m, k, g)
 
 

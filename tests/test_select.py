@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cqsearch.core import FactBase, Relation, make_partition
 from cqsearch.evaluator import evaluate
 from cqsearch.query import QueryGraph, canonical_form
-from cqsearch.select import (ContextError, EntityContext, compare, coverage,
+from cqsearch.select import (ContextError, EntityContext, coverage,
                              coverage_upper_bound, extract_entities,
-                             load_hmap, make_context, synthesize)
+                             load_hmap, make_context, rank, synthesize)
 from conftest import MOTIVATING_DESCRIPTION, fig1c_graph, fig1_schema
 import gen
 from oracles import coverage_by_atoms
@@ -100,18 +100,18 @@ class TestComplexity:
 class TestCompare:
     def test_coverage_dominates(self, context):
         target, foo = fig1c_graph(), foo_query()
-        assert compare(target, foo, SCHEMA, context) == 1
-        assert compare(foo, target, SCHEMA, context) == -1
+        assert rank(target, SCHEMA, context) > rank(foo, SCHEMA, context)
+        assert rank(target, SCHEMA, context)[1] < rank(foo, SCHEMA, context)[1]
 
     def test_complexity_breaks_ties(self, context):
         heavier = fig1c_graph().with_constraint(3, "name", "contain", "L")
         target = fig1c_graph()
         assert coverage(heavier, SCHEMA, context) == coverage(target, SCHEMA, context)
-        assert compare(target, heavier, SCHEMA, context) == 1
+        assert rank(target, SCHEMA, context) > rank(heavier, SCHEMA, context)
 
     def test_reflexive_tie(self, context):
-        assert compare(fig1c_graph(), fig1c_graph(), SCHEMA,
-                       context) == 0
+        assert rank(fig1c_graph(), SCHEMA, context) == rank(fig1c_graph(), SCHEMA,
+                                                            context)
 
     def test_total_preorder_on_random_queries(self, facts, context):
         rng = random.Random(37)
@@ -127,13 +127,15 @@ class TestCompare:
                                        allow_disconnected=False)
             ctx = gen.random_context(check, schema)
             assert coverage(g, schema, ctx) == coverage_by_atoms(g, schema, ctx)
-        for a in gs:
-            for b in gs:
-                assert compare(a, b, schema, context) == -compare(b, a, schema, context)
-                for c in gs:
-                    if compare(a, b, schema, context) >= 0 and \
-                            compare(b, c, schema, context) >= 0:
-                        assert compare(a, c, schema, context) >= 0
+        keys = [rank(g, schema, context) for g in gs]
+        for g, key in zip(gs, keys):
+            assert key == (coverage(g, schema, context), -g.complexity())
+        for a in keys:
+            for b in keys:
+                assert (a > b) == (b < a) and (a == b) == (b == a)
+                for c in keys:
+                    if a >= b and b >= c:
+                        assert a >= c
 
 
 class TestSynthesize:

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from cqsearch.core import make_partition, pred_holds
-from cqsearch.evaluator import is_refinable, refinable_with_witnesses
+from cqsearch.evaluator import evaluate, refinable_with_witnesses
 from cqsearch.query import PREDICATES, QueryGraph
 from cqsearch.strings import syn_lcs
 import gen
@@ -139,4 +139,4 @@ class TestRefinabilityPreservation:
         got = syn_lcs(witnesses[(1, "name")])
         assert got == ("prefix", "f")  # foo / f2 share only their leading "f"
         augmented = g.with_constraint(1, "name", *got)
-        assert is_refinable(augmented, facts, part)
+        assert part.positives <= evaluate(augmented, facts)
