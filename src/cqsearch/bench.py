@@ -18,7 +18,6 @@ from .datalog import parse_datalog, render_datalog
 from .extract import extract
 from .query import canonical_form, max_multiplicity, merged
 from .reduction import reduced_subgraph_size
-from .schema_graph import build_schema_graph
 from .select import make_context, synthesize
 
 
@@ -42,9 +41,22 @@ class TaskResult:
 
 
 def _task_doc(text: str) -> dict:
+    """The task.json document ``text``, each field checked for its type."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and {"source", "target", "description"} <= doc.keys()):
         raise DomainError("a task is a JSON object with source, target and description")
+    for key in ("source", "golden"):
+        files = doc.get(key, [])
+        if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+            raise DomainError(f"{key!r} must be a list of file names, got {files!r}")
+    for key in ("target", "description", "name", "category"):
+        if not isinstance(doc.get(key, ""), str):
+            raise DomainError(f"{key!r} must be a string, got {doc[key]!r}")
+    expected = doc.get("expected", {})
+    if not (isinstance(expected, dict) and isinstance(expected.get("gq", []), list)
+            and type(expected.get("k", 0)) is int):  # bool is not int here
+        raise DomainError(f"'expected' must be an object with a list 'gq' and an "
+                          f"integer 'k', got {expected!r}")
     return doc
 
 
@@ -79,10 +91,9 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
         if passed and expected:
             passed = (list(expected.get("gq", list(gq))) == list(gq)
                       and expected.get("k", k) == k)
-        graph = build_schema_graph(schema)
         return TaskResult(
             name, category, passed, gq, k,
-            reduced_subgraph_size(graph, result.reduced.kept), trace.wall_s,
+            reduced_subgraph_size(schema, result.reduced.kept), trace.wall_s,
             selected=[render_datalog(s.graph, schema) for s in result.selected],
             golden=[render_datalog(g, schema) for g in golden],
             explored=result.state.generated_total(),

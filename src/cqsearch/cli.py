@@ -146,9 +146,9 @@ def _report(result, schema) -> dict:
         queries.append({
             "ra": render_ra(sel.graph, schema),
             "datalog": render_datalog(sel.graph, schema),
-            "alpha": float(sel.alpha),
-            "alpha_exact": str(sel.alpha),
-            "beta": sel.beta,
+            "alpha": float(result.alpha_max),
+            "alpha_exact": str(result.alpha_max),
+            "beta": result.beta_min,
             "graph_size": {"relations": rels, "eq_constraints": eq,
                            "str_constraints": strs},
             "k": max_multiplicity(sel.graph),

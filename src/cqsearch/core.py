@@ -17,7 +17,7 @@ in sorted order (the rest), whatever the hash seed.
 
 The fact base holds each relation once, as the tuple of its rows in the
 order they were decoded; its checks, its indexes, ``by_attr`` and
-``selected`` walk them in that order. Consecutive rows were allocated one
+``matching`` walk them in that order. Consecutive rows were allocated one
 after the other, so the walk stays in the CPU's caches where one over a
 frozenset, in hash order, misses them.
 """
@@ -168,12 +168,6 @@ class AttributeDecl:
     kind: str  # PK | FK | STR
     target: str | None = None  # FK only: referenced relation
 
-    def __post_init__(self):
-        if self.kind not in (PK, FK, STR):
-            raise SchemaError(f"unknown attribute kind {self.kind!r}")
-        if (self.kind == FK) != (self.target is not None):
-            raise SchemaError(f"attribute {self.name!r}: target iff foreign key")
-
 
 class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
     """Ordered mapping relation name -> attribute declarations.
@@ -192,11 +186,6 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
                 raise SchemaError(f"{STR_NODE!r} is reserved for the string sink")
             if not attrs:
                 raise SchemaError(f"relation {name!r} has no attributes")
-            pks = [a for a in attrs if a.kind == PK]
-            if len(pks) != 1:
-                raise SchemaError(f"relation {name!r} needs exactly one primary key, has {len(pks)}")
-            if attrs[0].kind != PK:
-                raise SchemaError(f"relation {name!r}: primary key must be attribute 0")
             seen = set()
             for a in attrs:
                 if not _NAME.fullmatch(a.name):
@@ -205,6 +194,17 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
                 if a.name in seen:
                     raise SchemaError(f"relation {name!r}: duplicate attribute {a.name!r}")
                 seen.add(a.name)
+                if a.kind not in (PK, FK, STR):
+                    raise SchemaError(f"{name}.{a.name}: unknown kind {a.kind!r}")
+                if a.kind == FK and a.target is None:
+                    raise SchemaError(f"{name}.{a.name}: a foreign key needs a target")
+                if a.kind != FK and a.target is not None:
+                    raise SchemaError(f"{name}.{a.name}: only a foreign key has a target")
+            pks = [a for a in attrs if a.kind == PK]
+            if len(pks) != 1:
+                raise SchemaError(f"relation {name!r} needs exactly one primary key, has {len(pks)}")
+            if attrs[0].kind != PK:
+                raise SchemaError(f"relation {name!r}: primary key must be attribute 0")
             rels[name] = attrs
         for name, attrs in rels.items():
             for a in attrs:
@@ -261,12 +261,10 @@ class Schema(Mapping[str, tuple[AttributeDecl, ...]]):
             for a in decls:
                 if not isinstance(a, dict) or not isinstance(a.get("name"), str):
                     raise SchemaError(f"{name}: attribute without a name: {a!r}")
-                kind, target = a.get("kind"), a.get("target")
-                if kind not in (PK, FK, STR):
-                    raise SchemaError(f"{name}.{a['name']}: unknown kind {kind!r}")
+                target = a.get("target")
                 if target is not None and not isinstance(target, str):
                     raise SchemaError(f"{name}.{a['name']}: target must be a relation name")
-                attrs.append(AttributeDecl(a["name"], kind, target))
+                attrs.append(AttributeDecl(a["name"], a.get("kind"), target))
             rels[name] = attrs
         return Schema(rels)
 
@@ -334,7 +332,6 @@ class FactBase(Mapping[str, Relation]):
             rows[r.name] = tuple(r.tuples)
         self._rows = {name: rows.get(name, ()) for name in schema}
         self._by_attr: dict[tuple[str, int], dict[str, tuple[Tuple, ...]]] = {}
-        self._selected: dict[tuple, tuple[Tuple, ...]] = {}
         self._validate()
 
     def _validate(self):
@@ -403,37 +400,24 @@ class FactBase(Mapping[str, Relation]):
             self._by_attr[key] = index
         return index.get(value, ())
 
-    def selected(self, rel: str, strs: tuple[tuple[int, str, str], ...],
-                 self_eq: tuple[int, ...]) -> tuple[Tuple, ...]:
-        """Tuples of ``rel`` meeting every string constraint ``(pos, pred,
-        literal)`` in ``strs`` and equal to their own primary key at every
-        position in ``self_eq``, in the order of its rows, memoised per
-        argument triple."""
-        key = (rel, strs, self_eq)
-        got = self._selected.get(key)
-        if got is None:
-            got = self._rows[rel]
-            if strs or self_eq:
-                got = _filtered(got, (), strs, self_eq)
-            self._selected[key] = got
-        return got
-
     def matching(self, rel: str, links: Sequence[tuple[int, str]],
                  strs: tuple[tuple[int, str, str], ...] = (),
                  self_eq: tuple[int, ...] = ()) -> tuple[Tuple, ...]:
-        """Tuples of ``rel`` with value ``v`` at every ``(pos, v)`` of
-        ``links``, and meeting ``strs`` and ``self_eq`` as in ``selected``:
-        the key-equality probe of evaluation and refinement, over the one
-        index kind, ``by_attr``, that reduction probes too. Takes the pool
-        of a single link or of a first link at the primary key, else the
-        smallest pool among ``links``, else ``selected``."""
+        """Tuples of ``rel``, in the order of its rows, with value ``v`` at
+        every ``(pos, v)`` of ``links``, meeting every string constraint
+        ``(pos, pred, literal)`` in ``strs`` and equal to their own primary
+        key at every position in ``self_eq``: the fact base's one filtered
+        read, over the one index kind, ``by_attr``, that reduction probes
+        too. Takes the pool of a single link or of a first link at the
+        primary key, else the smallest pool among ``links``, else all rows."""
         if not links:
-            return self.selected(rel, strs, self_eq)
-        pos, v = links[0]
-        if pos == 0 or len(links) == 1:
-            pool = self.by_attr(rel, pos, v)
+            pool = self._rows[rel]
         else:
-            pool = min((self.by_attr(rel, pos, v) for pos, v in links), key=len)
+            pos, v = links[0]
+            if pos == 0 or len(links) == 1:
+                pool = self.by_attr(rel, pos, v)
+            else:
+                pool = min((self.by_attr(rel, pos, v) for pos, v in links), key=len)
         if len(links) > 1 or strs or self_eq:
             return _filtered(pool, links, strs, self_eq)
         return pool

@@ -9,8 +9,8 @@ and, when its equalities form no cycle, into a plan of semi-joins.
 equalities with it in either direction, as one edge with a composite key;
 a self-equality is a ``self_eq`` check. When the edges form a forest, it is
 evaluated set at a time, bottom up (Yannakakis 1981): each node starts from
-the tuples ``FactBase.selected`` gives for its string constraints and
-``self_eq``, and each edge, from the leaves up, keeps the parent's tuples
+the tuples ``FactBase.matching`` gives, with no link, for its string
+constraints and ``self_eq``, and each edge, from the leaves up, keeps the parent's tuples
 whose key matches some child tuple's. The answer is the head's remaining
 tuples, or nothing when a node has none left. When the edges form a cycle,
 ``evaluate`` searches per head tuple: it walks the join steps depth first
@@ -147,7 +147,7 @@ def _semijoins(steps):
 
 def _by_semijoins(c: _Compiled) -> frozenset[Tuple]:
     """``evaluate`` of a graph without cycles: its semi-join plan, bottom up."""
-    rows = [c.facts.selected(rel, strs, self_eq) for rel, _, strs, self_eq in c.steps]
+    rows = [c.facts.matching(rel, (), strs, self_eq) for rel, _, strs, self_eq in c.steps]
     for parent, child, parent_key, child_key in c.semijoins:
         keys = set(map(child_key, rows[child]))
         rows[parent] = list(compress(rows[parent],
@@ -158,7 +158,7 @@ def _by_semijoins(c: _Compiled) -> frozenset[Tuple]:
 def _per_head(c: _Compiled) -> frozenset[Tuple]:
     """``evaluate`` by a depth-first search from each head tuple."""
     rel, _, strs, self_eq = c.steps[0]
-    return frozenset(t for t in c.facts.selected(rel, strs, self_eq) if c.exists(t))
+    return frozenset(t for t in c.facts.matching(rel, (), strs, self_eq) if c.exists(t))
 
 
 def evaluate(q, facts: FactBase) -> frozenset[Tuple]:

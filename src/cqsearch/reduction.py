@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import STR_NODE, FactBase, RelationPartition, Schema
+from .core import STR, FactBase, RelationPartition, Schema
 from .schema_graph import (SchemaGraph, build_schema_graph, compile_step,
                            cycle_loops, step_image)
 
@@ -67,9 +67,8 @@ def _component(g: SchemaGraph, start: str) -> set[str]:
 
 
 def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
-           *, graph: SchemaGraph | None = None,
-           max_cycle_len: int = 8) -> ReducedRepresentation:
-    g = graph if graph is not None else build_schema_graph(schema)
+           *, max_cycle_len: int = 8) -> ReducedRepresentation:
+    g = build_schema_graph(schema)
     images: dict = {}  # (activation set, compiled step) -> image
     sides: dict = {}  # (activation sets of one side, compiled step) -> image
 
@@ -146,9 +145,9 @@ def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
     return ReducedRepresentation(frozenset(kept), frozenset(dropped))
 
 
-def reduced_subgraph_size(g: SchemaGraph, kept: frozenset[str]) -> tuple[int, int]:
-    """(nodes, edges) of the schema subgraph induced by kept relations + STR."""
-    nodes = len(kept) + 1
-    edges = sum(1 for e in g.edges
-                if e.src in kept and (e.dst in kept or e.dst == STR_NODE))
-    return nodes, edges
+def reduced_subgraph_size(schema: Schema, kept: frozenset[str]) -> tuple[int, int]:
+    """(nodes, edges) of the schema subgraph induced by kept relations + STR:
+    an edge per kept string attribute and per foreign key between kept relations."""
+    edges = sum(1 for rel in kept for a in schema[rel]
+                if a.kind == STR or a.target in kept)
+    return len(kept) + 1, edges

@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import FactBase, Level, RelationPartition, Schema, Trace, Tuple, pred_holds
+from .core import FactBase, Level, RelationPartition, Trace, Tuple, pred_holds
 from .query import QueryGraph, canonical_form, join_step, multiplicity
-from .schema_graph import SchemaGraph
 from .strings import syn_lcs
 
 # One satisfying assignment: the tuple bound to each node, in node order.
@@ -83,13 +82,11 @@ class RefinementState:
 
 
 class RefinementEngine:
-    def __init__(self, schema: Schema, graph: SchemaGraph, facts: FactBase,
-                 part: RelationPartition, relations: list[str],
-                 m_cap: int | None = None):
+    def __init__(self, facts: FactBase, part: RelationPartition,
+                 relations: list[str], m_cap: int | None = None):
         """``m_cap`` is the last level the caller refines; none keeps rows
         at every level."""
-        self.schema = schema
-        self.graph = graph
+        self.schema = facts.schema
         self.facts = facts
         self.part = part
         self.relations = sorted(relations)
@@ -102,7 +99,8 @@ class RefinementEngine:
     def expand(self, g: QueryGraph, rel: str) -> list[QueryGraph]:
         """All one-node extensions of ``g`` with ``rel``, connected: the new
         node is node ``len(g.nodes)``, with every non-empty subset of the
-        legal edges between it and the others.
+        legal edges between it and the others: a foreign key of either
+        node's relation into the other's.
 
         The empty graph only ever grows the projection head.
         """
@@ -110,15 +108,12 @@ class RefinementEngine:
             if rel != self.part.target:
                 return []
             return [QueryGraph((rel,), frozenset(), ())]
-        new = len(g.nodes)
-        options: list[tuple[int, int, str]] = []
-        for node, existing_rel in enumerate(g.nodes):
-            for e in self.graph.fk_edges:
-                if e.src == rel and e.dst == existing_rel:
-                    options.append((new, node, e.attr))
-                if e.src == existing_rel and e.dst == rel:
-                    options.append((node, new, e.attr))
-        options = sorted(set(options))
+        new, decls = len(g.nodes), self.schema[rel]
+        options = sorted(
+            [(new, node, a.name) for node, existing in enumerate(g.nodes)
+             for a in decls if a.target == existing]
+            + [(node, new, a.name) for node, existing in enumerate(g.nodes)
+               for a in self.schema[existing] if a.target == rel])
         out = []
         for n in range(1, len(options) + 1):
             for subset in combinations(options, n):

@@ -25,7 +25,6 @@ from .core import FK, DomainError, FactBase, RelationPartition, Schema, Trace
 from .query import QueryGraph, canonical_form
 from .reduction import ReducedRepresentation, reduce
 from .refine import RefinementEngine, RefinementState
-from .schema_graph import build_schema_graph
 
 
 class ContextError(DomainError):
@@ -124,10 +123,8 @@ def rank(g: QueryGraph, schema: Schema, ctx: EntityContext) -> tuple[Fraction, i
 
 @dataclass(frozen=True)
 class SelectedQuery:
-    """A selected query's graph, with its class's coverage and complexity."""
+    """A selected query's graph; the result's ``alpha_max`` and ``beta_min`` rank it."""
     graph: QueryGraph
-    alpha: Fraction
-    beta: int
 
     @property
     def query(self) -> QueryGraph:
@@ -144,7 +141,10 @@ class SynthesisResult:
     terminated_early: bool
     reduced: ReducedRepresentation
     state: RefinementState
-    trace: Trace  # the state's
+
+    @property
+    def trace(self) -> Trace:
+        return self.state.trace
 
     @property
     def levels_explored(self) -> tuple[tuple[int, int], ...]:
@@ -181,10 +181,8 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
         raise ContextError("no named entities in the description")
     trace = Trace() if trace is None else trace
     with trace.span("reduce"):
-        graph = build_schema_graph(schema)
         if use_reduction:
-            reduced = reduce(schema, facts, part, graph=graph,
-                             max_cycle_len=max_cycle_len)
+            reduced = reduce(schema, facts, part, max_cycle_len=max_cycle_len)
         else:
             reduced = ReducedRepresentation(frozenset(schema), frozenset())
     kept = reduced.kept
@@ -194,8 +192,7 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
     if max_relations is not None:
         m_cap = min(m_cap, max_relations)
 
-    engine = RefinementEngine(schema, graph, facts, part, sorted(kept),
-                              m_cap=m_cap)
+    engine = RefinementEngine(facts, part, sorted(kept), m_cap=m_cap)
     state = RefinementState(trace=trace)
     best: tuple[Fraction, int] | None = None  # rank of the selected class
     selected: dict = {}  # canonical form -> graph, for the top-ranked class
@@ -225,7 +222,6 @@ def synthesize(schema: Schema, facts: FactBase, part: RelationPartition,
     with trace.span("select"):
         state.rows.clear()  # the assignments serve only the next level
         alpha_max, beta_min = (best[0], -best[1]) if best else (None, None)
-        chosen = tuple(SelectedQuery(selected[c], alpha_max, beta_min)
-                       for c in sorted(selected))
+        chosen = tuple(SelectedQuery(selected[c]) for c in sorted(selected))
     return SynthesisResult(chosen, alpha_max, beta_min, terminated_early,
-                           reduced, state, trace)
+                           reduced, state)

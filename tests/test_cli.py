@@ -137,6 +137,25 @@ class TestReduceCommand:
         assert code == 0
         assert "keep Parameter" in stdout.splitlines()
 
+    def test_positive_keys_give_the_partition_report(self, capsys, motivating_json):
+        out = motivating_json
+        inputs = ("--schema", str(out / "schema.json"), "--facts", str(out / "facts.json"))
+        part = json.loads((out / "partition.json").read_text(encoding="utf-8"))
+        by_doc = run(capsys, "reduce", *inputs, "--partition", str(out / "partition.json"))
+        by_keys = run(capsys, "reduce", *inputs, "--target", part["target"],
+                      "--positive", *part["positive"])
+        assert by_keys == by_doc
+        assert by_doc[0] == 0 and "keep Parameter" in by_doc[1].splitlines()
+
+    @pytest.mark.parametrize("flags", [(), ("--target", "Method"), ("--positive", "M1")],
+                             ids=["none", "target-only", "positive-only"])
+    def test_missing_partition_is_an_error(self, capsys, motivating_json, flags):
+        out = motivating_json
+        code, stdout, err = run(capsys, "reduce", "--schema", str(out / "schema.json"),
+                                "--facts", str(out / "facts.json"), *flags)
+        assert (code, stdout) == (1, "")
+        assert err == "error: a partition is required (--partition or --target/--positive)\n"
+
     # A source that does not parse: each flag error must come before it is read.
     BAD_SOURCE = "class B {\n  int 5x;\n}"
 
@@ -183,12 +202,12 @@ class TestSynthesizeCommand:
     @pytest.mark.parametrize("task", sorted(CORPUS.glob("*/task.json")),
                              ids=lambda path: path.parent.name)
     def test_emitted_queries_are_pinned(self, capsys, task):
-        # The --emit ra and --emit datalog text of every corpus selection,
-        # recorded in tests/emitted_queries.json.
+        # The --emit ra, --emit datalog and --emit dot text of every corpus
+        # selection, recorded in tests/emitted_queries.json.
         doc = json.loads(task.read_text(encoding="utf-8"))
         want = json.loads((REPO / "tests" / "emitted_queries.json")
                           .read_text(encoding="utf-8"))[doc["name"]]
-        for mode in ("ra", "datalog"):
+        for mode in ("ra", "datalog", "dot"):
             code, stdout, _ = run(
                 capsys, "synthesize",
                 "--source", *(str(task.parent / name) for name in doc["source"]),
@@ -832,6 +851,28 @@ class TestGraphCommand:
         assert stdout.startswith("digraph")
         assert '"Method" -> "Identifier" [label="idf_id"]' in stdout
 
+    def test_no_input_is_an_error(self, capsys):
+        assert run(capsys, "graph") == (1, "", "error: need --schema or --source\n")
+
+    @pytest.mark.parametrize("decl, error", [
+        ({"name": "f", "kind": "fk"}, "B.f: a foreign key needs a target"),
+        ({"name": "f", "kind": "str", "target": "A"}, "B.f: only a foreign key has a target"),
+        ({"name": "f", "kind": "key"}, "B.f: unknown kind 'key'"),
+    ], ids=["fk-without-target", "str-with-target", "unknown-kind"])
+    def test_misdeclared_attribute_is_named(self, capsys, tmp_path, decl, error):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({"relations": [
+            {"name": "A", "attributes": [{"name": "id", "kind": "pk"}]},
+            {"name": "B", "attributes": [{"name": "id", "kind": "pk"}, decl]}]}),
+            encoding="utf-8")
+        assert run(capsys, "graph", "--schema", str(path)) == (
+            1, "", f"error: SchemaError: {path}: {error}\n")
+
+
+# A valid task.json, one field of which each broken-task case below retypes.
+T08_TASK = json.loads((CORPUS / "t08_method_motivating" / "task.json")
+                      .read_text(encoding="utf-8"))
+
 
 class TestBenchCommand:
     def test_single_task_corpus(self, capsys, tmp_path):
@@ -878,14 +919,24 @@ class TestBenchCommand:
         (b"{bad", "InputError: {path}: 1:2: Expecting property name"),
         (b"\xff{}", "InputError: {path}: 1:1: not UTF-8: invalid start byte"),
         (b'{"name": "x"}', "DomainError: {path}: a task is a JSON object"),
-    ], ids=["list", "syntax-error", "not-utf8", "missing-keys"])
+        (json.dumps({**T08_TASK, "source": "example.java"}).encode(),
+         "DomainError: {path}: 'source' must be a list of file names"),
+        (json.dumps({**T08_TASK, "golden": "golden.dl"}).encode(),
+         "DomainError: {path}: 'golden' must be a list of file names"),
+        (json.dumps({**T08_TASK, "description": 5}).encode(),
+         "DomainError: {path}: 'description' must be a string"),
+        (json.dumps({**T08_TASK, "expected": [1, 2]}).encode(),
+         "DomainError: {path}: 'expected' must be an object with a list 'gq'"),
+    ], ids=["list", "syntax-error", "not-utf8", "missing-keys", "source-string",
+            "golden-string", "description-int", "expected-list"])
     def test_broken_task_is_a_failed_row(self, capsys, tmp_path, task, error):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
         shutil.copytree(CORPUS / "t07_stmt_import_localtime",
                         corpus / "t07_stmt_import_localtime")
-        (corpus / "t00_broken").mkdir()
+        # The task's sources and golden rules are there: only task.json is broken.
+        shutil.copytree(CORPUS / "t08_method_motivating", corpus / "t00_broken")
         (corpus / "t00_broken" / "task.json").write_bytes(task)
         code, stdout, _ = run(capsys, "bench", str(corpus))
         assert code == 2

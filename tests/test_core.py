@@ -200,7 +200,7 @@ class TestLoadFacts:
 
 
 class TestRowOrder:
-    """``by_attr`` and ``selected`` walk a relation's rows in one fixed order."""
+    """``by_attr`` and ``matching`` walk a relation's rows in one fixed order."""
 
     def test_loaded_rows_come_in_document_order_once(self):
         doc = fig1_facts_doc()
@@ -209,9 +209,9 @@ class TestRowOrder:
         doc["Method"] = [["M3", "I3", "T2", "MDF1"], ["M2", "I2", "T3", "MDF1"],
                          ["M1", "I1", "T3", "MDF1"], ["M2", "I2", "T3", "MDF1"]]
         _, facts = load_facts(fig1_schema(), doc)
-        assert facts.selected("Type", (), ()) == (
+        assert facts.matching("Type", (), (), ()) == (
             ("T3", "CacheConfig"), ("T1", "Log4jUtils"), ("T2", "int"))
-        assert facts.selected("Type", ((1, "contain", "n"),), ()) == (
+        assert facts.matching("Type", (), ((1, "contain", "n"),), ()) == (
             ("T3", "CacheConfig"), ("T2", "int"))
         assert facts.by_attr("Method", 2, "T3") == (
             ("M2", "I2", "T3", "MDF1"), ("M1", "I1", "T3", "MDF1"))
@@ -224,7 +224,7 @@ class TestRowOrder:
         relations = fig1_relations()
         facts = FactBase(fig1_schema(), relations)
         for r in relations:
-            assert facts.selected(r.name, (), ()) == tuple(r.tuples)
+            assert facts.matching(r.name, (), (), ()) == tuple(r.tuples)
         methods = next(r.tuples for r in relations if r.name == "Method")
         assert facts.by_attr("Method", 3, "MDF1") == tuple(methods)
 
@@ -233,7 +233,7 @@ class TestRowOrder:
                 ("T2", "int"), ("T1", "Log4jUtils"))
         relations = [r for r in fig1_relations() if r.name != "Type"]
         facts = FactBase(fig1_schema(), relations + [Relation("Type", rows)])
-        assert facts.selected("Type", (), ()) == (
+        assert facts.matching("Type", (), (), ()) == (
             ("T3", "CacheConfig"), ("T1", "Log4jUtils"), ("T2", "int"))
         assert len(facts["Type"]) == 3
         assert facts["Type"].tuples == facts.tuples("Type") == frozenset(rows)
@@ -249,7 +249,7 @@ from conftest import fig1_relations, fig1_schema
 relations = fig1_relations()
 facts = FactBase(fig1_schema(), relations)
 for r in relations:
-    assert facts.selected(r.name, (), ()) == tuple(r.tuples), r.name
+    assert facts.matching(r.name, (), (), ()) == tuple(r.tuples), r.name
 rng = random.Random(17)
 doc = {r.name: [list(t) for t in sorted(r.tuples)] for r in relations}
 for rows in doc.values():
@@ -257,8 +257,8 @@ for rows in doc.values():
 doc["Method"].append(doc["Method"][0])
 _, loaded = load_facts(fig1_schema(), doc)
 for name, rows in doc.items():
-    assert loaded.selected(name, (), ()) == tuple(dict.fromkeys(map(tuple, rows))), name
-assert loaded.by_attr("Method", 3, "MDF1") == loaded.selected("Method", (), ())
+    assert loaded.matching(name, (), (), ()) == tuple(dict.fromkeys(map(tuple, rows))), name
+assert loaded.by_attr("Method", 3, "MDF1") == loaded.matching("Method", (), (), ())
 doc["Parameter"] += [[f"P{i}", "I4", f"T{i}", "M1"] for i in rng.sample(range(10, 30), 20)]
 try:
     load_facts(fig1_schema(), doc)

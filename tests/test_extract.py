@@ -56,6 +56,17 @@ class TestInterning:
         assert len(facts.tuples("Identifier")) == len(names)
 
 
+class TestExprRows:
+    def test_each_condition_kind_is_recorded(self):
+        kinds = {"x": "name", "new Flag()": "new", "x + 1": "arith", "f()": "call",
+                 "!x": "not", "-x": "neg", "x && y": "and", "x || y": "or",
+                 "x < 1": "compare", "true": "bool_literal", "1": "int_literal",
+                 "1.5": "double_literal", '"s"': "string_literal"}
+        body = " ".join(f"if ({cond}) {{ }}" for cond in kinds)
+        facts = build_facts(mj.parse(f"class A {{ void m() {{ {body} }} }}"))[0]
+        assert [t[1] for t in facts.matching("Expr", ())] == list(kinds.values())
+
+
 class TestClassRows:
     def test_extends_references_superclass_row(self):
         prog = mj.parse("class Base { }\nclass Mid extends Base { }")

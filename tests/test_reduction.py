@@ -6,7 +6,6 @@ from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, Relation,
                            Schema, make_partition)
 from cqsearch.extract import extract
 from cqsearch.reduction import DropReason, reduce, reduced_subgraph_size
-from cqsearch.schema_graph import build_schema_graph
 from conftest import CORPUS
 import gen
 from oracles import brute_force_candidates, reduce_by_paths
@@ -36,8 +35,7 @@ class TestFig1Reduction:
 
     def test_subgraph_size(self, schema, facts, partition):
         red = reduce(schema, facts, partition)
-        g = build_schema_graph(schema)
-        nodes, edges = reduced_subgraph_size(g, red.kept)
+        nodes, edges = reduced_subgraph_size(schema, red.kept)
         assert nodes == 5  # four kept relations plus STR
         # Method->idf/ret, Parameter->idf/type/method, Identifier/Type->STR
         assert edges == 7

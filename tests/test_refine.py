@@ -10,7 +10,6 @@ from cqsearch.extract import extract
 from cqsearch.datalog import parse_datalog, render_datalog
 from cqsearch.query import QueryGraph, canonical_form, max_multiplicity, merged
 from cqsearch.refine import RefinementEngine, RefinementState
-from cqsearch.schema_graph import build_schema_graph
 from cqsearch.select import make_context, synthesize
 from cqsearch.strings import syn_lcs
 from conftest import CORPUS, fig1c_graph
@@ -20,9 +19,8 @@ from oracles import (brute_force_candidates, canonical_form_by_search,
 
 
 def engine_for(schema, facts, partition, relations=None):
-    graph = build_schema_graph(schema)
     rels = relations or ["Method", "Parameter", "Type", "Identifier"]
-    return RefinementEngine(schema, graph, facts, partition, rels)
+    return RefinementEngine(facts, partition, rels)
 
 
 def run_levels(engine, m_max, k_max=2):
@@ -156,8 +154,7 @@ class TestAgainstBruteForce:
         for _ in range(25):
             schema, facts, part = gen.random_instance(
                 rng, max_relations=3, max_fks=2, max_strs=1)
-            eng = RefinementEngine(schema, build_schema_graph(schema), facts,
-                                   part, sorted(schema))
+            eng = RefinementEngine(facts, part, sorted(schema))
             state = RefinementState()
             for m in range(1, 4):
                 for k in range(1, min(2, m) + 1):
@@ -262,9 +259,7 @@ class TestCandidatePath:
         for i in range(150):
             schema, facts, part = gen.random_instance(
                 rng, max_relations=4, max_fks=2, max_strs=1)
-            state = run_levels(RefinementEngine(
-                schema, build_schema_graph(schema), facts, part,
-                sorted(schema)), 3)
+            state = run_levels(RefinementEngine(facts, part, sorted(schema)), 3)
             _assert_candidates_are_exact(state, facts, part, i)
             closure_non_candidates += sum(
                 1 for refinable, candidates in state.table.values()
@@ -336,9 +331,7 @@ class TestIncrementalRows:
 
     def test_matches_compiling_on_corpus(self, corpus_runs, searched):
         for name, facts, part, result in corpus_runs:
-            schema = facts.schema
-            engine = RefinementEngine(schema, build_schema_graph(schema), facts,
-                                      part, sorted(result.reduced.kept))
+            engine = RefinementEngine(facts, part, sorted(result.reduced.kept))
             assert _cross_check(engine, result.levels_explored, name) > 0, name
         assert sum(map(_repeats_a_relation, searched)) > 1000
 
@@ -361,8 +354,7 @@ class TestIncrementalRows:
         for i in range(150):
             schema, facts, part = gen.random_instance(
                 rng, max_relations=4, max_fks=2, max_strs=1)
-            engine = RefinementEngine(schema, build_schema_graph(schema), facts,
-                                      part, sorted(schema))
+            engine = RefinementEngine(facts, part, sorted(schema))
             levels = [(m, k) for m in range(1, 4) for k in range(1, min(2, m) + 1)]
             _cross_check(engine, levels, i)
             synthesized += len(engine.synthesized)
@@ -405,9 +397,7 @@ class TestIncrementalRows:
             assert ((m, k) in levels) == (m < 3), (m, k, levels)
 
     def test_refining_past_the_cap_fails(self, schema, facts, partition):
-        engine = RefinementEngine(schema, build_schema_graph(schema), facts,
-                                  partition, ["Method", "Parameter", "Type"],
-                                  m_cap=2)
+        engine = RefinementEngine(facts, partition, ["Method", "Parameter", "Type"], m_cap=2)
         state = run_levels(engine, 2)
         assert state.refinable(2, 1) and (2, 1) not in state.rows
         with pytest.raises(ValueError):

@@ -197,7 +197,7 @@ class TestSynthesize:
         sel = result.selected[0]
         assert evaluate(sel.graph, facts) == part.positives
         assert sel.graph.size() == (2, 1, 1)
-        assert sel.alpha == 1  # "method" is covered through the join
+        assert result.alpha_max == 1  # "method" is covered through the join
 
     def test_context_error_without_entities(self, schema, facts, partition, hmap_doc):
         ctx = make_context(hmap_doc, "")
