@@ -22,7 +22,7 @@ from .extract import extract, extraction_schema, facts_to_doc, positions_to_doc
 from .query import escaped, max_multiplicity, render_ra
 from .reduction import reduce
 from .schema_graph import build_schema_graph
-from .select import make_context, synthesize
+from .select import ContextError, make_context, synthesize
 
 
 class CliError(Exception):
@@ -123,6 +123,9 @@ def cmd_synthesize(args) -> int:
         description = (read_input(args.description_file).strip() if args.description_file
                        else args.description)
         ctx = read_input(args.hmap, lambda text: make_context(json.loads(text), description))
+        if not ctx.entities:
+            raise ContextError(f"{args.description_file or args.hmap}: no named entities in "
+                               "the description: none of its words is in the hmap dictionary")
     result = synthesize(schema, facts, part, ctx, k_bound=args.k_bound,
                         early_stop=not args.no_early_stop,
                         use_reduction=not args.no_reduction,

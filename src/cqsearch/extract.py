@@ -281,7 +281,8 @@ def extract(prog: mj.Program, target: str) -> tuple[FactBase, RelationPartition,
         raise PartitionError("rows annotated both @pos and @neg: " + ", ".join(
             f"{row_id} at {at(row_id)}" for row_id in sorted(both)))
     if not pos_ids:
-        raise ExtractError("no @pos annotations for the target relation")
+        raise ExtractError(f"{', '.join(prog.sources)}: no @pos annotations "
+                           "for the target relation")
     part = make_partition(target, pos_ids, facts)
     return facts, part, positions
 

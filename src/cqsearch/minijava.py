@@ -200,6 +200,7 @@ class ImportDecl:
 class Program:
     imports: list[ImportDecl] = field(default_factory=list)
     classes: list[ClassDecl] = field(default_factory=list)
+    sources: list[str] = field(default_factory=list)  # the files it was parsed from
 
 
 # --- lexer -----------------------------------------------------------------
@@ -535,6 +536,7 @@ def parse(source: str, source_name: str = "<source>") -> Program:
     prog = _Parser(tokenize(source)).program()
     for decl in prog.imports + prog.classes:
         decl.source = source_name
+    prog.sources = [source_name]
     return prog
 
 
@@ -545,4 +547,5 @@ def parse_files(paths) -> Program:
     if not parts:
         raise ParseError("no input files", 0, 0)
     return Program([d for p in parts for d in p.imports],
-                   [c for p in parts for c in p.classes])
+                   [c for p in parts for c in p.classes],
+                   [name for p in parts for name in p.sources])

@@ -7,7 +7,8 @@ literal) decoration per constrained string slot. A node is known by its
 position: node 0 is the projection head, which names the partition target,
 and the renderers name node i ``A{i+1}``. A graph says everything the query
 says up to node order; canonical forms make node order irrelevant for
-deduplication and golden comparisons.
+golden comparisons and selection, and certificates for refinement's
+deduplication.
 """
 from __future__ import annotations
 
@@ -139,11 +140,26 @@ def from_graph(g: QueryGraph, schema: Schema) -> QueryGraph:
 # so the least encoding lists the other nodes in sorted relation order and
 # only nodes of one relation compete for a position; ties between them are
 # kept until a later position breaks them.
+#
+# Refinement needs only some key that two graphs share exactly when they are
+# isomorphic with the head fixed, and most of the graphs it meets differ
+# from others only in their string constraints. Its key is a certificate:
+# the least encoding of the graph's skeleton (its nodes and equality edges),
+# and the least, over every placement that reaches that encoding, of the
+# string constraints relabelled by the placement and sorted. The placements
+# are one labelling composed with each automorphism of the skeleton, so the
+# search runs once per skeleton and serves all of its constrained variants
+# (McKay & Piperno 2014, "Practical graph isomorphism, II"). The encoding
+# lists every edge at its later endpoint, so it fixes the labelled skeleton:
+# equal certificates mean isomorphic graphs, and isomorphic graphs get equal
+# certificates.
 
-def canonical_form(g: QueryGraph):
+def _least_placements(g: QueryGraph) -> tuple[tuple, list[list[int]]]:
+    """The least encoding of ``g`` and every placement (node -> position)
+    that reaches it."""
     n = len(g.nodes)
     if n == 0:
-        return ("empty",)
+        return ("empty",), [[]]
     rels = g.nodes
     adj: list[list] = [[] for _ in range(n)]
     for i, j, attr in g.eq_edges:
@@ -205,7 +221,27 @@ def canonical_form(g: QueryGraph):
                 pos = pos.copy() if len(ties) > 1 else pos
                 pos[x] = p
                 states.append(pos)
-    return tuple(encoding)
+    return tuple(encoding), states
+
+
+def canonical_form(g: QueryGraph):
+    return _least_placements(g)[0]
+
+
+def certificate(g: QueryGraph, skeletons: dict):
+    """A key two graphs share exactly when their canonical forms are equal,
+    computed from the least placements of ``g``'s skeleton, which
+    ``skeletons`` holds by ``(nodes, eq_edges)`` once it has seen them."""
+    skeleton = (g.nodes, g.eq_edges)
+    found = skeletons.get(skeleton)
+    if found is None:
+        found = skeletons[skeleton] = _least_placements(QueryGraph(g.nodes, g.eq_edges, ()))
+    encoding, placements = found
+    if not g.str_edges:
+        return encoding, ()
+    return encoding, min(tuple(sorted([(pos[x], attr, pred, literal)
+                                       for x, attr, pred, literal in g.str_edges]))
+                         for pos in placements)
 
 
 def merged(g: QueryGraph) -> QueryGraph:

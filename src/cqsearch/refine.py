@@ -28,9 +28,13 @@ iff no negative does (incremental view maintenance in its semi-naive form).
 
 Rows are kept only where a later level reads them: never at the engine's
 ``m_cap``, and a level's rows are dropped once the level after the next
-starts. Duplicates are found by canonical form, except that a graph equal to
-one of the level's refinable graphs is recognised before its canonical form
-is computed.
+starts. Duplicates are found by certificate (``query.certificate``), except
+that a graph equal to one of the level's refinable graphs is recognised
+before its certificate is computed. The certificate runs one isomorphism
+search per skeleton, a graph without its string constraints. A child's
+skeleton is its seed's skeleton plus the new node and its edges, so only
+the children of seeds with one skeleton can share a skeleton: a level keeps
+the searches of each seed skeleton until its last seed is expanded.
 
 synLCS is pure, so the engine keeps each constraint it synthesizes under its
 witness sets and synthesizes it once per engine, that is once per synthesis
@@ -44,7 +48,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .core import FactBase, Level, RelationPartition, Trace, Tuple, pred_holds
-from .query import QueryGraph, canonical_form, join_step, multiplicity
+from .query import QueryGraph, certificate, join_step, multiplicity
 from .strings import syn_lcs
 
 # One satisfying assignment: the tuple bound to each node, in node order.
@@ -212,7 +216,7 @@ class RefinementEngine:
             # The refinable graphs of this level. A graph derived again exactly
             # (its string constraints added in another order, or an augmented
             # parent expanded) has the same nodes, so it recurs only within the
-            # level, and matching it here spares its canonical form.
+            # level, and matching it here spares its certificate.
             produced: set[QueryGraph] = set()
 
             def is_new(g: QueryGraph) -> bool:
@@ -221,11 +225,11 @@ class RefinementEngine:
                 if g in produced:
                     level.rederived += 1
                     return False
-                canon = canonical_form(g)
-                if canon in state.seen:
+                key = certificate(g, skeletons)
+                if key in state.seen:
                     level.dedup_hits += 1
                     return False
-                state.seen.add(canon)
+                state.seen.add(key)
                 return True
 
             def keep(g: QueryGraph, rows: Rows) -> None:
@@ -237,7 +241,16 @@ class RefinementEngine:
                 if not rows.negatives:
                     candidates.append(g)
 
-            for g, source_k, rows in seeds:
+            # Per seed skeleton, the searches of its children's skeletons,
+            # which ``is_new`` reads as ``skeletons``; kept until the last
+            # seed with that skeleton.
+            last = {(g.nodes, g.eq_edges): i for i, (g, _, _) in enumerate(seeds)}
+            by_seed: dict = {}
+            for i, (g, source_k, rows) in enumerate(seeds):
+                seed_skeleton = (g.nodes, g.eq_edges)
+                skeletons = by_seed.setdefault(seed_skeleton, {})
+                if last[seed_skeleton] == i:
+                    del by_seed[seed_skeleton]
                 for rel in self.relations:
                     mult = multiplicity(g, rel)  # the child's largest must be k
                     if (mult >= k) if source_k == k else (mult != k - 1):

@@ -3,7 +3,8 @@
 Everything here trades efficiency for obviousness: a mini-Java scanner
 that reads one character at a time, per-row fact checks, full Cartesian
 products, exhaustive substring scans, unpruned breadth-first search over the
-query space, a search for homomorphisms between query graphs. None of it
+query space, searches for homomorphisms and isomorphisms between query
+graphs. None of it
 shares search machinery with the package. Query graphs are read as the
 package writes them: node i is position i, the head 0. The shared
 primitives are:
@@ -45,7 +46,7 @@ primitives are:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from cqsearch.core import (FK, PK, FactBase, FactError, Level, RelationPartition,
                            Schema, pred_holds)
@@ -307,6 +308,25 @@ def homomorphism(src: QueryGraph, dst: QueryGraph) -> tuple[int, ...] | None:
     if src.nodes[0] != dst.nodes[0] or not holds([0]):
         return None
     return extend([0])
+
+
+def isomorphism(src: QueryGraph, dst: QueryGraph) -> tuple[int, ...] | None:
+    """A bijection of ``src``'s nodes onto ``dst``'s that keeps the head and
+    maps each node's relation, the equality edges and the string constraints
+    exactly onto ``dst``'s, found by trying every order of the other nodes;
+    None if there is none. Unlike a pair of homomorphisms, it tells apart
+    graphs that are equivalent as queries but differ as graphs."""
+    n = len(src.nodes)
+    if sorted(src.nodes) != sorted(dst.nodes) or src.nodes[0] != dst.nodes[0]:
+        return None
+    for rest in permutations(range(1, n)):
+        h = (0,) + rest
+        if (all(src.nodes[x] == dst.nodes[h[x]] for x in range(n))
+                and {(h[fk], h[pk], attr) for fk, pk, attr in src.eq_edges} == dst.eq_edges
+                and sorted((h[x], *rest) for x, *rest in src.str_edges)
+                == sorted(dst.str_edges)):
+            return h
+    return None
 
 
 # --- named-entity coverage on the rendered query ------------------------------

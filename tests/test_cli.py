@@ -16,13 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from cqsearch import bench, minijava
 from cqsearch.cli import _load_facts, _query_graph_dot, main
-from cqsearch.core import (FactError, Schema, load_facts, load_positions,
-                           partition_from_doc)
+from cqsearch.core import (DomainError, FactError, Schema, load_facts, load_positions,
+                           partition_from_doc, read_input)
 from cqsearch.datalog import parse_datalog
 from cqsearch.evaluator import evaluate
 from cqsearch.extract import build_facts, extract
 from cqsearch.query import QueryGraph
-from cqsearch.select import synthesize
+from cqsearch.select import load_hmap, synthesize
 from conftest import CORPUS, REPO
 from test_core import _json_values
 from test_minijava import FIG1_SOURCE
@@ -832,6 +832,122 @@ class TestLoadersAtTheBoundary:
             load_positions(json.loads(data))
         else:
             self._failed_naming(path, code, stdout, err)
+
+
+def _schema_of(directory):
+    return _load_facts(directory / "schema.json", directory / "facts.json")[0]
+
+
+# Per file argument: how to draw its contents; the command that reads it,
+# where ``{drawn}`` is the drawn file and ``{dir}`` the fixture's directory
+# of valid files; and its loader, which fails on a file that is malformed
+# whatever the other inputs are.
+_FILE_ARGUMENTS = {
+    "schema": (
+        _drawn_files(["relations", "name", "attributes", "kind", "target"],
+                     st.sampled_from(["Method", "Type", "id", "pk", "fk", "str"])
+                     | st.lists(st.fixed_dictionaries(
+                         {"name": st.sampled_from(["Method", "id", "name"])},
+                         optional={"kind": st.sampled_from(["pk", "fk", "str"]),
+                                   "target": st.sampled_from(["Method", "Type"]),
+                                   "attributes": st.lists(st.fixed_dictionaries(
+                                       {"name": st.sampled_from(["id", "name"]),
+                                        "kind": st.sampled_from(["pk", "str"])}),
+                                       max_size=2)}),
+                         max_size=2)),
+        "reduce --schema {drawn} --facts {dir}/facts.json --partition {dir}/partition.json",
+        lambda path, _: read_input(path, lambda text: Schema.from_doc(json.loads(text)))),
+    "facts": (
+        _drawn_files(["Method", "Type", "Parameter", "Identifier", "Modifier"],
+                     st.lists(st.lists(st.sampled_from(["M1", "T1", "I1", "x"])
+                                       | st.integers(0, 2), max_size=4), max_size=3)),
+        "reduce --schema {dir}/schema.json --facts {drawn} --partition {dir}/partition.json",
+        lambda path, directory: _load_facts(directory / "schema.json", path)),
+    "hmap": (
+        _drawn_files(["dictionary", "h"],
+                     st.lists(st.sampled_from(["method", "utils", "type"]), max_size=3)
+                     | st.dictionaries(st.sampled_from(["Method.id", "Type.name", "x"]),
+                                       st.lists(st.sampled_from(["method", "type"]),
+                                                max_size=2), max_size=2)),
+        "synthesize --schema {dir}/schema.json --facts {dir}/facts.json "
+        "--partition {dir}/partition.json --max-m 1 --description methods "
+        "--hmap {drawn}",
+        lambda path, _: read_input(path, lambda text: load_hmap(json.loads(text)))),
+    "description": (
+        st.binary(max_size=40)
+        | st.lists(st.sampled_from(["methods", "Log4jUtils", "type", "ß", "\r", " "]),
+                   max_size=5).map(lambda words: " ".join(words).encode()),
+        "synthesize --schema {dir}/schema.json --facts {dir}/facts.json "
+        "--partition {dir}/partition.json --max-m 1 --hmap {hmap} "
+        "--description-file {drawn}",
+        lambda path, _: read_input(path)),
+    "query": (
+        st.binary(max_size=40)
+        | st.lists(st.sampled_from(["out(M)", "out(M, A, B, C)", ":-", "Method(M, A, B, C)",
+                                    "Type(B, N)", ",", ".", "str_equal(N, \"x\")",
+                                    "Ghost(M)", "M = A", "\""]),
+                   max_size=6).map(lambda words: " ".join(words).encode()),
+        "search {drawn} --schema {dir}/schema.json --facts {dir}/facts.json",
+        lambda path, directory: read_input(
+            path, lambda text: parse_datalog(text, _schema_of(directory)))),
+    "source": (
+        st.binary(max_size=40)
+        | st.lists(st.sampled_from(["class C {", "}", "/*@pos*/", "/*@neg*/",
+                                    "public int f(T x) { }", "int x;", "import a.b;",
+                                    "{", "(", "/*", "\"", "return 1;"]),
+                   max_size=8).map(lambda words: " ".join(words).encode()),
+        "reduce --source {drawn} --target Method",
+        lambda path, _: minijava.parse_files([path])),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@pytest.mark.parametrize("argument", sorted(_FILE_ARGUMENTS))
+@given(data=st.data())
+def test_file_arguments_fail_naming_the_file(motivating_json, argument, data):
+    """Each file argument, drawn as arbitrary bytes or JSON: the command
+    runs (exit 0, or 2 when it selects nothing) or exits 1 with one error
+    line and no traceback. The line names the drawn file when its loader
+    rejects it, and otherwise an input the drawn file contradicts."""
+    drawn, command, loader = _FILE_ARGUMENTS[argument]
+    path = motivating_json / f"drawn-{argument}{'.java' if argument == 'source' else ''}"
+    path.write_bytes(data.draw(drawn))
+    argv = [word.format(drawn=path, dir=motivating_json, hmap=CORPUS / "hmap.json")
+            for word in command.split()]
+    code, stdout, err = _main(*argv)
+    if code != 1:
+        assert code in (0, 2) and err == "", (code, err)
+        return
+    try:
+        loader(path, motivating_json)
+    except DomainError:
+        TestLoadersAtTheBoundary._failed_naming(path, code, stdout, err)
+    else:
+        named = [arg for arg in argv if os.path.isfile(arg) and f"{arg}: " in err]
+        assert named, err
+        TestLoadersAtTheBoundary._failed_naming(named[0], code, stdout, err)
+
+
+@pytest.mark.parametrize("argument, data, error", [
+    ("description", b"nothing to look for",
+     "ContextError: {path}: no named entities in the description: none of its "
+     "words is in the hmap dictionary"),
+    ("hmap", b'{"dictionary": [], "h": {}}',
+     "ContextError: {path}: no named entities in the description: none of its "
+     "words is in the hmap dictionary"),
+    ("source", b"class C { }", "ExtractError: {path}: no @pos annotations for the "
+     "target relation"),
+], ids=["description", "hmap", "source"])
+def test_well_formed_files_that_select_nothing_are_named(motivating_json, argument,
+                                                        data, error):
+    # Each loads alone, so no loader names it; the error that follows does.
+    _, command, loader = _FILE_ARGUMENTS[argument]
+    path = motivating_json / f"named-{argument}{'.java' if argument == 'source' else ''}"
+    path.write_bytes(data)
+    loader(path, motivating_json)
+    argv = [word.format(drawn=path, dir=motivating_json, hmap=CORPUS / "hmap.json")
+            for word in command.split()]
+    assert _main(*argv) == (1, "", f"error: {error.format(path=path)}\n")
 
 
 def test_dot_escapes_string_literals():

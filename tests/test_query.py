@@ -1,16 +1,20 @@
+import json
 import random
 from collections import Counter
 
 import pytest
 
+from cqsearch import minijava, refine
 from cqsearch.core import pred_holds
 from cqsearch.datalog import parse_datalog, render_datalog
-from cqsearch.extract import extraction_schema
-from cqsearch.query import (GraphError, QueryGraph, canonical_form, check_graph,
-                            max_multiplicity, merged, multiplicity, render_ra)
-from conftest import FIG1C_RULE, fig1c_graph
+from cqsearch.extract import extract, extraction_schema
+from cqsearch.query import (GraphError, QueryGraph, canonical_form, certificate,
+                            check_graph, max_multiplicity, merged, multiplicity,
+                            render_ra)
+from cqsearch.select import make_context, synthesize
+from conftest import CORPUS, FIG1C_RULE, fig1c_graph
 import gen
-from oracles import canonical_form_by_search
+from oracles import canonical_form_by_search, homomorphism, isomorphism
 
 
 def relabelled(g: QueryGraph, rng: random.Random) -> QueryGraph:
@@ -130,6 +134,119 @@ class TestCanonicalForm:
             counts = Counter(g.nodes[1:])
             groups_of_three += max(counts.values(), default=0) >= 3
         assert groups_of_three >= 100
+
+
+def strings_moved(g: QueryGraph, rng: random.Random) -> QueryGraph:
+    """``g`` with its string constraints moved by a random permutation of
+    the non-head nodes of each relation: the same skeleton, isomorphic to
+    ``g`` only if the permutation agrees with one of its automorphisms."""
+    by_rel: dict[str, list[int]] = {}
+    for node in range(1, len(g.nodes)):
+        by_rel.setdefault(g.nodes[node], []).append(node)
+    moved = {0: 0}
+    for nodes in by_rel.values():
+        moved.update(zip(nodes, rng.sample(nodes, len(nodes))))
+    return QueryGraph(g.nodes, g.eq_edges,
+                      tuple(sorted((moved[node], *rest) for node, *rest in g.str_edges)))
+
+
+def refined_graphs(monkeypatch, runs) -> list[QueryGraph]:
+    """Every graph refinement computes a certificate of while synthesizing
+    each ``(schema, facts, partition, context)`` of ``runs`` with k bound 2."""
+    graphs: list[QueryGraph] = []
+
+    def recorded(g: QueryGraph, skeletons: dict):
+        graphs.append(g)
+        return certificate(g, skeletons)
+    monkeypatch.setattr(refine, "certificate", recorded)
+    for schema, facts, part, ctx, max_relations in runs:
+        synthesize(schema, facts, part, ctx, k_bound=2, max_relations=max_relations)
+    return graphs
+
+
+def certificate_mismatches(graphs: list[QueryGraph], rng: random.Random) -> int:
+    """Over ``graphs``, a random head-fixing relabelling of each and a random
+    move of each one's string constraints, the graphs whose certificate
+    class is not their canonical-form class: 0 when the two keys partition
+    them alike. One skeleton memo serves all of them, as in a run."""
+    graphs = graphs + [h for g in graphs
+                       for h in (relabelled(g, rng), strings_moved(g, rng)) if h != g]
+    skeletons: dict = {}
+    keys = [(certificate(g, skeletons), canonical_form(g)) for g in graphs]
+    form_of, cert_of = {}, {}
+    for cert, form in keys:
+        form_of.setdefault(cert, form)
+        cert_of.setdefault(form, cert)
+    return sum(form_of[cert] != form or cert_of[form] != cert for cert, form in keys)
+
+
+class TestCertificate:
+    """Refinement's dedup key against the canonical form it replaced."""
+
+    def test_matches_canonical_form_on_corpus(self, monkeypatch):
+        hmap = json.loads((CORPUS / "hmap.json").read_text(encoding="utf-8"))
+        runs = []
+        for task_dir in sorted(CORPUS.glob("t*/")):
+            doc = json.loads((task_dir / "task.json").read_text(encoding="utf-8"))
+            prog = minijava.parse_files([task_dir / s for s in doc["source"]])
+            facts, part, _ = extract(prog, doc["target"])
+            runs.append((facts.schema, facts, part,
+                         make_context(hmap, doc["description"]), None))
+        assert len(runs) == 14
+        graphs = refined_graphs(monkeypatch, runs)
+        # Over two graphs per skeleton on average, so the memo serves many.
+        assert len({(g.nodes, g.eq_edges) for g in graphs}) * 2 < len(graphs)
+        assert certificate_mismatches(graphs, random.Random(1)) == 0
+
+    def test_matches_canonical_form_on_random_instances(self, monkeypatch):
+        # The first 30 instances of the soundness suite and of the
+        # random-synth benchmark pool.
+        rng = random.Random(2023)
+        runs = []
+        for _ in range(30):
+            schema, facts, part = gen.random_instance(
+                rng, max_relations=5, max_fks=2, max_strs=1)
+            runs.append((schema, facts, part, gen.random_context(rng, schema), 5))
+        graphs = refined_graphs(monkeypatch, runs)
+        assert len(graphs) > 1000
+        assert certificate_mismatches(graphs, random.Random(2)) == 0
+
+    def test_matches_canonical_form_on_random_graphs(self):
+        rng = random.Random(13)
+        graphs = []
+        for _ in range(1000):
+            schema = gen.random_schema(rng, max_relations=3)
+            graphs.append(gen.random_query_graph(rng, schema, m_max=7))
+        assert certificate_mismatches(graphs, rng) == 0
+
+    def test_matches_isomorphism_on_small_graphs(self):
+        # Families of one small graph, its relabellings and its constraints
+        # moved, over two relations and one-letter literals, so that classes
+        # often meet: certificates are equal exactly when a bijection maps
+        # one graph onto the other, and such graphs are equivalent queries.
+        rng = random.Random(17)
+        graphs = []
+        for _ in range(60):
+            schema = gen.random_schema(rng, max_relations=2, max_fks=2, max_strs=2)
+            g = gen.random_query_graph(rng, schema, m_max=5, alphabet="a")
+            graphs += [g] + [rng.choice((relabelled, strings_moved))(g, rng)
+                             for _ in range(4)]
+        skeletons: dict = {}
+        certs = [certificate(g, skeletons) for g in graphs]
+        same = differ = 0
+        for i, a in enumerate(graphs):
+            for j in range(i + 1, len(graphs)):
+                b = graphs[j]
+                equal = certs[i] == certs[j]
+                assert equal == (isomorphism(a, b) is not None), (a, b)
+                if equal:
+                    assert homomorphism(a, b) is not None, (a, b)
+                    assert homomorphism(b, a) is not None, (a, b)
+                    same += 1
+                elif (a.nodes, a.eq_edges) == (b.nodes, b.eq_edges):
+                    differ += 1
+        # Both outcomes occur among graphs that share a skeleton.
+        assert same >= 100 and differ >= 20, (same, differ)
 
 
 class TestPredicates:

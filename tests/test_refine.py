@@ -271,16 +271,16 @@ class TestCandidatePath:
 
 @pytest.fixture
 def searched(monkeypatch):
-    """The graphs refinement canonicalises, each checked against the search
-    over every remaining node."""
+    """The graphs refinement deduplicates by certificate, each with its
+    canonical form checked against the search over every remaining node."""
     graphs: list[QueryGraph] = []
+    certificate = refine.certificate
 
-    def checked(g: QueryGraph):
-        form = canonical_form(g)
-        assert form == canonical_form_by_search(g), g
+    def checked(g: QueryGraph, skeletons: dict):
+        assert canonical_form(g) == canonical_form_by_search(g), g
         graphs.append(g)
-        return form
-    monkeypatch.setattr(refine, "canonical_form", checked)
+        return certificate(g, skeletons)
+    monkeypatch.setattr(refine, "certificate", checked)
     return graphs
 
 
