@@ -85,6 +85,14 @@ def _query_graph_dot(graph) -> str:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_extract(args) -> int:
+    # One collector pause from reading the first source to writing the last
+    # file, as in cmd_search: the tokens, the AST, the rows and the documents
+    # are acyclic, so a collection would walk them and free nothing.
+    with collector_paused():
+        return _extract(args)
+
+
+def _extract(args) -> int:
     from .extract import build_facts
     prog = minijava.parse_files(args.source)
     if args.target:

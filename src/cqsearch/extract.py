@@ -188,6 +188,20 @@ def _walk_statements(builder: _Builder, stmts, method_id: str):
             raise ExtractError(f"unknown statement node {type(stmt).__name__}")
 
 
+def _class_ref(builder: _Builder, known: dict[str, str], name: str) -> str:
+    """The Class row id of ``name``: its declaration's, else an implicit
+    external row, made on first use, whose super is the implicit root
+    ``Object``, itself its own super. A module-level function, so that no
+    closure refers to itself and the builder is freed by reference counting."""
+    got = known.get(name)
+    if got is None:
+        got = known[name] = builder.new_id("Class")
+        root = got if name == "Object" else _class_ref(builder, known, "Object")
+        builder.rows["Class"].append((got, builder.identifier(name),
+                                      builder.modifier(()), root, "external"))
+    return got
+
+
 def build_facts(prog: mj.Program) -> tuple[FactBase, dict[str, dict],
                                            list[tuple[str, str, str]]]:
     """All rows for a program: facts, source positions, annotation records."""
@@ -197,33 +211,19 @@ def build_facts(prog: mj.Program) -> tuple[FactBase, dict[str, dict],
         row = builder.add("Import", (imp.name,), imp.pos)
         builder.annotate(imp.annotations, "Import", row, imp.pos)
 
-    # Class ids first so supertype references can resolve; implicit rows for
-    # undeclared names, and an implicit root every extends-less class points at.
-    declared: dict[str, str] = {}
+    # Class ids first so supertype references can resolve.
+    known: dict[str, str] = {}  # class name -> Class row id
     class_rows: dict[str, mj.ClassDecl] = {}
     for cls in prog.classes:
         row_id = builder.new_id("Class")
-        declared.setdefault(cls.name, row_id)
+        known.setdefault(cls.name, row_id)
         class_rows[row_id] = cls
         builder.positions[row_id] = {"file": cls.source,
                                      "line": cls.pos.line, "col": cls.pos.col}
 
     classes = builder.rows.setdefault("Class", [])
-    implicit: dict[str, str] = {}
-
-    def implicit_class(name: str) -> str:
-        got = declared.get(name) or implicit.get(name)
-        if got is not None:
-            return got
-        row_id = builder.new_id("Class")
-        implicit[name] = row_id
-        root = implicit_class("Object") if name != "Object" else row_id
-        classes.append((row_id, builder.identifier(name), builder.modifier(()),
-                        root, "external"))
-        return row_id
-
     for row_id, cls in class_rows.items():
-        super_ref = implicit_class(cls.super_name or "Object")
+        super_ref = _class_ref(builder, known, cls.super_name or "Object")
         classes.append((row_id, builder.identifier(cls.name),
                         builder.modifier(cls.modifiers), super_ref, cls.kind))
         builder.annotate(cls.annotations, "Class", row_id, cls.pos)
@@ -288,7 +288,9 @@ def extract(prog: mj.Program, target: str) -> tuple[FactBase, RelationPartition,
 
 
 def facts_to_doc(facts: FactBase) -> dict:
-    return {name: sorted([list(t) for t in facts.tuples(name)])
+    """The facts.json document of ``facts``: each relation's rows, which are
+    distinct, sorted."""
+    return {name: sorted([list(t) for t in facts.matching(name, ())])
             for name in facts.schema}
 
 

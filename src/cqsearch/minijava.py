@@ -212,13 +212,12 @@ class Token(NamedTuple):
 
 
 # The lexical grammar, one alternative per lexeme, tried in order at each
-# offset. It reads ASCII; ``_AsciiClass`` maps any other character to a
-# stand-in of its class, and ``\x80`` stands for one that may go on a word
-# but start no token.
+# offset. A run of blanks, line ends and ``//`` comments is one lexeme, so
+# one match, whose line ends ``tokenize`` counts. It reads ASCII;
+# ``_AsciiClass`` maps any other character to a stand-in of its class, and
+# ``\x80`` stands for one that may go on a word but start no token.
 _LEXEME = re.compile(r"""
-    (?P<blank>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>//[^\n]*)
+    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
   | (?P<annot>/\*@(?:pos|neg)\*/)
   | (?P<block>/\*[\s\S]*?\*/)
   | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
@@ -249,36 +248,41 @@ def tokenize(src: str) -> list[Token]:
     """The tokens of ``src`` and a closing ``eof`` token; the first lexical
     error is a ``ParseError`` at its line and column."""
     tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__  # new: no Python-level __new__
     line, line_start = 1, 0  # line_start: offset of the line's first character
     lexemes = src if src.isascii() else src.translate(_AsciiClass())
     for m in _LEXEME.finditer(lexemes):
         kind = m.lastgroup
-        if kind == "blank" or kind == "comment":
+        start, end = m.span()
+        if kind == "skip" or kind == "block":
+            if (n := src.count("\n", start, end)):
+                line, line_start = line + n, src.rindex("\n", start, end) + 1
             continue
-        start = m.start()
-        if kind == "newline":
-            line, line_start = line + 1, start + 1
-            continue
-        text = src[start:m.end()]
-        pos = Pos(line, start - line_start + 1)
+        text = src[start:end]
+        pos = new(Pos, (line, start - line_start + 1))
         if kind == "word":
-            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, pos))
+            append(new(Token, ("keyword" if text in KEYWORDS else "ident", text, pos)))
         elif kind == "punct" or kind == "int" or kind == "double":
-            tokens.append(Token(kind, text, pos))
-        elif kind == "annot":
-            tokens.append(Token("annot", text[3:6], pos))
+            append(new(Token, (kind, text, pos)))
         elif kind == "string":
-            tokens.append(Token("string", text[1:-1], pos))
-        elif kind == "open" or kind == "bad":
+            append(new(Token, ("string", text[1:-1], pos)))
+            if (n := text.count("\n")):
+                line, line_start = line + n, start + text.rindex("\n") + 1
+        elif kind == "annot":
+            append(new(Token, ("annot", text[3:6], pos)))
+        else:  # open or bad
             raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), *pos)
-        if (kind == "block" or kind == "string") and "\n" in text:
-            line += text.count("\n")
-            line_start = start + text.rindex("\n") + 1
-    tokens.append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
+    append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
     return tokens
 
 
 # --- parser ----------------------------------------------------------------
+
+# Binding strength of each binary operator, loosest first.
+_BINARY_LEVEL = {op: level for level, ops in enumerate(
+    (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"),
+     ("*", "/", "%")), 1) for op in ops}
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -287,7 +291,9 @@ class _Parser:
         self.depth = 0  # open nested expressions and blocks
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+        """The token ``offset`` ahead of the next; as for ``at``, ``offset``
+        may be 1 unless ``eof`` is next."""
+        return self.tokens[self.i + offset]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -484,23 +490,24 @@ class _Parser:
         body = self.block()
         return ForStmt(init, cond, update, body, ann, tok.pos)
 
-    # expressions, lowest precedence first
-    _BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="),
-                      ("+", "-"), ("*", "/", "%"))
-
-    def expr(self, level: int = 0):
-        if level == len(self._BINARY_LEVELS):
-            return self.unary()
-        if level == 0:
-            self.descend()
-        node = self.expr(level + 1)
-        while self.at(*self._BINARY_LEVELS[level]):
-            op = self.next()
-            right = self.expr(level + 1)
-            node = Binary(op.value, node, right, op.pos)
-        if level == 0:
-            self.depth -= 1
+    def expr(self):
+        self.descend()
+        node = self.climb(1)
+        self.depth -= 1
         return node
+
+    def climb(self, least: int):
+        """Precedence climbing: an operand and the binary operators after it
+        that bind at ``least`` or tighter, grouped to the left."""
+        node = self.unary()
+        tokens = self.tokens
+        while True:
+            op = tokens[self.i]
+            level = _BINARY_LEVEL.get(op.value, 0) if op.kind == "punct" else 0
+            if level < least:
+                return node
+            self.i += 1
+            node = Binary(op.value, node, self.climb(level + 1), op.pos)
 
     def unary(self):
         ops = []

@@ -1,10 +1,11 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here trades efficiency for obviousness: a mini-Java scanner
-that reads one character at a time, per-row fact checks, full Cartesian
-products, exhaustive substring scans, unpruned breadth-first search over the
-query space, searches for homomorphisms and isomorphisms between query
-graphs. None of it
+that reads one character at a time, a lexer that matches one lexeme at a
+time, a parser with one recursive frame per operator precedence level,
+per-row fact checks, full Cartesian products, exhaustive substring scans,
+unpruned breadth-first search over the query space, searches for
+homomorphisms and isomorphisms between query graphs. None of it
 shares search machinery with the package. Query graphs are read as the
 package writes them: node i is position i, the head 0. The shared
 primitives are:
@@ -12,6 +13,12 @@ primitives are:
 - ``minijava``'s ``Token``, ``Pos``, ``ParseError`` and ``KEYWORDS``, the
   types and keyword set ``tokenize_by_scanning`` writes its tokens and
   errors in, and nothing of ``tokenize``'s regex;
+- ``minijava``'s ``_AsciiClass`` table and its error messages inside
+  ``tokenize_by_lexemes``, and its parser, all but ``expr``, inside
+  ``ParserByLevels``: the two are the lexer and the expression parser that
+  ``minijava`` replaced, kept as the references for its runs of blanks and
+  comments and its precedence climbing, and ``tokenize_by_scanning``
+  certifies the table;
 
 - the evaluator inside the brute-force enumerator and inside
   ``refine_by_compiling``, which the suite certifies separately against the
@@ -45,13 +52,15 @@ primitives are:
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
 from cqsearch.core import (FK, PK, FactBase, FactError, Level, RelationPartition,
                            Schema, pred_holds)
 from cqsearch.evaluator import _Compiled, evaluate, refinable_with_witnesses
-from cqsearch.minijava import KEYWORDS, ParseError, Pos, Token
+from cqsearch.minijava import (_UNTERMINATED, KEYWORDS, Binary, ParseError, Pos,
+                               Program, Token, _AsciiClass, _Parser)
 from cqsearch.query import QueryGraph, canonical_form, multiplicity
 from cqsearch.reduction import DropReason, ReducedRepresentation
 from cqsearch.refine import RefinementEngine, RefinementState
@@ -161,6 +170,93 @@ def tokenize_by_scanning(src: str) -> list[Token]:
         error(f"unexpected character {ch!r}")
     tokens.append(Token("eof", "", Pos(line, col)))
     return tokens
+
+
+# --- mini-Java tokens one lexeme at a time, expressions one level at a time --
+
+# minijava's lexical grammar with blanks, a newline and a ``//`` comment
+# each a lexeme of its own.
+_LEXEME_BY_ONE = re.compile(r"""
+    (?P<blank>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<annot>/\*@(?:pos|neg)\*/)
+  | (?P<block>/\*[\s\S]*?\*/)
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+  | (?P<open>/\*|")
+  | (?P<double>[0-9]+\.[0-9]+)
+  | (?P<int>[0-9]+)
+  | (?P<word>[A-Za-z_][\w\x80]*)
+  | (?P<punct>==|!=|<=|>=|&&|\|\||[(){};,=<>+\-*/%!.])
+  | (?P<bad>[\s\S])
+""", re.VERBOSE)
+
+
+def tokenize_by_lexemes(src: str) -> list[Token]:
+    """``minijava.tokenize`` one regex match per lexeme, each blank run,
+    newline and comment its own match, through ``namedtuple`` constructors:
+    the reference for its runs of blanks, newlines and comments."""
+    tokens: list[Token] = []
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    lexemes = src if src.isascii() else src.translate(_AsciiClass())
+    for m in _LEXEME_BY_ONE.finditer(lexemes):
+        kind = m.lastgroup
+        if kind == "blank" or kind == "comment":
+            continue
+        start = m.start()
+        if kind == "newline":
+            line, line_start = line + 1, start + 1
+            continue
+        text = src[start:m.end()]
+        pos = Pos(line, start - line_start + 1)
+        if kind == "word":
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, pos))
+        elif kind == "punct" or kind == "int" or kind == "double":
+            tokens.append(Token(kind, text, pos))
+        elif kind == "annot":
+            tokens.append(Token("annot", text[3:6], pos))
+        elif kind == "string":
+            tokens.append(Token("string", text[1:-1], pos))
+        elif kind == "open" or kind == "bad":
+            raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), *pos)
+        if (kind == "block" or kind == "string") and "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
+    tokens.append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
+    return tokens
+
+
+class ParserByLevels(_Parser):
+    """``minijava``'s parser with binary operators parsed by one recursive
+    ``expr`` frame per precedence level: the reference for its precedence
+    climbing."""
+
+    # expressions, lowest precedence first
+    _BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="),
+                      ("+", "-"), ("*", "/", "%"))
+
+    def expr(self, level: int = 0):
+        if level == len(self._BINARY_LEVELS):
+            return self.unary()
+        if level == 0:
+            self.descend()
+        node = self.expr(level + 1)
+        while self.at(*self._BINARY_LEVELS[level]):
+            op = self.next()
+            right = self.expr(level + 1)
+            node = Binary(op.value, node, right, op.pos)
+        if level == 0:
+            self.depth -= 1
+        return node
+
+
+def parse_by_levels(source: str, source_name: str = "<source>") -> Program:
+    """``minijava.parse`` by ``tokenize_by_lexemes`` and ``ParserByLevels``."""
+    prog = ParserByLevels(tokenize_by_lexemes(source)).program()
+    for decl in prog.imports + prog.classes:
+        decl.source = source_name
+    prog.sources = [source_name]
+    return prog
 
 
 # --- search output ---------------------------------------------------------------

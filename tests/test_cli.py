@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import importlib
 import importlib.util
 import io
 import json
@@ -14,7 +15,7 @@ from concurrent.futures import Future
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cqsearch import bench, minijava
+from cqsearch import bench, cli, minijava
 from cqsearch.cli import _load_facts, _query_graph_dot, main
 from cqsearch.core import (DomainError, FactError, Schema, load_facts, load_positions,
                            partition_from_doc, read_input)
@@ -27,6 +28,9 @@ from conftest import CORPUS, REPO
 from test_core import _json_values
 from test_minijava import FIG1_SOURCE
 import oracles
+
+# The package re-exports the function extract under the module's name.
+extract_module = importlib.import_module("cqsearch.extract")
 
 
 @pytest.fixture
@@ -103,6 +107,34 @@ class TestExtractCommand:
         code, _, err = run(capsys, "extract", str(path), "-o", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith(f"error: InputError: {path}: {where}: not UTF-8: "), err
+
+    @pytest.mark.parametrize("source, code", [("class A { }", 0), ("class B {\n  int 5x;\n}", 1)],
+                             ids=["parsed", "parse-error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_runs_in_one_collector_pause(self, capsys, tmp_path, monkeypatch, source, code,
+                                         enabled):
+        # Paused from the first source to the last file written, and restored
+        # however the command ends.
+        paused = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                paused.append(not gc.isenabled())
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(extract_module, "build_facts", recording(build_facts))
+        monkeypatch.setattr(cli, "_write_json", recording(cli._write_json))
+        path = tmp_path / "a.java"
+        path.write_text(source, encoding="utf-8")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            got, _, err = run(capsys, "extract", str(path), "-o", str(tmp_path / "out"))
+            assert got == code, err
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert paused == ([True] * 4 if code == 0 else [])
 
     @pytest.mark.parametrize("bad", [0, 1], ids=["first-file", "second-file"])
     def test_parse_error_names_its_file(self, capsys, tmp_path, bad):

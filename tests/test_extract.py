@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 
@@ -5,7 +6,7 @@ import pytest
 
 from cqsearch import minijava as mj
 from cqsearch.core import PartitionError
-from cqsearch.extract import (ExtractError, build_facts, extract,
+from cqsearch.extract import (ExtractError, _Builder, build_facts, extract,
                               facts_to_doc)
 from test_minijava import FIG1_SOURCE
 
@@ -77,6 +78,34 @@ class TestClassRows:
         assert rows["Base"][3] == rows["Object"][0]
         assert rows["Object"][3] == rows["Object"][0]          # root loops
         assert rows["Object"][4] == "external"
+
+    def test_implicit_rows_in_order_of_first_use(self):
+        # An undeclared supertype takes the next Class id, and the root Object
+        # the one after it on first use; Object's row and name come first.
+        prog = mj.parse("class A extends Missing { }\nclass B implements Runnable { }\n"
+                        "class C { }")
+        doc = facts_to_doc(build_facts(prog)[0])
+        assert doc["Class"] == [
+            ["C1", "I3", "MDF1", "C4", "class"], ["C2", "I5", "MDF1", "C6", "class"],
+            ["C3", "I6", "MDF1", "C5", "class"], ["C4", "I2", "MDF1", "C5", "external"],
+            ["C5", "I1", "MDF1", "C5", "external"], ["C6", "I4", "MDF1", "C5", "external"]]
+        assert doc["Identifier"] == [["I1", "Object"], ["I2", "Missing"], ["I3", "A"],
+                                     ["I4", "Runnable"], ["I5", "B"], ["I6", "C"]]
+
+    def test_builder_is_freed_by_reference_counting(self):
+        # Nothing refers back to the builder, so it goes when build_facts
+        # returns, without waiting for a cyclic collection.
+        prog = mj.parse(FIG1_SOURCE + "class A extends Missing { }")
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = build_facts(prog)
+            assert not [o for o in gc.get_objects() if isinstance(o, _Builder)]
+            assert result[0].matching("Class", ())
+        finally:
+            if was:
+                gc.enable()
 
     def test_interface_kind(self):
         prog = mj.parse("interface Greeter { }")

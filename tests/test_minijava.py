@@ -1,11 +1,12 @@
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cqsearch import minijava as mj
 from conftest import CORPUS, REPO
-from oracles import tokenize_by_scanning
+from oracles import parse_by_levels, tokenize_by_lexemes, tokenize_by_scanning
 
 FIG1_SOURCE = """\
 class Service {
@@ -164,6 +165,24 @@ class TestNesting:
             mj.parse(_method_body(stmt))
         assert err.value.line == 1 and err.value.col > 1
 
+    @pytest.mark.parametrize("ops", [["+"], ["*", "+"], ["||", "&&", "==", "<", "+", "*"]],
+                             ids=["one-level", "two-levels", "every-level"])
+    def test_five_thousand_operand_chains_parse(self, ops):
+        # Operands and operators in source order, read back iteratively: the
+        # chain's depth must cost no recursion.
+        names = [f"a{i}" for i in range(5000)]
+        text = names[0] + "".join(f" {ops[i % len(ops)]} {name}"
+                                  for i, name in enumerate(names[1:]))
+        node = mj.parse(_method_body(f"return {text};")).classes[0].methods[0].body[0].value
+        flat, stack = [], [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, mj.Binary):
+                stack += (node.right, node.op, node.left)
+            else:
+                flat.append(node if isinstance(node, str) else node.ident)
+        assert " ".join(flat) == text
+
     def test_long_operator_chains_parse(self):
         prog = mj.parse(_method_body("return " + "!" * 3000 + "-x" + " + 1" * 3000 + ";"))
         node = prog.classes[0].methods[0].body[0].value
@@ -247,3 +266,87 @@ class TestParseProperties:
             mj.parse(text)
         except mj.ParseError:
             pass
+
+
+# Blanks, line ends and comments that may stand between two tokens.
+_GAPS = ["", " ", "  ", "\t", "\n", "\r\n", "\n    ", " // c é\n", "//\n\t",
+         " /* a\n b */ ", "/**/", " /*\n\n*/"]
+_NAMES = ["a", "b1", "_x", "é", "xⅧ", "名前", "Ω2", "i½", "new_"]
+_LITERALS = ["0", "42", "2.5", "true", "false", '"s"', '"a\\"b"', '"\\\\"',
+             '"x\\\ny"', '"é ½ //"', '"/* */"']
+_BINARY_OPS = ["||", "&&", "==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/", "%"]
+
+
+def _operand(draw, depth: int) -> list[str]:
+    """Tokens of ``!``/``-`` and a name, a literal, a call, a ``new`` or a
+    parenthesised expression; only names and literals at depth 0."""
+    tokens = draw(st.lists(st.sampled_from(["!", "-"]), max_size=2))
+    kind = draw(st.sampled_from(["name", "literal", "call", "new", "paren"][:5 if depth else 2]))
+    if kind == "name" or kind == "literal":
+        return tokens + [draw(st.sampled_from(_NAMES if kind == "name" else _LITERALS))]
+    if kind == "paren":
+        return tokens + ["(", *_expression(draw, depth - 1), ")"]
+    tokens += ["new", "T", "("] if kind == "new" else [draw(st.sampled_from(_NAMES)), "("]
+    for i in range(draw(st.integers(0, 2))):
+        tokens += [","] * (i > 0) + _expression(draw, depth - 1)
+    return tokens + [")"]
+
+
+def _expression(draw, depth: int) -> list[str]:
+    tokens = _operand(draw, depth)
+    for _ in range(draw(st.integers(0, 4))):
+        tokens += [draw(st.sampled_from(_BINARY_OPS)), *_operand(draw, depth)]
+    return tokens
+
+
+@st.composite
+def _expression_sources(draw):
+    """A method returning a drawn expression, a drawn gap before each token."""
+    tokens = ["class", "A", "{", "int", "f", "(", ")", "{", "return",
+              *_expression(draw, 2), ";", "}", "}"]
+    text = ""
+    for token, gap in zip(tokens, draw(st.lists(st.sampled_from(_GAPS), min_size=len(tokens),
+                                                max_size=len(tokens)))):
+        if not gap and re.match(r"\w\w", text[-1:] + token[:1]) or text[-1:] + gap[:1] == "//":
+            gap = " " + gap  # not two words into one, nor "/" and a comment into "//"
+        text += gap + token
+    return text
+
+
+def _parsed(parse, text):
+    """The ``Program`` of ``text``, or the ``ParseError`` message, line and column."""
+    try:
+        return parse(text, "a.java")
+    except mj.ParseError as err:
+        return ("error", str(err), err.line, err.col)
+
+
+class TestReplacedFrontend:
+    """``tokenize`` and ``parse`` match the lexer with one regex match per
+    lexeme and the parser with one ``expr`` frame per precedence level that
+    they replaced, in ``oracles``, token for token, node for node and error
+    for error."""
+
+    def assert_matches(self, text):
+        assert _lexed(mj.tokenize, text) == _lexed(tokenize_by_lexemes, text)
+        assert _parsed(mj.parse, text) == _parsed(parse_by_levels, text)
+
+    @pytest.mark.parametrize("path", _corpus_sources(), ids=lambda p: p.parent.name)
+    def test_matches_on_corpus(self, path):
+        self.assert_matches(path.read_text(encoding="utf-8"))
+
+    def test_matches_on_generated_code_base(self):
+        sys.path.insert(0, str(REPO))
+        from perfbench.gen_codebase import generate
+        files = generate(2023, 200).files
+        assert len(files) == 8
+        for text in files.values():
+            self.assert_matches(text)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_expression_sources())
+    @example("class A { int f() {\n  // c\n  return !-a || b1 && é == xⅧ != 名前 < 1 > 2.5\n"
+             "    <= \"a\\\"b\" >= f(x, (y + z) * 3) + new T() - g() * h / i % j;\n"
+             "  /* multi\n   line */ } }")
+    def test_matches_on_drawn_expressions(self, text):
+        self.assert_matches(text)
