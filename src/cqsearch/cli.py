@@ -64,8 +64,41 @@ def _load_inputs(args):
     return schema, facts, part
 
 
-def _write_json(path, doc, indent=2) -> None:
-    Path(path).write_text(json.dumps(doc, indent=indent) + "\n", encoding="utf-8")
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder where there is one
+
+
+def indented_json(doc, pad: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, without the stdlib's pure-Python
+    encoder: strings by the C ``encode_basestring_ascii``, each list of
+    strings in one ``join``, and any other scalar by ``json.dumps``'s C path.
+    ``pad`` starts the lines of ``doc``'s closing bracket. It keeps no closure
+    or cycle, so it leaves the collector nothing. Object keys must be
+    strings."""
+    if isinstance(doc, str):
+        return _encode_str(doc)
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [_encode_str(key) + ": " + indented_json(value, inner)
+             for key, value in doc.items()]) + pad + "}")
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        try:  # a row of strings, by far the most common list
+            items = ("," + inner).join(map(_encode_str, doc))
+        except TypeError:
+            items = ("," + inner).join([indented_json(item, inner) for item in doc])
+        return "[" + inner + items + pad + "]"
+    return json.dumps(doc)
+
+
+def _write_json(path, doc, indented: bool = True) -> None:
+    """``doc`` and a line end in ``path``: laid out as ``json.dumps(doc,
+    indent=2)``, or compact on one line."""
+    text = indented_json(doc) if indented else json.dumps(doc)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _query_graph_dot(graph) -> str:
@@ -109,7 +142,7 @@ def _extract(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, doc in docs.items():
-        _write_json(outdir / name, doc, indent=None if name == "positions.json" else 2)
+        _write_json(outdir / name, doc, indented=name != "positions.json")
     print(f"wrote {', '.join(docs)} to {outdir}")
     return 0
 
@@ -183,7 +216,7 @@ def _report(result, schema) -> dict:
 def _emit(args, result, report):
     mode = args.emit
     if mode == "json":
-        print(json.dumps(report, indent=2))
+        print(indented_json(report))
         return
     if mode == "dot":
         for sel in result.selected:

@@ -6,7 +6,13 @@ assignments, calls, if/for with condition expressions, return). Anything else
 is a parse error, never silently skipped. The markers /*@pos*/ and /*@neg*/
 survive lexing as annotations and attach to the next declaration or statement.
 
-Lexical grammar (``tokenize``, one regex with a group per lexeme):
+``tokenize`` matches one regex, ``(skip)(token)``, back to back over the
+source, classifies each distinct token text once, and returns the tokens
+as columns (``Tokens``): kinds, values and start offsets. A token's line
+and column are found from its offset only when a node or an error keeps
+them. The parser reads the columns by token index.
+
+Lexical grammar:
 
 - blanks are space, tab and CR, and each counts one column; only LF ends a
   line. ``//`` comments run to the line end and ``/* */`` comments to the
@@ -27,7 +33,11 @@ Any other character is an ``unexpected character`` error at its position.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import add
 from typing import NamedTuple
 
 from .core import DomainError, read_input
@@ -211,24 +221,32 @@ class Token(NamedTuple):
     pos: Pos
 
 
-# The lexical grammar, one alternative per lexeme, tried in order at each
-# offset. A run of blanks, line ends and ``//`` comments is one lexeme, so
-# one match, whose line ends ``tokenize`` counts. It reads ASCII;
-# ``_AsciiClass`` maps any other character to a stand-in of its class, and
-# ``\x80`` stands for one that may go on a word but start no token.
+# The lexical grammar as two groups, ``(skip)(token)``, matched back to back
+# from the start: a run of blanks, line ends and comments (a ``/* */``
+# comment that is not an annotation), then one token. A token is an
+# annotation, a string, an unterminated ``/*`` or ``"`` (with the rest of
+# the input, so that no later ``/*`` or ``"`` scans to the end again), a
+# number, a word, a punctuation mark, any other character, or the empty
+# match at the end, which stops the skip group from giving back text there.
+# ``re`` of Python 3.10 has no atomic groups or possessive quantifiers, so
+# the token group always matching is what keeps the skip group from
+# backtracking. It reads ASCII; ``_AsciiClass`` maps any other character to
+# a stand-in of its class, and ``\x80`` stands for one that may go on a word
+# but start no token.
+_STRING = re.compile(r'"(?:[^"\\\n]|\\[\s\S])*"')  # a closed string literal
 _LEXEME = re.compile(r"""
-    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
-  | (?P<annot>/\*@(?:pos|neg)\*/)
-  | (?P<block>/\*[\s\S]*?\*/)
-  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
-  | (?P<open>/\*|")
-  | (?P<double>[0-9]+\.[0-9]+)
-  | (?P<int>[0-9]+)
-  | (?P<word>[A-Za-z_][\w\x80]*)
-  | (?P<punct>==|!=|<=|>=|&&|\|\||[(){};,=<>+\-*/%!.])
-  | (?P<bad>[\s\S])
+    ((?:[ \t\r\n]+|//[^\n]*|/\*(?!@(?:pos|neg)\*/)[\s\S]*?\*/)*)
+    ( /\*@(?:pos|neg)\*/
+    | """ + _STRING.pattern + r"""
+    | /\*[\s\S]*|"[\s\S]*
+    | [0-9]+\.[0-9]+|[0-9]+
+    | [A-Za-z_][\w\x80]*
+    | ==|!=|<=|>=|&&|\|\||[(){};,=<>+\-*/%!.]
+    | [\s\S]|\Z )
 """, re.VERBOSE)
 _UNTERMINATED = {"/*": "unterminated comment", '"': "unterminated string literal"}
+_PUNCT = {"==", "!=", "<=", ">=", "&&", "||", *"(){};,=<>+-*/%!."}
+_MARKS = ("punct", "keyword")  # the kinds whose values ``_Parser.at`` and ``accept`` match
 
 
 class _AsciiClass(dict):
@@ -244,35 +262,85 @@ class _AsciiClass(dict):
         return self[code]
 
 
-def tokenize(src: str) -> list[Token]:
+class _Lexicon(dict):
+    """Token text -> ``(kind, value)``, each distinct text classified once,
+    by its ``table`` stand-in. A lexical error is the kind ``error`` with the
+    message as its value."""
+
+    def __init__(self, table: _AsciiClass):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, text: str) -> tuple[str, str]:
+        lexeme = text if text.isascii() else text.translate(self.table)
+        first = lexeme[:1]
+        if not first:
+            entry = ("eof", "")
+        elif first == '"':
+            entry = (("string", text[1:-1]) if _STRING.fullmatch(lexeme)
+                     else ("error", _UNTERMINATED['"']))
+        elif lexeme.startswith("/*"):
+            entry = (("annot", text[3:6]) if text in ("/*@pos*/", "/*@neg*/")
+                     else ("error", _UNTERMINATED["/*"]))
+        elif first.isdigit():
+            entry = ("double" if "." in text else "int", text)
+        elif first.isalpha() or first == "_":
+            entry = ("keyword" if text in KEYWORDS else "ident", text)
+        elif lexeme in _PUNCT:
+            entry = ("punct", text)
+        else:
+            entry = ("error", f"unexpected character {text!r}")
+        self[text] = entry
+        return entry
+
+
+class Tokens(Sequence):
+    """The tokens of one source as columns, the last an ``eof``: ``kinds``,
+    ``values`` and ``starts``, each token's offset in the source. ``pos``
+    finds a token's line and column when asked; indexing and iterating yield
+    ``Token``s."""
+
+    __slots__ = ("kinds", "values", "starts", "_src", "_lines")
+
+    def __init__(self, src: str, kinds, values, starts):
+        self.kinds, self.values, self.starts = kinds, values, starts
+        self._src = src
+        self._lines = None  # offset of each line's first character, when asked
+
+    def pos(self, i: int) -> Pos:
+        lines = self._lines
+        if lines is None:  # a line ends at each LF, in a string or comment too
+            lines = self._lines = [0, *accumulate(map((1).__add__,
+                                                      map(len, self._src.split("\n"))))]
+        start = self.starts[i]
+        line = bisect_right(lines, start)
+        return tuple.__new__(Pos, (line, start - lines[line - 1] + 1))
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.values[i], self.pos(i))
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+
+def tokenize(src: str) -> Tokens:
     """The tokens of ``src`` and a closing ``eof`` token; the first lexical
     error is a ``ParseError`` at its line and column."""
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__  # new: no Python-level __new__
-    line, line_start = 1, 0  # line_start: offset of the line's first character
-    lexemes = src if src.isascii() else src.translate(_AsciiClass())
-    for m in _LEXEME.finditer(lexemes):
-        kind = m.lastgroup
-        start, end = m.span()
-        if kind == "skip" or kind == "block":
-            if (n := src.count("\n", start, end)):
-                line, line_start = line + n, src.rindex("\n", start, end) + 1
-            continue
-        text = src[start:end]
-        pos = new(Pos, (line, start - line_start + 1))
-        if kind == "word":
-            append(new(Token, ("keyword" if text in KEYWORDS else "ident", text, pos)))
-        elif kind == "punct" or kind == "int" or kind == "double":
-            append(new(Token, (kind, text, pos)))
-        elif kind == "string":
-            append(new(Token, ("string", text[1:-1], pos)))
-            if (n := text.count("\n")):
-                line, line_start = line + n, start + text.rindex("\n") + 1
-        elif kind == "annot":
-            append(new(Token, ("annot", text[3:6], pos)))
-        else:  # open or bad
-            raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), *pos)
-    append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
+    table = _AsciiClass()
+    lexemes = src if src.isascii() else src.translate(table)
+    pairs = _LEXEME.findall(lexemes)  # the last token is the empty one at the end
+    if len(pairs) > 1 and not pairs[-2][1]:
+        pairs.pop()  # input ending in a skip run matches the end twice
+    # Each pair's skip run ends where its token starts.
+    starts = list(accumulate(map(len, chain.from_iterable(pairs))))[::2]
+    _, texts = zip(*pairs)
+    if lexemes is not src:  # the texts are the stand-ins; the values are the source's
+        texts = list(map(src.__getitem__, map(slice, starts, map(add, starts, map(len, texts)))))
+    kinds, values = zip(*map(_Lexicon(table).__getitem__, texts))
+    tokens = Tokens(src, kinds, values, starts)
+    if "error" in kinds:
+        i = kinds.index("error")
+        raise ParseError(values[i], *tokens.pos(i))
     return tokens
 
 
@@ -285,50 +353,52 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over the columns of ``Tokens``. A token is its
+    index ``i``: ``kinds[i]``, ``values[i]`` and, for a node or an error that
+    keeps it, ``pos(i)``."""
+
+    def __init__(self, tokens: Tokens):
+        self.kinds, self.values, self.pos = tokens.kinds, tokens.values, tokens.pos
         self.i = 0
         self.depth = 0  # open nested expressions and blocks
 
-    def peek(self, offset: int = 0) -> Token:
-        """The token ``offset`` ahead of the next; as for ``at``, ``offset``
-        may be 1 unless ``eof`` is next."""
-        return self.tokens[self.i + offset]
+    def next(self) -> int:
+        """The next token, consumed unless it is ``eof``."""
+        i = self.i
+        if self.kinds[i] != "eof":
+            self.i = i + 1
+        return i
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def error(self, msg: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.pos.line, tok.pos.col)
+    def error(self, msg: str):
+        """A ``ParseError`` at the next token."""
+        raise ParseError(msg, *self.pos(self.i))
 
     def at(self, *values: str, ahead: int = 0) -> bool:
         """Whether the token ``ahead`` of the next is one of the punctuation
         marks or keywords ``values``. The tokens end in ``eof``, which
         ``next`` never passes, so ``ahead`` may be 1 unless ``eof`` is next."""
-        tok = self.tokens[self.i + ahead]
-        return tok.value in values and tok.kind in ("punct", "keyword")
+        i = self.i + ahead
+        return self.values[i] in values and self.kinds[i] in _MARKS
 
     def accept(self, value: str) -> bool:
         """Consume the punctuation mark or keyword ``value`` if it is next."""
-        if self.at(value):
-            self.i += 1
+        i = self.i
+        if self.values[i] == value and self.kinds[i] in _MARKS:
+            self.i = i + 1
             return True
         return False
 
-    def expect(self, value: str) -> Token:
-        if not self.at(value):
-            self.error(f"expected {value!r}, got {self.peek().value!r}")
-        return self.next()
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
+            self.error(f"expected {value!r}, got {self.values[self.i]!r}")
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error(f"expected {what}, got {tok.value!r}")
-        return self.next()
+    def expect_ident(self, what: str = "identifier") -> int:
+        """The next token, consumed; an error unless it is an identifier."""
+        i = self.i
+        if self.kinds[i] != "ident":
+            self.error(f"expected {what}, got {self.values[i]!r}")
+        self.i = i + 1
+        return i
 
     def descend(self) -> None:
         """Open one nesting level; ``self.depth -= 1`` closes it."""
@@ -338,14 +408,14 @@ class _Parser:
 
     def annotations(self) -> tuple[str, ...]:
         marks = []
-        while self.peek().kind == "annot":
-            marks.append(self.next().value)
+        while self.kinds[self.i] == "annot":
+            marks.append(self.values[self.next()])
         return tuple(marks)
 
     def modifiers(self) -> tuple[str, ...]:
         mods = []
         while self.at(*MODIFIERS):
-            mods.append(self.next().value)
+            mods.append(self.values[self.next()])
         return tuple(mods)
 
     def comma_list(self, item) -> list:
@@ -371,7 +441,7 @@ class _Parser:
     # program := (import | class)*
     def program(self) -> Program:
         prog = Program()
-        while self.peek().kind != "eof":
+        while self.kinds[self.i] != "eof":
             ann = self.annotations()
             if self.at("import"):
                 prog.imports.append(self.import_decl(ann))
@@ -381,52 +451,54 @@ class _Parser:
 
     def import_decl(self, ann: tuple[str, ...]) -> ImportDecl:
         start = self.next()  # import
-        parts = [self.expect_ident("imported name").value]
+        values = self.values
+        parts = [values[self.expect_ident("imported name")]]
         while self.accept("."):
-            parts.append(self.expect_ident("imported name").value)
+            parts.append(values[self.expect_ident("imported name")])
         self.expect(";")
-        return ImportDecl(".".join(parts), ann, start.pos)
+        return ImportDecl(".".join(parts), ann, self.pos(start))
 
     def class_decl(self, ann: tuple[str, ...]) -> ClassDecl:
+        values = self.values
         mods = self.modifiers()
         if not self.at("class", "interface"):
-            self.error(f"expected a declaration, got {self.peek().value!r}")
-        kind = self.next().value
+            self.error(f"expected a declaration, got {values[self.i]!r}")
+        kind = values[self.next()]
         name = self.expect_ident("class name")
         super_name = None
         if self.accept("extends") or self.accept("implements"):
-            super_name = self.expect_ident("superclass name").value
+            super_name = values[self.expect_ident("superclass name")]
         self.expect("{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
         while not self.at("}"):
             member_ann = self.annotations()
             member_mods = self.modifiers()
-            type_tok = self.expect_ident("member type")
-            name_tok = self.expect_ident("member name")
+            type_name = values[self.expect_ident("member type")]
+            member = self.expect_ident("member name")
             if self.at("("):
-                methods.append(self.method_rest(member_mods, type_tok, name_tok, member_ann))
+                methods.append(self.method_rest(member_mods, type_name, member, member_ann))
             else:
-                fields.append(self.field_rest(member_mods, type_tok, name_tok, member_ann))
+                fields.append(self.field_rest(member_mods, type_name, member, member_ann))
         self.expect("}")
-        return ClassDecl(kind, mods, name.value, super_name, fields, methods,
-                         ann, name.pos)
+        return ClassDecl(kind, mods, values[name], super_name, fields, methods,
+                         ann, self.pos(name))
 
-    def field_rest(self, mods, type_tok, name_tok, ann) -> FieldDecl:
+    def field_rest(self, mods, type_name, name, ann) -> FieldDecl:
         init = self.expr() if self.accept("=") else None
         self.expect(";")
-        return FieldDecl(mods, type_tok.value, name_tok.value, init, ann, name_tok.pos)
+        return FieldDecl(mods, type_name, self.values[name], init, ann, self.pos(name))
 
-    def method_rest(self, mods, type_tok, name_tok, ann) -> MethodDecl:
+    def method_rest(self, mods, type_name, name, ann) -> MethodDecl:
         params = self.comma_list(self.param)
         body = [] if self.accept(";") else self.statements()
-        return MethodDecl(mods, type_tok.value, name_tok.value, params, body,
-                          ann, name_tok.pos)
+        return MethodDecl(mods, type_name, self.values[name], params, body,
+                          ann, self.pos(name))
 
     def param(self) -> Param:
-        p_type = self.expect_ident("parameter type")
+        p_type = self.values[self.expect_ident("parameter type")]
         p_name = self.expect_ident("parameter name")
-        return Param(p_type.value, p_name.value, p_name.pos)
+        return Param(p_type, self.values[p_name], self.pos(p_name))
 
     def block(self) -> list:
         self.descend()
@@ -436,50 +508,50 @@ class _Parser:
 
     def statement(self):
         ann = self.annotations()
-        tok = self.peek()
-        if self.at("if"):
-            return self.if_stmt(ann)
-        if self.at("for"):
-            return self.for_stmt(ann)
-        if self.accept("return"):
+        start = self.i
+        if self.kinds[start] == "keyword":
+            keyword = self.values[start]
+            if keyword == "if":
+                return self.if_stmt(ann)
+            if keyword == "for":
+                return self.for_stmt(ann)
+            if keyword != "return":
+                self.error(f"unsupported statement {keyword!r}")
+            self.i += 1
             value = None if self.at(";") else self.expr()
             self.expect(";")
-            return ReturnStmt(value, ann, tok.pos)
-        if tok.kind == "keyword":
-            self.error(f"unsupported statement {tok.value!r}")
+            return ReturnStmt(value, ann, self.pos(start))
         stmt = self.simple_stmt(ann)
         self.expect(";")
         return stmt
 
     def simple_stmt(self, ann: tuple[str, ...]):
         """Declaration, assignment, or call, without the trailing semicolon."""
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error(f"unsupported statement {tok.value!r}")
-        if self.peek(1).kind == "ident":
-            type_tok = self.next()
-            name_tok = self.next()
+        i, kinds, values = self.i, self.kinds, self.values
+        if kinds[i] != "ident":
+            self.error(f"unsupported statement {values[i]!r}")
+        if kinds[i + 1] == "ident":
+            self.i = i + 2
             init = self.expr() if self.accept("=") else None
-            return DeclStmt(type_tok.value, name_tok.value, init, ann, name_tok.pos)
+            return DeclStmt(values[i], values[i + 1], init, ann, self.pos(i + 1))
         if self.at("=", ahead=1):
-            name_tok = self.next()
-            self.next()
-            return AssignStmt(name_tok.value, self.expr(), ann, name_tok.pos)
+            self.i = i + 2
+            return AssignStmt(values[i], self.expr(), ann, self.pos(i))
         if self.at("(", ahead=1):
-            return ExprStmt(self.expr(), ann, tok.pos)
-        self.error(f"unsupported statement starting at {tok.value!r}")
+            return ExprStmt(self.expr(), ann, self.pos(i))
+        self.error(f"unsupported statement starting at {values[i]!r}")
 
     def if_stmt(self, ann: tuple[str, ...]) -> IfStmt:
-        tok = self.next()  # if
+        start = self.next()  # if
         self.expect("(")
         cond = self.expr()
         self.expect(")")
         then = self.block()
         orelse = self.block() if self.accept("else") else []
-        return IfStmt(cond, then, orelse, ann, tok.pos)
+        return IfStmt(cond, then, orelse, ann, self.pos(start))
 
     def for_stmt(self, ann: tuple[str, ...]) -> ForStmt:
-        tok = self.next()  # for
+        start = self.next()  # for
         self.expect("(")
         init = None if self.at(";") else self.simple_stmt(())
         self.expect(";")
@@ -488,7 +560,7 @@ class _Parser:
         update = None if self.at(")") else self.simple_stmt(())
         self.expect(")")
         body = self.block()
-        return ForStmt(init, cond, update, body, ann, tok.pos)
+        return ForStmt(init, cond, update, body, ann, self.pos(start))
 
     def expr(self):
         self.descend()
@@ -500,43 +572,46 @@ class _Parser:
         """Precedence climbing: an operand and the binary operators after it
         that bind at ``least`` or tighter, grouped to the left."""
         node = self.unary()
-        tokens = self.tokens
+        kinds, values = self.kinds, self.values
         while True:
-            op = tokens[self.i]
-            level = _BINARY_LEVEL.get(op.value, 0) if op.kind == "punct" else 0
+            i = self.i
+            level = _BINARY_LEVEL.get(values[i], 0) if kinds[i] == "punct" else 0
             if level < least:
                 return node
-            self.i += 1
-            node = Binary(op.value, node, self.climb(level + 1), op.pos)
+            self.i = i + 1
+            node = Binary(values[i], node, self.climb(level + 1), self.pos(i))
 
     def unary(self):
         ops = []
         while self.at("!", "-"):
             ops.append(self.next())
         node = self.primary()
-        for tok in reversed(ops):
-            node = Unary(tok.value, node, tok.pos)
+        for i in reversed(ops):
+            node = Unary(self.values[i], node, self.pos(i))
         return node
 
     def primary(self):
-        tok = self.peek()
-        if tok.kind in ("int", "double", "string"):
-            return Literal(tok.kind, self.next().value, tok.pos)
-        if self.at("true", "false"):
-            return Literal("bool", self.next().value, tok.pos)
-        if self.accept("new"):
-            type_tok = self.expect_ident("type name")
-            return New(type_tok.value, self.comma_list(self.expr), tok.pos)
-        if tok.kind == "ident":
-            self.next()
+        i, values = self.i, self.values
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.i = i + 1
             if self.at("("):
-                return Call(tok.value, self.comma_list(self.expr), tok.pos)
-            return Name(tok.value, tok.pos)
+                return Call(values[i], self.comma_list(self.expr), self.pos(i))
+            return Name(values[i], self.pos(i))
+        if kind in ("int", "double", "string"):
+            self.i = i + 1
+            return Literal(kind, values[i], self.pos(i))
+        if self.at("true", "false"):
+            self.i = i + 1
+            return Literal("bool", values[i], self.pos(i))
+        if self.accept("new"):
+            type_name = values[self.expect_ident("type name")]
+            return New(type_name, self.comma_list(self.expr), self.pos(i))
         if self.accept("("):
             node = self.expr()
             self.expect(")")
             return node
-        self.error(f"expected an expression, got {tok.value!r}")
+        self.error(f"expected an expression, got {values[i]!r}")
 
 
 def parse(source: str, source_name: str = "<source>") -> Program:

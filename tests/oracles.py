@@ -2,7 +2,8 @@
 
 Everything here trades efficiency for obviousness: a mini-Java scanner
 that reads one character at a time, a lexer that matches one lexeme at a
-time, a parser with one recursive frame per operator precedence level,
+time, a lexer that builds one token object per match and its parser over
+those objects, a parser with one recursive frame per operator precedence level,
 per-row fact checks, full Cartesian products, exhaustive substring scans,
 unpruned breadth-first search over the query space, searches for
 homomorphisms and isomorphisms between query graphs. None of it
@@ -14,11 +15,13 @@ primitives are:
   types and keyword set ``tokenize_by_scanning`` writes its tokens and
   errors in, and nothing of ``tokenize``'s regex;
 - ``minijava``'s ``_AsciiClass`` table and its error messages inside
-  ``tokenize_by_lexemes``, and its parser, all but ``expr``, inside
-  ``ParserByLevels``: the two are the lexer and the expression parser that
-  ``minijava`` replaced, kept as the references for its runs of blanks and
-  comments and its precedence climbing, and ``tokenize_by_scanning``
-  certifies the table;
+  ``tokenize_by_lexemes`` and ``tokenize_by_finditer``, and its syntax tree
+  classes, ``MODIFIERS`` and ``MAX_NESTING`` inside ``ParserByTokens`` and
+  ``ParserByLevels``: these are the lexers and parsers that ``minijava``
+  replaced, kept as the references for its token columns and lazy positions
+  (``tokenize_by_finditer``, ``ParserByTokens``), its runs of blanks and
+  comments (``tokenize_by_lexemes``) and its precedence climbing
+  (``ParserByLevels``), and ``tokenize_by_scanning`` certifies the table;
 
 - the evaluator inside the brute-force enumerator and inside
   ``refine_by_compiling``, which the suite certifies separately against the
@@ -59,8 +62,11 @@ from itertools import permutations, product
 from cqsearch.core import (FK, PK, FactBase, FactError, Level, RelationPartition,
                            Schema, pred_holds)
 from cqsearch.evaluator import _Compiled, evaluate, refinable_with_witnesses
-from cqsearch.minijava import (_UNTERMINATED, KEYWORDS, Binary, ParseError, Pos,
-                               Program, Token, _AsciiClass, _Parser)
+from cqsearch.minijava import (_UNTERMINATED, KEYWORDS, MAX_NESTING, MODIFIERS,
+                               AssignStmt, Binary, Call, ClassDecl, DeclStmt, ExprStmt,
+                               FieldDecl, ForStmt, IfStmt, ImportDecl, Literal,
+                               MethodDecl, Name, New, Param, ParseError, Pos, Program,
+                               ReturnStmt, Token, Unary, _AsciiClass)
 from cqsearch.query import QueryGraph, canonical_form, multiplicity
 from cqsearch.reduction import DropReason, ReducedRepresentation
 from cqsearch.refine import RefinementEngine, RefinementState
@@ -172,6 +178,332 @@ def tokenize_by_scanning(src: str) -> list[Token]:
     return tokens
 
 
+# --- mini-Java tokens as objects, one match per token, and their parser -----
+
+# minijava's lexical grammar, one alternative per lexeme, tried in order at
+# each offset. A run of blanks, line ends and ``//`` comments is one lexeme,
+# so one match, whose line ends ``tokenize_by_finditer`` counts.
+_LEXEME_BY_TOKEN = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
+  | (?P<annot>/\*@(?:pos|neg)\*/)
+  | (?P<block>/\*[\s\S]*?\*/)
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+  | (?P<open>/\*|")
+  | (?P<double>[0-9]+\.[0-9]+)
+  | (?P<int>[0-9]+)
+  | (?P<word>[A-Za-z_][\w\x80]*)
+  | (?P<punct>==|!=|<=|>=|&&|\|\||[(){};,=<>+\-*/%!.])
+  | (?P<bad>[\s\S])
+""", re.VERBOSE)
+
+
+def tokenize_by_finditer(src: str) -> list[Token]:
+    """``minijava.tokenize`` one ``finditer`` match per token, block comment
+    or run of blanks and ``//`` comments, and one ``Token`` per token with its
+    ``Pos`` counted as the lines go by: the reference for its columns and
+    lazy positions."""
+    tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__  # new: no Python-level __new__
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    lexemes = src if src.isascii() else src.translate(_AsciiClass())
+    for m in _LEXEME_BY_TOKEN.finditer(lexemes):
+        kind = m.lastgroup
+        start, end = m.span()
+        if kind == "skip" or kind == "block":
+            if (n := src.count("\n", start, end)):
+                line, line_start = line + n, src.rindex("\n", start, end) + 1
+            continue
+        text = src[start:end]
+        pos = new(Pos, (line, start - line_start + 1))
+        if kind == "word":
+            append(new(Token, ("keyword" if text in KEYWORDS else "ident", text, pos)))
+        elif kind == "punct" or kind == "int" or kind == "double":
+            append(new(Token, (kind, text, pos)))
+        elif kind == "string":
+            append(new(Token, ("string", text[1:-1], pos)))
+            if (n := text.count("\n")):
+                line, line_start = line + n, start + text.rindex("\n") + 1
+        elif kind == "annot":
+            append(new(Token, ("annot", text[3:6], pos)))
+        else:  # open or bad
+            raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), *pos)
+    append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
+    return tokens
+
+
+# Binding strength of each binary operator, loosest first.
+_BINARY_LEVEL = {op: level for level, ops in enumerate(
+    (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"),
+     ("*", "/", "%")), 1) for op in ops}
+
+
+class ParserByTokens:
+    """``minijava``'s parser over a list of ``Token``s, each with its ``Pos``:
+    the reference for its parser over token columns."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0  # open nested expressions and blocks
+
+    def peek(self, offset: int = 0) -> Token:
+        """The token ``offset`` ahead of the next; as for ``at``, ``offset``
+        may be 1 unless ``eof`` is next."""
+        return self.tokens[self.i + offset]
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.i += 1
+        return tok
+
+    def error(self, msg: str, tok: Token | None = None):
+        tok = tok or self.peek()
+        raise ParseError(msg, tok.pos.line, tok.pos.col)
+
+    def at(self, *values: str, ahead: int = 0) -> bool:
+        """Whether the token ``ahead`` of the next is one of the punctuation
+        marks or keywords ``values``. The tokens end in ``eof``, which
+        ``next`` never passes, so ``ahead`` may be 1 unless ``eof`` is next."""
+        tok = self.tokens[self.i + ahead]
+        return tok.value in values and tok.kind in ("punct", "keyword")
+
+    def accept(self, value: str) -> bool:
+        """Consume the punctuation mark or keyword ``value`` if it is next."""
+        if self.at(value):
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> Token:
+        if not self.at(value):
+            self.error(f"expected {value!r}, got {self.peek().value!r}")
+        return self.next()
+
+    def expect_ident(self, what: str = "identifier") -> Token:
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.error(f"expected {what}, got {tok.value!r}")
+        return self.next()
+
+    def descend(self) -> None:
+        """Open one nesting level; ``self.depth -= 1`` closes it."""
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+
+    def annotations(self) -> tuple[str, ...]:
+        marks = []
+        while self.peek().kind == "annot":
+            marks.append(self.next().value)
+        return tuple(marks)
+
+    def modifiers(self) -> tuple[str, ...]:
+        mods = []
+        while self.at(*MODIFIERS):
+            mods.append(self.next().value)
+        return tuple(mods)
+
+    def comma_list(self, item) -> list:
+        """``(`` item ``,`` … ``)``, the items as ``item()`` parses them."""
+        self.expect("(")
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.accept(","):
+                items.append(item())
+        self.expect(")")
+        return items
+
+    def statements(self) -> list:
+        """``{`` statement … ``}``"""
+        self.expect("{")
+        stmts = []
+        while not self.at("}"):
+            stmts.append(self.statement())
+        self.expect("}")
+        return stmts
+
+    # program := (import | class)*
+    def program(self) -> Program:
+        prog = Program()
+        while self.peek().kind != "eof":
+            ann = self.annotations()
+            if self.at("import"):
+                prog.imports.append(self.import_decl(ann))
+            else:
+                prog.classes.append(self.class_decl(ann))
+        return prog
+
+    def import_decl(self, ann: tuple[str, ...]) -> ImportDecl:
+        start = self.next()  # import
+        parts = [self.expect_ident("imported name").value]
+        while self.accept("."):
+            parts.append(self.expect_ident("imported name").value)
+        self.expect(";")
+        return ImportDecl(".".join(parts), ann, start.pos)
+
+    def class_decl(self, ann: tuple[str, ...]) -> ClassDecl:
+        mods = self.modifiers()
+        if not self.at("class", "interface"):
+            self.error(f"expected a declaration, got {self.peek().value!r}")
+        kind = self.next().value
+        name = self.expect_ident("class name")
+        super_name = None
+        if self.accept("extends") or self.accept("implements"):
+            super_name = self.expect_ident("superclass name").value
+        self.expect("{")
+        fields: list[FieldDecl] = []
+        methods: list[MethodDecl] = []
+        while not self.at("}"):
+            member_ann = self.annotations()
+            member_mods = self.modifiers()
+            type_tok = self.expect_ident("member type")
+            name_tok = self.expect_ident("member name")
+            if self.at("("):
+                methods.append(self.method_rest(member_mods, type_tok, name_tok, member_ann))
+            else:
+                fields.append(self.field_rest(member_mods, type_tok, name_tok, member_ann))
+        self.expect("}")
+        return ClassDecl(kind, mods, name.value, super_name, fields, methods,
+                         ann, name.pos)
+
+    def field_rest(self, mods, type_tok, name_tok, ann) -> FieldDecl:
+        init = self.expr() if self.accept("=") else None
+        self.expect(";")
+        return FieldDecl(mods, type_tok.value, name_tok.value, init, ann, name_tok.pos)
+
+    def method_rest(self, mods, type_tok, name_tok, ann) -> MethodDecl:
+        params = self.comma_list(self.param)
+        body = [] if self.accept(";") else self.statements()
+        return MethodDecl(mods, type_tok.value, name_tok.value, params, body,
+                          ann, name_tok.pos)
+
+    def param(self) -> Param:
+        p_type = self.expect_ident("parameter type")
+        p_name = self.expect_ident("parameter name")
+        return Param(p_type.value, p_name.value, p_name.pos)
+
+    def block(self) -> list:
+        self.descend()
+        stmts = self.statements() if self.at("{") else [self.statement()]
+        self.depth -= 1
+        return stmts
+
+    def statement(self):
+        ann = self.annotations()
+        tok = self.peek()
+        if self.at("if"):
+            return self.if_stmt(ann)
+        if self.at("for"):
+            return self.for_stmt(ann)
+        if self.accept("return"):
+            value = None if self.at(";") else self.expr()
+            self.expect(";")
+            return ReturnStmt(value, ann, tok.pos)
+        if tok.kind == "keyword":
+            self.error(f"unsupported statement {tok.value!r}")
+        stmt = self.simple_stmt(ann)
+        self.expect(";")
+        return stmt
+
+    def simple_stmt(self, ann: tuple[str, ...]):
+        """Declaration, assignment, or call, without the trailing semicolon."""
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.error(f"unsupported statement {tok.value!r}")
+        if self.peek(1).kind == "ident":
+            type_tok = self.next()
+            name_tok = self.next()
+            init = self.expr() if self.accept("=") else None
+            return DeclStmt(type_tok.value, name_tok.value, init, ann, name_tok.pos)
+        if self.at("=", ahead=1):
+            name_tok = self.next()
+            self.next()
+            return AssignStmt(name_tok.value, self.expr(), ann, name_tok.pos)
+        if self.at("(", ahead=1):
+            return ExprStmt(self.expr(), ann, tok.pos)
+        self.error(f"unsupported statement starting at {tok.value!r}")
+
+    def if_stmt(self, ann: tuple[str, ...]) -> IfStmt:
+        tok = self.next()  # if
+        self.expect("(")
+        cond = self.expr()
+        self.expect(")")
+        then = self.block()
+        orelse = self.block() if self.accept("else") else []
+        return IfStmt(cond, then, orelse, ann, tok.pos)
+
+    def for_stmt(self, ann: tuple[str, ...]) -> ForStmt:
+        tok = self.next()  # for
+        self.expect("(")
+        init = None if self.at(";") else self.simple_stmt(())
+        self.expect(";")
+        cond = None if self.at(";") else self.expr()
+        self.expect(";")
+        update = None if self.at(")") else self.simple_stmt(())
+        self.expect(")")
+        body = self.block()
+        return ForStmt(init, cond, update, body, ann, tok.pos)
+
+    def expr(self):
+        self.descend()
+        node = self.climb(1)
+        self.depth -= 1
+        return node
+
+    def climb(self, least: int):
+        """Precedence climbing: an operand and the binary operators after it
+        that bind at ``least`` or tighter, grouped to the left."""
+        node = self.unary()
+        tokens = self.tokens
+        while True:
+            op = tokens[self.i]
+            level = _BINARY_LEVEL.get(op.value, 0) if op.kind == "punct" else 0
+            if level < least:
+                return node
+            self.i += 1
+            node = Binary(op.value, node, self.climb(level + 1), op.pos)
+
+    def unary(self):
+        ops = []
+        while self.at("!", "-"):
+            ops.append(self.next())
+        node = self.primary()
+        for tok in reversed(ops):
+            node = Unary(tok.value, node, tok.pos)
+        return node
+
+    def primary(self):
+        tok = self.peek()
+        if tok.kind in ("int", "double", "string"):
+            return Literal(tok.kind, self.next().value, tok.pos)
+        if self.at("true", "false"):
+            return Literal("bool", self.next().value, tok.pos)
+        if self.accept("new"):
+            type_tok = self.expect_ident("type name")
+            return New(type_tok.value, self.comma_list(self.expr), tok.pos)
+        if tok.kind == "ident":
+            self.next()
+            if self.at("("):
+                return Call(tok.value, self.comma_list(self.expr), tok.pos)
+            return Name(tok.value, tok.pos)
+        if self.accept("("):
+            node = self.expr()
+            self.expect(")")
+            return node
+        self.error(f"expected an expression, got {tok.value!r}")
+
+
+def parse_by_tokens(source: str, source_name: str = "<source>") -> Program:
+    """``minijava.parse`` by ``tokenize_by_finditer`` and ``ParserByTokens``."""
+    prog = ParserByTokens(tokenize_by_finditer(source)).program()
+    for decl in prog.imports + prog.classes:
+        decl.source = source_name
+    prog.sources = [source_name]
+    return prog
+
+
 # --- mini-Java tokens one lexeme at a time, expressions one level at a time --
 
 # minijava's lexical grammar with blanks, a newline and a ``//`` comment
@@ -226,7 +558,7 @@ def tokenize_by_lexemes(src: str) -> list[Token]:
     return tokens
 
 
-class ParserByLevels(_Parser):
+class ParserByLevels(ParserByTokens):
     """``minijava``'s parser with binary operators parsed by one recursive
     ``expr`` frame per precedence level: the reference for its precedence
     climbing."""

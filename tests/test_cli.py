@@ -148,6 +148,68 @@ class TestExtractCommand:
                        f"expected member name, got '5'\n"), err
 
 
+def _extract_inputs():
+    """``(name, sources, extra flags)`` of each corpus task's annotated extract,
+    and of a plain dump of the 1000-class generated code base."""
+    for task in sorted(CORPUS.glob("*/task.json")):
+        doc = json.loads(task.read_text(encoding="utf-8"))
+        yield pytest.param([task.parent / s for s in doc["source"]], ["--target", doc["target"]],
+                           id=task.parent.name)
+    yield pytest.param(None, [], id="generated-1000-classes")
+
+
+class TestExtractBytes:
+    """``cqsearch extract`` writes the bytes that the replaced frontend
+    (``oracles.parse_by_tokens``) and the stdlib's ``json.dumps(indent=2)``
+    write for the same sources."""
+
+    @pytest.mark.parametrize("sources, flags", _extract_inputs())
+    def test_match_the_replaced_frontend_and_writer(self, capsys, tmp_path, monkeypatch,
+                                                    sources, flags):
+        if sources is None:
+            sys.path.insert(0, str(REPO))
+            from perfbench.gen_codebase import generate
+            sources = []
+            for name, text in generate(2023, 1000).files.items():
+                sources.append(tmp_path / name)
+                sources[-1].write_text(text, encoding="utf-8")
+        argv = ["extract", *map(str, sources), *flags, "-o"]
+        assert run(capsys, *argv, str(tmp_path / "new"))[0] == 0
+        monkeypatch.setattr(minijava, "parse", oracles.parse_by_tokens)
+        monkeypatch.setattr(cli, "indented_json", lambda doc: json.dumps(doc, indent=2))
+        assert run(capsys, *argv, str(tmp_path / "old"))[0] == 0
+        names = sorted(path.name for path in (tmp_path / "old").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "new").iterdir())
+        assert {"schema.json", "facts.json", "positions.json"} <= set(names)
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
+# Strings with the characters that JSON escapes or that ASCII output encodes.
+_JSON_STRINGS = (st.text(max_size=6)
+                 | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é½名\u2028\U0001f600a'),
+                           max_size=6))
+
+
+def _json_documents():
+    """Nested and empty objects and arrays, tuples among them, over ints,
+    bools, ``None``, floats and ``_JSON_STRINGS``."""
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | _JSON_STRINGS
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.lists(inner, max_size=3).map(tuple)
+                        | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+                        max_leaves=30)
+
+
+class TestIndentedJson:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_json_documents())
+    @example({"": [], "a": {}, "b": [["x", "y"], [], [{}], ["x", 1, None, 2.5, True]],
+              "é\"\\": "\x00\u2028\U0001f600", "n": [float("nan"), float("-inf")]})
+    def test_matches_json_dumps(self, doc):
+        assert cli.indented_json(doc) == json.dumps(doc, indent=2)
+
+
 class TestReduceCommand:
     def test_prints_kept_and_dropped(self, capsys, motivating_dir):
         code, stdout, _ = run(capsys, "reduce",
@@ -222,6 +284,8 @@ class TestSynthesizeCommand:
             "--hmap", str(CORPUS / "hmap.json"),
             "--emit", "json", "-o", str(report_path))
         assert code == 0
+        # --emit json and -o write one document through one writer
+        assert stdout == report_path.read_text(encoding="utf-8")
         report = json.loads(report_path.read_text())
         assert report["alpha_max"] == 1.0
         assert report["beta_min"] == 9
@@ -771,12 +835,16 @@ class TestSearchLoading:
             (gc.enable if was else gc.disable)()
 
 
-    @pytest.mark.parametrize("command", ["search", "graph"])
+    @pytest.mark.parametrize("command", ["search", "graph", "extract"])
     def test_no_cyclic_garbage_left(self, capsys, files, command):
-        # The parser is built once per process and a fact base is freed by
-        # reference counting, so a warm call leaves the collector nothing.
-        argv = (self.search(files, "good.json") if command == "search"
-                else ["graph", "--schema", str(files / "schema.json")])
+        # The parser is built once per process, a fact base is freed by
+        # reference counting and the JSON writer keeps no closure, so a warm
+        # call leaves the collector nothing.
+        (files / "a.java").write_text(FIG1_SOURCE, encoding="utf-8")
+        argv = {"search": self.search(files, "good.json"),
+                "graph": ["graph", "--schema", str(files / "schema.json")],
+                "extract": ["extract", str(files / "a.java"), "--target", "Method",
+                            "-o", str(files / "out")]}[command]
         assert run(capsys, *argv)[0] == 0
         was = gc.isenabled()
         gc.collect()

@@ -1,12 +1,14 @@
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cqsearch import minijava as mj
 from conftest import CORPUS, REPO
-from oracles import parse_by_levels, tokenize_by_lexemes, tokenize_by_scanning
+from oracles import (parse_by_levels, parse_by_tokens, tokenize_by_finditer,
+                     tokenize_by_lexemes, tokenize_by_scanning)
 
 FIG1_SOURCE = """\
 class Service {
@@ -110,13 +112,41 @@ class TestLexemes:
         ('x = "ab', ("error", "1:5: unterminated string literal", 1, 5)),
         ('"ab\n"', ("error", "1:1: unterminated string literal", 1, 1)),
         ("x # y", ("error", "1:3: unexpected character '#'", 1, 3)),
+        ("", [("eof", "", 1, 1)]),
+        ("  ", [("eof", "", 1, 3)]),
+        ("// c", [("eof", "", 1, 5)]),
+        ("a // c", [("ident", "a", 1, 1), ("eof", "", 1, 7)]),
+        ("a\n", [("ident", "a", 1, 1), ("eof", "", 2, 1)]),
+        ("a /* x", ("error", "1:3: unterminated comment", 1, 3)),
+        ("/*/ x", ("error", "1:1: unterminated comment", 1, 1)),
+        ('a "', ("error", "1:3: unterminated string literal", 1, 3)),
+        ("/* /*@pos*/ */ x", [("punct", "*", 1, 13), ("punct", "/", 1, 14),
+                              ("ident", "x", 1, 16), ("eof", "", 1, 17)]),
+        ("/*@posx*/ y", [("ident", "y", 1, 11), ("eof", "", 1, 12)]),
+        ('x = "\\"\\"', ("error", "1:5: unterminated string literal", 1, 5)),
+        ('"a" "b\n"c"', ("error", "1:5: unterminated string literal", 1, 5)),
     ], ids=["double-then-dot", "int-then-ident", "int-then-dot", "tab", "crlf",
             "annotation", "escaped-newline", "block-comment-newline", "superscript",
             "int-superscript", "double-superscript", "numeric-continues-ident",
             "numeric-start", "letter-number-start", "unterminated-comment",
-            "unterminated-string", "newline-in-string", "stray-hash"])
+            "unterminated-string", "newline-in-string", "stray-hash",
+            # the ends of input and the comments that the skip group matches
+            "empty", "blanks-only", "comment-only", "comment-at-end", "newline-at-end",
+            "comment-unterminated-at-end", "comment-closing-overlaps-opening",
+            "quote-at-end", "annotation-inside-comment", "annotation-like-comment",
+            "escaped-quotes-unclosed", "unclosed-string-closes-on-later-line"])
     def test_exact_tokens_or_error(self, text, lexed):
         assert _lexed(mj.tokenize, text) == lexed
+
+    def test_unclosed_string_is_lexed_once(self):
+        # An unclosed string takes the rest of the input as one error token.
+        # Lexed as a lone ``"`` instead, each later ``"`` on the line scans
+        # to its end again, and the time grows with the square of its length.
+        text = 'x = "' + '\\"' * 20_000
+        start = time.perf_counter()
+        with pytest.raises(mj.ParseError, match="^1:5: unterminated string literal$"):
+            mj.tokenize(text)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestParseErrors:
@@ -321,15 +351,38 @@ def _parsed(parse, text):
         return ("error", str(err), err.line, err.col)
 
 
+# Sources that fail to lex or to parse, each error at a line and column.
+_ERROR_TEXTS = ["½", "x Ⅷ", "a\n  /* x", 'x = "ab', '"ab\n"', "x # y", "a /* x", 'a "',
+                "/*/ x", "class A { void f() { while (true) { } } }",
+                'class A { void f() { log("oops); } }', "class A {\n  int 5x;\n}",
+                "class A {\r\n  int f() { return 1 +; }\n}", "import a.;",
+                "class A { int f( { } }", "class A { int x = (1; }", "interface",
+                "class A { /*@pos*/ }\n/*@neg*/ int", "class A extends { }",
+                "class A { int f() { return " + "(" * 70 + "1" + ")" * 70 + "; } }",
+                "class A {\n int f() { for (int i = 0; i < n; i = i + 1 { } }\n}",
+                'x = "\\"\\"', 'a "b\n c "d" e']
+
+
 class TestReplacedFrontend:
-    """``tokenize`` and ``parse`` match the lexer with one regex match per
-    lexeme and the parser with one ``expr`` frame per precedence level that
-    they replaced, in ``oracles``, token for token, node for node and error
-    for error."""
+    """``tokenize`` and ``parse`` match the lexers and parsers they replaced,
+    in ``oracles``, token for token, node for node and error for error: the
+    lexer with one regex match per lexeme, the parser with one ``expr``
+    frame per precedence level, and the lexer with one ``Token`` per token
+    and its parser."""
 
     def assert_matches(self, text):
-        assert _lexed(mj.tokenize, text) == _lexed(tokenize_by_lexemes, text)
-        assert _parsed(mj.parse, text) == _parsed(parse_by_levels, text)
+        lexed = _lexed(mj.tokenize, text)
+        assert lexed == _lexed(tokenize_by_lexemes, text)
+        assert lexed == _lexed(tokenize_by_finditer, text)
+        parsed = _parsed(mj.parse, text)
+        assert parsed == _parsed(parse_by_levels, text)
+        assert parsed == _parsed(parse_by_tokens, text)
+        return parsed
+
+    @pytest.mark.parametrize("text", _ERROR_TEXTS)
+    def test_matches_on_error_texts(self, text):
+        parsed = self.assert_matches(text)
+        assert parsed[0] == "error" and parsed[1].startswith(f"{parsed[2]}:{parsed[3]}: ")
 
     @pytest.mark.parametrize("path", _corpus_sources(), ids=lambda p: p.parent.name)
     def test_matches_on_corpus(self, path):
