@@ -11,7 +11,9 @@ nothing is staged). Workload by workload, pair ``p`` (counted from 0)
 runs ``perfbench/run.py --seconds S`` on both sides, where ``S`` is
 ``BENCHMARK.json``'s ``run_seconds``, with seed ``first seed + workload's
 place × pairs + p``; the side that runs first alternates, the parent first in
-the first pair. One ``--trace 1 --seed 7`` run per workload and side follows.
+the first pair. Three ``--trace 1 --seed 7`` runs per workload and side follow,
+the side that runs first alternating again, so that a traced time is a median
+of three and not one run's reading of a drifting machine.
 ``perfbench/`` and ``BENCHMARK.json`` are run as they are.
 
 The file has the layout of ``BENCH_25.json``: ``what``, ``parent_commit``,
@@ -33,6 +35,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEED = 7
+TRACED_RUNS = 3
 
 
 def schedule(workloads, first_seed: int, pairs: int):
@@ -41,6 +44,42 @@ def schedule(workloads, first_seed: int, pairs: int):
         for p in range(pairs):
             yield (workload, f"{workload}/{p + 1}", first_seed + place * pairs + p,
                    SIDES[p % 2])
+
+
+def traced_schedule(workloads):
+    """``(workload, run, side)`` of every traced run, in run order: per
+    workload, ``TRACED_RUNS`` runs (counted from 1) of both sides, the side
+    that runs first alternating, the parent first in the first run."""
+    for workload in workloads:
+        for run in range(1, TRACED_RUNS + 1):
+            first = SIDES[(run - 1) % 2]
+            for side in (first, "change" if first == "parent" else "parent"):
+                yield workload, run, side
+
+
+def traced_medians(traced) -> dict:
+    """Per workload and ``.s`` metric of the traced runs: each side's median."""
+    values: dict = {}  # workload -> metric -> side -> values
+    for t in traced:
+        for name, m in t["result"]["metrics"].items():
+            if name.endswith(".s"):
+                by_side = values.setdefault(t["workload"], {}).setdefault(name, {})
+                by_side.setdefault(t["side"], []).append(m["value"])
+    return {workload: {name: {side: statistics.median(v) for side, v in sides.items()}
+                       for name, sides in metrics.items()}
+            for workload, metrics in values.items()}
+
+
+def counters_that_differ(traced) -> list[str]:
+    """``workload metric: values`` of every count metric whose value is not
+    the same in all traced runs of the workload, both sides."""
+    values: dict = {}  # (workload, metric) -> values in run order
+    for t in traced:
+        for name, m in t["result"]["metrics"].items():
+            if m["unit"] == "count":
+                values.setdefault((t["workload"], name), []).append(m["value"])
+    return [f"{workload} {name}: {', '.join(map(str, v))}"
+            for (workload, name), v in values.items() if len(set(v)) > 1]
 
 
 def summarize(runs, method: str = "exclusive") -> dict:
@@ -106,23 +145,24 @@ def describe(workloads, first_seed, pairs, seconds, runs, traced) -> str:
     attempted = sum(r["result"]["attempted"] for r in runs)
     failed = sum(r["result"]["failed"] for r in runs)
     correct = sum(r["result"]["correct"] for r in runs)
-    moved = []
-    for workload in workloads:
-        by_side = {t["side"]: t["result"]["metrics"] for t in traced if t["workload"] == workload}
-        moved += [f"{workload} {name} {m['value']} -> {by_side['change'][name]['value']}"
-                  for name, m in by_side["parent"].items()
-                  if m["unit"] == "count" and by_side["change"][name]["value"] != m["value"]]
-    counters = ("every counter is equal between the sides" if not moved
+    moved = counters_that_differ(traced)
+    counters = ("every counter is equal in all of them" if not moved
                 else "these counters differ: " + "; ".join(moved))
+    medians = "; ".join(
+        f"{workload} {name} {sides['parent']:.4g} -> {sides['change']:.4g}"
+        for workload, metrics in traced_medians(traced).items()
+        for name, sides in metrics.items() if sides["parent"] or sides["change"])
     return (f"perfbench/run.py --seconds {seconds:g} runs of the parent commit and of the "
             "change, each from a fresh copy of its tracked files (so every record's commit "
             "field is null; src_sha256 tells the sides apart). "
             f"{pairs} pairs per workload, each pair on one seed: {seeds}. Within each "
             "workload the side that runs first alternates, starting with the parent. "
             f"{correct} of {len(runs)} runs read correct: true, with {failed} of "
-            f"{attempted:,} operations failed. The traced entries are one --trace 1 run per "
-            f"side and workload at seed {TRACE_SEED}, made after the pairs: {counters}. "
-            "Traced times are unscaled. The summary gives, per workload and metric, each "
+            f"{attempted:,} operations failed. The traced entries are {TRACED_RUNS} --trace 1 "
+            f"runs per side and workload at seed {TRACE_SEED}, made after the pairs, the side "
+            f"that runs first alternating, starting with the parent: {counters}. Traced times "
+            f"are unscaled; their medians per side, parent -> change, where either is not 0: "
+            f"{medians}. The summary gives, per workload and metric, each "
             "side's median and IQR (exclusive quartiles) and the number of pairs in which "
             "the change reads lower. Written by scripts/bench_pair.py.")
 
@@ -156,11 +196,10 @@ def main(argv=None) -> int:
                 print(f"{pair} seed {seed} {side}: "
                       + ", ".join(f"{k}={m['value']:.4g}" for k, m in result["metrics"].items()),
                       file=sys.stderr)
-        for workload in args.workloads:
-            for side in SIDES:
-                record, result = perfbench(checkout[side], workload, TRACE_SEED, seconds, 1)
-                traced.append({"workload": workload, "side": side, "result": result,
-                               "seed": TRACE_SEED, "record": record})
+        for workload, run, side in traced_schedule(args.workloads):
+            record, result = perfbench(checkout[side], workload, TRACE_SEED, seconds, 1)
+            traced.append({"workload": workload, "side": side, "result": result,
+                           "seed": TRACE_SEED, "run": run, "record": record})
     summary = summarize(runs)
     doc = {"what": describe(args.workloads, args.first_seed, args.pairs, seconds, runs,
                             traced),

@@ -29,11 +29,14 @@ class CliError(Exception):
     pass
 
 
-def _load_facts(schema_path: str, facts_path: str):
-    """The schema, read first so that a ``SchemaError`` names it, and the fact base."""
-    schema = read_input(schema_path, lambda text: Schema.from_doc(json.loads(text)))
+def _load_facts(schema_path: str, facts_path: str, trace: Trace | None = None):
+    """The schema, read first so that a ``SchemaError`` names it, and the fact
+    base, each in a span of ``trace``, if given: ``schema`` and ``facts``."""
+    trace = Trace() if trace is None else trace
+    with trace.span("schema"):
+        schema = read_input(schema_path, lambda text: Schema.from_doc(json.loads(text)))
     # One collector pause; the text is freed before the build, the document before gc resumes.
-    with decoding(facts_path):
+    with trace.span("facts"), decoding(facts_path):
         return load_facts(schema, read_input(facts_path, json.loads))
 
 
@@ -209,7 +212,7 @@ def _report(result, schema) -> dict:
         "explored_graphs": result.state.generated_total(),
         "wall_time_s": round(result.trace.wall_s, 4),
         "trace": {key: value for key, value in asdict(result.trace).items()
-                  if key != "started"},
+                  if key not in ("started", "plan")},
     }
 
 
@@ -249,13 +252,24 @@ def cmd_search(args) -> int:
 
 
 def _search(args) -> int:
-    schema, facts = _load_facts(args.schema, args.facts)
-    location = (read_input(args.positions, lambda text: load_positions(json.loads(text)))
-                if args.positions else {}.get)
-    query = read_input(args.query, lambda text: parse_datalog(text, schema))
-    for t in sorted(evaluate(query, facts)):
-        where = location(t[0])
-        print(t[0] if where is None else f"{t[0]}\t{where}")
+    trace = Trace()
+    schema, facts = _load_facts(args.schema, args.facts, trace)
+    with trace.span("positions"):
+        location = (read_input(args.positions, lambda text: load_positions(json.loads(text)))
+                    if args.positions else {}.get)
+    with trace.span("query"):
+        query = read_input(args.query, lambda text: parse_datalog(text, schema))
+    with trace.span("evaluate"):
+        answer = evaluate(query, facts, trace)
+    with trace.span("print"):
+        for t in sorted(answer):
+            where = location(t[0])
+            print(t[0] if where is None else f"{t[0]}\t{where}")
+    if args.trace:
+        for name, seconds in trace.spans.items():
+            plan = f" plan={trace.plan}" if name == "evaluate" else ""
+            print(f"trace {name}: {seconds:.6f}s{plan}", file=sys.stderr)
+        print(f"trace wall: {trace.wall_s:.6f}s", file=sys.stderr)
     return 0
 
 
@@ -334,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--facts", required=True)
     p.add_argument("--positions", help="positions.json for source locations")
+    p.add_argument("--trace", action="store_true",
+                   help="print each stage's seconds and the evaluation plan to stderr")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bench", help="run the bundled task corpus")

@@ -53,3 +53,30 @@ def test_rebuilds_the_pairs_medians_and_lower_counts_of_bench_24():
     differ = sum(got[w][m][k] != s[k] for w, ms in doc["summary"].items()
                  for m, s in ms.items() for k in iqrs)
     assert differ == 24
+
+
+def test_traced_runs_alternate_which_side_goes_first():
+    assert list(bench_pair.traced_schedule(["search-codebase", "corpus-synth"])) == [
+        (workload, run, side) for workload in ("search-codebase", "corpus-synth")
+        for run, side in [(1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+                          (3, "parent"), (3, "change")]]
+
+
+def _traced(side: str, seconds: float, results: int) -> dict:
+    return {"workload": "search-codebase", "side": side, "result": {"metrics": {
+        "evaluator.evaluate.s": {"value": seconds, "unit": "s"},
+        "evaluator.evaluate.results": {"value": results, "unit": "count"}}}}
+
+
+def test_traced_medians_and_counters_read_every_traced_run():
+    traced = [_traced("parent", 0.3, 7409), _traced("change", 0.02, 7409),
+              _traced("change", 0.01, 7409), _traced("parent", 0.1, 7409),
+              _traced("parent", 0.2, 7409), _traced("change", 0.03, 7409)]
+    assert bench_pair.traced_medians(traced) == {"search-codebase": {
+        "evaluator.evaluate.s": {"parent": 0.2, "change": 0.02}}}
+    assert bench_pair.counters_that_differ(traced) == []
+    traced[4] = _traced("parent", 0.2, 7408)
+    assert bench_pair.counters_that_differ(traced) == [
+        "search-codebase evaluator.evaluate.results: 7409, 7409, 7409, 7409, 7408, 7409"]
+    # BENCH_26.json made one traced run a side: its counters are all equal.
+    assert bench_pair.counters_that_differ(_bench(26)["traced"]) == []

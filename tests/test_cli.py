@@ -761,6 +761,39 @@ def test_search_output_does_not_depend_on_the_hash_seed(capsys, tmp_path, task):
     assert len(outputs) == 1, outputs
 
 
+@pytest.mark.parametrize("task, plan", [("t10_method_mutual_recursion", "per-head"),
+                                        ("t10_method_mutual_recursion", "key-aware"),
+                                        ("t08_method_motivating", "semijoins")])
+def test_search_trace_prints_its_stages_and_keeps_stdout(capsys, tmp_path, monkeypatch,
+                                                         task, plan):
+    doc = json.loads((CORPUS / task / "task.json").read_text(encoding="utf-8"))
+    sources = [str(CORPUS / task / name) for name in doc["source"]]
+    if plan == "key-aware":  # a code base with more methods than the task's example
+        monkeypatch.syspath_prepend(str(REPO))
+        from perfbench import gen_codebase
+        sources = []
+        for name, text in gen_codebase.generate(2023, 20).files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            sources.append(str(tmp_path / name))
+    out = tmp_path / "out"
+    assert run(capsys, "extract", *sources, "-o", str(out))[0] == 0
+    argv = ["search", str(CORPUS / task / doc["golden"][0]),
+            "--schema", str(out / "schema.json"), "--facts", str(out / "facts.json"),
+            "--positions", str(out / "positions.json")]
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and plain and err == ""
+    code, traced, err = run(capsys, *argv, "--trace")
+    assert code == 0 and traced == plain
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"trace {name}" for name in
+        ("schema", "facts", "positions", "query", "evaluate", "print", "wall")]
+    assert lines[4].endswith(f"s plan={plan}")
+    seconds = [float(line.split(": ")[1].split("s")[0]) for line in lines]
+    # Printed to the microsecond: the stages, apart, fit in the wall time.
+    assert all(s >= 0 for s in seconds) and sum(seconds[:-1]) <= seconds[-1] + 1e-5
+
+
 class TestSearchLoading:
     """How ``cqsearch search`` loads its fact files."""
 

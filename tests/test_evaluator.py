@@ -2,15 +2,18 @@ import gc
 import json
 import random
 import weakref
+from dataclasses import replace
+from math import prod
 
 import pytest
 
 from cqsearch import minijava
 from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, Relation,
-                           RelationPartition, Schema, make_partition)
+                           RelationPartition, Schema, Trace, make_partition)
 from cqsearch.datalog import parse_datalog
-from cqsearch.evaluator import (EvalError, _by_semijoins, _Compiled, _per_head,
-                                evaluate, is_candidate, refinable_with_witnesses)
+from cqsearch.evaluator import (PER_HEAD_BELOW, EvalError, _by_semijoins, _Compiled,
+                                _key_aware, _per_head, evaluate, is_candidate, plan_of,
+                                refinable_with_witnesses)
 from cqsearch.extract import build_facts, extract
 from cqsearch.query import GraphError, QueryGraph, from_graph, to_graph
 from conftest import CORPUS, FIG1C_RULE, fig1c_graph
@@ -242,9 +245,127 @@ class TestSemijoins:
                 c = _Compiled.of(facts, parse_datalog(rule, facts.schema))
                 if c.semijoins is None:
                     cyclic.append(task["name"])
+                    assert _key_aware(c) == _per_head(c)
                 else:
                     both_ways(c)
         assert cyclic == ["method-mutual-recursion"]
+
+
+def key_aware(g: QueryGraph, facts: FactBase) -> frozenset:
+    """The key-aware plan's answer for ``g``, checked against the per-head
+    search and the product oracle."""
+    c = _Compiled(facts, g)
+    got = _key_aware(c)
+    assert got == _per_head(c) == naive_evaluate(g, facts)
+    return got
+
+
+# A Lamp stands on a desk; the fact base below has none.
+LAMPS_SCHEMA = Schema({**{rel: DESKS_SCHEMA[rel] for rel in DESKS_SCHEMA},
+                       "Lamp": [AttributeDecl("id", PK), AttributeDecl("desk", FK, "Desk")]})
+
+# Between desk d, its owner o and its backup b, each the other's boss.
+MUTUAL_BOSSES = QueryGraph(("Desk", "Person", "Person"),
+                           frozenset({(0, 1, "owner"), (0, 2, "backup"),
+                                      (1, 2, "boss"), (2, 1, "boss")}), ())
+
+
+class TestKeyAware:
+    """The key-aware plan against the per-head search and the product
+    oracle: on hand-built graphs whose answer depends on a node that is the
+    key side of an edge, and on a seeded stream of random cyclic graphs."""
+
+    @pytest.mark.parametrize("nodes, edges, strs, want", [
+        (MUTUAL_BOSSES.nodes, MUTUAL_BOSSES.eq_edges, (), {"d1"}),
+        (("Person", "Desk", "Person"),
+         {(0, 1, "desk"), (1, 2, "owner"), (1, 2, "backup"), (2, 0, "boss")}, (), {"p1"}),
+    ], ids=["two-cycle-of-self-references", "two-keys-into-one-node"])
+    def test_hand_built_cycles(self, desks, nodes, edges, strs, want):
+        g = QueryGraph(nodes, frozenset(edges), strs)
+        assert _Compiled(desks, g).semijoins is None
+        assert {t[0] for t in key_aware(g, desks)} == want
+
+    def test_key_side_nodes_with_a_constraint_are_kept(self, desks):
+        # A Desk that only its primary key joins, labelled; an owner that
+        # only its primary key and its self-loop join. Without the label or
+        # the loop, the node would hold for every binding and the answer grow.
+        labelled = QueryGraph(("Person", "Desk", "Person"),
+                              frozenset({(0, 1, "desk"), (2, 1, "desk"), (2, 0, "boss")}),
+                              ((1, "label", "equal", "y"),))
+        assert _Compiled(desks, labelled).semijoins is None
+        assert {t[0] for t in key_aware(labelled, desks)} == {"p3"}
+        assert {t[0] for t in key_aware(replace(labelled, str_edges=()), desks)} == {"p1", "p3"}
+        looped = QueryGraph(("Desk", "Person", "Person", "Person"),
+                            frozenset({(0, 1, "owner"), (1, 1, "boss"), (0, 2, "backup"),
+                                       (2, 3, "boss"), (3, 0, "desk")}), ())
+        assert _Compiled(desks, looped).semijoins is None
+        assert {t[0] for t in key_aware(looped, desks)} == {"d1"}
+        unlooped = replace(looped, eq_edges=looped.eq_edges - {(1, 1, "boss")})
+        assert {t[0] for t in key_aware(unlooped, desks)} == {"d1", "d2"}
+
+    def test_disconnected_node_without_rows(self, desks):
+        lamps = FactBase(LAMPS_SCHEMA, [Relation(rel, desks.tuples(rel)) for rel in desks])
+        assert {t[0] for t in key_aware(MUTUAL_BOSSES, lamps)} == {"d1"}
+        alone = MUTUAL_BOSSES.with_node("Lamp", frozenset())
+        assert _Compiled(lamps, alone).semijoins is None
+        assert key_aware(alone, lamps) == frozenset()
+
+    def test_head_that_is_the_key_side_of_every_edge(self, desks):
+        # Edges that all end at the head form no cycle; the plan still
+        # answers for such a graph, as the semi-joins do.
+        g = QueryGraph(("Person", "Desk", "Person"),
+                       frozenset({(1, 0, "owner"), (1, 0, "backup"), (2, 0, "boss")}),
+                       ((1, "label", "equal", "x"),))
+        assert {t[0] for t in key_aware(g, desks)} == {"p1"}
+        assert key_aware(g, desks) == both_ways(_Compiled(desks, g))
+
+    def test_agrees_on_random_cyclic_graphs(self):
+        rng = random.Random(2707)
+        cyclic = small = 0
+        while cyclic < 500:
+            schema, facts, _ = gen.random_instance(rng, max_relations=4, max_fks=2, max_strs=1)
+            g = gen.random_query_graph(rng, schema, m_max=5)
+            c = _Compiled(facts, g)
+            if c.semijoins is not None:
+                continue
+            cyclic += 1
+            want = _per_head(c)
+            assert _key_aware(c) == want, g
+            if prod(len(facts.matching(rel, ())) for rel in g.nodes) <= 20_000:
+                small += 1
+                assert naive_evaluate(g, facts) == want, g
+        assert small > 300
+
+
+class TestPlanChoice:
+    """``evaluate`` takes the plan ``plan_of`` names and records it in a trace."""
+
+    def test_acyclic_graph_takes_the_semijoins(self, facts):
+        trace = Trace()
+        assert evaluate(fig1c_graph(), facts, trace) == {("M1", "I1", "T3", "MDF1")}
+        assert trace.plan == "semijoins"
+
+    def test_cyclic_graph_with_few_heads_takes_the_per_head_search(self, desks):
+        c = _Compiled(desks, MUTUAL_BOSSES)
+        assert len(desks.matching("Desk", ())) < PER_HEAD_BELOW
+        trace = Trace()
+        assert plan_of(c) == "per-head"
+        assert evaluate(c, desks, trace) == _key_aware(c) and trace.plan == "per-head"
+
+    def test_cyclic_graph_with_more_heads_takes_the_key_aware_plan(self):
+        # Ten people, each the boss of the next two, whose desk d0 the
+        # first owns and the second backs up.
+        people = FactBase(DESKS_SCHEMA, [
+            Relation("Person", [(f"p{i}", f"p{i // 2}", "d0", "x") for i in range(10)]),
+            Relation("Desk", [("d0", "p0", "p1", "y")])])
+        g = QueryGraph(("Person", "Desk", "Person"),
+                       frozenset({(0, 1, "desk"), (1, 2, "owner"), (2, 0, "boss")}), ())
+        c = _Compiled(people, g)
+        assert c.semijoins is None and len(people.matching("Person", ())) >= PER_HEAD_BELOW
+        trace = Trace()
+        assert plan_of(c) == "key-aware"
+        assert {t[0] for t in evaluate(c, people, trace)} == {"p0"} and trace.plan == "key-aware"
+        assert evaluate(c, people) == _per_head(c) == naive_evaluate(g, people)
 
 
 class TestRefinableAndCandidate:
