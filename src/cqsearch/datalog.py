@@ -2,8 +2,9 @@
 
 A graph renders as one rule: the head projects every attribute of node 0,
 the body has one relation atom per node in node order, equality edges
-become shared variables, and string constraints become
-str_<predicate>(Var, "literal") atoms in the graph's ``str_edges`` order.
+become shared variables (``query.variables``, class i named ``V{i}``), and
+string constraints become str_<predicate>(Var, "literal") atoms in the
+graph's ``str_edges`` order.
 Parsing inverts this: the i-th relation atom is node i, and shared variables
 are decomposed into primary-key/foreign-key equality edges through a
 deterministic spanning of each variable class.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .core import FK, STR, DomainError, Schema, line_col
-from .query import GraphError, PREDICATES, QueryGraph, check_graph, escaped
+from .query import GraphError, PREDICATES, QueryGraph, check_graph, escaped, variables
 
 
 class DatalogError(DomainError):
@@ -21,35 +22,11 @@ class DatalogError(DomainError):
 
 
 def render_datalog(g: QueryGraph, schema: Schema) -> str:
-    classes: dict[tuple[int, int], tuple[int, int]] = {}  # (node, pos) slots
-
-    def find(slot):
-        while classes.get(slot, slot) != slot:
-            slot = classes[slot]
-        return slot
-
-    for fk, pk, attr in g.eq_edges:
-        ra, rb = find((fk, schema.attr_pos(g.nodes[fk], attr))), find((pk, 0))
-        if ra != rb:
-            classes[max(ra, rb)] = min(ra, rb)
-
-    names: dict[tuple[int, int], str] = {}
-    counter = 0
-    body = []
-    for node, rel in enumerate(g.nodes):
-        args = []
-        for pos in range(len(schema[rel])):
-            root = find((node, pos))
-            if root not in names:
-                names[root] = f"V{counter}"
-                counter += 1
-            args.append(names[root])
-        body.append(f"{rel}({', '.join(args)})")
-    for node, attr, pred, literal in g.str_edges:
-        var = names[find((node, schema.attr_pos(g.nodes[node], attr)))]
-        body.append(f'str_{pred}({var}, "{escaped(literal)}")')
-    head_args = [names[find((0, pos))] for pos in range(len(schema[g.nodes[0]]))]
-    return f"out({', '.join(head_args)}) :- {', '.join(body)}."
+    names = [[f"V{v}" for v in node] for node in variables(g, schema)]
+    body = [f"{rel}({', '.join(args)})" for rel, args in zip(g.nodes, names)]
+    body += [f'str_{pred}({names[node][schema.attr_pos(g.nodes[node], attr)]}, '
+             f'"{escaped(literal)}")' for node, attr, pred, literal in g.str_edges]
+    return f"out({', '.join(names[0])}) :- {', '.join(body)}."
 
 
 # A comment runs from '#' to the end of the line; a '#' inside a string

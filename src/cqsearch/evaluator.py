@@ -1,58 +1,51 @@
 """In-memory evaluation of conjunctive queries over a fact base.
 
 A query graph is checked against the schema (``check_graph``) and compiled
-once (``_Compiled``): into one join step per node, each built by
-``join_step``, the function refinement builds the step of its new node with,
-and, when its equalities form no cycle, into a plan of semi-joins.
+once (``_Compiled``) into one join step per node, each built by
+``join_step``, the function refinement builds the step of its new node with.
 
-``evaluate`` takes the links of a join step to one earlier node, its key
-equalities with it in either direction, as one edge with a composite key;
-a self-equality is a ``self_eq`` check. When the edges form a forest, it is
-evaluated set at a time, bottom up (Yannakakis 1981): each node starts from
-the tuples ``FactBase.matching`` gives, with no link, for its string
-constraints and ``self_eq``, and each edge, from the leaves up, keeps the parent's tuples
-whose key matches some child tuple's. The answer is the head's remaining
-tuples, or nothing when a node has none left.
-
-When the edges form a cycle, ``evaluate`` runs a plan that knows keys
-(``_key_aware``), built from the join steps and the schema. Its variables
-are the classes of ``(node, position)`` slots that the equalities unite. It
-drops every non-head node that only its primary key touches and that has
-no string constraint or ``self_eq``: the fact base resolves every foreign
-key, so such a node holds for any binding. It joins every other non-head
-node whose key variable another node holds into each such node, a dict
-lookup that never adds a row, projects what is left onto the variables the
-factors share, deduplicated, and searches per head row over these small
-factors, each indexed by the variables bound before it. It is variable
-elimination as in bucket elimination and InsideOut (Dechter 1999; Abo
-Khamis, Ngo & Rudra 2016), key joins first, since they never grow a factor.
-Over a head relation of fewer than ``PER_HEAD_BELOW`` rows, the set-up of that
-plan costs more than it saves, and ``evaluate`` searches per head tuple instead
+``evaluate`` runs a plan that knows keys (``_key_aware``), built from the
+join steps and the schema, for every graph, with a cycle or without. Its
+variables are the classes of ``(node, position)`` slots that the
+equalities unite (``query.variables``). It drops every non-head node that
+only its primary key touches and that has no string constraint or
+``self_eq``: the fact base resolves every foreign key, so such a node holds
+for any binding. It joins every other non-head node whose key variable
+another node holds into each such node, a dict lookup that never adds a
+row, projects what is left onto the variables the factors share,
+deduplicated, and searches per head row over these small factors, each
+indexed by the variables bound before it. It is variable elimination as in
+bucket elimination and InsideOut (Dechter 1999; Abo Khamis, Ngo & Rudra
+2016), key joins first, since they never grow a factor. Over a head
+relation of fewer than ``PER_HEAD_BELOW`` rows, the set-up of that plan
+costs more than it saves, and ``evaluate`` searches per head tuple instead
 (``_per_head``): it walks the join steps depth first and binds each node
 through ``FactBase.matching``. ``plan_of`` names the plan a graph takes.
 
-Every way gives the deduplicated projection onto the head; semantics match
+Both ways give the deduplicated projection onto the head; semantics match
 the naive selection over the full Cartesian product (the test suite
 certifies this against a product oracle, and the ways against each other).
 
 A graph the schema does not license is an ``EvalError``; so is one checked
-against a partition whose target is not its head's relation. Refinement
-compiles no graph; ``refinable_with_witnesses`` and ``evaluate`` are the
-from-scratch evaluation the test suite holds it against.
+against a partition whose target is not its head's relation, and one
+compiled against another fact base. Refinement compiles no graph;
+``refinable_with_witnesses`` and ``evaluate`` are the from-scratch
+evaluation the test suite holds it against.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, compress
+from itertools import chain, compress
 from operator import add, eq, itemgetter
 
 from .core import DomainError, FactBase, RelationPartition, SchemaError, Trace, Tuple
-from .query import GraphError, QueryGraph, check_graph, join_step
+from .query import GraphError, QueryGraph, check_graph, join_step, variables as query_variables
 
 
 class EvalError(DomainError):
     """Query the schema does not license, or checked against a partition
-    whose target is not its head's relation."""
+    whose target is not its head's relation, or compiled against another
+    fact base."""
 
 
 class _Compiled:
@@ -64,8 +57,8 @@ class _Compiled:
     one. A graph refinement builds is therefore joined in node order, the
     order it extends assignments in. ``steps[i]`` is the ``join_step`` of
     the i-th node to join, its links naming earlier nodes by these join
-    positions, and ``at`` maps each node to its position. ``semijoins`` is
-    the plan ``_semijoins`` makes, or None for a graph with a cycle.
+    positions, and ``at`` maps each node to its position, in join order.
+    ``graph`` is the graph compiled.
     """
 
     def __init__(self, facts: FactBase, g: QueryGraph):
@@ -73,7 +66,7 @@ class _Compiled:
             check_graph(g, facts.schema)
         except (GraphError, SchemaError) as exc:
             raise EvalError(str(exc)) from exc
-        self.facts = facts
+        self.facts, self.graph = facts, g
         neighbours: list[set[int]] = [set() for _ in g.nodes]
         for fk, pk, _ in g.eq_edges:
             neighbours[fk].add(pk)
@@ -87,11 +80,12 @@ class _Compiled:
             self.steps.append(join_step(facts.schema, g, self.at, node))
             self.at[node] = len(self.at)
             remaining.remove(node)
-        self.semijoins = _semijoins(self.steps)
 
     @staticmethod
     def of(facts: FactBase, q) -> "_Compiled":
         if isinstance(q, _Compiled):
+            if q.facts is not facts:
+                raise EvalError("query compiled against another fact base")
             return q
         if not isinstance(q, QueryGraph):
             raise EvalError(f"cannot evaluate {type(q).__name__}")
@@ -139,69 +133,18 @@ def _compiled_for(q, facts: FactBase, part: RelationPartition) -> _Compiled:
     return c
 
 
-def _semijoins(steps):
-    """``(parent, child, parent_key, child_key)`` per edge of the forest that
-    the equalities between distinct nodes form, children before their
-    parents, or None when they form a cycle. Nodes are join positions, and
-    a child's links, all to one parent, make one edge: its keys are
-    ``itemgetter``s of their positions in the parent's and the child's
-    tuples.
-
-    A node joins once it is connected to a joined one, so each node but the
-    first of its component has an edge to an earlier one, its parent. The
-    edges form a forest exactly when no node has edges to two earlier ones."""
-    plan = []
-    for child in range(len(steps) - 1, 0, -1):
-        links = steps[child][1]
-        parents = {j for _, j, _ in links}
-        if len(parents) > 1:
-            return None
-        if parents:
-            plan.append((parents.pop(), child, itemgetter(*(link[2] for link in links)),
-                         itemgetter(*(link[0] for link in links))))
-    return plan
-
-
-def _by_semijoins(c: _Compiled) -> frozenset[Tuple]:
-    """``evaluate`` of a graph without cycles: its semi-join plan, bottom up."""
-    rows = [c.facts.matching(rel, (), strs, self_eq) for rel, _, strs, self_eq in c.steps]
-    for parent, child, parent_key, child_key in c.semijoins:
-        keys = set(map(child_key, rows[child]))
-        rows[parent] = list(compress(rows[parent],
-                                     map(keys.__contains__, map(parent_key, rows[parent]))))
-    return frozenset(rows[0]) if all(rows) else frozenset()
-
-
 def _per_head(c: _Compiled) -> frozenset[Tuple]:
     """``evaluate`` by a depth-first search from each head tuple."""
     rel, _, strs, self_eq = c.steps[0]
     return frozenset(filter(c.exists, c.facts.matching(rel, (), strs, self_eq)))
 
 
-def _variables(steps, schema) -> list[list[int | None]]:
-    """Per join position, per position of its tuples: the variable there, or
-    None where no equality touches it. A variable is a class of the slots,
-    ``(join position, tuple position)``, that links and ``self_eq`` unite,
-    numbered in order of first slot.
-
-    Slots are numbered in that order too, and each class is held by the
-    least of its slots, so one pass in slot order finds every slot's root."""
-    starts = list(accumulate((len(schema[rel]) for rel, *_ in steps), initial=0))
-    rep = list(range(starts[-1]))
-    for i, (_, links, _, self_eq) in enumerate(steps):
-        for a, b in [(starts[i] + pos, starts[j] + jpos) for pos, j, jpos in links] + \
-                [(starts[i] + pos, starts[i]) for pos in self_eq]:
-            while rep[a] != a:
-                a = rep[a]
-            while rep[b] != b:
-                b = rep[b]
-            rep[max(a, b)] = min(a, b)
-    for slot in range(len(rep)):
-        rep[slot] = rep[rep[slot]]
-    sizes = Counter(rep)
-    ids: dict[int, int] = {}
-    flat = [ids.setdefault(root, len(ids)) if sizes[root] > 1 else None for root in rep]
-    return [flat[start:end] for start, end in zip(starts, starts[1:])]
+def _variables(c: _Compiled) -> list[list[int | None]]:
+    """Per join position, per position of its tuples: the variable there
+    (``query.variables``), or None where no equality touches it."""
+    per_node = query_variables(c.graph, c.facts.schema)
+    sizes = Counter(chain.from_iterable(per_node))
+    return [[v if sizes[v] > 1 else None for v in per_node[node]] for node in c.at]
 
 
 def _agreeing(rows, pairs) -> list[Tuple]:
@@ -225,8 +168,7 @@ def _factors(c: _Compiled):
     per factor, the head's first, or None when a factor keeps no row."""
     facts, steps = c.facts, c.steps
     factors: dict[int, list] = {}  # by the join position of its first node
-    for i, (variables, (rel, _, strs, _)) in enumerate(
-            zip(_variables(steps, facts.schema), steps)):
+    for i, (variables, (rel, _, strs, _)) in enumerate(zip(_variables(c), steps)):
         if i and not strs and variables[0] is not None \
                 and variables.count(None) == len(variables) - 1:
             continue  # (a): only its primary key is touched
@@ -331,7 +273,7 @@ def _holds(binding: tuple, steps, i: int = 0) -> bool:
 
 
 def _key_aware(c: _Compiled) -> frozenset[Tuple]:
-    """``evaluate`` of a graph with a cycle, by a plan that knows keys.
+    """``evaluate`` by a plan that knows keys.
 
     Each node is a factor: its tuples, each position the variable
     (``_variables``) that the equalities make it. Then:
@@ -384,16 +326,13 @@ PER_HEAD_BELOW = 8
 
 
 def plan_of(c: _Compiled) -> str:
-    """The plan ``evaluate`` takes: ``semijoins`` for a graph without
-    cycles, else ``per-head`` when its head's relation holds fewer than
-    ``PER_HEAD_BELOW`` rows, else ``key-aware``."""
-    if c.semijoins is not None:
-        return "semijoins"
+    """The plan ``evaluate`` takes: ``per-head`` when the graph's head
+    relation holds fewer than ``PER_HEAD_BELOW`` rows, else ``key-aware``."""
     return "per-head" if len(c.facts.matching(c.steps[0][0], ())) < PER_HEAD_BELOW \
         else "key-aware"
 
 
-_PLANS = {"semijoins": _by_semijoins, "per-head": _per_head, "key-aware": _key_aware}
+_PLANS = {"per-head": _per_head, "key-aware": _key_aware}
 
 
 def evaluate(q, facts: FactBase, trace: Trace | None = None) -> frozenset[Tuple]:

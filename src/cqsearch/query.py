@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 from .core import FK, STR, DomainError, Schema
 
@@ -114,6 +115,29 @@ def join_step(schema: Schema, g: QueryGraph, at: Mapping[int, int], node: int):
     strs = tuple((schema.attr_pos(rel, attr), pred, literal)
                  for i, attr, pred, literal in g.str_edges if i == node)
     return rel, tuple(sorted(links)), strs, tuple(sorted(self_eq))
+
+
+def variables(g: QueryGraph, schema: Schema) -> list[list[int]]:
+    """Per node, per position of its tuples: the variable there, the class of
+    ``(node, position)`` slots that the equality edges unite, numbered in
+    order of first slot. A slot no equality touches is a class of its own.
+
+    Slots are numbered in that order too, and each class is held by the
+    least of its slots, so one pass in slot order finds every slot's root."""
+    starts = list(accumulate((len(schema[rel]) for rel in g.nodes), initial=0))
+    rep = list(range(starts[-1]))
+    for fk, pk, attr in g.eq_edges:
+        a, b = starts[fk] + schema.attr_pos(g.nodes[fk], attr), starts[pk]
+        while rep[a] != a:
+            a = rep[a]
+        while rep[b] != b:
+            b = rep[b]
+        rep[max(a, b)] = min(a, b)
+    for slot in range(len(rep)):
+        rep[slot] = rep[rep[slot]]
+    ids: dict[int, int] = {}
+    flat = [ids.setdefault(root, len(ids)) for root in rep]
+    return [flat[start:end] for start, end in zip(starts, starts[1:])]
 
 
 def to_graph(g: QueryGraph, schema: Schema) -> QueryGraph:

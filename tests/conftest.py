@@ -68,6 +68,25 @@ def fig1c_graph() -> QueryGraph:
         ((1, "name", "equal", "CacheConfig"), (3, "name", "equal", "Log4jUtils")))
 
 
+# Persons with a boss and a desk; desks with an owner and a backup. Between
+# a Person and a Desk node there can be edges both ways, and from a Desk
+# two parallel ones; a Person can be its own boss.
+DESKS_SCHEMA = Schema({
+    "Person": [AttributeDecl("id", PK), AttributeDecl("boss", FK, "Person"),
+               AttributeDecl("desk", FK, "Desk"), AttributeDecl("name", STR)],
+    "Desk": [AttributeDecl("id", PK), AttributeDecl("owner", FK, "Person"),
+             AttributeDecl("backup", FK, "Person"), AttributeDecl("label", STR)],
+})
+
+
+def acyclic(c) -> bool:
+    """Do the equalities between distinct nodes of a graph compiled by
+    ``evaluator._Compiled`` form a forest? A node joins once it is connected
+    to a joined one, so each node but the first of its component links an
+    earlier one, and they do exactly when no node links two earlier ones."""
+    return all(len({j for _, j, _ in links}) <= 1 for _, links, _, _ in c.steps)
+
+
 @pytest.fixture
 def schema():
     return fig1_schema()

@@ -8,15 +8,15 @@ from math import prod
 import pytest
 
 from cqsearch import minijava
-from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, Relation,
+from cqsearch.core import (FK, PK, AttributeDecl, FactBase, Relation,
                            RelationPartition, Schema, Trace, make_partition)
 from cqsearch.datalog import parse_datalog
-from cqsearch.evaluator import (PER_HEAD_BELOW, EvalError, _by_semijoins, _Compiled,
-                                _key_aware, _per_head, evaluate, is_candidate, plan_of,
+from cqsearch.evaluator import (PER_HEAD_BELOW, EvalError, _Compiled, _key_aware,
+                                _per_head, _variables, evaluate, is_candidate, plan_of,
                                 refinable_with_witnesses)
 from cqsearch.extract import build_facts, extract
 from cqsearch.query import GraphError, QueryGraph, from_graph, to_graph
-from conftest import CORPUS, FIG1C_RULE, fig1c_graph
+from conftest import CORPUS, DESKS_SCHEMA, FIG1C_RULE, acyclic, fig1c_graph
 import gen
 from oracles import naive_evaluate
 
@@ -143,23 +143,11 @@ class TestJoinOrder:
 
 
 def both_ways(c: _Compiled) -> frozenset:
-    """The semi-join answer of an acyclic compiled graph, checked against
-    the per-head search."""
-    assert c.semijoins is not None
-    got = _by_semijoins(c)
+    """The key-aware answer of a compiled graph, checked against the
+    per-head search."""
+    got = _key_aware(c)
     assert got == _per_head(c)
     return got
-
-
-# Persons with a boss and a desk; desks with an owner and a backup. Between
-# a Person and a Desk node there can be edges both ways, and from a Desk
-# two parallel ones; a Person can be its own boss.
-DESKS_SCHEMA = Schema({
-    "Person": [AttributeDecl("id", PK), AttributeDecl("boss", FK, "Person"),
-               AttributeDecl("desk", FK, "Desk"), AttributeDecl("name", STR)],
-    "Desk": [AttributeDecl("id", PK), AttributeDecl("owner", FK, "Person"),
-             AttributeDecl("backup", FK, "Person"), AttributeDecl("label", STR)],
-})
 
 
 @pytest.fixture
@@ -172,8 +160,9 @@ def desks():
 
 
 class TestSemijoins:
-    """The semi-join path against the per-head search it replaces on
-    acyclic graphs, and against the product oracle."""
+    """Graphs whose equalities form a forest, which semi-joins (Yannakakis
+    1981) could answer: the key-aware plan against the per-head search and
+    the product oracle."""
 
     @pytest.mark.parametrize("nodes, edges, strs, want", [
         (("Person", "Desk"), {(1, 0, "owner"), (1, 0, "backup")}, (), {"p1"}),
@@ -202,37 +191,40 @@ class TestSemijoins:
         assert got == naive_evaluate(g, desks) == evaluate(g, desks)
 
     def test_edges_between_two_nodes_merge_into_one(self, desks):
+        # The Person's desk and the Desk's owner and backup: the three edges
+        # make two variables, which the two nodes share.
         g = QueryGraph(("Person", "Desk"),
                        frozenset({(0, 1, "desk"), (1, 0, "owner"), (1, 0, "backup")}), ())
-        (parent, child, parent_key, child_key), = _Compiled(desks, g).semijoins
-        assert (parent, child) == (0, 1)
-        person, desk = ("p1", "p1", "d1", "ann"), ("d1", "p1", "p1", "x")
-        assert parent_key(person) == child_key(desk) == ("d1", "p1", "p1")
+        c = _Compiled(desks, g)
+        assert acyclic(c)
+        assert _variables(c) == [[0, None, 2, None], [2, 0, 0, None]]
+        assert {t[0] for t in both_ways(c)} == {"p1"}
 
     def test_self_loop_is_a_check_of_its_node(self, desks):
         c = _Compiled(desks, QueryGraph(("Person",), frozenset({(0, 0, "boss")}), ()))
-        assert c.semijoins == [] and c.steps[0][3] == (1,)
+        assert acyclic(c) and c.steps[0][3] == (1,)
+        assert _variables(c) == [[0, 0, None, None]]
+        assert {t[0] for t in both_ways(c)} == {"p1", "p3"}
 
     def test_cycle_takes_the_per_head_search(self, desks):
         triangle = QueryGraph(("Person", "Person", "Desk"),
                               frozenset({(0, 1, "boss"), (0, 2, "desk"), (2, 1, "owner")}), ())
         c = _Compiled(desks, triangle)
-        assert c.semijoins is None
+        assert not acyclic(c) and plan_of(c) == "per-head"
         assert evaluate(triangle, desks) == _per_head(c) == naive_evaluate(triangle, desks)
 
     def test_agrees_on_criterion_6_graphs(self):
         # The stream of acceptance criterion 6, which checks evaluate
         # against the product oracle.
         rng = random.Random(606)
-        acyclic = 0
+        forests = 0
         for _ in range(1000):
             schema, facts, _ = gen.random_instance(
                 rng, max_relations=4, max_fks=2, max_strs=1)
             c = _Compiled(facts, gen.random_query_graph(rng, schema, m_max=4))
-            if c.semijoins is not None:
-                acyclic += 1
-                both_ways(c)
-        assert acyclic > 900
+            forests += acyclic(c)
+            both_ways(c)
+        assert forests > 900
 
     def test_agrees_on_corpus_golden_rules(self):
         cyclic = []
@@ -243,11 +235,9 @@ class TestSemijoins:
             for golden in task["golden"]:
                 rule = (path.parent / golden).read_text(encoding="utf-8")
                 c = _Compiled.of(facts, parse_datalog(rule, facts.schema))
-                if c.semijoins is None:
+                if not acyclic(c):
                     cyclic.append(task["name"])
-                    assert _key_aware(c) == _per_head(c)
-                else:
-                    both_ways(c)
+                both_ways(c)
         assert cyclic == ["method-mutual-recursion"]
 
 
@@ -273,7 +263,7 @@ MUTUAL_BOSSES = QueryGraph(("Desk", "Person", "Person"),
 class TestKeyAware:
     """The key-aware plan against the per-head search and the product
     oracle: on hand-built graphs whose answer depends on a node that is the
-    key side of an edge, and on a seeded stream of random cyclic graphs."""
+    key side of an edge, and on a seeded stream of random graphs."""
 
     @pytest.mark.parametrize("nodes, edges, strs, want", [
         (MUTUAL_BOSSES.nodes, MUTUAL_BOSSES.eq_edges, (), {"d1"}),
@@ -282,7 +272,7 @@ class TestKeyAware:
     ], ids=["two-cycle-of-self-references", "two-keys-into-one-node"])
     def test_hand_built_cycles(self, desks, nodes, edges, strs, want):
         g = QueryGraph(nodes, frozenset(edges), strs)
-        assert _Compiled(desks, g).semijoins is None
+        assert not acyclic(_Compiled(desks, g))
         assert {t[0] for t in key_aware(g, desks)} == want
 
     def test_key_side_nodes_with_a_constraint_are_kept(self, desks):
@@ -292,13 +282,13 @@ class TestKeyAware:
         labelled = QueryGraph(("Person", "Desk", "Person"),
                               frozenset({(0, 1, "desk"), (2, 1, "desk"), (2, 0, "boss")}),
                               ((1, "label", "equal", "y"),))
-        assert _Compiled(desks, labelled).semijoins is None
+        assert not acyclic(_Compiled(desks, labelled))
         assert {t[0] for t in key_aware(labelled, desks)} == {"p3"}
         assert {t[0] for t in key_aware(replace(labelled, str_edges=()), desks)} == {"p1", "p3"}
         looped = QueryGraph(("Desk", "Person", "Person", "Person"),
                             frozenset({(0, 1, "owner"), (1, 1, "boss"), (0, 2, "backup"),
                                        (2, 3, "boss"), (3, 0, "desk")}), ())
-        assert _Compiled(desks, looped).semijoins is None
+        assert not acyclic(_Compiled(desks, looped))
         assert {t[0] for t in key_aware(looped, desks)} == {"d1"}
         unlooped = replace(looped, eq_edges=looped.eq_edges - {(1, 1, "boss")})
         assert {t[0] for t in key_aware(unlooped, desks)} == {"d1", "d2"}
@@ -307,43 +297,83 @@ class TestKeyAware:
         lamps = FactBase(LAMPS_SCHEMA, [Relation(rel, desks.tuples(rel)) for rel in desks])
         assert {t[0] for t in key_aware(MUTUAL_BOSSES, lamps)} == {"d1"}
         alone = MUTUAL_BOSSES.with_node("Lamp", frozenset())
-        assert _Compiled(lamps, alone).semijoins is None
+        assert not acyclic(_Compiled(lamps, alone))
         assert key_aware(alone, lamps) == frozenset()
 
     def test_head_that_is_the_key_side_of_every_edge(self, desks):
-        # Edges that all end at the head form no cycle; the plan still
-        # answers for such a graph, as the semi-joins do.
+        # Edges that all end at the head form no cycle; the plan answers
+        # for such a graph too.
         g = QueryGraph(("Person", "Desk", "Person"),
                        frozenset({(1, 0, "owner"), (1, 0, "backup"), (2, 0, "boss")}),
                        ((1, "label", "equal", "x"),))
+        assert acyclic(_Compiled(desks, g))
         assert {t[0] for t in key_aware(g, desks)} == {"p1"}
-        assert key_aware(g, desks) == both_ways(_Compiled(desks, g))
 
     def test_agrees_on_random_cyclic_graphs(self):
+        # The stream runs until it has drawn 500 cyclic graphs, and every
+        # graph it draws is checked, acyclic ones too.
         rng = random.Random(2707)
-        cyclic = small = 0
+        cyclic = small = small_cyclic = 0
         while cyclic < 500:
             schema, facts, _ = gen.random_instance(rng, max_relations=4, max_fks=2, max_strs=1)
             g = gen.random_query_graph(rng, schema, m_max=5)
             c = _Compiled(facts, g)
-            if c.semijoins is not None:
-                continue
-            cyclic += 1
+            has_cycle = not acyclic(c)
+            cyclic += has_cycle
             want = _per_head(c)
             assert _key_aware(c) == want, g
             if prod(len(facts.matching(rel, ())) for rel in g.nodes) <= 20_000:
                 small += 1
+                small_cyclic += has_cycle
                 assert naive_evaluate(g, facts) == want, g
-        assert small > 300
+        assert small_cyclic > 300 and small > 3000
+
+
+def people(n: int) -> FactBase:
+    """``n`` people, each the boss of the next two, whose desk d0 the first
+    owns and the second backs up; person i is named ``n{i}``."""
+    return FactBase(DESKS_SCHEMA, [
+        Relation("Person", [(f"p{i}", f"p{i // 2}", "d0", f"n{i}") for i in range(n)]),
+        Relation("Desk", [("d0", "p0", "p1", "y")])])
+
+
+# The people whose boss is named n0.
+BOSSED_BY_N0 = QueryGraph(("Person", "Person"), frozenset({(0, 1, "boss")}),
+                          ((1, "name", "equal", "n0"),))
 
 
 class TestPlanChoice:
-    """``evaluate`` takes the plan ``plan_of`` names and records it in a trace."""
+    """``evaluate`` takes the plan ``plan_of`` names and records it in a
+    trace: the per-head search below ``PER_HEAD_BELOW`` head rows, the
+    key-aware plan from there on, with a cycle or without."""
 
-    def test_acyclic_graph_takes_the_semijoins(self, facts):
+    def test_acyclic_graph_with_few_heads_takes_the_per_head_search(self, facts):
+        c = _Compiled(facts, fig1c_graph())
+        assert acyclic(c) and len(facts.matching("Method", ())) < PER_HEAD_BELOW
         trace = Trace()
-        assert evaluate(fig1c_graph(), facts, trace) == {("M1", "I1", "T3", "MDF1")}
-        assert trace.plan == "semijoins"
+        assert plan_of(c) == "per-head"
+        assert evaluate(c, facts, trace) == {("M1", "I1", "T3", "MDF1")}
+        assert trace.plan == "per-head"
+
+    def test_acyclic_graph_with_more_heads_takes_the_key_aware_plan(self):
+        base = people(10)
+        c = _Compiled(base, BOSSED_BY_N0)
+        assert acyclic(c) and len(base.matching("Person", ())) >= PER_HEAD_BELOW
+        trace = Trace()
+        assert plan_of(c) == "key-aware"
+        assert {t[0] for t in evaluate(c, base, trace)} == {"p0", "p1"}
+        assert trace.plan == "key-aware"
+        assert evaluate(c, base) == _per_head(c) == naive_evaluate(BOSSED_BY_N0, base)
+
+    @pytest.mark.parametrize("rows, plan", [(PER_HEAD_BELOW - 1, "per-head"),
+                                            (PER_HEAD_BELOW, "key-aware")])
+    def test_rule_at_its_edge(self, rows, plan):
+        base = people(rows)
+        c = _Compiled(base, BOSSED_BY_N0)
+        trace = Trace()
+        assert plan_of(c) == plan
+        assert {t[0] for t in evaluate(c, base, trace)} == {"p0", "p1"}
+        assert trace.plan == plan
 
     def test_cyclic_graph_with_few_heads_takes_the_per_head_search(self, desks):
         c = _Compiled(desks, MUTUAL_BOSSES)
@@ -353,19 +383,28 @@ class TestPlanChoice:
         assert evaluate(c, desks, trace) == _key_aware(c) and trace.plan == "per-head"
 
     def test_cyclic_graph_with_more_heads_takes_the_key_aware_plan(self):
-        # Ten people, each the boss of the next two, whose desk d0 the
-        # first owns and the second backs up.
-        people = FactBase(DESKS_SCHEMA, [
-            Relation("Person", [(f"p{i}", f"p{i // 2}", "d0", "x") for i in range(10)]),
-            Relation("Desk", [("d0", "p0", "p1", "y")])])
+        # Person p0 owns desk d0, which p1 backs up, and p1's boss is p0.
+        base = people(10)
         g = QueryGraph(("Person", "Desk", "Person"),
                        frozenset({(0, 1, "desk"), (1, 2, "owner"), (2, 0, "boss")}), ())
-        c = _Compiled(people, g)
-        assert c.semijoins is None and len(people.matching("Person", ())) >= PER_HEAD_BELOW
+        c = _Compiled(base, g)
+        assert not acyclic(c) and len(base.matching("Person", ())) >= PER_HEAD_BELOW
         trace = Trace()
         assert plan_of(c) == "key-aware"
-        assert {t[0] for t in evaluate(c, people, trace)} == {"p0"} and trace.plan == "key-aware"
-        assert evaluate(c, people) == _per_head(c) == naive_evaluate(g, people)
+        assert {t[0] for t in evaluate(c, base, trace)} == {"p0"} and trace.plan == "key-aware"
+        assert evaluate(c, base) == _per_head(c) == naive_evaluate(g, base)
+
+    @pytest.mark.parametrize("check", [
+        evaluate,
+        lambda c, facts: is_candidate(c, facts, RelationPartition("Person", frozenset(),
+                                                                  frozenset()))],
+        ids=["evaluate", "is_candidate"])
+    def test_graph_compiled_against_another_fact_base_raises(self, check):
+        # Two bases of equal rows: a graph compiled over one is no query
+        # over the other.
+        c = _Compiled(people(10), BOSSED_BY_N0)
+        with pytest.raises(EvalError, match="another fact base"):
+            check(c, people(10))
 
 
 class TestRefinableAndCandidate:

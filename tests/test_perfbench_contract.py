@@ -10,7 +10,7 @@ import sys
 
 from cqsearch import cli, evaluator, query, refine, select
 from cqsearch.datalog import parse_datalog
-from conftest import REPO
+from conftest import REPO, acyclic
 
 sys.path.insert(0, str(REPO))
 from perfbench.tracer import Tracer  # noqa: E402
@@ -62,27 +62,27 @@ def test_search_codebase_at_fan_out(tmp_path):
         assert workload.check(op, workload.run(op)) is None, op
 
 
-def test_search_codebase_semijoins_agree_with_per_head_search(tmp_path):
+def test_search_codebase_key_aware_agrees_with_per_head_search(tmp_path):
     """The 21 queries over the 1000-class code base the benchmark builds:
-    the semi-join answer of each acyclic one equals the per-head search's,
-    and the one cyclic query takes the key-aware plan, whose 1,767 answers
-    are the per-head search's."""
+    each takes the key-aware plan, whose answer equals the per-head
+    search's, and the one with a cycle, ``method-mutual-recursion``, has
+    1,767 answers."""
     workload = SearchCodebase(REPO, 0, tmp_path)
     workload.prepare()
     workload.setup()
     _, facts = cli._load_facts(tmp_path / "facts" / "schema.json",
                                tmp_path / "facts" / "facts.json")
-    cyclic = []
-    for op in sorted(workload.operations()):
+    ops, cyclic = sorted(workload.operations()), []
+    assert len(ops) == 21
+    for op in ops:
         text = (tmp_path / "queries" / f"{op}.dl").read_text(encoding="utf-8")
         c = evaluator._Compiled.of(facts, parse_datalog(text, facts.schema))
-        if c.semijoins is None:
+        assert evaluator.plan_of(c) == "key-aware", op
+        answer = evaluator.evaluate(c, facts)
+        assert answer == evaluator._per_head(c), op
+        if not acyclic(c):
             cyclic.append(op)
-            assert evaluator.plan_of(c) == "key-aware"
-            answer = evaluator.evaluate(c, facts)
-            assert answer == evaluator._per_head(c) and len(answer) == 1767
-        else:
-            assert evaluator._by_semijoins(c) == evaluator._per_head(c), op
+            assert len(answer) == 1767
     assert cyclic == ["method-mutual-recursion"]
 
 

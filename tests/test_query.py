@@ -5,16 +5,16 @@ from collections import Counter
 import pytest
 
 from cqsearch import minijava, refine
-from cqsearch.core import pred_holds
+from cqsearch.core import FK, Schema, pred_holds
 from cqsearch.datalog import parse_datalog, render_datalog
 from cqsearch.extract import extract, extraction_schema
 from cqsearch.query import (GraphError, QueryGraph, canonical_form, certificate,
                             check_graph, max_multiplicity, merged, multiplicity,
-                            render_ra)
+                            render_ra, variables)
 from cqsearch.select import make_context, synthesize
-from conftest import CORPUS, FIG1C_RULE, fig1c_graph
+from conftest import CORPUS, DESKS_SCHEMA, FIG1C_RULE, fig1c_graph
 import gen
-from oracles import canonical_form_by_search, homomorphism, isomorphism
+from oracles import canonical_form_by_search, homomorphism, isomorphism, variable_classes
 
 
 def relabelled(g: QueryGraph, rng: random.Random) -> QueryGraph:
@@ -270,6 +270,65 @@ class TestPredicates:
         assert not pred_holds("suffix", "cashFlow", "cash")
         assert pred_holds("contain", "acashb", "cash")
         assert not pred_holds("equal", "acashb", "cash")
+
+
+def touched_classes(g: QueryGraph, schema: Schema) -> frozenset[frozenset]:
+    """``variables(g, schema)`` as a partition of the ``(node, position)``
+    slots that some equality touches."""
+    per_node = variables(g, schema)
+    classes: dict[int, set] = {}
+    for fk, pk, attr in g.eq_edges:
+        for node, pos in ((fk, schema.attr_pos(g.nodes[fk], attr)), (pk, 0)):
+            classes.setdefault(per_node[node][pos], set()).add((node, pos))
+    return frozenset(map(frozenset, classes.values()))
+
+
+def oracle_classes(g: QueryGraph, schema: Schema) -> frozenset[frozenset]:
+    """``oracles.variable_classes`` with each slot as ``(node, position)``."""
+    return frozenset(frozenset((node, 0 if attr is None else schema.attr_pos(g.nodes[node], attr))
+                               for node, attr in c) for c in variable_classes(g))
+
+
+class TestVariables:
+    """``query.variables``, which the Datalog renderer and the key-aware plan
+    both read, against the slot classes of the oracle's own union."""
+
+    def test_matches_the_oracle_on_random_graphs(self):
+        rng = random.Random(2808)
+        for _ in range(1000):
+            schema = gen.random_schema(rng)
+            g = gen.random_query_graph(rng, schema, m_max=5)
+            loops = {(node, node, a.name) for node, rel in enumerate(g.nodes)
+                     for a in schema[rel] if a.kind == FK and a.target == rel
+                     and rng.random() < 0.3}
+            g = QueryGraph(g.nodes, g.eq_edges | loops, g.str_edges)
+            per_node = variables(g, schema)
+            assert [len(v) for v in per_node] == [len(schema[rel]) for rel in g.nodes]
+            flat = [v for vs in per_node for v in vs]
+            assert list(dict.fromkeys(flat)) == list(range(len(set(flat))))  # by first slot
+            assert touched_classes(g, schema) == oracle_classes(g, schema), g
+            touched = {slot for c in oracle_classes(g, schema) for slot in c}
+            counts = Counter(flat)
+            assert all(counts[v] == 1 for node, vs in enumerate(per_node)
+                       for pos, v in enumerate(vs) if (node, pos) not in touched)
+
+    @pytest.mark.parametrize("nodes, edges, want", [
+        (("Person",), {(0, 0, "boss")}, [[0, 0, 1, 2]]),
+        (("Person", "Person"), {(0, 1, "boss"), (1, 1, "boss")},
+         [[0, 1, 2, 3], [1, 1, 4, 5]]),
+        (("Person", "Desk", "Person"),
+         {(0, 1, "desk"), (1, 2, "owner"), (1, 2, "backup"), (2, 0, "boss")},
+         [[0, 1, 2, 3], [2, 4, 4, 5], [4, 0, 6, 7]]),
+    ], ids=["self-loop", "self-loop-on-a-child", "two-keys-into-one-node"])
+    def test_hand_built_graphs(self, nodes, edges, want):
+        g = QueryGraph(nodes, frozenset(edges), ())
+        assert variables(g, DESKS_SCHEMA) == want
+        assert touched_classes(g, DESKS_SCHEMA) == oracle_classes(g, DESKS_SCHEMA)
+        args = [", ".join(f"V{v}" for v in vs) for vs in want]
+        rule = render_datalog(g, DESKS_SCHEMA)
+        assert rule == f"out({args[0]}) :- " + \
+            ", ".join(f"{rel}({a})" for rel, a in zip(nodes, args)) + "."
+        assert merged(parse_datalog(rule, DESKS_SCHEMA)) == merged(g)
 
 
 class TestRendering:
