@@ -212,7 +212,7 @@ def _report(result, schema) -> dict:
         "explored_graphs": result.state.generated_total(),
         "wall_time_s": round(result.trace.wall_s, 4),
         "trace": {key: value for key, value in asdict(result.trace).items()
-                  if key not in ("started", "plan")},
+                  if key != "started"},
     }
 
 
@@ -260,15 +260,14 @@ def _search(args) -> int:
     with trace.span("query"):
         query = read_input(args.query, lambda text: parse_datalog(text, schema))
     with trace.span("evaluate"):
-        answer = evaluate(query, facts, trace)
+        answer = evaluate(query, facts)
     with trace.span("print"):
         for t in sorted(answer):
             where = location(t[0])
             print(t[0] if where is None else f"{t[0]}\t{where}")
     if args.trace:
         for name, seconds in trace.spans.items():
-            plan = f" plan={trace.plan}" if name == "evaluate" else ""
-            print(f"trace {name}: {seconds:.6f}s{plan}", file=sys.stderr)
+            print(f"trace {name}: {seconds:.6f}s", file=sys.stderr)
         print(f"trace wall: {trace.wall_s:.6f}s", file=sys.stderr)
     return 0
 

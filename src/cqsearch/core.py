@@ -586,13 +586,12 @@ class Trace:
     """The record of one synthesis run: seconds per stage (``inputs``, ``reduce``,
     ``refine``, ``select``), a ``Level`` per refined level, the synLCS memo's calls
     and misses, and ``wall_s`` from the trace's making to the close of its last span.
-    A search records its own stages, and in ``plan`` the plan ``evaluate`` took."""
+    A search records its own stages."""
     spans: dict[str, float] = field(default_factory=dict)
     levels: list[Level] = field(default_factory=list)
     syn_lcs_calls: int = 0
     syn_lcs_misses: int = 0
     wall_s: float = 0.0
-    plan: str | None = None
     started: float = field(default_factory=perf_counter)
 
     @contextmanager

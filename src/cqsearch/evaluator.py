@@ -16,15 +16,11 @@ row, projects what is left onto the variables the factors share,
 deduplicated, and searches per head row over these small factors, each
 indexed by the variables bound before it. It is variable elimination as in
 bucket elimination and InsideOut (Dechter 1999; Abo Khamis, Ngo & Rudra
-2016), key joins first, since they never grow a factor. Over a head
-relation of fewer than ``PER_HEAD_BELOW`` rows, the set-up of that plan
-costs more than it saves, and ``evaluate`` searches per head tuple instead
-(``_per_head``): it walks the join steps depth first and binds each node
-through ``FactBase.matching``. ``plan_of`` names the plan a graph takes.
+2016), key joins first, since they never grow a factor.
 
-Both ways give the deduplicated projection onto the head; semantics match
-the naive selection over the full Cartesian product (the test suite
-certifies this against a product oracle, and the ways against each other).
+It gives the deduplicated projection onto the head; semantics match the
+naive selection over the full Cartesian product (the test suite certifies
+this against a product oracle and a search per head tuple).
 
 A graph the schema does not license is an ``EvalError``; so is one checked
 against a partition whose target is not its head's relation, and one
@@ -38,7 +34,7 @@ from collections import Counter
 from itertools import chain, compress
 from operator import add, eq, itemgetter
 
-from .core import DomainError, FactBase, RelationPartition, SchemaError, Trace, Tuple
+from .core import DomainError, FactBase, RelationPartition, SchemaError, Tuple
 from .query import GraphError, QueryGraph, check_graph, join_step, variables as query_variables
 
 
@@ -118,11 +114,6 @@ class _Compiled:
             values = [(pos, bound[j][jpos]) for pos, j, jpos in links]
             pending.append(iter(matching(rel, values, strs, self_eq)))
 
-    def exists(self, head_tuple: Tuple) -> bool:
-        for _ in self.assignments(head_tuple):
-            return True
-        return False
-
 
 def _compiled_for(q, facts: FactBase, part: RelationPartition) -> _Compiled:
     """``q`` compiled against ``facts``; its head must range over the target."""
@@ -131,12 +122,6 @@ def _compiled_for(q, facts: FactBase, part: RelationPartition) -> _Compiled:
     if head != part.target:
         raise EvalError(f"query head {head!r} is not the target {part.target!r}")
     return c
-
-
-def _per_head(c: _Compiled) -> frozenset[Tuple]:
-    """``evaluate`` by a depth-first search from each head tuple."""
-    rel, _, strs, self_eq = c.steps[0]
-    return frozenset(filter(c.exists, c.facts.matching(rel, (), strs, self_eq)))
 
 
 def _variables(c: _Compiled) -> list[list[int | None]]:
@@ -318,33 +303,12 @@ def _key_aware(c: _Compiled) -> frozenset[Tuple]:
     return frozenset(row[:arity] for row in rows if _holds(row, search))
 
 
-# Below this many head rows, the per-head search beats the key-aware plan,
-# whose set-up costs about 30 µs a graph. On random cyclic graphs over bases
-# of 2 to 50 rows a relation, the two cross at 8 to 12 head rows, and a rule
-# on the head rows costs as little in all as one on every node's rows.
-PER_HEAD_BELOW = 8
-
-
-def plan_of(c: _Compiled) -> str:
-    """The plan ``evaluate`` takes: ``per-head`` when the graph's head
-    relation holds fewer than ``PER_HEAD_BELOW`` rows, else ``key-aware``."""
-    return "per-head" if len(c.facts.matching(c.steps[0][0], ())) < PER_HEAD_BELOW \
-        else "key-aware"
-
-
-_PLANS = {"per-head": _per_head, "key-aware": _key_aware}
-
-
-def evaluate(q, facts: FactBase, trace: Trace | None = None) -> frozenset[Tuple]:
-    """Deduplicated head tuples admitting a satisfying assignment, by the
-    plan that ``plan_of`` names; ``trace`` records that name as its ``plan``."""
+def evaluate(q, facts: FactBase) -> frozenset[Tuple]:
+    """Deduplicated head tuples admitting a satisfying assignment."""
     c = _Compiled.of(facts, q)
     if not c.steps:
         raise EvalError("cannot evaluate the empty query")
-    plan = plan_of(c)
-    if trace is not None:
-        trace.plan = plan
-    return _PLANS[plan](c)
+    return _key_aware(c)
 
 
 def is_candidate(q, facts: FactBase, part: RelationPartition) -> bool:

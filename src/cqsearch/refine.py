@@ -18,9 +18,9 @@ still admits, the tuples bound to its nodes in node order. A child of
 ``expand`` is its parent plus one unconstrained node whose equality edges
 all touch that node, so its assignments are the parent's, each extended by
 the tuples ``FactBase.matching`` returns for the links of the new node's
-``join_step``, as ``evaluate`` binds every node: a primary-key probe when
-an existing node's foreign key holds the new node's key, else the smallest
-pool among its links. A string-closure child is its base
+``join_step``, as ``_Compiled.assignments`` binds every node: a primary-key
+probe when an existing node's foreign key holds the new node's key, else the
+smallest pool among its links. A string-closure child is its base
 plus one constraint, so its assignments are the base's filtered by it. The
 witness sets synLCS reads are a slot's column of the positives' rows; a
 graph is refinable iff every positive keeps an assignment and a candidate

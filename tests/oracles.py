@@ -2,30 +2,29 @@
 
 Everything here trades efficiency for obviousness: a mini-Java scanner
 that reads one character at a time, a lexer that matches one lexeme at a
-time, a lexer that builds one token object per match and its parser over
-those objects, a parser with one recursive frame per operator precedence level,
-per-row fact checks, full Cartesian products, exhaustive substring scans,
-unpruned breadth-first search over the query space, searches for
-homomorphisms and isomorphisms between query graphs. None of it
-shares search machinery with the package. Query graphs are read as the
-package writes them: node i is position i, the head 0. The shared
-primitives are:
+time, a parser over token objects with one recursive frame per operator
+precedence level, per-row fact checks, full Cartesian products, a search
+per head tuple, exhaustive substring scans, unpruned breadth-first search
+over the query space, searches for homomorphisms and isomorphisms between
+query graphs. None of it shares search machinery with the package. Query
+graphs are read as the package writes them: node i is position i, the
+head 0. The shared primitives are:
 
 - ``minijava``'s ``Token``, ``Pos``, ``ParseError`` and ``KEYWORDS``, the
   types and keyword set ``tokenize_by_scanning`` writes its tokens and
   errors in, and nothing of ``tokenize``'s regex;
 - ``minijava``'s ``_AsciiClass`` table and its error messages inside
-  ``tokenize_by_lexemes`` and ``tokenize_by_finditer``, and its syntax tree
-  classes, ``MODIFIERS`` and ``MAX_NESTING`` inside ``ParserByTokens`` and
-  ``ParserByLevels``: these are the lexers and parsers that ``minijava``
-  replaced, kept as the references for its token columns and lazy positions
-  (``tokenize_by_finditer``, ``ParserByTokens``), its runs of blanks and
-  comments (``tokenize_by_lexemes``) and its precedence climbing
-  (``ParserByLevels``), and ``tokenize_by_scanning`` certifies the table;
+  ``tokenize_by_lexemes``, and its syntax tree classes, ``MODIFIERS`` and
+  ``MAX_NESTING`` inside ``ParserByLevels``: these are the lexer and parser
+  that ``minijava`` replaced, kept as the references for its runs of blanks
+  and comments (``tokenize_by_lexemes``), its parser over token columns
+  and its precedence climbing (``ParserByLevels``), and
+  ``tokenize_by_scanning`` certifies the table;
 
-- the evaluator inside the brute-force enumerator and inside
-  ``refine_by_compiling``, which the suite certifies separately against the
-  product oracle;
+- the evaluator's compiled join steps (``_Compiled`` and its
+  ``assignments``) inside ``evaluate_per_head``, the brute-force enumerator
+  and ``refine_by_compiling``, which the suite certifies separately against
+  the product oracle;
 - ``query.join_step``, which compiles a node into the evaluator's join step
   and refinement's alike (the evaluator maps nodes to join positions,
   refinement binds them in node order), so ``refine_by_compiling`` shares
@@ -61,7 +60,7 @@ from itertools import permutations, product
 
 from cqsearch.core import (FK, PK, FactBase, FactError, Level, RelationPartition,
                            Schema, pred_holds)
-from cqsearch.evaluator import _Compiled, evaluate, refinable_with_witnesses
+from cqsearch.evaluator import _Compiled, refinable_with_witnesses
 from cqsearch.minijava import (_UNTERMINATED, KEYWORDS, MAX_NESTING, MODIFIERS,
                                AssignStmt, Binary, Call, ClassDecl, DeclStmt, ExprStmt,
                                FieldDecl, ForStmt, IfStmt, ImportDecl, Literal,
@@ -178,13 +177,14 @@ def tokenize_by_scanning(src: str) -> list[Token]:
     return tokens
 
 
-# --- mini-Java tokens as objects, one match per token, and their parser -----
+# --- mini-Java tokens one lexeme at a time, expressions one level at a time --
 
-# minijava's lexical grammar, one alternative per lexeme, tried in order at
-# each offset. A run of blanks, line ends and ``//`` comments is one lexeme,
-# so one match, whose line ends ``tokenize_by_finditer`` counts.
-_LEXEME_BY_TOKEN = re.compile(r"""
-    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
+# minijava's lexical grammar with blanks, a newline and a ``//`` comment
+# each a lexeme of its own.
+_LEXEME_BY_ONE = re.compile(r"""
+    (?P<blank>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>//[^\n]*)
   | (?P<annot>/\*@(?:pos|neg)\*/)
   | (?P<block>/\*[\s\S]*?\*/)
   | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
@@ -197,49 +197,49 @@ _LEXEME_BY_TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def tokenize_by_finditer(src: str) -> list[Token]:
-    """``minijava.tokenize`` one ``finditer`` match per token, block comment
-    or run of blanks and ``//`` comments, and one ``Token`` per token with its
-    ``Pos`` counted as the lines go by: the reference for its columns and
-    lazy positions."""
+def tokenize_by_lexemes(src: str) -> list[Token]:
+    """``minijava.tokenize`` one regex match per lexeme, each blank run,
+    newline and comment its own match, through ``namedtuple`` constructors:
+    the reference for its runs of blanks, newlines and comments."""
     tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__  # new: no Python-level __new__
     line, line_start = 1, 0  # line_start: offset of the line's first character
     lexemes = src if src.isascii() else src.translate(_AsciiClass())
-    for m in _LEXEME_BY_TOKEN.finditer(lexemes):
+    for m in _LEXEME_BY_ONE.finditer(lexemes):
         kind = m.lastgroup
-        start, end = m.span()
-        if kind == "skip" or kind == "block":
-            if (n := src.count("\n", start, end)):
-                line, line_start = line + n, src.rindex("\n", start, end) + 1
+        if kind == "blank" or kind == "comment":
             continue
-        text = src[start:end]
-        pos = new(Pos, (line, start - line_start + 1))
+        start = m.start()
+        if kind == "newline":
+            line, line_start = line + 1, start + 1
+            continue
+        text = src[start:m.end()]
+        pos = Pos(line, start - line_start + 1)
         if kind == "word":
-            append(new(Token, ("keyword" if text in KEYWORDS else "ident", text, pos)))
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, pos))
         elif kind == "punct" or kind == "int" or kind == "double":
-            append(new(Token, (kind, text, pos)))
-        elif kind == "string":
-            append(new(Token, ("string", text[1:-1], pos)))
-            if (n := text.count("\n")):
-                line, line_start = line + n, start + text.rindex("\n") + 1
+            tokens.append(Token(kind, text, pos))
         elif kind == "annot":
-            append(new(Token, ("annot", text[3:6], pos)))
-        else:  # open or bad
+            tokens.append(Token("annot", text[3:6], pos))
+        elif kind == "string":
+            tokens.append(Token("string", text[1:-1], pos))
+        elif kind == "open" or kind == "bad":
             raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), *pos)
-    append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
+        if (kind == "block" or kind == "string") and "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
+    tokens.append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
     return tokens
 
 
-# Binding strength of each binary operator, loosest first.
-_BINARY_LEVEL = {op: level for level, ops in enumerate(
-    (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"),
-     ("*", "/", "%")), 1) for op in ops}
+class ParserByLevels:
+    """``minijava``'s parser over a list of ``Token``s, each with its ``Pos``,
+    with binary operators parsed by one recursive ``expr`` frame per
+    precedence level: the reference for its parser over token columns and
+    its precedence climbing."""
 
-
-class ParserByTokens:
-    """``minijava``'s parser over a list of ``Token``s, each with its ``Pos``:
-    the reference for its parser over token columns."""
+    # expressions, lowest precedence first
+    _BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="),
+                      ("+", "-"), ("*", "/", "%"))
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -446,24 +446,19 @@ class ParserByTokens:
         body = self.block()
         return ForStmt(init, cond, update, body, ann, tok.pos)
 
-    def expr(self):
-        self.descend()
-        node = self.climb(1)
-        self.depth -= 1
+    def expr(self, level: int = 0):
+        if level == len(self._BINARY_LEVELS):
+            return self.unary()
+        if level == 0:
+            self.descend()
+        node = self.expr(level + 1)
+        while self.at(*self._BINARY_LEVELS[level]):
+            op = self.next()
+            right = self.expr(level + 1)
+            node = Binary(op.value, node, right, op.pos)
+        if level == 0:
+            self.depth -= 1
         return node
-
-    def climb(self, least: int):
-        """Precedence climbing: an operand and the binary operators after it
-        that bind at ``least`` or tighter, grouped to the left."""
-        node = self.unary()
-        tokens = self.tokens
-        while True:
-            op = tokens[self.i]
-            level = _BINARY_LEVEL.get(op.value, 0) if op.kind == "punct" else 0
-            if level < least:
-                return node
-            self.i += 1
-            node = Binary(op.value, node, self.climb(level + 1), op.pos)
 
     def unary(self):
         ops = []
@@ -493,93 +488,6 @@ class ParserByTokens:
             self.expect(")")
             return node
         self.error(f"expected an expression, got {tok.value!r}")
-
-
-def parse_by_tokens(source: str, source_name: str = "<source>") -> Program:
-    """``minijava.parse`` by ``tokenize_by_finditer`` and ``ParserByTokens``."""
-    prog = ParserByTokens(tokenize_by_finditer(source)).program()
-    for decl in prog.imports + prog.classes:
-        decl.source = source_name
-    prog.sources = [source_name]
-    return prog
-
-
-# --- mini-Java tokens one lexeme at a time, expressions one level at a time --
-
-# minijava's lexical grammar with blanks, a newline and a ``//`` comment
-# each a lexeme of its own.
-_LEXEME_BY_ONE = re.compile(r"""
-    (?P<blank>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>//[^\n]*)
-  | (?P<annot>/\*@(?:pos|neg)\*/)
-  | (?P<block>/\*[\s\S]*?\*/)
-  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
-  | (?P<open>/\*|")
-  | (?P<double>[0-9]+\.[0-9]+)
-  | (?P<int>[0-9]+)
-  | (?P<word>[A-Za-z_][\w\x80]*)
-  | (?P<punct>==|!=|<=|>=|&&|\|\||[(){};,=<>+\-*/%!.])
-  | (?P<bad>[\s\S])
-""", re.VERBOSE)
-
-
-def tokenize_by_lexemes(src: str) -> list[Token]:
-    """``minijava.tokenize`` one regex match per lexeme, each blank run,
-    newline and comment its own match, through ``namedtuple`` constructors:
-    the reference for its runs of blanks, newlines and comments."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0  # line_start: offset of the line's first character
-    lexemes = src if src.isascii() else src.translate(_AsciiClass())
-    for m in _LEXEME_BY_ONE.finditer(lexemes):
-        kind = m.lastgroup
-        if kind == "blank" or kind == "comment":
-            continue
-        start = m.start()
-        if kind == "newline":
-            line, line_start = line + 1, start + 1
-            continue
-        text = src[start:m.end()]
-        pos = Pos(line, start - line_start + 1)
-        if kind == "word":
-            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, pos))
-        elif kind == "punct" or kind == "int" or kind == "double":
-            tokens.append(Token(kind, text, pos))
-        elif kind == "annot":
-            tokens.append(Token("annot", text[3:6], pos))
-        elif kind == "string":
-            tokens.append(Token("string", text[1:-1], pos))
-        elif kind == "open" or kind == "bad":
-            raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), *pos)
-        if (kind == "block" or kind == "string") and "\n" in text:
-            line += text.count("\n")
-            line_start = start + text.rindex("\n") + 1
-    tokens.append(Token("eof", "", Pos(line, len(src) - line_start + 1)))
-    return tokens
-
-
-class ParserByLevels(ParserByTokens):
-    """``minijava``'s parser with binary operators parsed by one recursive
-    ``expr`` frame per precedence level: the reference for its precedence
-    climbing."""
-
-    # expressions, lowest precedence first
-    _BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="),
-                      ("+", "-"), ("*", "/", "%"))
-
-    def expr(self, level: int = 0):
-        if level == len(self._BINARY_LEVELS):
-            return self.unary()
-        if level == 0:
-            self.descend()
-        node = self.expr(level + 1)
-        while self.at(*self._BINARY_LEVELS[level]):
-            op = self.next()
-            right = self.expr(level + 1)
-            node = Binary(op.value, node, right, op.pos)
-        if level == 0:
-            self.depth -= 1
-        return node
 
 
 def parse_by_levels(source: str, source_name: str = "<source>") -> Program:
@@ -687,6 +595,14 @@ def naive_evaluate(g: QueryGraph, facts: FactBase,
         if ok:
             out.add(row[0])
     return frozenset(out)
+
+
+def evaluate_per_head(c: _Compiled) -> frozenset:
+    """``evaluate`` by a depth-first search from each head tuple: the head
+    tuples for which ``c.assignments`` yields an assignment."""
+    rel, _, strs, self_eq = c.steps[0]
+    return frozenset(t for t in c.facts.matching(rel, (), strs, self_eq)
+                     if next(c.assignments(t), None) is not None)
 
 
 # --- query containment by homomorphism ----------------------------------------
@@ -1073,7 +989,7 @@ def enumerate_query_space(facts: FactBase, part: RelationPartition,
 def brute_force_candidates(facts: FactBase, part: RelationPartition,
                            m_max: int, k_max: int) -> list[QueryGraph]:
     return [g for g, compiled in enumerate_query_space(facts, part, m_max, k_max)
-            if evaluate(compiled, facts) == part.positives]
+            if evaluate_per_head(compiled) == part.positives]
 
 
 # --- refinement level by compiling and joining every graph --------------------
@@ -1122,7 +1038,7 @@ def refine_by_compiling(engine: RefinementEngine, state: RefinementState,
     def keep(g: QueryGraph, compiled) -> None:
         produced.add(g)
         refinable.append(g)
-        if evaluate(compiled, facts).isdisjoint(part.negatives):
+        if evaluate_per_head(compiled).isdisjoint(part.negatives):
             candidates.append(g)
 
     for g, source_k in seeds:

@@ -20,7 +20,7 @@ from cqsearch.cli import _load_facts, _query_graph_dot, main
 from cqsearch.core import (DomainError, FactError, Schema, load_facts, load_positions,
                            partition_from_doc, read_input)
 from cqsearch.datalog import parse_datalog
-from cqsearch.evaluator import evaluate
+from cqsearch.evaluator import _Compiled, evaluate
 from cqsearch.extract import build_facts, extract
 from cqsearch.query import QueryGraph
 from cqsearch.select import load_hmap, synthesize
@@ -160,7 +160,7 @@ def _extract_inputs():
 
 class TestExtractBytes:
     """``cqsearch extract`` writes the bytes that the replaced frontend
-    (``oracles.parse_by_tokens``) and the stdlib's ``json.dumps(indent=2)``
+    (``oracles.parse_by_levels``) and the stdlib's ``json.dumps(indent=2)``
     write for the same sources."""
 
     @pytest.mark.parametrize("sources, flags", _extract_inputs())
@@ -175,7 +175,7 @@ class TestExtractBytes:
                 sources[-1].write_text(text, encoding="utf-8")
         argv = ["extract", *map(str, sources), *flags, "-o"]
         assert run(capsys, *argv, str(tmp_path / "new"))[0] == 0
-        monkeypatch.setattr(minijava, "parse", oracles.parse_by_tokens)
+        monkeypatch.setattr(minijava, "parse", oracles.parse_by_levels)
         monkeypatch.setattr(cli, "indented_json", lambda doc: json.dumps(doc, indent=2))
         assert run(capsys, *argv, str(tmp_path / "old"))[0] == 0
         names = sorted(path.name for path in (tmp_path / "old").iterdir())
@@ -703,7 +703,8 @@ def _search_lines(capsys, query, out):
 
 class TestPositionsRoundTrip:
     """``cqsearch extract`` then ``cqsearch search`` prints the lines the
-    in-memory positions give under the one-object-per-row rule."""
+    in-memory positions give under the one-object-per-row rule. Over its own
+    example base, a corpus golden rule's answer is the per-head search's."""
 
     @pytest.mark.parametrize("task", sorted(CORPUS.glob("*/task.json")),
                              ids=lambda path: path.parent.name)
@@ -716,7 +717,9 @@ class TestPositionsRoundTrip:
         facts, _, positions = extract(minijava.parse_files(sources), doc["target"])
         golden = task.parent / doc["golden"][0]
         query = parse_datalog(golden.read_text(encoding="utf-8"), facts.schema)
-        want = oracles.search_lines(evaluate(query, facts), positions)
+        answer = evaluate(query, facts)
+        assert answer == oracles.evaluate_per_head(_Compiled(facts, query))
+        want = oracles.search_lines(answer, positions)
         assert want and _search_lines(capsys, golden, out) == want
 
     def test_generated_code_base(self, capsys, tmp_path, monkeypatch):
@@ -742,8 +745,7 @@ class TestPositionsRoundTrip:
 
 @pytest.mark.parametrize("task", ["t10_method_mutual_recursion", "t08_method_motivating"])
 def test_search_output_does_not_depend_on_the_hash_seed(capsys, tmp_path, task):
-    # One golden rule with a cycle and one without, both over fewer head
-    # rows than the key-aware plan pays for: both take the per-head search.
+    # One golden rule with a cycle and one without.
     doc = json.loads((CORPUS / task / "task.json").read_text(encoding="utf-8"))
     out = tmp_path / "out"
     assert run(capsys, "extract", *(str(CORPUS / task / name) for name in doc["source"]),
@@ -762,18 +764,18 @@ def test_search_output_does_not_depend_on_the_hash_seed(capsys, tmp_path, task):
     assert len(outputs) == 1, outputs
 
 
-@pytest.mark.parametrize("task, plan", [("t10_method_mutual_recursion", "per-head"),
-                                        ("t10_method_mutual_recursion", "key-aware"),
-                                        # An acyclic rule; its id names the plan
-                                        # that answered it before `plan_of` had
-                                        # one rule for every graph.
-                                        pytest.param("t08_method_motivating", "per-head",
-                                                     id="t08_method_motivating-semijoins")])
+# A rule with a cycle over its task's example and over a larger generated
+# code base, and a rule without one. The ids name the plan that answered
+# each while `evaluate` had more than one.
+@pytest.mark.parametrize("task, generated", [
+    pytest.param("t10_method_mutual_recursion", False, id="t10_method_mutual_recursion-per-head"),
+    pytest.param("t10_method_mutual_recursion", True, id="t10_method_mutual_recursion-key-aware"),
+    pytest.param("t08_method_motivating", False, id="t08_method_motivating-semijoins")])
 def test_search_trace_prints_its_stages_and_keeps_stdout(capsys, tmp_path, monkeypatch,
-                                                         task, plan):
+                                                         task, generated):
     doc = json.loads((CORPUS / task / "task.json").read_text(encoding="utf-8"))
     sources = [str(CORPUS / task / name) for name in doc["source"]]
-    if plan == "key-aware":  # a code base with more methods than the task's example
+    if generated:
         monkeypatch.syspath_prepend(str(REPO))
         from perfbench import gen_codebase
         sources = []
@@ -793,7 +795,7 @@ def test_search_trace_prints_its_stages_and_keeps_stdout(capsys, tmp_path, monke
     assert [line.split(":")[0] for line in lines] == [
         f"trace {name}" for name in
         ("schema", "facts", "positions", "query", "evaluate", "print", "wall")]
-    assert lines[4].endswith(f"s plan={plan}")
+    assert lines[4].endswith("s")
     seconds = [float(line.split(": ")[1].split("s")[0]) for line in lines]
     # Printed to the microsecond: the stages, apart, fit in the wall time.
     assert all(s >= 0 for s in seconds) and sum(seconds[:-1]) <= seconds[-1] + 1e-5

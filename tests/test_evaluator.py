@@ -9,16 +9,15 @@ import pytest
 
 from cqsearch import minijava
 from cqsearch.core import (FK, PK, AttributeDecl, FactBase, Relation,
-                           RelationPartition, Schema, Trace, make_partition)
+                           RelationPartition, Schema, make_partition)
 from cqsearch.datalog import parse_datalog
-from cqsearch.evaluator import (PER_HEAD_BELOW, EvalError, _Compiled, _key_aware,
-                                _per_head, _variables, evaluate, is_candidate, plan_of,
-                                refinable_with_witnesses)
+from cqsearch.evaluator import (EvalError, _Compiled, _key_aware, _variables, evaluate,
+                                is_candidate, refinable_with_witnesses)
 from cqsearch.extract import build_facts, extract
 from cqsearch.query import GraphError, QueryGraph, from_graph, to_graph
 from conftest import CORPUS, DESKS_SCHEMA, FIG1C_RULE, acyclic, fig1c_graph
 import gen
-from oracles import naive_evaluate
+from oracles import evaluate_per_head, naive_evaluate
 
 
 def refinable_3rel_query():
@@ -146,7 +145,7 @@ def both_ways(c: _Compiled) -> frozenset:
     """The key-aware answer of a compiled graph, checked against the
     per-head search."""
     got = _key_aware(c)
-    assert got == _per_head(c)
+    assert got == evaluate_per_head(c)
     return got
 
 
@@ -210,8 +209,8 @@ class TestSemijoins:
         triangle = QueryGraph(("Person", "Person", "Desk"),
                               frozenset({(0, 1, "boss"), (0, 2, "desk"), (2, 1, "owner")}), ())
         c = _Compiled(desks, triangle)
-        assert not acyclic(c) and plan_of(c) == "per-head"
-        assert evaluate(triangle, desks) == _per_head(c) == naive_evaluate(triangle, desks)
+        assert not acyclic(c)
+        assert evaluate(triangle, desks) == evaluate_per_head(c) == naive_evaluate(triangle, desks)
 
     def test_agrees_on_criterion_6_graphs(self):
         # The stream of acceptance criterion 6, which checks evaluate
@@ -246,7 +245,7 @@ def key_aware(g: QueryGraph, facts: FactBase) -> frozenset:
     search and the product oracle."""
     c = _Compiled(facts, g)
     got = _key_aware(c)
-    assert got == _per_head(c) == naive_evaluate(g, facts)
+    assert got == evaluate_per_head(c) == naive_evaluate(g, facts)
     return got
 
 
@@ -320,7 +319,7 @@ class TestKeyAware:
             c = _Compiled(facts, g)
             has_cycle = not acyclic(c)
             cyclic += has_cycle
-            want = _per_head(c)
+            want = evaluate_per_head(c)
             assert _key_aware(c) == want, g
             if prod(len(facts.matching(rel, ())) for rel in g.nodes) <= 20_000:
                 small += 1
@@ -343,44 +342,27 @@ BOSSED_BY_N0 = QueryGraph(("Person", "Person"), frozenset({(0, 1, "boss")}),
 
 
 class TestPlanChoice:
-    """``evaluate`` takes the plan ``plan_of`` names and records it in a
-    trace: the per-head search below ``PER_HEAD_BELOW`` head rows, the
-    key-aware plan from there on, with a cycle or without."""
+    """Graphs over few and many head rows, with a cycle and without: the
+    answer of ``evaluate`` is the per-head search's and the product
+    oracle's. The names keep the plan each graph took while ``evaluate``
+    chose one by the head's rows."""
 
     def test_acyclic_graph_with_few_heads_takes_the_per_head_search(self, facts):
         c = _Compiled(facts, fig1c_graph())
-        assert acyclic(c) and len(facts.matching("Method", ())) < PER_HEAD_BELOW
-        trace = Trace()
-        assert plan_of(c) == "per-head"
-        assert evaluate(c, facts, trace) == {("M1", "I1", "T3", "MDF1")}
-        assert trace.plan == "per-head"
+        assert acyclic(c) and len(facts.matching("Method", ())) == 3
+        assert evaluate(c, facts) == evaluate_per_head(c) == {("M1", "I1", "T3", "MDF1")}
 
     def test_acyclic_graph_with_more_heads_takes_the_key_aware_plan(self):
         base = people(10)
         c = _Compiled(base, BOSSED_BY_N0)
-        assert acyclic(c) and len(base.matching("Person", ())) >= PER_HEAD_BELOW
-        trace = Trace()
-        assert plan_of(c) == "key-aware"
-        assert {t[0] for t in evaluate(c, base, trace)} == {"p0", "p1"}
-        assert trace.plan == "key-aware"
-        assert evaluate(c, base) == _per_head(c) == naive_evaluate(BOSSED_BY_N0, base)
-
-    @pytest.mark.parametrize("rows, plan", [(PER_HEAD_BELOW - 1, "per-head"),
-                                            (PER_HEAD_BELOW, "key-aware")])
-    def test_rule_at_its_edge(self, rows, plan):
-        base = people(rows)
-        c = _Compiled(base, BOSSED_BY_N0)
-        trace = Trace()
-        assert plan_of(c) == plan
-        assert {t[0] for t in evaluate(c, base, trace)} == {"p0", "p1"}
-        assert trace.plan == plan
+        assert acyclic(c)
+        assert {t[0] for t in evaluate(c, base)} == {"p0", "p1"}
+        assert evaluate(c, base) == evaluate_per_head(c) == naive_evaluate(BOSSED_BY_N0, base)
 
     def test_cyclic_graph_with_few_heads_takes_the_per_head_search(self, desks):
         c = _Compiled(desks, MUTUAL_BOSSES)
-        assert len(desks.matching("Desk", ())) < PER_HEAD_BELOW
-        trace = Trace()
-        assert plan_of(c) == "per-head"
-        assert evaluate(c, desks, trace) == _key_aware(c) and trace.plan == "per-head"
+        assert not acyclic(c) and len(desks.matching("Desk", ())) == 2
+        assert evaluate(c, desks) == evaluate_per_head(c) == naive_evaluate(MUTUAL_BOSSES, desks)
 
     def test_cyclic_graph_with_more_heads_takes_the_key_aware_plan(self):
         # Person p0 owns desk d0, which p1 backs up, and p1's boss is p0.
@@ -388,11 +370,9 @@ class TestPlanChoice:
         g = QueryGraph(("Person", "Desk", "Person"),
                        frozenset({(0, 1, "desk"), (1, 2, "owner"), (2, 0, "boss")}), ())
         c = _Compiled(base, g)
-        assert not acyclic(c) and len(base.matching("Person", ())) >= PER_HEAD_BELOW
-        trace = Trace()
-        assert plan_of(c) == "key-aware"
-        assert {t[0] for t in evaluate(c, base, trace)} == {"p0"} and trace.plan == "key-aware"
-        assert evaluate(c, base) == _per_head(c) == naive_evaluate(g, base)
+        assert not acyclic(c)
+        assert {t[0] for t in evaluate(c, base)} == {"p0"}
+        assert evaluate(c, base) == evaluate_per_head(c) == naive_evaluate(g, base)
 
     @pytest.mark.parametrize("check", [
         evaluate,

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cqsearch import minijava as mj
 from conftest import CORPUS, REPO
-from oracles import (parse_by_levels, parse_by_tokens, tokenize_by_finditer,
-                     tokenize_by_lexemes, tokenize_by_scanning)
+from oracles import parse_by_levels, tokenize_by_lexemes, tokenize_by_scanning
 
 FIG1_SOURCE = """\
 class Service {
@@ -364,19 +363,17 @@ _ERROR_TEXTS = ["½", "x Ⅷ", "a\n  /* x", 'x = "ab', '"ab\n"', "x # y", "a /* 
 
 
 class TestReplacedFrontend:
-    """``tokenize`` and ``parse`` match the lexers and parsers they replaced,
+    """``tokenize`` and ``parse`` match the lexer and parser they replaced,
     in ``oracles``, token for token, node for node and error for error: the
-    lexer with one regex match per lexeme, the parser with one ``expr``
-    frame per precedence level, and the lexer with one ``Token`` per token
-    and its parser."""
+    lexer with one regex match per lexeme and one ``Token`` per token, and
+    the parser over those tokens with one ``expr`` frame per precedence
+    level."""
 
     def assert_matches(self, text):
         lexed = _lexed(mj.tokenize, text)
         assert lexed == _lexed(tokenize_by_lexemes, text)
-        assert lexed == _lexed(tokenize_by_finditer, text)
         parsed = _parsed(mj.parse, text)
         assert parsed == _parsed(parse_by_levels, text)
-        assert parsed == _parsed(parse_by_tokens, text)
         return parsed
 
     @pytest.mark.parametrize("text", _ERROR_TEXTS)
