@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--facts", required=True)
     p.add_argument("--positions", help="positions.json for source locations")
     p.add_argument("--trace", action="store_true",
-                   help="print each stage's seconds and the evaluation plan to stderr")
+                   help="print each stage's seconds and the wall time to stderr")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bench", help="run the bundled task corpus")

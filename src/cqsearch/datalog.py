@@ -5,16 +5,16 @@ the body has one relation atom per node in node order, equality edges
 become shared variables (``query.variables``, class i named ``V{i}``), and
 string constraints become str_<predicate>(Var, "literal") atoms in the
 graph's ``str_edges`` order.
-Parsing inverts this: the i-th relation atom is node i, and shared variables
-are decomposed into primary-key/foreign-key equality edges through a
-deterministic spanning of each variable class.
+Parsing inverts this: the i-th relation atom is node i, and each shared
+variable becomes the primary-key/foreign-key equality edges of a fixed
+spanning of its class of slots.
 """
 from __future__ import annotations
 
 import re
 
 from .core import FK, STR, DomainError, Schema, line_col
-from .query import GraphError, PREDICATES, QueryGraph, check_graph, escaped, variables
+from .query import PREDICATES, QueryGraph, escaped, variables
 
 
 class DatalogError(DomainError):
@@ -104,14 +104,15 @@ def _parse_atoms(text: str):
 
 
 def parse_datalog(text: str, schema: Schema) -> QueryGraph:
-    """The rule's query graph, checked: node i is the i-th relation atom,
-    and its string constraints are sorted. Every error is a ``DatalogError``
-    at a ``line:col``: a syntax error at the offending token; an atom that
-    names no relation or does not fit it at the atom's name; a variable no
-    pk/fk chain can express at its first occurrence in a relation atom; a
-    string variable that is unbound, joins relations, names no string
-    attribute or is constrained twice at the offending ``str_*`` atom; a
-    rule with no relation atom at its first body atom."""
+    """The rule's query graph, which the schema licenses (``check_graph``):
+    node i is the i-th relation atom, and its string constraints are sorted.
+    Every error is a ``DatalogError`` at a ``line:col``: a syntax error at
+    the offending token; an atom that names no relation or does not fit it
+    at the atom's name; a variable no pk/fk chain can express at its first
+    occurrence in a relation atom; a string variable that is unbound, joins
+    relations, names no string attribute or is constrained twice at the
+    offending ``str_*`` atom; a rule with no relation atom at its first body
+    atom."""
     atoms = _parse_atoms(text)
     if atoms[0][0] != "out":
         raise _error(text, atoms[0][2], "rule must start with an out(...) head")
@@ -146,38 +147,26 @@ def parse_datalog(text: str, schema: Schema) -> QueryGraph:
         for pos, var in enumerate(vars_):
             slots_by_var.setdefault(var, []).append((idx, pos))
 
+    # A class of two or more slots is expressible when its key slots all
+    # belong to one relation, every other slot is a foreign key into it, and
+    # two key slots have a foreign key to meet through. It is spanned by an
+    # edge from its least foreign key to every key slot and one from every
+    # other foreign key to its least key slot.
     eq_edges = set()
     for var in sorted(slots_by_var):
         slots = slots_by_var[var]
         if len(slots) == 1:
             continue
-        pairs = []
-        for fi, fp in slots:
-            frel = rel_atoms[fi][0]
-            attr = schema[frel][fp]
-            if attr.kind != FK:
-                continue
-            for pi, pp in slots:
-                if pp == 0 and (fi, fp) != (pi, pp) and rel_atoms[pi][0] == attr.target:
-                    pairs.append(((fi, fp), (pi, pp)))
-        # Deterministic spanning of the class through legal pk/fk pairs.
-        parent = {s: s for s in slots}
-
-        def find(s):
-            while parent[s] != s:
-                s = parent[s]
-            return s
-
-        chosen = []
-        for fk_slot, pk_slot in sorted(pairs):
-            if find(fk_slot) != find(pk_slot):
-                parent[find(fk_slot)] = find(pk_slot)
-                chosen.append((fk_slot, pk_slot))
-        if len({find(s) for s in slots}) != 1:
+        keys = [(i, pos) for i, pos in slots if pos == 0]
+        fks = [(i, pos) for i, pos in slots if pos != 0]
+        keyed = {rel_atoms[i][0] for i, _ in keys}
+        if len(keyed) != 1 or (len(keys) > 1 and not fks) or any(
+                schema[rel_atoms[i][0]][pos].kind != FK
+                or schema[rel_atoms[i][0]][pos].target not in keyed for i, pos in fks):
             first, pos = slots[0]
             raise _error(text, rel_atoms[first][2][pos], f"variable {var!r} equates "
                          "attributes that no pk/fk chain can express")
-        for (fi, fp), (pi, _) in chosen:
+        for (fi, fp), (pi, _) in [(fks[0], k) for k in keys] + [(f, keys[0]) for f in fks[1:]]:
             eq_edges.add((fi, pi, schema[rel_atoms[fi][0]][fp].name))
 
     str_edges = []
@@ -196,10 +185,5 @@ def parse_datalog(text: str, schema: Schema) -> QueryGraph:
             raise _error(text, at, f"duplicate string constraint on {rel}.{attr}")
         str_edges.append((idx, attr, pred, literal))
 
-    g = QueryGraph(tuple(rel for rel, _, _ in rel_atoms), frozenset(eq_edges),
-                   tuple(sorted(str_edges)))
-    try:
-        check_graph(g, schema)
-    except GraphError as exc:
-        raise DatalogError(str(exc)) from exc
-    return g
+    return QueryGraph(tuple(rel for rel, _, _ in rel_atoms), frozenset(eq_edges),
+                      tuple(sorted(str_edges)))

@@ -1,15 +1,12 @@
 """In-memory evaluation of conjunctive queries over a fact base.
 
-A query graph is checked against the schema (``check_graph``) and compiled
-once (``_Compiled``) into one join step per node, each built by
-``join_step``, the function refinement builds the step of its new node with.
-
-``evaluate`` runs a plan that knows keys (``_key_aware``), built from the
-join steps and the schema, for every graph, with a cycle or without. Its
+A query graph is checked against the schema (``check_graph``).
+``evaluate`` runs a plan that knows keys (``_key_aware``), read from the
+graph and the schema, for every graph, with a cycle or without. Its
 variables are the classes of ``(node, position)`` slots that the
 equalities unite (``query.variables``). It drops every non-head node that
 only its primary key touches and that has no string constraint or
-``self_eq``: the fact base resolves every foreign key, so such a node holds
+self-loop: the fact base resolves every foreign key, so such a node holds
 for any binding. It joins every other non-head node whose key variable
 another node holds into each such node, a dict lookup that never adds a
 row, projects what is left onto the variables the factors share,
@@ -22,11 +19,12 @@ It gives the deduplicated projection onto the head; semantics match the
 naive selection over the full Cartesian product (the test suite certifies
 this against a product oracle and a search per head tuple).
 
-A graph the schema does not license is an ``EvalError``; so is one checked
-against a partition whose target is not its head's relation, and one
-compiled against another fact base. Refinement compiles no graph;
-``refinable_with_witnesses`` and ``evaluate`` are the from-scratch
-evaluation the test suite holds it against.
+``refinable_with_witnesses`` compiles a graph (``_Compiled``) into the join
+step per node that refinement binds a new node with (``join_step``).
+Refinement compiles no graph; it and ``evaluate`` are the from-scratch
+evaluation the test suite holds refinement against. A graph the schema does
+not license is an ``EvalError``; so is one checked against a partition whose
+target is not its head's relation, and one compiled against another fact base.
 """
 from __future__ import annotations
 
@@ -44,6 +42,24 @@ class EvalError(DomainError):
     fact base."""
 
 
+def _licensed(g, facts: FactBase) -> QueryGraph:
+    """``g``, if it is a query graph that the schema of ``facts`` licenses."""
+    if not isinstance(g, QueryGraph):
+        raise EvalError(f"cannot evaluate {type(g).__name__}")
+    try:
+        check_graph(g, facts.schema)
+    except (GraphError, SchemaError) as exc:
+        raise EvalError(str(exc)) from exc
+    return g
+
+
+def _on_target(g: QueryGraph, part: RelationPartition) -> None:
+    """Raise unless the head of ``g`` ranges over the target of ``part``."""
+    head = g.nodes[0] if g.nodes else None
+    if head != part.target:
+        raise EvalError(f"query head {head!r} is not the target {part.target!r}")
+
+
 class _Compiled:
     """Query graph compiled against one fact base into per-node join steps.
 
@@ -58,11 +74,7 @@ class _Compiled:
     """
 
     def __init__(self, facts: FactBase, g: QueryGraph):
-        try:
-            check_graph(g, facts.schema)
-        except (GraphError, SchemaError) as exc:
-            raise EvalError(str(exc)) from exc
-        self.facts, self.graph = facts, g
+        self.facts, self.graph = facts, _licensed(g, facts)
         neighbours: list[set[int]] = [set() for _ in g.nodes]
         for fk, pk, _ in g.eq_edges:
             neighbours[fk].add(pk)
@@ -83,8 +95,6 @@ class _Compiled:
             if q.facts is not facts:
                 raise EvalError("query compiled against another fact base")
             return q
-        if not isinstance(q, QueryGraph):
-            raise EvalError(f"cannot evaluate {type(q).__name__}")
         return _Compiled(facts, q)
 
     def assignments(self, head_tuple: Tuple):
@@ -115,21 +125,12 @@ class _Compiled:
             pending.append(iter(matching(rel, values, strs, self_eq)))
 
 
-def _compiled_for(q, facts: FactBase, part: RelationPartition) -> _Compiled:
-    """``q`` compiled against ``facts``; its head must range over the target."""
-    c = _Compiled.of(facts, q)
-    head = c.steps[0][0] if c.steps else None
-    if head != part.target:
-        raise EvalError(f"query head {head!r} is not the target {part.target!r}")
-    return c
-
-
-def _variables(c: _Compiled) -> list[list[int | None]]:
-    """Per join position, per position of its tuples: the variable there
+def _variables(g: QueryGraph, facts: FactBase) -> list[list[int | None]]:
+    """Per node, per position of its tuples: the variable there
     (``query.variables``), or None where no equality touches it."""
-    per_node = query_variables(c.graph, c.facts.schema)
+    per_node = query_variables(g, facts.schema)
     sizes = Counter(chain.from_iterable(per_node))
-    return [[v if sizes[v] > 1 else None for v in per_node[node]] for node in c.at]
+    return [[v if sizes[v] > 1 else None for v in node] for node in per_node]
 
 
 def _agreeing(rows, pairs) -> list[Tuple]:
@@ -148,12 +149,13 @@ def _key(columns):
     return itemgetter(*columns) if columns else _no_key
 
 
-def _factors(c: _Compiled):
+def _factors(g: QueryGraph, facts: FactBase):
     """Steps (a) and (b) of ``_key_aware``: ``[variables per column, rows]``
     per factor, the head's first, or None when a factor keeps no row."""
-    facts, steps = c.facts, c.steps
-    factors: dict[int, list] = {}  # by the join position of its first node
-    for i, (variables, (rel, _, strs, _)) in enumerate(zip(_variables(c), steps)):
+    factors: dict[int, list] = {}  # by its first node
+    for i, (variables, rel) in enumerate(zip(_variables(g, facts), g.nodes)):
+        strs = tuple((facts.schema.attr_pos(rel, attr), pred, literal)
+                     for node, attr, pred, literal in g.str_edges if node == i)
         if i and not strs and variables[0] is not None \
                 and variables.count(None) == len(variables) - 1:
             continue  # (a): only its primary key is touched
@@ -257,14 +259,14 @@ def _holds(binding: tuple, steps, i: int = 0) -> bool:
     return True
 
 
-def _key_aware(c: _Compiled) -> frozenset[Tuple]:
+def _key_aware(g: QueryGraph, facts: FactBase) -> frozenset[Tuple]:
     """``evaluate`` by a plan that knows keys.
 
     Each node is a factor: its tuples, each position the variable
     (``_variables``) that the equalities make it. Then:
 
     (a) a non-head node that only its primary key touches, with no string
-        constraint or ``self_eq``, holds for every binding, since
+        constraint or self-loop, holds for every binding, since
         ``FactBase`` resolves every foreign key: it is dropped;
     (b) every other non-head factor whose primary-key variable some other
         factor holds is joined into each such factor, by a dict lookup that
@@ -277,7 +279,7 @@ def _key_aware(c: _Compiled) -> frozenset[Tuple]:
         alone index filters the head rows first, at C level. Every other
         component is searched once.
     """
-    factors = _factors(c)
+    factors = _factors(g, facts)
     if factors is None:
         return frozenset()
     counts = Counter(v for variables, _ in factors for v in set(variables))
@@ -299,21 +301,21 @@ def _key_aware(c: _Compiled) -> frozenset[Tuple]:
             rows = list(compress(rows, map(index.__contains__, map(key, rows))))
         if grows or not reads_head:
             search.append((key, index, grows))
-    arity = len(c.facts.schema[c.steps[0][0]])
+    arity = len(facts.schema[g.nodes[0]])
     return frozenset(row[:arity] for row in rows if _holds(row, search))
 
 
-def evaluate(q, facts: FactBase) -> frozenset[Tuple]:
+def evaluate(g: QueryGraph, facts: FactBase) -> frozenset[Tuple]:
     """Deduplicated head tuples admitting a satisfying assignment."""
-    c = _Compiled.of(facts, q)
-    if not c.steps:
+    if not _licensed(g, facts).nodes:
         raise EvalError("cannot evaluate the empty query")
-    return _key_aware(c)
+    return _key_aware(g, facts)
 
 
-def is_candidate(q, facts: FactBase, part: RelationPartition) -> bool:
+def is_candidate(g: QueryGraph, facts: FactBase, part: RelationPartition) -> bool:
     """Does the query admit every positive tuple and no negative one?"""
-    answer = evaluate(_compiled_for(q, facts, part), facts)
+    _on_target(_licensed(g, facts), part)
+    answer = _key_aware(g, facts)
     return part.positives <= answer and answer.isdisjoint(part.negatives)
 
 
@@ -327,7 +329,8 @@ def refinable_with_witnesses(
     Bails out as not refinable on the first positive with no assignment.
     ``g`` is a query graph or one already compiled against ``facts``.
     """
-    c = _compiled_for(g, facts, part)
+    c = _Compiled.of(facts, g)
+    _on_target(c.graph, part)
     positions = {}
     for node, attr in slots:
         if node not in c.at:

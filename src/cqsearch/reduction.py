@@ -69,21 +69,14 @@ def _component(g: SchemaGraph, start: str) -> set[str]:
 def reduce(schema: Schema, facts: FactBase, part: RelationPartition,
            *, max_cycle_len: int = 8) -> ReducedRepresentation:
     g = build_schema_graph(schema)
-    images: dict = {}  # (activation set, compiled step) -> image
     sides: dict = {}  # (activation sets of one side, compiled step) -> image
-
-    def image(acts, step):
-        key = (acts, step)
-        out = images.get(key)
-        if out is None:
-            out = images[key] = frozenset(step_image(facts, acts, step))
-        return out
 
     def side(acts_set, step):
         key = (acts_set, step)
         out = sides.get(key)
         if out is None:
-            out = sides[key] = frozenset(image(a, step) for a in acts_set)
+            out = sides[key] = frozenset(frozenset(step_image(facts, a, step))
+                                         for a in acts_set)
         return out
 
     def advance(vector, steps):

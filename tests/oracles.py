@@ -21,14 +21,19 @@ head 0. The shared primitives are:
   and its precedence climbing (``ParserByLevels``), and
   ``tokenize_by_scanning`` certifies the table;
 
+- ``datalog``'s ``_parse_atoms`` and ``_error`` inside
+  ``parse_datalog_by_kruskal``, the spanning of a rule's variables that
+  ``parse_datalog`` replaced, kept as the reference for its edges and its
+  errors;
 - the evaluator's compiled join steps (``_Compiled`` and its
   ``assignments``) inside ``evaluate_per_head``, the brute-force enumerator
   and ``refine_by_compiling``, which the suite certifies separately against
   the product oracle;
-- ``query.join_step``, which compiles a node into the evaluator's join step
-  and refinement's alike (the evaluator maps nodes to join positions,
+- ``query.join_step``, which compiles a node into ``_Compiled``'s join step
+  and refinement's alike (``_Compiled`` maps nodes to join positions,
   refinement binds them in node order), so ``refine_by_compiling`` shares
-  it with ``refine``; criterion 6 certifies it through ``evaluate``;
+  it with ``refine``; the evaluator tests certify it through
+  ``evaluate_per_head`` against the product oracle;
 - ``FactBase.matching``, which binds that join step's links, and
   ``FactBase.by_attr``, the one index it probes, which ``step_image`` also
   probes for the key equality of each schema-path step, so reduction rests
@@ -60,6 +65,7 @@ from itertools import permutations, product
 
 from cqsearch.core import (FK, PK, FactBase, FactError, Level, RelationPartition,
                            Schema, pred_holds)
+from cqsearch.datalog import _error as _datalog_error, _parse_atoms
 from cqsearch.evaluator import _Compiled, refinable_with_witnesses
 from cqsearch.minijava import (_UNTERMINATED, KEYWORDS, MAX_NESTING, MODIFIERS,
                                AssignStmt, Binary, Call, ClassDecl, DeclStmt, ExprStmt,
@@ -603,6 +609,45 @@ def evaluate_per_head(c: _Compiled) -> frozenset:
     rel, _, strs, self_eq = c.steps[0]
     return frozenset(t for t in c.facts.matching(rel, (), strs, self_eq)
                      if next(c.assignments(t), None) is not None)
+
+
+# --- Datalog variables spanned by a union-find --------------------------------
+
+def parse_datalog_by_kruskal(text: str, schema: Schema) -> QueryGraph:
+    """``parse_datalog`` of a well-formed rule of relation atoms that fit
+    ``schema``, by the spanning it replaced: per variable, in sorted name
+    order, every legal pair of a foreign-key slot and a key slot of its
+    relation, taken in sorted order into a union-find (Kruskal), the pairs
+    that join two parts its edges. A variable whose slots stay apart raises
+    ``parse_datalog``'s ``DatalogError``."""
+    atoms = _parse_atoms(text)[1:]
+    rels = [name for name, _, _ in atoms]
+    slots_by_var: dict[str, list[tuple[int, int]]] = {}
+    for idx, (_, args, _) in enumerate(atoms):
+        for pos, (_, var, _) in enumerate(args):
+            slots_by_var.setdefault(var, []).append((idx, pos))
+    eq_edges = set()
+    for var in sorted(slots_by_var):
+        slots = slots_by_var[var]
+        pairs = sorted(((fi, fp), (pi, pp)) for fi, fp in slots for pi, pp in slots
+                       if schema[rels[fi]][fp].kind == FK and pp == 0
+                       and rels[pi] == schema[rels[fi]][fp].target)
+        parent = {s: s for s in slots}
+
+        def find(s):
+            while parent[s] != s:
+                s = parent[s]
+            return s
+
+        for fk_slot, pk_slot in pairs:
+            if find(fk_slot) != find(pk_slot):
+                parent[find(fk_slot)] = find(pk_slot)
+                eq_edges.add((fk_slot[0], pk_slot[0], schema[rels[fk_slot[0]]][fk_slot[1]].name))
+        if len({find(s) for s in slots}) != 1:
+            first, pos = slots[0]
+            raise _datalog_error(text, atoms[first][1][pos][2], f"variable {var!r} equates "
+                                 "attributes that no pk/fk chain can express")
+    return QueryGraph(tuple(rels), frozenset(eq_edges), ())
 
 
 # --- query containment by homomorphism ----------------------------------------

@@ -3,6 +3,8 @@ own runs. No benchmark runs here."""
 import json
 import sys
 
+import pytest
+
 from conftest import REPO
 
 sys.path.insert(0, str(REPO / "scripts"))
@@ -80,3 +82,16 @@ def test_traced_medians_and_counters_read_every_traced_run():
         "search-codebase evaluator.evaluate.results: 7409, 7409, 7409, 7409, 7408, 7409"]
     # BENCH_26.json made one traced run a side: its counters are all equal.
     assert bench_pair.counters_that_differ(_bench(26)["traced"]) == []
+
+
+def test_a_side_runs_at_the_one_path_and_moves_back(tmp_path):
+    side, at = tmp_path / "change", tmp_path / "run"
+    side.mkdir()
+    (side / "file").write_text("x", encoding="utf-8")
+    with bench_pair.placed(side, at) as here:
+        assert here == at and (at / "file").exists() and not side.exists()
+    assert (side / "file").exists() and not at.exists()
+    with pytest.raises(RuntimeError):
+        with bench_pair.placed(side, at):
+            raise RuntimeError("a failed run")
+    assert side.exists() and not at.exists()

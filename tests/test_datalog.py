@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqsearch.datalog import DatalogError, parse_datalog, render_datalog
-from cqsearch.query import QueryGraph, canonical_form, merged
+from cqsearch.query import QueryGraph, canonical_form, check_graph, merged, variables
 from conftest import FIG1C_RULE, fig1_schema, fig1c_graph
 import gen
-from oracles import homomorphism, variable_classes
+from oracles import homomorphism, parse_datalog_by_kruskal, variable_classes
 
 
 def assert_same_query(back: QueryGraph, g: QueryGraph):
@@ -245,3 +245,46 @@ class TestParseProperties:
         # and the picked graph then round-trips exactly.
         again = parse_datalog(render_datalog(back, SCHEMA), SCHEMA)
         assert canonical_form(again) == canonical_form(back)
+
+
+def _random_rule(rng: random.Random, schema) -> str:
+    """A rule of relation atoms that fit ``schema``: either its variables
+    drawn from a pool, or a random graph's rendering with one argument
+    renamed to another variable of the rule. Both kinds are often rejected."""
+    if rng.random() < 0.5:
+        rels = [rng.choice(sorted(schema)) for _ in range(rng.randint(1, 4))]
+        pool = rng.randint(1, sum(len(schema[rel]) for rel in rels))
+        args = [[f"V{rng.randrange(pool)}" for _ in schema[rel]] for rel in rels]
+    else:
+        g = gen.random_query_graph(rng, schema, m_max=5)
+        g = QueryGraph(g.nodes, g.eq_edges, ())
+        rels, args = g.nodes, [[f"V{v}" for v in node] for node in variables(g, schema)]
+        node = rng.randrange(len(rels))
+        args[node][rng.randrange(len(args[node]))] = rng.choice(sum(args, []))
+    body = ", ".join(f"{rel}({', '.join(a)})" for rel, a in zip(rels, args))
+    return f"out({', '.join(args[0])}) :- {body}."
+
+
+def test_spanning_matches_kruskal_reference():
+    """Each random rule parses to the graph that the union-find spanning
+    ``parse_datalog`` replaced gives, or fails with its error text."""
+    def outcome(parse, text, schema):
+        try:
+            return parse(text, schema)
+        except DatalogError as exc:
+            return str(exc)
+
+    rng = random.Random(30)
+    accepted = rejected = spanned = 0
+    for _ in range(3000):
+        schema = gen.random_schema(rng)
+        text = _random_rule(rng, schema)
+        got = outcome(parse_datalog, text, schema)
+        assert got == outcome(parse_datalog_by_kruskal, text, schema), text
+        if isinstance(got, str):
+            rejected += 1
+        else:
+            check_graph(got, schema)
+            accepted += 1
+            spanned += len(got.eq_edges) > len(variable_classes(got))
+    assert accepted > 500 and rejected > 500 and spanned > 50

@@ -141,11 +141,10 @@ class TestJoinOrder:
         assert evaluate(g, facts) == naive_evaluate(g, facts)
 
 
-def both_ways(c: _Compiled) -> frozenset:
-    """The key-aware answer of a compiled graph, checked against the
-    per-head search."""
-    got = _key_aware(c)
-    assert got == evaluate_per_head(c)
+def both_ways(g: QueryGraph, facts: FactBase) -> frozenset:
+    """The key-aware answer of ``g``, checked against the per-head search."""
+    got = _key_aware(g, facts)
+    assert got == evaluate_per_head(_Compiled(facts, g))
     return got
 
 
@@ -184,8 +183,7 @@ class TestSemijoins:
             "connected-and-disconnected", "leaf-matching-nothing"])
     def test_hand_built_graphs(self, desks, nodes, edges, strs, want):
         g = QueryGraph(nodes, frozenset(edges), strs)
-        c = _Compiled(desks, g)
-        got = both_ways(c)
+        got = both_ways(g, desks)
         assert {t[0] for t in got} == want
         assert got == naive_evaluate(g, desks) == evaluate(g, desks)
 
@@ -194,16 +192,16 @@ class TestSemijoins:
         # make two variables, which the two nodes share.
         g = QueryGraph(("Person", "Desk"),
                        frozenset({(0, 1, "desk"), (1, 0, "owner"), (1, 0, "backup")}), ())
-        c = _Compiled(desks, g)
-        assert acyclic(c)
-        assert _variables(c) == [[0, None, 2, None], [2, 0, 0, None]]
-        assert {t[0] for t in both_ways(c)} == {"p1"}
+        assert acyclic(_Compiled(desks, g))
+        assert _variables(g, desks) == [[0, None, 2, None], [2, 0, 0, None]]
+        assert {t[0] for t in both_ways(g, desks)} == {"p1"}
 
     def test_self_loop_is_a_check_of_its_node(self, desks):
-        c = _Compiled(desks, QueryGraph(("Person",), frozenset({(0, 0, "boss")}), ()))
+        g = QueryGraph(("Person",), frozenset({(0, 0, "boss")}), ())
+        c = _Compiled(desks, g)
         assert acyclic(c) and c.steps[0][3] == (1,)
-        assert _variables(c) == [[0, 0, None, None]]
-        assert {t[0] for t in both_ways(c)} == {"p1", "p3"}
+        assert _variables(g, desks) == [[0, 0, None, None]]
+        assert {t[0] for t in both_ways(g, desks)} == {"p1", "p3"}
 
     def test_cycle_takes_the_per_head_search(self, desks):
         triangle = QueryGraph(("Person", "Person", "Desk"),
@@ -220,9 +218,9 @@ class TestSemijoins:
         for _ in range(1000):
             schema, facts, _ = gen.random_instance(
                 rng, max_relations=4, max_fks=2, max_strs=1)
-            c = _Compiled(facts, gen.random_query_graph(rng, schema, m_max=4))
-            forests += acyclic(c)
-            both_ways(c)
+            g = gen.random_query_graph(rng, schema, m_max=4)
+            forests += acyclic(_Compiled(facts, g))
+            both_ways(g, facts)
         assert forests > 900
 
     def test_agrees_on_corpus_golden_rules(self):
@@ -233,19 +231,18 @@ class TestSemijoins:
                 [str(path.parent / s) for s in task["source"]]), task["target"])
             for golden in task["golden"]:
                 rule = (path.parent / golden).read_text(encoding="utf-8")
-                c = _Compiled.of(facts, parse_datalog(rule, facts.schema))
-                if not acyclic(c):
+                g = parse_datalog(rule, facts.schema)
+                if not acyclic(_Compiled(facts, g)):
                     cyclic.append(task["name"])
-                both_ways(c)
+                both_ways(g, facts)
         assert cyclic == ["method-mutual-recursion"]
 
 
 def key_aware(g: QueryGraph, facts: FactBase) -> frozenset:
     """The key-aware plan's answer for ``g``, checked against the per-head
     search and the product oracle."""
-    c = _Compiled(facts, g)
-    got = _key_aware(c)
-    assert got == evaluate_per_head(c) == naive_evaluate(g, facts)
+    got = _key_aware(g, facts)
+    assert got == evaluate_per_head(_Compiled(facts, g)) == naive_evaluate(g, facts)
     return got
 
 
@@ -320,7 +317,7 @@ class TestKeyAware:
             has_cycle = not acyclic(c)
             cyclic += has_cycle
             want = evaluate_per_head(c)
-            assert _key_aware(c) == want, g
+            assert _key_aware(g, facts) == want, g
             if prod(len(facts.matching(rel, ())) for rel in g.nodes) <= 20_000:
                 small += 1
                 small_cyclic += has_cycle
@@ -336,6 +333,14 @@ def people(n: int) -> FactBase:
         Relation("Desk", [("d0", "p0", "p1", "y")])])
 
 
+# A partition of the people with no positive and no negative.
+NO_PEOPLE = RelationPartition("Person", frozenset(), frozenset())
+
+# The two entry points that take a query graph, as ``check(g, facts)``.
+EVALUATE_AND_IS_CANDIDATE = pytest.mark.parametrize("check", [
+    evaluate, lambda g, facts: is_candidate(g, facts, NO_PEOPLE)],
+    ids=["evaluate", "is_candidate"])
+
 # The people whose boss is named n0.
 BOSSED_BY_N0 = QueryGraph(("Person", "Person"), frozenset({(0, 1, "boss")}),
                           ((1, "name", "equal", "n0"),))
@@ -350,19 +355,22 @@ class TestPlanChoice:
     def test_acyclic_graph_with_few_heads_takes_the_per_head_search(self, facts):
         c = _Compiled(facts, fig1c_graph())
         assert acyclic(c) and len(facts.matching("Method", ())) == 3
-        assert evaluate(c, facts) == evaluate_per_head(c) == {("M1", "I1", "T3", "MDF1")}
+        assert evaluate(fig1c_graph(), facts) == evaluate_per_head(c) == {
+            ("M1", "I1", "T3", "MDF1")}
 
     def test_acyclic_graph_with_more_heads_takes_the_key_aware_plan(self):
         base = people(10)
         c = _Compiled(base, BOSSED_BY_N0)
         assert acyclic(c)
-        assert {t[0] for t in evaluate(c, base)} == {"p0", "p1"}
-        assert evaluate(c, base) == evaluate_per_head(c) == naive_evaluate(BOSSED_BY_N0, base)
+        assert {t[0] for t in evaluate(BOSSED_BY_N0, base)} == {"p0", "p1"}
+        assert evaluate(BOSSED_BY_N0, base) == evaluate_per_head(c) \
+            == naive_evaluate(BOSSED_BY_N0, base)
 
     def test_cyclic_graph_with_few_heads_takes_the_per_head_search(self, desks):
         c = _Compiled(desks, MUTUAL_BOSSES)
         assert not acyclic(c) and len(desks.matching("Desk", ())) == 2
-        assert evaluate(c, desks) == evaluate_per_head(c) == naive_evaluate(MUTUAL_BOSSES, desks)
+        assert evaluate(MUTUAL_BOSSES, desks) == evaluate_per_head(c) \
+            == naive_evaluate(MUTUAL_BOSSES, desks)
 
     def test_cyclic_graph_with_more_heads_takes_the_key_aware_plan(self):
         # Person p0 owns desk d0, which p1 backs up, and p1's boss is p0.
@@ -371,20 +379,34 @@ class TestPlanChoice:
                        frozenset({(0, 1, "desk"), (1, 2, "owner"), (2, 0, "boss")}), ())
         c = _Compiled(base, g)
         assert not acyclic(c)
-        assert {t[0] for t in evaluate(c, base)} == {"p0"}
-        assert evaluate(c, base) == evaluate_per_head(c) == naive_evaluate(g, base)
+        assert {t[0] for t in evaluate(g, base)} == {"p0"}
+        assert evaluate(g, base) == evaluate_per_head(c) == naive_evaluate(g, base)
 
-    @pytest.mark.parametrize("check", [
-        evaluate,
-        lambda c, facts: is_candidate(c, facts, RelationPartition("Person", frozenset(),
-                                                                  frozenset()))],
-        ids=["evaluate", "is_candidate"])
-    def test_graph_compiled_against_another_fact_base_raises(self, check):
+    def test_graph_compiled_against_another_fact_base_raises(self):
         # Two bases of equal rows: a graph compiled over one is no query
         # over the other.
         c = _Compiled(people(10), BOSSED_BY_N0)
         with pytest.raises(EvalError, match="another fact base"):
-            check(c, people(10))
+            refinable_with_witnesses(c, people(10), NO_PEOPLE, [])
+
+    @EVALUATE_AND_IS_CANDIDATE
+    def test_compiled_graph_is_no_query(self, check):
+        # Only refinable_with_witnesses takes a compiled graph.
+        base = people(10)
+        with pytest.raises(EvalError, match="cannot evaluate _Compiled"):
+            check(_Compiled(base, BOSSED_BY_N0), base)
+
+    @EVALUATE_AND_IS_CANDIDATE
+    def test_builds_no_compiled_graph(self, check, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("compiled a graph")
+
+        monkeypatch.setattr(_Compiled, "__init__", refuse)
+        base = people(10)
+        check(BOSSED_BY_N0, base)
+        check(QueryGraph(("Person", "Desk", "Person"),
+                         frozenset({(0, 1, "desk"), (1, 2, "owner"), (2, 0, "boss")}), ()),
+              base)
 
 
 class TestRefinableAndCandidate:
@@ -422,6 +444,13 @@ class TestRefinableAndCandidate:
             elif is_candidate(g, facts, partition):
                 assert partition.positives <= evaluate(g, facts)
                 assert refinable_with_witnesses(g, facts, partition, []) == (True, {})
+
+    def test_empty_query_raises(self, facts, partition):
+        # is_candidate checks the head first, and the empty query has none.
+        with pytest.raises(EvalError, match="cannot evaluate the empty query"):
+            evaluate(QueryGraph.empty(), facts)
+        with pytest.raises(EvalError, match="query head None is not the target"):
+            is_candidate(QueryGraph.empty(), facts, partition)
 
     @pytest.mark.parametrize("check", [
         is_candidate,

@@ -76,8 +76,9 @@ def test_search_codebase_key_aware_agrees_with_per_head_search(tmp_path):
     assert len(ops) == 21
     for op in ops:
         text = (tmp_path / "queries" / f"{op}.dl").read_text(encoding="utf-8")
-        c = evaluator._Compiled.of(facts, parse_datalog(text, facts.schema))
-        answer = evaluator.evaluate(c, facts)
+        g = parse_datalog(text, facts.schema)
+        c = evaluator._Compiled(facts, g)
+        answer = evaluator.evaluate(g, facts)
         assert answer == evaluate_per_head(c), op
         if not acyclic(c):
             cyclic.append(op)
