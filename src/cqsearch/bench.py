@@ -8,7 +8,6 @@ query set by the canonical form of each query's merged graph, never by text.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -60,7 +59,7 @@ def _task_doc(text: str) -> dict:
     return doc
 
 
-def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
+def run_task(task_dir: str | Path, hmap_path: str | Path, k_bound: int = 2,
              early_stop: bool = True, use_reduction: bool = True) -> TaskResult:
     """One task's row; a task that cannot run is a failed row with its error."""
     task_dir = Path(task_dir)
@@ -103,22 +102,10 @@ def run_task(task_dir: str, hmap_path: str, k_bound: int = 2,
                           trace.wall_s, error=f"{type(exc).__name__}: {exc}")
 
 
-def discover_tasks(corpus: Path) -> list[Path]:
-    return sorted(p.parent for p in corpus.glob("*/task.json"))
-
-
 def run_corpus(corpus: Path, k_bound: int = 2, early_stop: bool = True,
-               use_reduction: bool = True, jobs: int = 1) -> list[TaskResult]:
-    hmap = corpus / "hmap.json"
-    tasks = discover_tasks(corpus)
-    jobs = min(jobs, len(tasks))  # a pool starts all its workers at once
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_task, str(t), str(hmap), k_bound,
-                                   early_stop, use_reduction) for t in tasks]
-            return [f.result() for f in futures]
-    return [run_task(str(t), str(hmap), k_bound, early_stop, use_reduction)
-            for t in tasks]
+               use_reduction: bool = True) -> list[TaskResult]:
+    return [run_task(task.parent, corpus / "hmap.json", k_bound, early_stop, use_reduction)
+            for task in sorted(corpus.glob("*/task.json"))]
 
 
 def render_table(results: list[TaskResult]) -> str:

@@ -1,8 +1,9 @@
 """Command-line pipeline: extract, reduce, synthesize, search, bench, graph.
 
 All I/O goes through files and stdout. Exit codes: 0 on success (synthesize
-additionally requires a non-empty selection), 2 when a synthesis or bench run
-completes but falls short (no query / failed tasks), 1 on errors.
+additionally requires a non-empty selection) and for --help, 2 when a
+synthesis or bench run completes but falls short (no query / failed tasks),
+1 on errors, a malformed command line among them.
 """
 from __future__ import annotations
 
@@ -273,15 +274,8 @@ def _search(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    if args.source:
-        if args.schema:
-            raise CliError("--schema cannot be used with --source")
-        minijava.parse_files(args.source)  # the sources must parse; the schema is fixed
-        schema = extraction_schema()
-    elif args.schema:
-        schema = read_input(args.schema, lambda text: Schema.from_doc(json.loads(text)))
-    else:
-        raise CliError("need --schema or --source")
+    schema = (read_input(args.schema, lambda text: Schema.from_doc(json.loads(text)))
+              if args.schema else extraction_schema())
     print(build_schema_graph(schema).to_dot())
     return 0
 
@@ -292,8 +286,7 @@ def cmd_bench(args) -> int:
         raise CliError(f"corpus {args.corpus} is not a directory")
     results = run_corpus(Path(args.corpus), k_bound=args.k_bound,
                          early_stop=not args.no_early_stop,
-                         use_reduction=not args.no_reduction,
-                         jobs=args.jobs)
+                         use_reduction=not args.no_reduction)
     print(render_table(results))
     if args.output:
         _write_json(args.output, [r.to_doc() for r in results])
@@ -356,19 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-bound", type=int, default=2)
     p.add_argument("--no-early-stop", action="store_true")
     p.add_argument("--no-reduction", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output", help="write per-task JSON here")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("graph", help="dump the schema graph as DOT")
-    p.add_argument("--schema")
-    p.add_argument("--source", nargs="+")
+    p.add_argument("--schema", help="schema.json path; omit for the extraction schema")
     p.set_defaults(func=cmd_graph)
     return parser
 
 
 # Least accepted value of each integer flag, where a subcommand has it.
-_FLAG_MINIMUMS = {"max_cycle_len": 0, "k_bound": 1, "max_m": 1, "jobs": 1}
+_FLAG_MINIMUMS = {"max_cycle_len": 0, "k_bound": 1, "max_m": 1}
 
 
 def _check_flags(args) -> None:
@@ -380,8 +371,10 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return 0 if exc.code == 0 else 1
     try:
         _check_flags(args)
         return args.func(args)

@@ -10,7 +10,6 @@ import re
 import shutil
 import subprocess
 import sys
-from concurrent.futures import Future
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,8 +20,9 @@ from cqsearch.core import (DomainError, FactError, Schema, load_facts, load_posi
                            partition_from_doc, read_input)
 from cqsearch.datalog import parse_datalog
 from cqsearch.evaluator import _Compiled, evaluate
-from cqsearch.extract import build_facts, extract
+from cqsearch.extract import build_facts, extract, extraction_schema
 from cqsearch.query import QueryGraph
+from cqsearch.schema_graph import build_schema_graph
 from cqsearch.select import load_hmap, synthesize
 from conftest import CORPUS, REPO
 from test_core import _json_values
@@ -468,8 +468,7 @@ def test_malformed_json_input_exits_one(capsys, motivating_dir, doc, corrupt,
 
 # Flags a subcommand rejects before it reads any input, and the start of
 # the error: integer flags below their least meaningful value, --target or
-# --positive beside --partition, where the JSON input files do not exist, and
-# a --schema that does not exist beside --source.
+# --positive beside --partition, where the JSON input files do not exist.
 BAD_FLAGS = {
     "reduce-max-cycle-len": ("reduce", "--max-cycle-len=-5", "--max-cycle-len must be at least"),
     "synthesize-max-cycle-len": ("synthesize", "--max-cycle-len=-1",
@@ -479,14 +478,10 @@ BAD_FLAGS = {
     "synthesize-max-m-0": ("synthesize", "--max-m=0", "--max-m must be at least"),
     "synthesize-max-m-negative": ("synthesize", "--max-m=-3", "--max-m must be at least"),
     "bench-k-bound": ("bench", "--k-bound=0", "--k-bound must be at least"),
-    "bench-jobs-0": ("bench", "--jobs=0", "--jobs must be at least"),
-    "bench-jobs-negative": ("bench", "--jobs=-2", "--jobs must be at least"),
     "reduce-target-with-partition": ("reduce --partition", "--target=NoSuchRel",
                                      "--target cannot be used with --partition\n"),
     "synthesize-positive-with-partition": ("synthesize --partition", "--positive=nope",
                                            "--positive cannot be used with --partition\n"),
-    "graph-schema-with-source": ("graph", "--schema=no/such/schema.json",
-                                 "--schema cannot be used with --source\n"),
 }
 
 
@@ -494,8 +489,6 @@ def _command_line(command, motivating_dir, tmp_path):
     source = str(motivating_dir / "example.java")
     if command == "bench":
         return ["bench", str(tmp_path)]
-    if command == "graph":
-        return ["graph", "--source", source]
     command, _, partition = command.partition(" ")
     if partition:
         argv = [command, *(arg for name in ("schema", "facts", "partition")
@@ -527,6 +520,37 @@ def test_least_flag_values_are_accepted(capsys, motivating_dir, tmp_path):
     code, _, err = run(capsys, *_command_line("synthesize", motivating_dir, tmp_path),
                        "--k-bound=1", "--max-m=1")
     assert code in (0, 2) and not err
+
+
+# Command lines argparse rejects, and the end of its message: a usage error
+# exits 1 before any input is read.
+USAGE_ERRORS = {
+    "unknown-flag": (["bench", "{corpus}", "--bogus"], "unrecognized arguments: --bogus"),
+    "bench-jobs": (["bench", "{corpus}", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    "graph-source": (["graph", "--source", "x.java"],
+                     "unrecognized arguments: --source x.java"),
+    "k-bound-not-int": (["synthesize", "--k-bound", "two", "--hmap", "h"],
+                        "argument --k-bound: invalid int value: 'two'"),
+    "bad-emit": (["synthesize", "--hmap", "h", "--emit", "xml"],
+                 "argument --emit: invalid choice: 'xml'"),
+    "missing-hmap": (["synthesize", "--source", "x.java", "--target", "Method",
+                      "--description", "d"], "the following arguments are required: --hmap"),
+}
+
+
+@pytest.mark.parametrize("argv, error", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_one(capsys, tmp_path, argv, error):
+    code, stdout, err = run(capsys, *(arg.format(corpus=tmp_path) for arg in argv))
+    assert (code, stdout) == (1, "")
+    last = err.splitlines()[-1]
+    assert re.fullmatch(rf"cqsearch( {argv[0]})?: error: .*", last), err
+    assert error in last, err
+
+
+def test_help_exits_zero(capsys):
+    code, stdout, err = run(capsys, "bench", "--help")
+    assert (code, err) == (0, "")
+    assert stdout.startswith("usage: cqsearch bench")
 
 
 class TestSearchCommand:
@@ -1101,14 +1125,14 @@ def test_dot_escapes_string_literals():
 
 class TestGraphCommand:
     def test_schema_dot(self, capsys, motivating_dir):
-        code, stdout, _ = run(capsys, "graph",
-                              "--source", str(motivating_dir / "example.java"))
-        assert code == 0
-        assert stdout.startswith("digraph")
+        code, stdout, err = run(capsys, "graph")
+        assert (code, err) == (0, "")
+        assert stdout == build_schema_graph(extraction_schema()).to_dot() + "\n"
         assert '"Method" -> "Identifier" [label="idf_id"]' in stdout
-
-    def test_no_input_is_an_error(self, capsys):
-        assert run(capsys, "graph") == (1, "", "error: need --schema or --source\n")
+        out = motivating_dir / "out"
+        assert run(capsys, "extract", str(motivating_dir / "example.java"), "--target",
+                   "Method", "-o", str(out))[0] == 0
+        assert run(capsys, "graph", "--schema", str(out / "schema.json")) == (0, stdout, "")
 
     @pytest.mark.parametrize("decl, error", [
         ({"name": "f", "kind": "fk"}, "B.f: a foreign key needs a target"),
@@ -1261,38 +1285,6 @@ class TestBenchCommand:
         assert code == 1 and stdout == ""
         assert err == f"error: corpus {corpus} is not a directory\n"
 
-    @pytest.mark.parametrize("tasks, workers", [(2, [2]), (1, [])],
-                             ids=["two-tasks", "one-task"])
-    def test_pool_has_no_more_workers_than_tasks(self, capsys, tmp_path, monkeypatch,
-                                                 tasks, workers):
-        class InlinePool:  # records its size and runs each task in this process
-            sizes = []
-
-            def __init__(self, max_workers):
-                self.sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
-        for name in ("t06_stmt_import_log4j", "t07_stmt_import_localtime")[:tasks]:
-            shutil.copytree(CORPUS / name, corpus / name)
-        code, stdout, _ = run(capsys, "bench", str(corpus), "--jobs", "500")
-        assert code == 0
-        assert f"{tasks}/{tasks} tasks passed" in stdout
-        assert InlinePool.sizes == workers
-
     def test_wall_time_is_the_traces(self, capsys, tmp_path, monkeypatch):
         # The trace opens at the task's inputs and times the whole run.
         results = []
@@ -1308,16 +1300,6 @@ class TestBenchCommand:
         assert list(trace.spans) == ["inputs", "reduce", "refine", "select"]
         assert all(s >= 0 for s in trace.spans.values())
         assert sum(trace.spans.values()) <= trace.wall_s == row.wall_time_s
-
-    def test_parallel_jobs(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        shutil.copy(CORPUS / "hmap.json", corpus / "hmap.json")
-        for name in ("t06_stmt_import_log4j", "t07_stmt_import_localtime"):
-            shutil.copytree(CORPUS / name, corpus / name)
-        code, stdout, _ = run(capsys, "bench", str(corpus), "--jobs", "2")
-        assert code == 0
-        assert "2/2 tasks passed" in stdout
 
 
 def test_run_motivating_script(capsys):
