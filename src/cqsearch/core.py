@@ -409,9 +409,13 @@ class FactBase(Mapping[str, Relation]):
         key at every position in ``self_eq``: the fact base's one filtered
         read, over the one index kind, ``by_attr``, that reduction probes
         too. Takes the pool of a single link or of a first link at the
-        primary key, else the smallest pool among ``links``, else all rows."""
+        primary key, else the smallest pool among ``links``, else the
+        smallest among the ``equal`` constraints, each a link to its
+        literal, else all rows."""
         if not links:
-            pool = self._rows[rel]
+            equal = [self.by_attr(rel, pos, literal)
+                     for pos, pred, literal in strs if pred == "equal"]
+            pool = min(equal, key=len) if equal else self._rows[rel]
         else:
             pos, v = links[0]
             if pos == 0 or len(links) == 1:

@@ -7,8 +7,8 @@ literal) decoration per constrained string slot. A node is known by its
 position: node 0 is the projection head, which names the partition target,
 and the renderers name node i ``A{i+1}``. A graph says everything the query
 says up to node order; canonical forms make node order irrelevant for
-golden comparisons and selection, and certificates for refinement's
-deduplication.
+golden comparisons and selection, and certificates, compact ``bytes`` keys
+with the same classes, for refinement's deduplication.
 """
 from __future__ import annotations
 
@@ -177,6 +177,15 @@ def from_graph(g: QueryGraph, schema: Schema) -> QueryGraph:
 # lists every edge at its later endpoint, so it fixes the labelled skeleton:
 # equal certificates mean isomorphic graphs, and isomorphic graphs get equal
 # certificates.
+#
+# A run holds every certificate it has met, so a certificate is stored as
+# one ``bytes``, which the garbage collector does not track: 57 bytes a key
+# on ``t13_class_log4j_field``, against 438 as nested tuples. Every string
+# in it is a code from a table that one run shares (``code_table``), every
+# integer a varint, and every part is counted or of fixed length, so the
+# bytes decode to the one tuple certificate they were written from: equal
+# bytes mean equal certificates. ``marshal`` and ``pickle`` cannot serve,
+# since they write back-references and so can encode equal keys differently.
 
 def _least_placements(g: QueryGraph) -> tuple[tuple, list[list[int]]]:
     """The least encoding of ``g`` and every placement (node -> position)
@@ -252,20 +261,72 @@ def canonical_form(g: QueryGraph):
     return _least_placements(g)[0]
 
 
-def certificate(g: QueryGraph, skeletons: dict):
+class Codes(dict):
+    """A code table: each string its number, a string it lacks the next."""
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self)
+        return code
+
+
+def code_table(schema: Schema) -> Codes:
+    """Codes for the certificates of graphs over ``schema``: its relations
+    and attribute names, numbered in schema order. A string it lacks, such
+    as a literal, gets the next code when a certificate first meets it."""
+    names = dict.fromkeys(name for rel, attrs in schema.items()
+                          for name in (rel, *(a.name for a in attrs)))
+    return Codes(zip(names, range(len(names))))
+
+
+_PREDICATE_CODES = {pred: i for i, pred in enumerate(PREDICATES)}
+
+
+def _varints(ints: list[int]) -> bytes:
+    """``ints`` as unsigned LEB128 varints: seven bits a byte, low bits
+    first, the high bit set on every byte of an integer but its last."""
+    if max(ints, default=0) < 0x80:
+        return bytes(ints)
+    out = bytearray()
+    for i in ints:
+        while i >= 0x80:
+            out.append(i & 0x7F | 0x80)
+            i >>= 7
+        out.append(i)
+    return bytes(out)
+
+
+def certificate(g: QueryGraph, skeletons: dict, codes: Codes) -> bytes:
     """A key two graphs share exactly when their canonical forms are equal,
-    computed from the least placements of ``g``'s skeleton, which
-    ``skeletons`` holds by ``(nodes, eq_edges)`` once it has seen them."""
+    if both were certified with one ``codes`` table (see ``code_table``).
+
+    It is computed from the least placements of ``g``'s skeleton, which
+    ``skeletons`` holds by ``(nodes, eq_edges)`` once it has seen them, with
+    the skeleton's part of the key: its node count, then per node its
+    relation, its edge count and each edge as kind (0 for its foreign key, 1
+    for another's), attribute and position. The string part follows: each
+    constraint of the least relabelling as position, attribute, predicate
+    (its index in ``PREDICATES``) and literal."""
     skeleton = (g.nodes, g.eq_edges)
     found = skeletons.get(skeleton)
     if found is None:
-        found = skeletons[skeleton] = _least_placements(QueryGraph(g.nodes, g.eq_edges, ()))
-    encoding, placements = found
+        encoding, placements = _least_placements(QueryGraph(g.nodes, g.eq_edges, ()))
+        ints = [len(g.nodes)]
+        if g.nodes:  # the empty graph's encoding is ("empty",)
+            for rel, edges, _ in encoding:
+                ints += (codes[rel], len(edges))
+                for kind, attr, pos in edges:
+                    ints += (0 if kind == "f" else 1, codes[attr], pos)
+        found = skeletons[skeleton] = (_varints(ints), placements)
+    head, placements = found
     if not g.str_edges:
-        return encoding, ()
-    return encoding, min(tuple(sorted([(pos[x], attr, pred, literal)
-                                       for x, attr, pred, literal in g.str_edges]))
-                         for pos in placements)
+        return head
+    least = min(tuple(sorted([(pos[x], attr, pred, literal)
+                              for x, attr, pred, literal in g.str_edges]))
+                for pos in placements)
+    ints = []
+    for pos, attr, pred, literal in least:
+        ints += (pos, codes[attr], _PREDICATE_CODES[pred], codes[literal])
+    return head + _varints(ints)
 
 
 def merged(g: QueryGraph) -> QueryGraph:

@@ -30,7 +30,9 @@ Rows are kept only where a later level reads them: never at the engine's
 ``m_cap``, and a level's rows are dropped once the level after the next
 starts. Duplicates are found by certificate (``query.certificate``), except
 that a graph equal to one of the level's refinable graphs is recognised
-before its certificate is computed. The certificate runs one isomorphism
+before its certificate is computed. ``seen`` holds every certificate of the
+run, each one ``bytes`` whose strings are codes from the engine's table, so
+the table lives as long as ``seen`` does. The certificate runs one isomorphism
 search per skeleton, a graph without its string constraints. A child's
 skeleton is its seed's skeleton plus the new node and its edges, so only
 the children of seeds with one skeleton can share a skeleton: a level keeps
@@ -48,7 +50,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .core import FactBase, Level, RelationPartition, Trace, Tuple, pred_holds
-from .query import QueryGraph, certificate, join_step, multiplicity
+from .query import QueryGraph, certificate, code_table, join_step, multiplicity
 from .strings import syn_lcs
 
 # One satisfying assignment: the tuple bound to each node, in node order.
@@ -70,7 +72,7 @@ class Rows(NamedTuple):
 class RefinementState:
     table: dict[tuple[int, int], tuple[list[QueryGraph], list[QueryGraph]]] = field(
         default_factory=dict)
-    seen: set = field(default_factory=set)
+    seen: set[bytes] = field(default_factory=set)  # certificates met so far
     # Per level, the Rows of each refinable graph, aligned with the table.
     rows: dict[tuple[int, int], list[Rows]] = field(default_factory=dict)
     trace: Trace = field(default_factory=Trace)
@@ -95,6 +97,8 @@ class RefinementEngine:
         self.part = part
         self.relations = sorted(relations)
         self.m_cap = m_cap
+        # The strings' codes in this run's certificates, and so in ``seen``.
+        self.codes = code_table(self.schema)
         self.head_rows = Rows(tuple(((t,),) for t in sorted(part.positives)),
                               tuple(((t,),) for t in sorted(part.negatives)))
         # syn_lcs of every witness-set tuple synthesized so far.
@@ -225,7 +229,7 @@ class RefinementEngine:
                 if g in produced:
                     level.rederived += 1
                     return False
-                key = certificate(g, skeletons)
+                key = certificate(g, skeletons, self.codes)
                 if key in state.seen:
                     level.dedup_hits += 1
                     return False

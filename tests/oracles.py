@@ -72,7 +72,8 @@ from cqsearch.minijava import (_UNTERMINATED, KEYWORDS, MAX_NESTING, MODIFIERS,
                                FieldDecl, ForStmt, IfStmt, ImportDecl, Literal,
                                MethodDecl, Name, New, Param, ParseError, Pos, Program,
                                ReturnStmt, Token, Unary, _AsciiClass)
-from cqsearch.query import QueryGraph, canonical_form, multiplicity
+from cqsearch.query import (PREDICATES, QueryGraph, _least_placements, canonical_form,
+                            multiplicity)
 from cqsearch.reduction import DropReason, ReducedRepresentation
 from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.schema_graph import (RelationPath, SchemaEdge, activated_relation,
@@ -965,6 +966,49 @@ def canonical_form_by_search(g: QueryGraph):
     head_key = node_key(0, {})
     place([0], {0: 0}, [head_key])
     return best[0]
+
+
+# --- certificates as tuples ----------------------------------------------------
+
+def tuple_certificate(g: QueryGraph, skeletons: dict) -> tuple:
+    """``query.certificate`` as nested tuples of names and positions, the
+    form it was stored in before it was written as ``bytes``: the least
+    encoding of ``g``'s skeleton, and the least, over the placements that
+    reach it, of the string constraints relabelled and sorted. ``skeletons``
+    memoises ``_least_placements`` by ``(nodes, eq_edges)``."""
+    skeleton = (g.nodes, g.eq_edges)
+    if skeleton not in skeletons:
+        skeletons[skeleton] = _least_placements(QueryGraph(g.nodes, g.eq_edges, ()))
+    encoding, placements = skeletons[skeleton]
+    return encoding, min(tuple(sorted((pos[x], attr, pred, literal)
+                                      for x, attr, pred, literal in g.str_edges))
+                         for pos in placements)
+
+
+def decoded_certificate(key: bytes, codes: dict[str, int]) -> tuple:
+    """The tuple certificate that the ``bytes`` certificate ``key`` was
+    written from with the code table ``codes``, read by a varint decoder
+    written apart from the encoder."""
+    names = {code: name for name, code in codes.items()}
+    ints, value, shift = [], 0, 0
+    for byte in key:
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            ints.append(value)
+            value = shift = 0
+    assert shift == 0, "the key ends inside a varint"
+    read = iter(ints)
+    n = next(read)
+    encoding = []
+    for _ in range(n):
+        rel, edges = names[next(read)], next(read)
+        encoding.append((rel, tuple((("f", "p")[next(read)], names[next(read)], next(read))
+                                    for _ in range(edges)), ()))
+    strs = []
+    for pos in read:
+        strs.append((pos, names[next(read)], PREDICATES[next(read)], names[next(read)]))
+    return (tuple(encoding) if n else ("empty",)), tuple(strs)
 
 
 # --- unpruned enumeration of the connected-expansion query space -------------

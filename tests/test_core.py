@@ -16,9 +16,10 @@ from cqsearch.core import (FK, PK, STR, AttributeDecl, FactBase, FactError,
                            SchemaError, Trace, load_facts,
                            make_partition, partition_from_doc, pred_holds,
                            read_input)
+from cqsearch import minijava
 from cqsearch.minijava import ParseError, parse
-from cqsearch.extract import facts_to_doc
-from conftest import REPO, fig1_facts, fig1_relations, fig1_schema
+from cqsearch.extract import extract, facts_to_doc
+from conftest import CORPUS, REPO, fig1_facts, fig1_relations, fig1_schema
 import gen
 import oracles
 
@@ -428,6 +429,70 @@ class TestMatching:
                 cases["several position-0"] += len(pk_links) > 1
                 cases["position 0 not first"] += bool(pk_links) and links[0][0] != 0
                 cases["no links, constrained"] += not links and bool(strs or self_eq)
+        assert min(cases.values()) > 20, cases
+
+    @staticmethod
+    def scanned(facts, rel, strs, self_eq):
+        """The rows of ``rel``, in order, that meet ``strs`` and ``self_eq``,
+        by a scan of every row: how ``matching`` answered without a link."""
+        return tuple(t for t in facts.matching(rel, ())
+                     if all(pred_holds(p, t[pos], lit) for pos, p, lit in strs)
+                     and all(t[pos] == t[0] for pos in self_eq))
+
+    @classmethod
+    def check_equal_pools(cls, facts, rng, cases, per_relation):
+        """``matching`` without links, with one or more ``equal`` constraints
+        and other predicates mixed in, against the scan: the same rows in
+        the same order."""
+        for rel in sorted(facts.schema):
+            attrs = facts.schema[rel]
+            rows = facts.matching(rel, ())
+            str_pos = [i for i, a in enumerate(attrs) if a.kind == STR]
+            fk_pos = [i for i, a in enumerate(attrs) if a.kind == FK]
+            if not str_pos:
+                continue
+
+            def literal(pos):
+                # Mostly a value or part of a value the column holds.
+                held = sorted({t[pos] for t in rows})
+                if not held or rng.random() < 0.15:
+                    return rng.choice(("", "nope", "é"))
+                value = rng.choice(held)
+                lo = rng.randint(0, len(value))
+                return value if rng.random() < 0.7 else value[lo:rng.randint(lo, len(value))]
+
+            for _ in range(per_relation):
+                strs = [(pos, "equal", literal(pos))
+                        for pos in rng.sample(str_pos, rng.randint(1, len(str_pos)))]
+                strs += [(pos, rng.choice(("prefix", "suffix", "contain", "equal")),
+                          literal(pos))
+                         for pos in rng.sample(str_pos, rng.randint(0, len(str_pos)))]
+                strs = tuple(sorted(strs))
+                self_eq = tuple(rng.sample(fk_pos, rng.randint(0, min(1, len(fk_pos)))))
+                got = facts.matching(rel, (), strs, self_eq)
+                assert got == cls.scanned(facts, rel, strs, self_eq), (rel, strs, self_eq)
+                cases["rows found"] += bool(got)
+                cases["several equal"] += sum(p == "equal" for _, p, _ in strs) > 1
+                cases["other predicates"] += any(p != "equal" for _, p, _ in strs)
+                cases["self equality"] += bool(self_eq)
+
+    def test_equal_constraint_pool_matches_scan_on_corpus(self):
+        rng = random.Random(41)
+        cases = Counter()
+        for task_dir in sorted(CORPUS.glob("t*/")):
+            doc = json.loads((task_dir / "task.json").read_text(encoding="utf-8"))
+            prog = minijava.parse_files([task_dir / s for s in doc["source"]])
+            facts, _, _ = extract(prog, doc["target"])
+            self.check_equal_pools(facts, rng, cases, per_relation=15)
+        assert min(cases.values()) > 20, cases
+
+    def test_equal_constraint_pool_matches_scan_on_random_bases(self):
+        rng = random.Random(43)
+        cases = Counter()
+        for _ in range(60):
+            schema = gen.random_schema(rng, max_fks=2, max_strs=3)
+            facts = gen.random_facts(rng, schema, max_tuples=12)
+            self.check_equal_pools(facts, rng, cases, per_relation=10)
         assert min(cases.values()) > 20, cases
 
     def test_first_foreign_key_with_the_larger_pool(self, facts):

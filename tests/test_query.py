@@ -8,13 +8,14 @@ from cqsearch import minijava, refine
 from cqsearch.core import FK, Schema, pred_holds
 from cqsearch.datalog import parse_datalog, render_datalog
 from cqsearch.extract import extract, extraction_schema
-from cqsearch.query import (GraphError, QueryGraph, canonical_form, certificate,
-                            check_graph, max_multiplicity, merged, multiplicity,
-                            render_ra, variables)
+from cqsearch.query import (Codes, GraphError, QueryGraph, _varints, canonical_form,
+                            certificate, check_graph, code_table, max_multiplicity,
+                            merged, multiplicity, render_ra, variables)
 from cqsearch.select import make_context, synthesize
-from conftest import CORPUS, DESKS_SCHEMA, FIG1C_RULE, fig1c_graph
+from conftest import CORPUS, DESKS_SCHEMA, FIG1C_RULE, fig1_schema, fig1c_graph
 import gen
-from oracles import canonical_form_by_search, homomorphism, isomorphism, variable_classes
+from oracles import (canonical_form_by_search, decoded_certificate, homomorphism, isomorphism,
+                     tuple_certificate, variable_classes)
 
 
 def relabelled(g: QueryGraph, rng: random.Random) -> QueryGraph:
@@ -155,33 +156,50 @@ def refined_graphs(monkeypatch, runs) -> list[QueryGraph]:
     each ``(schema, facts, partition, context)`` of ``runs`` with k bound 2."""
     graphs: list[QueryGraph] = []
 
-    def recorded(g: QueryGraph, skeletons: dict):
+    def recorded(g: QueryGraph, skeletons: dict, codes: Codes):
         graphs.append(g)
-        return certificate(g, skeletons)
+        return certificate(g, skeletons, codes)
     monkeypatch.setattr(refine, "certificate", recorded)
     for schema, facts, part, ctx, max_relations in runs:
         synthesize(schema, facts, part, ctx, k_bound=2, max_relations=max_relations)
     return graphs
 
 
-def certificate_mismatches(graphs: list[QueryGraph], rng: random.Random) -> int:
+def class_mismatches(keys: list, others: list) -> int:
+    """How many of the aligned ``keys`` and ``others`` fall in a class of
+    one list that is not their class in the other: 0 when the two split the
+    items alike."""
+    other_of, key_of = {}, {}
+    for key, other in zip(keys, others, strict=True):
+        other_of.setdefault(key, other)
+        key_of.setdefault(other, key)
+    return sum(other_of[key] != other or key_of[other] != key
+               for key, other in zip(keys, others))
+
+
+def certificate_mismatches(graphs: list[QueryGraph], rng: random.Random,
+                           codes: Codes) -> int:
     """Over ``graphs``, a random head-fixing relabelling of each and a random
-    move of each one's string constraints, the graphs whose certificate
-    class is not their canonical-form class: 0 when the two keys partition
-    them alike. One skeleton memo serves all of them, as in a run."""
+    move of each one's string constraints: the graphs whose certificate
+    class is not their class by the tuple certificate or by canonical form,
+    plus those whose certificate does not decode to their tuple
+    certificate; 0 when the keys agree. One skeleton memo and the code
+    table ``codes`` serve all of them, as in a run."""
     graphs = graphs + [h for g in graphs
                        for h in (relabelled(g, rng), strings_moved(g, rng)) if h != g]
     skeletons: dict = {}
-    keys = [(certificate(g, skeletons), canonical_form(g)) for g in graphs]
-    form_of, cert_of = {}, {}
-    for cert, form in keys:
-        form_of.setdefault(cert, form)
-        cert_of.setdefault(form, cert)
-    return sum(form_of[cert] != form or cert_of[form] != cert for cert, form in keys)
+    tuple_skeletons: dict = {}
+    certs = [certificate(g, skeletons, codes) for g in graphs]
+    assert all(type(cert) is bytes for cert in certs)
+    tuples = [tuple_certificate(g, tuple_skeletons) for g in graphs]
+    return (class_mismatches(certs, tuples)
+            + class_mismatches(certs, [canonical_form(g) for g in graphs])
+            + sum(decoded_certificate(cert, codes) != t for cert, t in zip(certs, tuples)))
 
 
 class TestCertificate:
-    """Refinement's dedup key against the canonical form it replaced."""
+    """Refinement's dedup key against the tuple certificate it is written
+    from and the canonical form it replaced."""
 
     def test_matches_canonical_form_on_corpus(self, monkeypatch):
         hmap = json.loads((CORPUS / "hmap.json").read_text(encoding="utf-8"))
@@ -196,7 +214,7 @@ class TestCertificate:
         graphs = refined_graphs(monkeypatch, runs)
         # Over two graphs per skeleton on average, so the memo serves many.
         assert len({(g.nodes, g.eq_edges) for g in graphs}) * 2 < len(graphs)
-        assert certificate_mismatches(graphs, random.Random(1)) == 0
+        assert certificate_mismatches(graphs, random.Random(1), Codes()) == 0
 
     def test_matches_canonical_form_on_random_instances(self, monkeypatch):
         # The first 30 instances of the soundness suite and of the
@@ -209,7 +227,7 @@ class TestCertificate:
             runs.append((schema, facts, part, gen.random_context(rng, schema), 5))
         graphs = refined_graphs(monkeypatch, runs)
         assert len(graphs) > 1000
-        assert certificate_mismatches(graphs, random.Random(2)) == 0
+        assert certificate_mismatches(graphs, random.Random(2), Codes()) == 0
 
     def test_matches_canonical_form_on_random_graphs(self):
         rng = random.Random(13)
@@ -217,7 +235,42 @@ class TestCertificate:
         for _ in range(1000):
             schema = gen.random_schema(rng, max_relations=3)
             graphs.append(gen.random_query_graph(rng, schema, m_max=7))
-        assert certificate_mismatches(graphs, rng) == 0
+        assert certificate_mismatches(graphs, rng, Codes()) == 0
+
+    def test_literals_that_prefix_one_another(self):
+        # Literals that prefix one another, the empty literal and non-ASCII
+        # ones, split across the two Type nodes of the motivating query in
+        # every way: each pair gets its own key, and each key decodes to its
+        # graph's tuple certificate.
+        g = fig1c_graph()
+        literals = ["", "a", "ab", "abc", "b", "bc", "c", "é", "e\u0301", "日本", "日"]
+        graphs = [QueryGraph(g.nodes, g.eq_edges,
+                             ((1, "name", "equal", x), (3, "name", "prefix", y)))
+                  for x in literals for y in literals]
+        codes = code_table(fig1_schema())
+        skeletons: dict = {}
+        certs = [certificate(h, skeletons, codes) for h in graphs]
+        assert len(set(certs)) == len(graphs)
+        for h, cert in zip(graphs, certs):
+            assert decoded_certificate(cert, codes) == tuple_certificate(h, {}), h
+            assert certificate(h, {}, codes) == cert, h
+        assert certificate_mismatches(graphs, random.Random(3), codes) == 0
+
+    def test_codes_past_127_take_several_bytes(self):
+        assert _varints([0, 127, 128, 300, 16383, 16384]) == \
+            b"\x00\x7f\x80\x01\xac\x02\xff\x7f\x80\x80\x01"
+        # A table that already holds 300 codes, so every name and literal
+        # the graphs bring gets a code of two bytes.
+        codes = Codes((f"unused{i}", i) for i in range(300))
+        rng = random.Random(19)
+        graphs = [gen.random_query_graph(rng, gen.random_schema(rng, max_relations=3),
+                                         m_max=5)
+                  for _ in range(200)]
+        assert certificate_mismatches(graphs, rng, codes) == 0
+        assert len(codes) > 300
+        cert = certificate(graphs[0], {}, codes)
+        assert max(cert) >= 0x80
+        assert decoded_certificate(cert, codes) == tuple_certificate(graphs[0], {})
 
     def test_matches_isomorphism_on_small_graphs(self):
         # Families of one small graph, its relabellings and its constraints
@@ -232,7 +285,8 @@ class TestCertificate:
             graphs += [g] + [rng.choice((relabelled, strings_moved))(g, rng)
                              for _ in range(4)]
         skeletons: dict = {}
-        certs = [certificate(g, skeletons) for g in graphs]
+        codes = Codes()
+        certs = [certificate(g, skeletons, codes) for g in graphs]
         same = differ = 0
         for i, a in enumerate(graphs):
             for j in range(i + 1, len(graphs)):

@@ -8,7 +8,7 @@ from cqsearch.evaluator import (_Compiled, evaluate, is_candidate,
                                  refinable_with_witnesses)
 from cqsearch.extract import extract
 from cqsearch.datalog import parse_datalog, render_datalog
-from cqsearch.query import QueryGraph, canonical_form, max_multiplicity, merged
+from cqsearch.query import Codes, QueryGraph, canonical_form, max_multiplicity, merged
 from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.select import make_context, synthesize
 from cqsearch.strings import syn_lcs
@@ -223,6 +223,7 @@ def test_kept_graphs_round_trip_exactly_on_corpus(corpus_runs):
 
 def test_trace_accounts_for_seen_on_corpus(corpus_runs):
     for name, _, _, result in corpus_runs:
+        assert all(type(key) is bytes for key in result.state.seen), name
         _assert_trace_accounts_for_seen(result.state, name)
         assert result.trace is result.state.trace, name
         assert list(result.levels_explored) == [(s.m, s.k) for s in result.trace.levels]
@@ -276,10 +277,10 @@ def searched(monkeypatch):
     graphs: list[QueryGraph] = []
     certificate = refine.certificate
 
-    def checked(g: QueryGraph, skeletons: dict):
+    def checked(g: QueryGraph, skeletons: dict, codes: Codes):
         assert canonical_form(g) == canonical_form_by_search(g), g
         graphs.append(g)
-        return certificate(g, skeletons)
+        return certificate(g, skeletons, codes)
     monkeypatch.setattr(refine, "certificate", checked)
     return graphs
 
