@@ -48,6 +48,8 @@ def _task_doc(text: str) -> dict:
         files = doc.get(key, [])
         if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
             raise DomainError(f"{key!r} must be a list of file names, got {files!r}")
+    if not doc["source"]:
+        raise DomainError("'source' must name at least one file")
     for key in ("target", "description", "name", "category"):
         if not isinstance(doc.get(key, ""), str):
             raise DomainError(f"{key!r} must be a string, got {doc[key]!r}")

@@ -179,13 +179,14 @@ def from_graph(g: QueryGraph, schema: Schema) -> QueryGraph:
 # certificates.
 #
 # A run holds every certificate it has met, so a certificate is stored as
-# one ``bytes``, which the garbage collector does not track: 57 bytes a key
-# on ``t13_class_log4j_field``, against 438 as nested tuples. Every string
-# in it is a code from a table that one run shares (``code_table``), every
-# integer a varint, and every part is counted or of fixed length, so the
-# bytes decode to the one tuple certificate they were written from: equal
-# bytes mean equal certificates. ``marshal`` and ``pickle`` cannot serve,
-# since they write back-references and so can encode equal keys differently.
+# one ``bytes``, which the garbage collector does not track. It is a list of
+# varints: the length of the skeleton's least encoding, a code per node key
+# of that encoding, then a code per relabelled string constraint, each code
+# from a first-met table (``Codes``) that one run shares. The length ends the
+# skeleton part and the table maps keys to codes one to one, so the bytes
+# decode to the one tuple certificate they were written from: equal bytes
+# mean equal certificates. ``marshal`` and ``pickle`` cannot serve, since
+# they write back-references and so can encode equal keys differently.
 
 def _least_placements(g: QueryGraph) -> tuple[tuple, list[list[int]]]:
     """The least encoding of ``g`` and every placement (node -> position)
@@ -262,23 +263,18 @@ def canonical_form(g: QueryGraph):
 
 
 class Codes(dict):
-    """A code table: each string its number, a string it lacks the next."""
+    """A first-met code table: each key its number, a key it lacks the next."""
 
-    def __missing__(self, name: str) -> int:
-        code = self[name] = len(self)
+    def __missing__(self, key) -> int:
+        code = self[key] = len(self)
         return code
 
 
-def code_table(schema: Schema) -> Codes:
-    """Codes for the certificates of graphs over ``schema``: its relations
-    and attribute names, numbered in schema order. A string it lacks, such
-    as a literal, gets the next code when a certificate first meets it."""
-    names = dict.fromkeys(name for rel, attrs in schema.items()
-                          for name in (rel, *(a.name for a in attrs)))
-    return Codes(zip(names, range(len(names))))
+class Skeletons(dict):
+    """``certificate``'s memo of skeleton searches, tied to the table its keys use."""
 
-
-_PREDICATE_CODES = {pred: i for i, pred in enumerate(PREDICATES)}
+    def __init__(self, codes: Codes):
+        self.codes = codes
 
 
 def _varints(ints: list[int]) -> bytes:
@@ -295,38 +291,26 @@ def _varints(ints: list[int]) -> bytes:
     return bytes(out)
 
 
-def certificate(g: QueryGraph, skeletons: dict, codes: Codes) -> bytes:
+def certificate(g: QueryGraph, skeletons: Skeletons) -> bytes:
     """A key two graphs share exactly when their canonical forms are equal,
-    if both were certified with one ``codes`` table (see ``code_table``).
+    if both were certified through memos of one table ``skeletons.codes``.
 
-    It is computed from the least placements of ``g``'s skeleton, which
-    ``skeletons`` holds by ``(nodes, eq_edges)`` once it has seen them, with
-    the skeleton's part of the key: its node count, then per node its
-    relation, its edge count and each edge as kind (0 for its foreign key, 1
-    for another's), attribute and position. The string part follows: each
-    constraint of the least relabelling as position, attribute, predicate
-    (its index in ``PREDICATES``) and literal."""
+    ``skeletons`` keeps the least placements of each skeleton it has met, by
+    ``(nodes, eq_edges)``, with its part of the key: its least encoding's
+    length and a code per node key. A code per constraint follows."""
     skeleton = (g.nodes, g.eq_edges)
     found = skeletons.get(skeleton)
     if found is None:
         encoding, placements = _least_placements(QueryGraph(g.nodes, g.eq_edges, ()))
-        ints = [len(g.nodes)]
-        if g.nodes:  # the empty graph's encoding is ("empty",)
-            for rel, edges, _ in encoding:
-                ints += (codes[rel], len(edges))
-                for kind, attr, pos in edges:
-                    ints += (0 if kind == "f" else 1, codes[attr], pos)
-        found = skeletons[skeleton] = (_varints(ints), placements)
+        head = _varints([len(encoding), *[skeletons.codes[key] for key in encoding]])
+        found = skeletons[skeleton] = (head, placements)
     head, placements = found
     if not g.str_edges:
         return head
     least = min(tuple(sorted([(pos[x], attr, pred, literal)
                               for x, attr, pred, literal in g.str_edges]))
                 for pos in placements)
-    ints = []
-    for pos, attr, pred, literal in least:
-        ints += (pos, codes[attr], _PREDICATE_CODES[pred], codes[literal])
-    return head + _varints(ints)
+    return head + _varints([skeletons.codes[c] for c in least])
 
 
 def merged(g: QueryGraph) -> QueryGraph:

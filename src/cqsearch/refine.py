@@ -31,12 +31,12 @@ Rows are kept only where a later level reads them: never at the engine's
 starts. Duplicates are found by certificate (``query.certificate``), except
 that a graph equal to one of the level's refinable graphs is recognised
 before its certificate is computed. ``seen`` holds every certificate of the
-run, each one ``bytes`` whose strings are codes from the engine's table, so
-the table lives as long as ``seen`` does. The certificate runs one isomorphism
-search per skeleton, a graph without its string constraints. A child's
-skeleton is its seed's skeleton plus the new node and its edges, so only
-the children of seeds with one skeleton can share a skeleton: a level keeps
-the searches of each seed skeleton until its last seed is expanded.
+run, each one ``bytes`` of codes from the engine's table, so the table lives
+as long as ``seen`` does. The certificate runs one isomorphism search per
+skeleton, a graph without its string constraints. A child's skeleton is its
+seed's skeleton plus the new node and its edges, so only the children of
+seeds with one skeleton can share a skeleton: a level keeps the searches of
+each seed skeleton, in a memo tied to that table, until its last seed is done.
 
 synLCS is pure, so the engine keeps each constraint it synthesizes under its
 witness sets and synthesizes it once per engine, that is once per synthesis
@@ -50,7 +50,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .core import FactBase, Level, RelationPartition, Trace, Tuple, pred_holds
-from .query import QueryGraph, certificate, code_table, join_step, multiplicity
+from .query import Codes, QueryGraph, Skeletons, certificate, join_step, multiplicity
 from .strings import syn_lcs
 
 # One satisfying assignment: the tuple bound to each node, in node order.
@@ -97,8 +97,8 @@ class RefinementEngine:
         self.part = part
         self.relations = sorted(relations)
         self.m_cap = m_cap
-        # The strings' codes in this run's certificates, and so in ``seen``.
-        self.codes = code_table(self.schema)
+        # The codes of this run's certificates, and so of ``seen``.
+        self.codes = Codes()
         self.head_rows = Rows(tuple(((t,),) for t in sorted(part.positives)),
                               tuple(((t,),) for t in sorted(part.negatives)))
         # syn_lcs of every witness-set tuple synthesized so far.
@@ -229,7 +229,7 @@ class RefinementEngine:
                 if g in produced:
                     level.rederived += 1
                     return False
-                key = certificate(g, skeletons, self.codes)
+                key = certificate(g, skeletons)
                 if key in state.seen:
                     level.dedup_hits += 1
                     return False
@@ -249,10 +249,10 @@ class RefinementEngine:
             # which ``is_new`` reads as ``skeletons``; kept until the last
             # seed with that skeleton.
             last = {(g.nodes, g.eq_edges): i for i, (g, _, _) in enumerate(seeds)}
-            by_seed: dict = {}
+            by_seed: dict[tuple, Skeletons] = {}
             for i, (g, source_k, rows) in enumerate(seeds):
                 seed_skeleton = (g.nodes, g.eq_edges)
-                skeletons = by_seed.setdefault(seed_skeleton, {})
+                skeletons = by_seed.setdefault(seed_skeleton, Skeletons(self.codes))
                 if last[seed_skeleton] == i:
                     del by_seed[seed_skeleton]
                 for rel in self.relations:

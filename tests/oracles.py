@@ -72,8 +72,7 @@ from cqsearch.minijava import (_UNTERMINATED, KEYWORDS, MAX_NESTING, MODIFIERS,
                                FieldDecl, ForStmt, IfStmt, ImportDecl, Literal,
                                MethodDecl, Name, New, Param, ParseError, Pos, Program,
                                ReturnStmt, Token, Unary, _AsciiClass)
-from cqsearch.query import (PREDICATES, QueryGraph, _least_placements, canonical_form,
-                            multiplicity)
+from cqsearch.query import QueryGraph, _least_placements, canonical_form, multiplicity
 from cqsearch.reduction import DropReason, ReducedRepresentation
 from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.schema_graph import (RelationPath, SchemaEdge, activated_relation,
@@ -985,11 +984,13 @@ def tuple_certificate(g: QueryGraph, skeletons: dict) -> tuple:
                          for pos in placements)
 
 
-def decoded_certificate(key: bytes, codes: dict[str, int]) -> tuple:
+def decoded_certificate(key: bytes, codes: dict) -> tuple:
     """The tuple certificate that the ``bytes`` certificate ``key`` was
     written from with the code table ``codes``, read by a varint decoder
-    written apart from the encoder."""
-    names = {code: name for name, code in codes.items()}
+    written apart from the encoder: the encoding's length, its node keys'
+    codes, then the constraints' codes, each mapped back through the
+    inverted table."""
+    keys = dict(zip(codes.values(), codes))
     ints, value, shift = [], 0, 0
     for byte in key:
         value |= (byte & 0x7F) << shift
@@ -998,17 +999,9 @@ def decoded_certificate(key: bytes, codes: dict[str, int]) -> tuple:
             ints.append(value)
             value = shift = 0
     assert shift == 0, "the key ends inside a varint"
-    read = iter(ints)
-    n = next(read)
-    encoding = []
-    for _ in range(n):
-        rel, edges = names[next(read)], next(read)
-        encoding.append((rel, tuple((("f", "p")[next(read)], names[next(read)], next(read))
-                                    for _ in range(edges)), ()))
-    strs = []
-    for pos in read:
-        strs.append((pos, names[next(read)], PREDICATES[next(read)], names[next(read)]))
-    return (tuple(encoding) if n else ("empty",)), tuple(strs)
+    n = ints[0]
+    return (tuple(keys[code] for code in ints[1:1 + n]),
+            tuple(keys[code] for code in ints[1 + n:]))
 
 
 # --- unpruned enumeration of the connected-expansion query space -------------

@@ -1201,6 +1201,8 @@ class TestBenchCommand:
         (b'{"name": "x"}', "DomainError: {path}: a task is a JSON object"),
         (json.dumps({**T08_TASK, "source": "example.java"}).encode(),
          "DomainError: {path}: 'source' must be a list of file names"),
+        (json.dumps({**T08_TASK, "source": []}).encode(),
+         "DomainError: {path}: 'source' must name at least one file"),
         (json.dumps({**T08_TASK, "golden": "golden.dl"}).encode(),
          "DomainError: {path}: 'golden' must be a list of file names"),
         (json.dumps({**T08_TASK, "description": 5}).encode(),
@@ -1208,7 +1210,7 @@ class TestBenchCommand:
         (json.dumps({**T08_TASK, "expected": [1, 2]}).encode(),
          "DomainError: {path}: 'expected' must be an object with a list 'gq'"),
     ], ids=["list", "syntax-error", "not-utf8", "missing-keys", "source-string",
-            "golden-string", "description-int", "expected-list"])
+            "source-empty", "golden-string", "description-int", "expected-list"])
     def test_broken_task_is_a_failed_row(self, capsys, tmp_path, task, error):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

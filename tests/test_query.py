@@ -8,11 +8,11 @@ from cqsearch import minijava, refine
 from cqsearch.core import FK, Schema, pred_holds
 from cqsearch.datalog import parse_datalog, render_datalog
 from cqsearch.extract import extract, extraction_schema
-from cqsearch.query import (Codes, GraphError, QueryGraph, _varints, canonical_form,
-                            certificate, check_graph, code_table, max_multiplicity,
+from cqsearch.query import (Codes, GraphError, QueryGraph, Skeletons, _varints,
+                            canonical_form, certificate, check_graph, max_multiplicity,
                             merged, multiplicity, render_ra, variables)
 from cqsearch.select import make_context, synthesize
-from conftest import CORPUS, DESKS_SCHEMA, FIG1C_RULE, fig1_schema, fig1c_graph
+from conftest import CORPUS, DESKS_SCHEMA, FIG1C_RULE, fig1c_graph
 import gen
 from oracles import (canonical_form_by_search, decoded_certificate, homomorphism, isomorphism,
                      tuple_certificate, variable_classes)
@@ -156,9 +156,9 @@ def refined_graphs(monkeypatch, runs) -> list[QueryGraph]:
     each ``(schema, facts, partition, context)`` of ``runs`` with k bound 2."""
     graphs: list[QueryGraph] = []
 
-    def recorded(g: QueryGraph, skeletons: dict, codes: Codes):
+    def recorded(g: QueryGraph, skeletons: Skeletons):
         graphs.append(g)
-        return certificate(g, skeletons, codes)
+        return certificate(g, skeletons)
     monkeypatch.setattr(refine, "certificate", recorded)
     for schema, facts, part, ctx, max_relations in runs:
         synthesize(schema, facts, part, ctx, k_bound=2, max_relations=max_relations)
@@ -183,18 +183,32 @@ def certificate_mismatches(graphs: list[QueryGraph], rng: random.Random,
     move of each one's string constraints: the graphs whose certificate
     class is not their class by the tuple certificate or by canonical form,
     plus those whose certificate does not decode to their tuple
-    certificate; 0 when the keys agree. One skeleton memo and the code
-    table ``codes`` serve all of them, as in a run."""
+    certificate; 0 when the keys agree. One skeleton memo of the code
+    table ``codes`` serves all of them."""
     graphs = graphs + [h for g in graphs
                        for h in (relabelled(g, rng), strings_moved(g, rng)) if h != g]
-    skeletons: dict = {}
+    skeletons = Skeletons(codes)
     tuple_skeletons: dict = {}
-    certs = [certificate(g, skeletons, codes) for g in graphs]
+    certs = [certificate(g, skeletons) for g in graphs]
     assert all(type(cert) is bytes for cert in certs)
     tuples = [tuple_certificate(g, tuple_skeletons) for g in graphs]
     return (class_mismatches(certs, tuples)
             + class_mismatches(certs, [canonical_form(g) for g in graphs])
             + sum(decoded_certificate(cert, codes) != t for cert, t in zip(certs, tuples)))
+
+
+def small_graph_families() -> list[QueryGraph]:
+    """Families of one small graph, its relabellings and its constraints
+    moved, over two relations and one-letter literals, so that classes
+    often meet."""
+    rng = random.Random(17)
+    graphs = []
+    for _ in range(60):
+        schema = gen.random_schema(rng, max_relations=2, max_fks=2, max_strs=2)
+        g = gen.random_query_graph(rng, schema, m_max=5, alphabet="a")
+        graphs += [g] + [rng.choice((relabelled, strings_moved))(g, rng)
+                         for _ in range(4)]
+    return graphs
 
 
 class TestCertificate:
@@ -247,20 +261,20 @@ class TestCertificate:
         graphs = [QueryGraph(g.nodes, g.eq_edges,
                              ((1, "name", "equal", x), (3, "name", "prefix", y)))
                   for x in literals for y in literals]
-        codes = code_table(fig1_schema())
-        skeletons: dict = {}
-        certs = [certificate(h, skeletons, codes) for h in graphs]
+        codes = Codes()
+        skeletons = Skeletons(codes)
+        certs = [certificate(h, skeletons) for h in graphs]
         assert len(set(certs)) == len(graphs)
         for h, cert in zip(graphs, certs):
             assert decoded_certificate(cert, codes) == tuple_certificate(h, {}), h
-            assert certificate(h, {}, codes) == cert, h
+            assert certificate(h, Skeletons(codes)) == cert, h
         assert certificate_mismatches(graphs, random.Random(3), codes) == 0
 
     def test_codes_past_127_take_several_bytes(self):
         assert _varints([0, 127, 128, 300, 16383, 16384]) == \
             b"\x00\x7f\x80\x01\xac\x02\xff\x7f\x80\x80\x01"
-        # A table that already holds 300 codes, so every name and literal
-        # the graphs bring gets a code of two bytes.
+        # A table that already holds 300 codes, so every node key and
+        # constraint the graphs bring gets a code of two bytes.
         codes = Codes((f"unused{i}", i) for i in range(300))
         rng = random.Random(19)
         graphs = [gen.random_query_graph(rng, gen.random_schema(rng, max_relations=3),
@@ -268,25 +282,16 @@ class TestCertificate:
                   for _ in range(200)]
         assert certificate_mismatches(graphs, rng, codes) == 0
         assert len(codes) > 300
-        cert = certificate(graphs[0], {}, codes)
+        cert = certificate(graphs[0], Skeletons(codes))
         assert max(cert) >= 0x80
         assert decoded_certificate(cert, codes) == tuple_certificate(graphs[0], {})
 
     def test_matches_isomorphism_on_small_graphs(self):
-        # Families of one small graph, its relabellings and its constraints
-        # moved, over two relations and one-letter literals, so that classes
-        # often meet: certificates are equal exactly when a bijection maps
-        # one graph onto the other, and such graphs are equivalent queries.
-        rng = random.Random(17)
-        graphs = []
-        for _ in range(60):
-            schema = gen.random_schema(rng, max_relations=2, max_fks=2, max_strs=2)
-            g = gen.random_query_graph(rng, schema, m_max=5, alphabet="a")
-            graphs += [g] + [rng.choice((relabelled, strings_moved))(g, rng)
-                             for _ in range(4)]
-        skeletons: dict = {}
-        codes = Codes()
-        certs = [certificate(g, skeletons, codes) for g in graphs]
+        # Certificates are equal exactly when a bijection maps one graph
+        # onto the other, and such graphs are equivalent queries.
+        graphs = small_graph_families()
+        skeletons = Skeletons(Codes())
+        certs = [certificate(g, skeletons) for g in graphs]
         same = differ = 0
         for i, a in enumerate(graphs):
             for j in range(i + 1, len(graphs)):
@@ -301,6 +306,27 @@ class TestCertificate:
                     differ += 1
         # Both outcomes occur among graphs that share a skeleton.
         assert same >= 100 and differ >= 20, (same, differ)
+
+    def test_matches_isomorphism_across_memos_of_one_table(self):
+        # The same families through three memos of one table, taken in turn
+        # as refinement takes one per seed skeleton, so each family spans
+        # them all: keys from different memos are equal exactly when a
+        # bijection maps one graph onto the other.
+        graphs = small_graph_families()
+        codes = Codes()
+        memos = [Skeletons(codes) for _ in range(3)]
+        certs = [certificate(g, memos[i % 3]) for i, g in enumerate(graphs)]
+        # The memos searched many skeletons each on their own.
+        assert len(set(memos[0]) & set(memos[1]) & set(memos[2])) >= 20
+        assert all(memo.codes is codes for memo in memos)
+        crossed = 0
+        for i, a in enumerate(graphs):
+            for j in range(i + 1, len(graphs)):
+                if i % 3 != j % 3:
+                    equal = certs[i] == certs[j]
+                    assert equal == (isomorphism(a, graphs[j]) is not None), (a, graphs[j])
+                    crossed += equal
+        assert crossed >= 500, crossed
 
 
 class TestPredicates:

@@ -8,7 +8,7 @@ from cqsearch.evaluator import (_Compiled, evaluate, is_candidate,
                                  refinable_with_witnesses)
 from cqsearch.extract import extract
 from cqsearch.datalog import parse_datalog, render_datalog
-from cqsearch.query import Codes, QueryGraph, canonical_form, max_multiplicity, merged
+from cqsearch.query import QueryGraph, Skeletons, canonical_form, max_multiplicity, merged
 from cqsearch.refine import RefinementEngine, RefinementState
 from cqsearch.select import make_context, synthesize
 from cqsearch.strings import syn_lcs
@@ -277,10 +277,10 @@ def searched(monkeypatch):
     graphs: list[QueryGraph] = []
     certificate = refine.certificate
 
-    def checked(g: QueryGraph, skeletons: dict, codes: Codes):
+    def checked(g: QueryGraph, skeletons: Skeletons):
         assert canonical_form(g) == canonical_form_by_search(g), g
         graphs.append(g)
-        return certificate(g, skeletons, codes)
+        return certificate(g, skeletons)
     monkeypatch.setattr(refine, "certificate", checked)
     return graphs
 
